@@ -175,11 +175,17 @@ class NeckSpec:
         if not 0.0 < self.w < self.pair.R:
             raise GeometryError(f"neck width w={self.w} must lie in (0, R={self.pair.R})")
 
-    def contains(self, x: float, y: float) -> bool:
-        """Membership test for the open neck region."""
-        if abs(x) >= self.w:
-            return False
-        return bool(self.pair.lower_arc_y(x) < y < self.pair.upper_arc_y(x))
+    def contains(self, x, y):
+        """Membership test for the open neck region.
+
+        Scalar x, y give a bool; arrays give a boolean array of their
+        broadcast shape.
+        """
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        in_window = np.abs(x) < self.w
+        xw = np.where(in_window, x, 0.0)  # keep the arc square roots real
+        inside = in_window & (self.pair.lower_arc_y(xw) < y) & (y < self.pair.upper_arc_y(xw))
+        return bool(inside) if inside.ndim == 0 else inside
 
     def arc_halfangle(self) -> float:
         """Half-angle subtended by each neck arc at its particle center."""

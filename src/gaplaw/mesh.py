@@ -9,7 +9,9 @@ The two-disk mesh is assembled from three conforming pieces:
 2. a relaxed unstructured triangulation of the upper outer region
    (force-equilibrium smoothing of a rejection-sampled hex seed against a
    Lipschitz-graded sizing field, with every boundary and interface node
-   held fixed);
+   held fixed).  The smoothing runs a fixed `relax_iters` steps and
+   re-triangulates only when some node has moved more than 0.05 of its
+   local size since the last triangulation;
 3. the mirror image of (2) below the x-axis.
 
 Mirroring makes the whole mesh symmetric under y -> -y as a set of nodes
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .geometry import AnnulusSpec, DomainSpec
+from .geometry import AnnulusSpec, DomainSpec, gap_width
 
 __all__ = [
     "TAG_INTERIOR",
@@ -242,17 +244,14 @@ def _march_interval(a: float, b: float, step) -> np.ndarray:
 
 def _strip_columns(domain: DomainSpec, params: MeshParams) -> np.ndarray:
     pair = domain.pair
-    R, delta = pair.R, pair.delta
+    R = pair.R
     xs_half = params.strip_halfwidth if params.strip_halfwidth is not None else 0.5 * R
     if not 0 < xs_half < R:
         raise MeshError(f"strip half-width {xs_half} must lie in (0, R)")
     N = params.neck_layers
 
-    def gap(x):
-        return 2.0 * R + delta - 2.0 * math.sqrt(R * R - x * x)
-
     def step(x):
-        return params.strip_aspect * gap(x) / N
+        return params.strip_aspect * gap_width(x, pair) / N
 
     xs_pos = _march_interval(0.0, xs_half, step)
     return np.concatenate([-xs_pos[:0:-1], xs_pos])
@@ -269,12 +268,11 @@ def _build_strip(domain: DomainSpec, params: MeshParams):
     N = params.neck_layers
     xs = _strip_columns(domain, params)
     M = len(xs)
-    R, delta = pair.R, pair.delta
 
     nodes = np.empty((M * (N + 1), 2))
     tags = np.zeros(M * (N + 1), dtype=np.int8)
     for i, x in enumerate(xs):
-        g = 2.0 * R + delta - 2.0 * math.sqrt(R * R - x * x)
+        g = gap_width(x, pair)
         for j in range(N + 1):
             # y = g*(2j - N)/(2N): exactly antisymmetric under j -> N - j
             y = g * (2 * j - N) / (2 * N)
@@ -346,30 +344,43 @@ class _UpperRegion:
         return np.minimum(self.h_far, self.h_ifc + self.grading * dist)
 
 
+def _unique_edges(simplices: np.ndarray, n: int) -> np.ndarray:
+    """Distinct edges of a triangle list over n points as (a, b) rows with
+    a < b, in lexicographic order; deduplicated on the key a*n + b."""
+    e = np.concatenate([simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [2, 0]]])
+    a = np.minimum(e[:, 0], e[:, 1]).astype(np.int64)
+    b = np.maximum(e[:, 0], e[:, 1])
+    key = np.unique(a * n + b)
+    return np.column_stack([key // n, key % n])
+
+
 def _relax_points(region: _UpperRegion, fixed: np.ndarray, seed_pts: np.ndarray,
                   iters: int) -> np.ndarray:
     """Force-equilibrium smoothing of interior points against the sizing
-    field; fixed points do not move, escaped points are projected back."""
+    field; fixed points do not move, escaped points are projected back.
+
+    Runs exactly `iters` steps.  The bar set is rebuilt by a fresh Delaunay
+    triangulation only when some node has moved more than 0.05 of its own
+    local size (the sizing field at its position when the bars were last
+    built) since that rebuild, so far-field nodes are measured against
+    h_far and neck-side nodes against h_ifc.
+    """
     pts = np.vstack([fixed, seed_pts])
+    n = len(pts)
     nfix = len(fixed)
     Fscale, deltat = 1.2, 0.2
     geps = 1e-3 * region.h_ifc
     deps = 1e-7 * region.R_out
     last = None
     for _ in range(iters):
-        if last is None or np.max(np.hypot(*((pts - last).T))) > 0.05 * region.h_ifc:
+        if last is None or np.max(np.hypot(*((pts - last).T)) / h_last) > 0.05:
             tri = Delaunay(pts)
             cent = pts[tri.simplices].mean(axis=1)
             keep = region.signed_distance(cent) < -geps
-            simp = tri.simplices[keep]
-            bars = np.unique(
-                np.sort(
-                    np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [2, 0]]]),
-                    axis=1,
-                ),
-                axis=0,
-            )
+            bars = _unique_edges(tri.simplices[keep], n)
+            ends = bars.T.ravel()
             last = pts.copy()
+            h_last = region.sizing(last)
         vec = pts[bars[:, 0]] - pts[bars[:, 1]]
         L = np.hypot(vec[:, 0], vec[:, 1])
         mid = 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]])
@@ -378,9 +389,8 @@ def _relax_points(region: _UpperRegion, fixed: np.ndarray, seed_pts: np.ndarray,
         F = np.maximum(L0 - L, 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
             fvec = (F / np.maximum(L, 1e-300))[:, None] * vec
-        move = np.zeros_like(pts)
-        np.add.at(move, bars[:, 0], fvec)
-        np.add.at(move, bars[:, 1], -fvec)
+        fvec = np.concatenate([fvec, -fvec])
+        move = np.column_stack([np.bincount(ends, fvec[:, k], n) for k in (0, 1)])
         move[:nfix] = 0.0
         pts = pts + deltat * move
         # project escapees back inside
@@ -457,8 +467,7 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
 
     strip_nodes, strip_tris, strip_tags, xs = _build_strip(domain, params)
     xs_half = xs[-1]
-    gap_ifc = 2.0 * R + pair.delta - 2.0 * math.sqrt(R * R - xs_half * xs_half)
-    h_ifc = gap_ifc / N
+    h_ifc = gap_width(xs_half, pair) / N
     region = _UpperRegion(domain, params, xs_half, h_ifc)
 
     def hsize(x, y):

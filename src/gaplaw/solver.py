@@ -448,9 +448,7 @@ def grad_max(solution: DiscreteSolution, region: str = "all",
             if not isinstance(dom, DomainSpec):
                 raise ValueError("neck/away regions need a two-particle domain")
             neck = NeckSpec(pair=dom.pair, w=0.25 * dom.pair.R)
-        inside = np.array(
-            [neck.contains(cx, cy) for cx, cy in mesh.centroids], dtype=bool
-        )
+        inside = neck.contains(mesh.centroids[:, 0], mesh.centroids[:, 1])
         mask = inside if region == "neck" else ~inside
         if not np.any(mask):
             return 0.0, (math.nan, math.nan)

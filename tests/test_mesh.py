@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
+import gaplaw.mesh as mesh_module
 from gaplaw.geometry import AnnulusSpec, DomainSpec, ParticlePair
 from gaplaw.mesh import (
     TAG_OUTER,
@@ -8,6 +12,8 @@ from gaplaw.mesh import (
     TAG_P2,
     MeshError,
     MeshParams,
+    _unique_edges,
+    _validate,
     build_annulus_mesh,
     build_mesh,
     load_mesh_text,
@@ -17,6 +23,26 @@ from gaplaw.mesh import (
 
 def two_disk_domain(delta=0.02, R=1.0, R_out=4.0):
     return DomainSpec(pair=ParticlePair(R=R, delta=delta), R_out=R_out)
+
+
+def assert_mirror_symmetric(mesh):
+    """Nodes, tags and elements map onto themselves under y -> -y, bitwise."""
+    index = {(x, y): i for i, (x, y) in enumerate(map(tuple, mesh.nodes))}
+    for (x, y), tag in zip(map(tuple, mesh.nodes), mesh.node_tags):
+        j = index.get((x, -y))
+        assert j is not None, f"missing mirror of ({x}, {y})"
+        mirrored = {TAG_P1: TAG_P2, TAG_P2: TAG_P1}.get(int(tag), int(tag))
+        assert int(mesh.node_tags[j]) == mirrored
+    # elements mirror as a set
+    tri_set = {tuple(sorted(map(tuple, mesh.nodes[t]))) for t in mesh.triangles}
+    for t in mesh.triangles:
+        pts = tuple(sorted((x, -y) for x, y in map(tuple, mesh.nodes[t])))
+        assert pts in tri_set
+
+
+def reference_unique_edges(simplices):
+    e = np.concatenate([simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [2, 0]]])
+    return np.unique(np.sort(e, axis=1), axis=0)
 
 
 @pytest.fixture(scope="module")
@@ -53,19 +79,7 @@ class TestBuildMesh:
         assert float(np.min(mesh02.quality())) >= MeshParams().quality_floor
 
     def test_mirror_symmetry(self, mesh02):
-        index = {(x, y): i for i, (x, y) in enumerate(map(tuple, mesh02.nodes))}
-        for (x, y), tag in zip(map(tuple, mesh02.nodes), mesh02.node_tags):
-            j = index.get((x, -y))
-            assert j is not None, f"missing mirror of ({x}, {y})"
-            mirrored = {TAG_P1: TAG_P2, TAG_P2: TAG_P1}.get(int(tag), int(tag))
-            assert int(mesh02.node_tags[j]) == mirrored
-        # elements mirror as a set
-        tri_set = {
-            tuple(sorted(map(tuple, mesh02.nodes[t]))) for t in mesh02.triangles
-        }
-        for t in mesh02.triangles:
-            pts = tuple(sorted((x, -y) for x, y in map(tuple, mesh02.nodes[t])))
-            assert pts in tri_set
+        assert_mirror_symmetric(mesh02)
 
     def test_tags_present(self, mesh02):
         for tag in (TAG_OUTER, TAG_P1, TAG_P2):
@@ -90,6 +104,50 @@ class TestBuildMesh:
             MeshParams(neck_layers=3)
         with pytest.raises(MeshError):
             MeshParams(neck_layers=2)
+
+
+class TestMeshInvariants:
+    """The mesh invariants across geometries, not only the defaults."""
+
+    @given(
+        R=st.floats(0.25, 4.0),
+        delta_over_R=st.floats(0.002, 0.1),
+        R_out_over_R=st.floats(2.2, 6.0),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_invariants(self, R, delta_over_R, R_out_over_R):
+        delta = delta_over_R * R
+        params = MeshParams(h_far=0.5 * R)
+        mesh = build_mesh(two_disk_domain(delta, R=R, R_out=R_out_over_R * R), params)
+        assert_mirror_symmetric(mesh)
+        # at least 4 layers across the gap: >= 5 nodes on the x = 0 column inside it
+        on_axis = mesh.nodes[mesh.nodes[:, 0] == 0.0]
+        assert np.sum(np.abs(on_axis[:, 1]) <= 0.5 * delta * (1 + 1e-12)) >= 5
+        _validate(mesh, params)
+        assert mesh.boundary_node_residuals() <= 1e-12
+
+
+class TestUniqueEdges:
+    def test_random_triangulation(self):
+        pts = np.random.default_rng(3).random((500, 2))
+        simplices = Delaunay(pts).simplices
+        assert np.array_equal(
+            _unique_edges(simplices, len(pts)), reference_unique_edges(simplices)
+        )
+
+    def test_relaxation_steps(self, monkeypatch):
+        seen = []
+
+        def recording_delaunay(pts):
+            tri = Delaunay(pts)
+            seen.append((tri.simplices, len(pts)))
+            return tri
+
+        monkeypatch.setattr(mesh_module, "Delaunay", recording_delaunay)
+        build_mesh(two_disk_domain(0.04))
+        assert len(seen) > 2
+        for simplices, n in (seen[0], seen[len(seen) // 2], seen[-2]):
+            assert np.array_equal(_unique_edges(simplices, n), reference_unique_edges(simplices))
 
 
 class TestAnnulusMesh:

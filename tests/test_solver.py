@@ -226,6 +226,21 @@ class TestGradMax:
         assert abs(loc[0]) <= 0.25
         assert abs(loc[1]) <= 0.1
 
+    def test_neck_mask_matches_scalar_loop(self, two_disk):
+        pair = two_disk.domain.pair
+        neck = NeckSpec(pair, 0.25)
+        cx, cy = two_disk.centroids[:, 0], two_disk.centroids[:, 1]
+        expected = np.array(
+            [abs(x) < 0.25 and pair.lower_arc_y(x) < y < pair.upper_arc_y(x)
+             for x, y in zip(cx, cy)],
+            dtype=bool,
+        )
+        mask = neck.contains(cx, cy)
+        assert mask.dtype == bool
+        assert 0 < np.sum(mask) < len(mask)
+        assert np.array_equal(mask, expected)
+        assert all(type(neck.contains(float(x), float(y))) is bool for x, y in zip(cx, cy))
+
     def test_region_validation(self):
         mesh = build_annulus_mesh(AnnulusSpec(1.0, 2.0), 0.2)
         sol = solve_prescribed(mesh, T1=0.0, p=2.0, datum=lambda x, y: 1.0)
