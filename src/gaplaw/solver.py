@@ -19,6 +19,13 @@ unknown, so no Lagrange multipliers are needed.  The nonlinear solve is
 damped Newton with Armijo backtracking, seeded by continuation in p from
 the linear p = 2 solution (the energy Hessian degenerates where the
 gradient vanishes, so a good seed matters for p well above 2).
+
+The gradient and Hessian are assembled straight into the reduced
+unknowns: a node -> unknown map and a fixed CSC pattern are built once
+per solve, and each Newton step fills the pattern with one bincount.
+The reduced Hessian is symmetric positive definite, so each step factors
+it with SuperLU in symmetric mode, with diagonal pivots, under a
+minimum-degree ordering of A^T + A.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Raised when the Newton iteration fails to converge."""
+    """Raised on an ill-posed solve request or when Newton fails to converge."""
 
     def __init__(self, message: str, trace=None):
         super().__init__(message)
@@ -121,17 +128,13 @@ def energy(mesh: Mesh, u: np.ndarray, p: float, eps: float = 0.0) -> float:
     return float(np.sum(mesh.areas * s ** (0.5 * p)))
 
 
-def _grad_full(mesh: Mesh, u: np.ndarray, p: float, eps: float) -> np.ndarray:
-    g = element_gradients(mesh, u)
-    s = eps * eps + np.einsum("ei,ei->e", g, g)
-    w = mesh.areas * p * s ** (0.5 * p - 1.0)
-    contrib = np.einsum("e,eik,ei->ek", w, mesh.grads, g)
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.triangles, contrib)
-    return out
+def _element_weights(mesh: Mesh, u: np.ndarray, p: float, eps: float):
+    """Per-element B^T grad u (m, 3) and the two Hessian weights.
 
-
-def _hess_full(mesh: Mesh, u: np.ndarray, p: float, eps: float) -> sp.csr_matrix:
+    The element Hessian is w1 * B^T B + w2 * (B^T g)(B^T g)^T and the
+    element gradient is w1 * B^T g, with s = eps^2 + |g|^2,
+    w1 = area p s^(p/2-1) and w2 = area p (p-2) s^(p/2-2).
+    """
     g = element_gradients(mesh, u)
     s = eps * eps + np.einsum("ei,ei->e", g, g)
     w1 = mesh.areas * p * s ** (0.5 * p - 1.0)
@@ -139,37 +142,78 @@ def _hess_full(mesh: Mesh, u: np.ndarray, p: float, eps: float) -> sp.csr_matrix
     # the negative power so 0 * inf does not poison the assembly
     s_safe = np.where(s > 0.0, s, 1.0)
     w2 = mesh.areas * p * (p - 2.0) * s_safe ** (0.5 * p - 2.0)
-    bg = np.einsum("eik,ei->ek", mesh.grads, g)  # (m, 3)
-    hloc = w1[:, None, None] * np.einsum("eik,eil->ekl", mesh.grads, mesh.grads)
-    hloc += w2[:, None, None] * np.einsum("ek,el->ekl", bg, bg)
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    H = sp.coo_matrix((hloc.ravel(), (rows, cols)), shape=(mesh.n_nodes,) * 2)
-    return H.tocsr()
+    bg = np.einsum("eik,ei->ek", mesh.grads, g)
+    return bg, w1, w2
+
+
+def _grad_full(mesh: Mesh, u: np.ndarray, p: float, eps: float) -> np.ndarray:
+    """Energy gradient with respect to every nodal value."""
+    bg, w1, _ = _element_weights(mesh, u, p, eps)
+    contrib = w1[:, None] * bg
+    return np.bincount(mesh.triangles.ravel(), contrib.ravel(), mesh.n_nodes)
 
 
 # -----------------------------------------------------------------------------
-# constraint structure
+# constraint structure and reduced assembly
 # -----------------------------------------------------------------------------
 
 
-@dataclass
 class _Constraints:
-    """Reduction u = P z + u_fix from nodal values to free unknowns."""
+    """Reduction u = u_fix + z[dof] from nodal values to free unknowns.
 
-    P: sp.csr_matrix
-    u_fix: np.ndarray
-    dof_T1: int | None = None
-    dof_T2: int | None = None
+    `dof` maps each node to its free unknown, -1 on a fixed node; all
+    nodes of a floating particle share one unknown.  The gradient and
+    Hessian are assembled straight into the reduced unknowns through a
+    scatter map built here once and reused by every Newton step and
+    p-stage: each local entry (k, l) of each element whose nodes are both
+    free lands in a fixed slot of a CSC pattern, so one `np.bincount`
+    fills the matrix.
+    """
+
+    def __init__(self, mesh: Mesh, dof: np.ndarray, n_dof: int, u_fix: np.ndarray,
+                 dof_T1: int | None = None, dof_T2: int | None = None):
+        self.mesh = mesh
+        self.n_dof = n_dof
+        self.u_fix = u_fix
+        self.dof_T1 = dof_T1
+        self.dof_T2 = dof_T2
+        self._free = np.flatnonzero(dof >= 0)
+        self._free_dof = dof[self._free]
+        edof = dof[mesh.triangles]
+        self._g_mask = edof >= 0
+        self._g_dof = edof[self._g_mask]
+        rows = np.repeat(edof, 3, axis=1)  # local entry (k, l) at 3k + l
+        cols = np.tile(edof, (1, 3))
+        self._h_mask = (rows >= 0) & (cols >= 0)
+        # column-major keys give CSC directly, the format splu factors
+        key = cols[self._h_mask] * n_dof + rows[self._h_mask]
+        slots, self._h_slot = np.unique(key, return_inverse=True)
+        self._h_indices = slots % n_dof
+        self._h_indptr = np.searchsorted(slots // n_dof, np.arange(n_dof + 1))
+        self._stiff = np.einsum("eik,eil->ekl", mesh.grads, mesh.grads)
 
     def expand(self, z: np.ndarray) -> np.ndarray:
-        return self.P @ z + self.u_fix
+        u = self.u_fix.copy()
+        u[self._free] = z[self._free_dof]
+        return u
 
-    def reduce_grad(self, g: np.ndarray) -> np.ndarray:
-        return self.P.T @ g
+    def grad(self, u: np.ndarray, p: float, eps: float) -> np.ndarray:
+        """Reduced gradient of the energy at the nodal field u."""
+        bg, w1, _ = _element_weights(self.mesh, u, p, eps)
+        contrib = w1[:, None] * bg
+        return np.bincount(self._g_dof, contrib[self._g_mask], self.n_dof)
 
-    def reduce_hess(self, H: sp.csr_matrix) -> sp.csr_matrix:
-        return (self.P.T @ H @ self.P).tocsr()
+    def hess(self, u: np.ndarray, p: float, eps: float) -> sp.csc_matrix:
+        """Reduced Hessian of the energy at the nodal field u (symmetric, CSC)."""
+        bg, w1, w2 = _element_weights(self.mesh, u, p, eps)
+        hloc = w1[:, None, None] * self._stiff
+        hloc += w2[:, None, None] * np.einsum("ek,el->ekl", bg, bg)
+        data = np.bincount(
+            self._h_slot, hloc.reshape(-1, 9)[self._h_mask], len(self._h_indices)
+        )
+        return sp.csc_matrix(
+            (data, self._h_indices, self._h_indptr), shape=(self.n_dof, self.n_dof)
+        )
 
 
 def _outer_values(mesh: Mesh, datum) -> tuple[np.ndarray, np.ndarray]:
@@ -187,33 +231,22 @@ def _build_constraints(mesh: Mesh, kind: str, datum, pinned=None) -> _Constraint
     p2 = mesh.nodes_with_tag(TAG_P2)
     interior = mesh.nodes_with_tag(TAG_INTERIOR)
 
-    rows, cols = [], []
-    ncol = 0
-
-    def add_block(node_idx):
-        nonlocal ncol
-        rows.extend(node_idx)
-        cols.extend(range(ncol, ncol + len(node_idx)))
-        ncol += len(node_idx)
-
-    def add_merged(node_idx):
-        nonlocal ncol
-        rows.extend(node_idx)
-        cols.extend([ncol] * len(node_idx))
-        ncol += 1
-        return ncol - 1
-
-    add_block(interior)
+    dof = np.full(n, -1, dtype=np.int64)
+    dof[interior] = np.arange(len(interior))
+    n_dof = len(interior)
     dof1 = dof2 = None
     if kind == "floating":
         if len(p1) == 0 or len(p2) == 0:
             raise SolverError("floating solve needs both particles")
-        dof1 = add_merged(p1)
-        dof2 = add_merged(p2)
+        dof1, dof2 = n_dof, n_dof + 1
+        dof[p1], dof[p2] = dof1, dof2
+        n_dof += 2
     elif kind == "tied":
         if len(p1) == 0 or len(p2) == 0:
             raise SolverError("tied solve needs both particles")
-        dof1 = dof2 = add_merged(np.concatenate([p1, p2]))
+        dof1 = dof2 = n_dof
+        dof[p1] = dof[p2] = dof1
+        n_dof += 1
     elif kind == "prescribed":
         T1, T2 = pinned
         if len(p1):
@@ -236,10 +269,7 @@ def _build_constraints(mesh: Mesh, kind: str, datum, pinned=None) -> _Constraint
     else:
         raise SolverError(f"unknown problem kind {kind!r}")
 
-    P = sp.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n, ncol)
-    ).tocsr()
-    return _Constraints(P=P, u_fix=u_fix, dof_T1=dof1, dof_T2=dof2)
+    return _Constraints(mesh, dof, n_dof, u_fix, dof_T1=dof1, dof_T2=dof2)
 
 
 # -----------------------------------------------------------------------------
@@ -247,41 +277,68 @@ def _build_constraints(mesh: Mesh, kind: str, datum, pinned=None) -> _Constraint
 # -----------------------------------------------------------------------------
 
 
-def _newton(mesh, con, p, eps, z0, cfg: SolverConfig):
+def _newton_direction(H: sp.csc_matrix, g: np.ndarray):
+    """Solve (H + lam I) dz = -g for a finite descent direction.
+
+    lam starts at 0 and grows while the factorization fails or the
+    direction is not one of descent; returns (dz, lam), with dz None when
+    no shift gave one.
+    """
+    lam = 0.0
+    diag = H.diagonal()
+    shift = float(np.mean(np.abs(diag))) if len(diag) else 1.0
+    for attempt in range(8):
+        if attempt:
+            # Hessian singular or direction non-descent: shift and retry
+            lam = shift * 1e-10 if lam == 0.0 else lam * 10.0
+        Hk = H + lam * sp.eye(H.shape[0], format="csc") if lam else H
+        try:
+            # rejected: MMD_AT_PLUS_A without SymmetricMode (1.74 s per
+            # factorization) and a reused ordering with NATURAL (6.4 s,
+            # 10.7M fill), vs 0.07 s here on a 19.1k-dof Hessian.
+            # Diagonal pivots suffice for SPD; the default threshold 1.0
+            # swapped rows on a near-singular tied Hessian and gave a
+            # poorer direction there (7 extra Newton steps at p = 4.5).
+            lu = spla.splu(Hk, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError:  # exactly singular factor
+            continue
+        dz = lu.solve(-g)
+        if np.all(np.isfinite(dz)) and float(g @ dz) < 0.0:
+            return dz, lam
+    return None, lam
+
+
+def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig):
+    """Damped Newton from z0 at one exponent; returns (z, trace).
+
+    Each trace entry holds the residual and energy at the start of the
+    iteration, then the accepted step length `t` (0 when no step was
+    taken), the Hessian shift `lam` of the last factorization and
+    `fallback`, true when no shift gave a descent direction and the step
+    went along the negative gradient.
+    """
+    mesh = con.mesh
     z = z0.copy()
     trace = []
     # residual scale: gradient at the zero-interior lift state, a fixed
     # problem-intrinsic magnitude (independent of the continuation seed)
-    gref = float(
-        np.max(np.abs(con.reduce_grad(_grad_full(mesh, con.u_fix, p, eps))), initial=0.0)
-    )
+    gref = float(np.max(np.abs(con.grad(con.u_fix, p, eps)), initial=0.0))
     tol = cfg.newton_tol * max(gref, 1e-300)
     noise_floor = 64.0 * np.finfo(float).eps * max(gref, 1e-300)
     u = con.expand(z)
-    g = con.reduce_grad(_grad_full(mesh, u, p, eps))
+    g = con.grad(u, p, eps)
     E = energy(mesh, u, p, eps)
     for it in range(cfg.max_iter):
         gnorm = float(np.max(np.abs(g)))
-        trace.append({"iter": it, "residual": gnorm, "energy": E})
+        entry = {"iter": it, "residual": gnorm, "energy": E,
+                 "t": 0.0, "lam": 0.0, "fallback": False}
+        trace.append(entry)
         if gnorm <= max(tol, noise_floor):
             return z, trace
-        H = con.reduce_hess(_hess_full(mesh, u, p, eps))
-        dz = None
-        lam = 0.0
-        diag = H.diagonal()
-        shift = float(np.mean(np.abs(diag))) if len(diag) else 1.0
-        for _ in range(8):
-            Hk = H if lam == 0.0 else H + lam * sp.eye(H.shape[0], format="csr")
-            try:
-                cand = spla.spsolve(Hk.tocsc(), -g)
-            except Exception:
-                cand = None
-            if cand is not None and np.all(np.isfinite(cand)) and float(g @ cand) < 0.0:
-                dz = cand
-                break
-            # Hessian singular or direction non-descent: shift and retry
-            lam = shift * 1e-10 if lam == 0.0 else lam * 10.0
+        dz, entry["lam"] = _newton_direction(con.hess(u, p, eps), g)
         if dz is None:
+            entry["fallback"] = True
             dz = -g  # steepest descent fallback
         slope = float(g @ dz)
         t = 1.0
@@ -299,10 +356,11 @@ def _newton(mesh, con, p, eps, z0, cfg: SolverConfig):
                 f"line search failed at iter {it} (p={p}, residual {gnorm:.3e})",
                 trace,
             )
+        entry["t"] = t
         z = z + t * dz
         u = con.expand(z)
         E = energy(mesh, u, p, eps)
-        g = con.reduce_grad(_grad_full(mesh, u, p, eps))
+        g = con.grad(u, p, eps)
     gnorm = float(np.max(np.abs(g)))
     raise SolverError(
         f"Newton did not converge in {cfg.max_iter} iterations "
@@ -351,10 +409,10 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, cfg: SolverConfig, pinned=Non
             span = 1.0
         eps = cfg.eps_scale * span / _domain_scale(mesh)
 
-    z = np.zeros(con.P.shape[1])
+    z = np.zeros(con.n_dof)
     trace_all = []
     for pk in _p_ladder(p, cfg):
-        z, trace = _newton(mesh, con, pk, eps, z, cfg)
+        z, trace = _newton(con, pk, eps, z, cfg)
         trace_all.extend([{**t, "p": pk} for t in trace])
     u = con.expand(z)
     sol = DiscreteSolution(
@@ -379,6 +437,19 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, cfg: SolverConfig, pinned=Non
     return sol
 
 
+def _datum(mesh: Mesh, datum, kind: str):
+    """The caller's datum, else the two-particle domain's applied datum."""
+    if datum is not None:
+        return datum
+    if isinstance(mesh.domain, DomainSpec):
+        return mesh.domain.boundary_datum
+    raise SolverError(
+        f"{kind} solve needs a boundary datum: the mesh has no two-particle domain "
+        f"(domain is {type(mesh.domain).__name__}; a mesh read by load_mesh_text "
+        "has none), so pass datum="
+    )
+
+
 def solve_floating(mesh: Mesh, p: float = 2.0, config: SolverConfig | None = None,
                    datum=None) -> DiscreteSolution:
     """Minimizer with one free potential per particle.
@@ -388,16 +459,14 @@ def solve_floating(mesh: Mesh, p: float = 2.0, config: SolverConfig | None = Non
     maximum principle (they are convex combinations of the datum range).
     """
     cfg = config or SolverConfig()
-    datum = datum or mesh.domain.boundary_datum
-    return _solve(mesh, "floating", datum, p, cfg)
+    return _solve(mesh, "floating", _datum(mesh, datum, "floating"), p, cfg)
 
 
 def solve_tied(mesh: Mesh, p: float = 2.0, config: SolverConfig | None = None,
                datum=None) -> DiscreteSolution:
     """Minimizer with a single constant shared by both particles."""
     cfg = config or SolverConfig()
-    datum = datum or mesh.domain.boundary_datum
-    return _solve(mesh, "tied", datum, p, cfg)
+    return _solve(mesh, "tied", _datum(mesh, datum, "tied"), p, cfg)
 
 
 def solve_prescribed(mesh: Mesh, T1: float, T2: float | None = None,
@@ -405,10 +474,7 @@ def solve_prescribed(mesh: Mesh, T1: float, T2: float | None = None,
                      datum=None) -> DiscreteSolution:
     """Minimizer with pinned particle potentials (no flux conditions)."""
     cfg = config or SolverConfig()
-    datum = datum or (mesh.domain.boundary_datum if isinstance(mesh.domain, DomainSpec)
-                      else None)
-    if datum is None:
-        raise SolverError("prescribed solve needs a boundary datum")
+    datum = _datum(mesh, datum, "prescribed")
     return _solve(mesh, "prescribed", datum, p, cfg, pinned=(T1, T2))
 
 
@@ -421,8 +487,8 @@ def solve_linear_aux(mesh: Mesh, which: str, config: SolverConfig | None = None,
     v3: 0 on both particles, the applied datum on the outer boundary.
     """
     cfg = config or SolverConfig()
-    datum = datum or mesh.domain.boundary_datum
-    return _solve(mesh, "linear-aux", datum, 2.0, cfg, pinned=which)
+    return _solve(mesh, "linear-aux", _datum(mesh, datum, "linear-aux"), 2.0, cfg,
+                  pinned=which)
 
 
 # -----------------------------------------------------------------------------
@@ -459,12 +525,14 @@ def grad_max(solution: DiscreteSolution, region: str = "all",
 def recovered_node_gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Area-weighted nodal average of element gradients (patch recovery)."""
     g = element_gradients(mesh, u)
-    acc = np.zeros((mesh.n_nodes, 2))
-    wacc = np.zeros(mesh.n_nodes)
     w = mesh.areas
-    for k in range(3):
-        np.add.at(acc, mesh.triangles[:, k], w[:, None] * g)
-        np.add.at(wacc, mesh.triangles[:, k], w)
+    # corner 0 of every element, then corner 1, then corner 2
+    idx = mesh.triangles.T.ravel()
+    n = mesh.n_nodes
+    acc = np.stack(
+        [np.bincount(idx, np.tile(w * g[:, i], 3), n) for i in range(2)], axis=1
+    )
+    wacc = np.bincount(idx, np.tile(w, 3), n)
     return acc / wacc[:, None]
 
 

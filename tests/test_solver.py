@@ -6,17 +6,21 @@ import scipy.sparse.linalg as spla
 from gaplaw.barriers import fit_two_point, radial_eval
 from gaplaw.geometry import AnnulusSpec, DomainSpec, NeckSpec, ParticlePair
 from gaplaw.mesh import TAG_INTERIOR, TAG_OUTER, TAG_P1, TAG_P2, build_annulus_mesh, build_mesh
+import gaplaw.solver as solver
 from gaplaw.solver import (
     SolverConfig,
+    SolverError,
+    element_gradients,
     energy,
     grad_max,
+    recovered_node_gradients,
     save_solution_text,
     solve_floating,
     solve_linear_aux,
     solve_prescribed,
     solve_tied,
 )
-from gaplaw.mesh import load_mesh_text
+from gaplaw.mesh import load_mesh_text, save_mesh_text
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +262,241 @@ class TestSolutionSerialization:
         text = path.read_text()
         assert "kind floating" in text
         assert f"T2 {floating_p2.T2!r}" in text
+
+
+class TestDomainlessMesh:
+    """A mesh read back from text carries no domain, hence no default datum."""
+
+    @pytest.fixture(scope="class")
+    def loaded(self, two_disk, tmp_path_factory):
+        path = tmp_path_factory.mktemp("mesh") / "mesh.txt"
+        save_mesh_text(two_disk, path)
+        mesh, _ = load_mesh_text(path)
+        assert mesh.domain is None
+        return mesh
+
+    @pytest.mark.parametrize("solve", [
+        solve_floating,
+        solve_tied,
+        lambda mesh: solve_linear_aux(mesh, "v3"),
+        lambda mesh: solve_prescribed(mesh, T1=0.0, T2=0.0),
+    ])
+    def test_without_datum_raises(self, loaded, solve):
+        with pytest.raises(SolverError, match="datum"):
+            solve(loaded)
+
+    @pytest.mark.parametrize("solve", [solve_floating, solve_tied])
+    def test_with_datum_matches_original(self, two_disk, loaded, solve):
+        datum = two_disk.domain.boundary_datum
+        got = solve(loaded, p=3.0, datum=datum)
+        want = solve(two_disk, p=3.0)
+        assert got.T1 == pytest.approx(want.T1, abs=1e-12)
+        assert np.max(np.abs(got.u - want.u)) <= 1e-12
+        assert got.newton_iters == want.newton_iters
+
+
+class TestNewtonTrace:
+    @staticmethod
+    def failing_splu(monkeypatch, n_failures):
+        """Make the first n_failures factorizations raise, as a singular one does."""
+        real = solver.spla.splu
+        calls = {"n": 0}
+
+        def splu(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] <= n_failures:
+                raise RuntimeError("Factor is exactly singular")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "splu", splu)
+
+    def test_fields_on_every_entry(self, two_disk):
+        sol = solve_floating(two_disk, p=3.0)
+        assert sol.newton_iters == len(sol.trace)
+        for entry in sol.trace:
+            assert {"iter", "residual", "energy", "t", "lam", "fallback", "p"} <= set(entry)
+            assert entry["fallback"] is False
+            assert entry["lam"] == 0.0
+        last = {}
+        for entry in sol.trace:
+            last[entry["p"]] = entry
+        # the converged entry of each stage takes no step; all others do
+        for entry in sol.trace:
+            if entry is last[entry["p"]]:
+                assert entry["t"] == 0.0
+            else:
+                assert 0.0 < entry["t"] <= 1.0
+
+    def test_one_failed_factorization_shifts(self, two_disk, monkeypatch):
+        want = solve_floating(two_disk, p=2.0)
+        self.failing_splu(monkeypatch, 1)
+        sol = solve_floating(two_disk, p=2.0)
+        assert sol.trace[0]["lam"] > 0.0
+        assert sol.trace[0]["fallback"] is False
+        assert sol.T1 == pytest.approx(want.T1, abs=1e-10)
+
+    def test_failed_iteration_falls_back(self, two_disk, monkeypatch):
+        want = solve_floating(two_disk, p=2.0)
+        # every shifted retry of the first iteration fails (8 attempts)
+        self.failing_splu(monkeypatch, 8)
+        sol = solve_floating(two_disk, p=2.0)
+        assert sol.trace[0]["fallback"] is True
+        assert sol.trace[0]["lam"] > 0.0
+        assert 0.0 < sol.trace[0]["t"] <= 1.0
+        assert not any(entry["fallback"] for entry in sol.trace[1:])
+        assert sol.newton_iters == len(sol.trace)
+        assert sol.T1 == pytest.approx(want.T1, abs=1e-10)
+
+
+class TestNewtonDirection:
+    def test_spd_factor_keeps_diagonal_pivots(self, monkeypatch):
+        """An SPD Hessian is factored without row swaps, even where an
+        off-diagonal entry outweighs the diagonal of its column."""
+        H = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 5.0, 1.0], [0.0, 1.0, 3.0]]))
+        g = np.array([1.0, -2.0, 0.5])
+        factors = []
+        real = solver.spla.splu
+
+        def splu(*args, **kwargs):
+            factors.append(real(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(solver.spla, "splu", splu)
+        dz, lam = solver._newton_direction(H, g)
+        assert lam == 0.0 and len(factors) == 1
+        assert np.array_equal(factors[0].perm_r, factors[0].perm_c)
+        assert np.allclose(dz, np.linalg.solve(H.toarray(), -g), rtol=1e-14, atol=0.0)
+
+    def test_no_descent_direction(self):
+        # negative definite: every shift up to the last keeps it so
+        dz, lam = solver._newton_direction(sp.csc_matrix(-np.eye(3)), np.ones(3))
+        assert dz is None
+        assert lam == pytest.approx(1e-4)
+
+
+class TestBincountScatter:
+    def test_grad_full_matches_add_at(self, floating_p2):
+        mesh, u = floating_p2.mesh, floating_p2.u
+        bg, w1, _ = solver._element_weights(mesh, u, 3.0, 1e-8)
+        want = np.zeros(mesh.n_nodes)
+        np.add.at(want, mesh.triangles, w1[:, None] * bg)
+        assert np.array_equal(solver._grad_full(mesh, u, 3.0, 1e-8), want)
+
+    def test_recovered_node_gradients_matches_add_at(self, floating_p2):
+        mesh, u = floating_p2.mesh, floating_p2.u
+        g = element_gradients(mesh, u)
+        acc = np.zeros((mesh.n_nodes, 2))
+        wacc = np.zeros(mesh.n_nodes)
+        w = mesh.areas
+        for k in range(3):
+            np.add.at(acc, mesh.triangles[:, k], w[:, None] * g)
+            np.add.at(wacc, mesh.triangles[:, k], w)
+        assert np.array_equal(recovered_node_gradients(mesh, u), acc / wacc[:, None])
+
+
+def grad_full_oracle(mesh, u, p, eps):
+    """Nodal energy gradient, scattered with np.add.at."""
+    g = element_gradients(mesh, u)
+    s = eps * eps + np.einsum("ei,ei->e", g, g)
+    w = mesh.areas * p * s ** (0.5 * p - 1.0)
+    out = np.zeros(mesh.n_nodes)
+    np.add.at(out, mesh.triangles, np.einsum("e,eik,ei->ek", w, mesh.grads, g))
+    return out
+
+
+def hess_full_oracle(mesh, u, p, eps):
+    """Nodal energy Hessian, assembled through COO -> CSR."""
+    g = element_gradients(mesh, u)
+    s = eps * eps + np.einsum("ei,ei->e", g, g)
+    w1 = mesh.areas * p * s ** (0.5 * p - 1.0)
+    s_safe = np.where(s > 0.0, s, 1.0)
+    w2 = mesh.areas * p * (p - 2.0) * s_safe ** (0.5 * p - 2.0)
+    bg = np.einsum("eik,ei->ek", mesh.grads, g)
+    hloc = w1[:, None, None] * np.einsum("eik,eil->ekl", mesh.grads, mesh.grads)
+    hloc += w2[:, None, None] * np.einsum("ek,el->ekl", bg, bg)
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    return sp.coo_matrix((hloc.ravel(), (rows, cols)), shape=(mesh.n_nodes,) * 2).tocsr()
+
+
+def reduction_oracle(mesh, kind):
+    """P with u = P z + u_fix: one column per interior node, then one per
+    merged particle (two when floating, one shared when tied)."""
+    groups = [[i] for i in mesh.nodes_with_tag(TAG_INTERIOR)]
+    p1, p2 = mesh.nodes_with_tag(TAG_P1), mesh.nodes_with_tag(TAG_P2)
+    if kind == "floating":
+        groups += [p1, p2]
+    elif kind == "tied":
+        groups += [np.concatenate([p1, p2])]
+    rows = np.concatenate([np.asarray(grp, dtype=int) for grp in groups])
+    cols = np.repeat(np.arange(len(groups)), [len(grp) for grp in groups])
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(mesh.n_nodes, len(groups)))
+
+
+PROBLEMS = [
+    ("floating", None),
+    ("tied", None),
+    ("prescribed", (-0.3, 0.4)),
+    ("linear-aux", "v1"),
+    ("linear-aux", "v3"),
+]
+
+
+class TestReducedAssembly:
+    """Scatter assembly into reduced unknowns against P^T (nodal oracle) P."""
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("kind,pinned", PROBLEMS)
+    def test_matches_nodal_oracle(self, two_disk, kind, pinned, p):
+        datum = two_disk.domain.boundary_datum
+        con = solver._build_constraints(two_disk, kind, datum, pinned)
+        P = reduction_oracle(two_disk, kind)
+        assert con.n_dof == P.shape[1]
+        z = np.random.default_rng(3).normal(size=con.n_dof)
+        u = con.expand(z)
+        assert np.array_equal(u, P @ z + con.u_fix)
+        eps = 1e-8
+
+        g = con.grad(u, p, eps)
+        g_ref = P.T @ grad_full_oracle(two_disk, u, p, eps)
+        assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
+
+        H = con.hess(u, p, eps)
+        H_ref = (P.T @ hess_full_oracle(two_disk, u, p, eps) @ P).tocsc()
+        # structural pattern from all-ones element blocks, so that no
+        # entry is lost to an exact cancellation in the oracle product
+        ones = hess_full_oracle(two_disk, u, 2.0, 1.0)
+        ones.data[:] = 1.0
+        pattern = (P.T @ ones @ P).tocsc()
+        pattern.sort_indices()
+        assert H.format == "csc" and H.has_sorted_indices
+        assert np.array_equal(H.indptr, pattern.indptr)
+        assert np.array_equal(H.indices, pattern.indices)
+        assert abs(H - H.T).max() == 0.0
+        assert abs(H - H_ref).max() <= 1e-13 * abs(H_ref).max()
+
+    def test_newton_direction_matches_spsolve(self, two_disk, monkeypatch):
+        """The solver's first factor-and-solve against spsolve on the oracle."""
+        seen = []
+        real = solver.spla.splu
+
+        def splu(A, *args, **kwargs):
+            lu = real(A, *args, **kwargs)
+            seen.append((A.copy(), lu))
+            return lu
+
+        monkeypatch.setattr(solver.spla, "splu", splu)
+        datum = two_disk.domain.boundary_datum
+        sol = solve_floating(two_disk, p=4.0, config=SolverConfig(p_continuation=False))
+        monkeypatch.undo()
+
+        con = solver._build_constraints(two_disk, "floating", datum)
+        P = reduction_oracle(two_disk, "floating")
+        u = con.u_fix  # the first iterate: zero free unknowns
+        H_ref = (P.T @ hess_full_oracle(two_disk, u, 4.0, sol.eps) @ P).tocsc()
+        g_ref = P.T @ grad_full_oracle(two_disk, u, 4.0, sol.eps)
+        A, lu = seen[0]
+        assert abs(A - H_ref).max() <= 1e-13 * abs(H_ref).max()
+        dz = lu.solve(-g_ref)
+        dz_ref = spla.spsolve(H_ref, -g_ref)
+        assert np.max(np.abs(dz - dz_ref)) <= 1e-10 * np.max(np.abs(dz_ref))
