@@ -24,7 +24,6 @@ from .barriers import (
     RadialProfile,
     barrier_flux_bound,
     fit_two_point,
-    plaplace_residual,
     radial_eval,
     radial_gradient,
 )
@@ -44,7 +43,6 @@ from .geometry import (
     ParticlePair,
     gap_width,
     lower_barrier_radii,
-    neck_region,
     upper_barrier_radii,
 )
 from .mesh import Mesh, MeshParams, build_annulus_mesh, build_mesh

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal
 
 from .geometry import (
@@ -33,7 +32,6 @@ __all__ = [
     "radial_eval",
     "fit_two_point",
     "radial_gradient",
-    "plaplace_residual",
     "barrier_flux_bound",
     "beta_exponent",
 ]
@@ -118,46 +116,6 @@ def fit_two_point(
     a = (v2 - v1) / (f2 - f1)
     b = v1 - a * f1
     return RadialProfile(a=a, b=b, p=p, d=d)
-
-
-@lru_cache(maxsize=64)
-def _symbolic_residual(p: float, d: int, branch: Branch):
-    """Lambdified radial p-Laplacian of the closed-form profile.
-
-    Builds psi(r) symbolically, differentiates, and assembles
-    (|psi'|^(p-2) psi' r^(d-1))' / r^(d-1) without simplification, so the
-    returned callable measures genuine cancellation rather than an
-    algebraic identity.
-    """
-    import sympy as sp
-
-    r = sp.Symbol("r", positive=True)
-    amp = sp.Symbol("amp", real=True, nonzero=True)
-    if branch == "log":
-        psi = amp * sp.log(r)
-    else:
-        beta = (sp.Float(p) - d) / (sp.Float(p) - 1)
-        psi = amp * r**beta
-    dpsi = sp.diff(psi, r)
-    flux = sp.Abs(dpsi) ** (sp.Float(p) - 2) * dpsi * r ** (d - 1)
-    residual = sp.diff(flux, r) / r ** (d - 1)
-    return sp.lambdify((r, amp), residual, modules="math")
-
-
-def plaplace_residual(profile: RadialProfile, r: float) -> float:
-    """Radial p-Laplacian of the profile at r, via symbolic differentiation.
-
-    Zero (to rounding) for every admissible profile; serves as the
-    exactness check of the closed forms.  A constant profile (a = 0) has
-    zero gradient and the residual is defined to be 0.
-    """
-    if r <= 0.0:
-        raise RadialDomainError(f"radius must be positive, got {r}")
-    if profile.a == 0.0:
-        return 0.0
-    fn = _symbolic_residual(float(profile.p), int(profile.d), profile.branch)
-    val = fn(r, profile.a)
-    return float(val.real if isinstance(val, complex) else val)
 
 
 @dataclass(frozen=True)

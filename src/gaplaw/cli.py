@@ -16,6 +16,13 @@ Subcommands:
 
 Exit codes: 0 when all verdicts pass (or none apply), 2 when a verdict
 fails, 1 on execution errors.
+
+`analyze` is the one analysis path: R0 extrapolation, C_o, the
+prediction, the fits and the verdicts.  `sweep`, `report` and `fit --p`
+all go through it.  It lives here, not in `gaplaw.sweep`, and calls
+`r0_from_records`, `fit_power_law`, `verify_theorem`,
+`asymptotics.c_o_quadrature` and `asymptotics.predict` as names of this
+module, so that a caller can time each of them by rebinding that name.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from pathlib import Path
 
 from . import asymptotics
 from .flux import flux_report, r_delta
-from .geometry import NeckSpec
+from .geometry import DIM, NeckSpec
 from .mesh import build_mesh
 from .solver import save_solution_text, solve_floating, solve_prescribed, solve_tied
 from .sweep import (
@@ -43,6 +50,8 @@ from .sweep import (
 EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_FAIL = 2
+
+QUANTITIES = ("gap", "gradMax")
 
 
 def _cmd_constants(args) -> int:
@@ -115,22 +124,28 @@ def _cmd_solve(args) -> int:
     return EXIT_PASS
 
 
-def _pipeline(records, cfg: SweepConfig):
+def analyze(records, p: float, R: float = 1.0,
+            ratio_band=SweepConfig.ratio_band,
+            slope_tol: float = SweepConfig.slope_tol,
+            deviation_slack: float = SweepConfig.deviation_slack):
+    """Sweep records -> (r0, prediction, fits, verdicts).
+
+    R0 is extrapolated from the tied fluxes of the successful records,
+    C_o and the prediction come from `asymptotics` at the smallest
+    successful delta, and the verdicts apply the given tolerances (the
+    SweepConfig defaults unless passed).
+    """
     r0 = r0_from_records(records)
-    C_o = asymptotics.c_o_quadrature(cfg.p, 2, cfg.R)
+    C_o = asymptotics.c_o_quadrature(p, DIM, R)
     smallest = min(r.delta for r in records if r.error is None)
-    pred = asymptotics.predict(cfg.p, 2, cfg.R, r0.R0, smallest, C_o=C_o)
-    fits = {
-        "gap": fit_power_law(records, "gap", pred),
-        "gradMax": fit_power_law(records, "gradMax", pred),
-    }
+    pred = asymptotics.predict(p, DIM, R, r0.R0, smallest, C_o=C_o)
+    fits = {q: fit_power_law(records, q, pred) for q in QUANTITIES}
     verdicts = {
         "theorem_ratio": verify_theorem(
-            records, r0, pred, band=cfg.ratio_band,
-            deviation_slack=cfg.deviation_slack,
+            records, r0, pred, band=ratio_band, deviation_slack=deviation_slack,
         ),
-        "gap_slope_ok": abs(fits["gap"].slope_deviation) <= cfg.slope_tol,
-        "gradmax_slope_ok": abs(fits["gradMax"].slope_deviation) <= cfg.slope_tol,
+        "gap_slope_ok": abs(fits["gap"].slope_deviation) <= slope_tol,
+        "gradmax_slope_ok": abs(fits["gradMax"].slope_deviation) <= slope_tol,
     }
     return r0, pred, fits, verdicts
 
@@ -145,7 +160,9 @@ def _verdicts_pass(verdicts) -> bool:
 def _cmd_sweep(args) -> int:
     cfg = SweepConfig.from_json(Path(args.config).read_text())
     records = run_sweep(cfg)
-    r0, pred, fits, verdicts = _pipeline(records, cfg)
+    r0, pred, fits, verdicts = analyze(
+        records, cfg.p, cfg.R, cfg.ratio_band, cfg.slope_tol, cfg.deviation_slack
+    )
     emit_report(records, fits, verdicts, args.out, config=cfg, r0=r0, prediction=pred)
     for rec in records:
         status = rec.error or "ok"
@@ -162,15 +179,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_fit(args) -> int:
     records = records_from_csv(Path(args.records).read_text())
-    pred = None
-    if args.p is not None:
-        r0 = r0_from_records(records)
-        C_o = asymptotics.c_o_quadrature(args.p, 2, args.R)
-        pred = asymptotics.predict(
-            args.p, 2, args.R, r0.R0, min(r.delta for r in records), C_o=C_o
-        )
-    for q in ("gap", "gradMax"):
-        fit = fit_power_law(records, q, pred)
+    if args.p is None:
+        fits = {q: fit_power_law(records, q) for q in QUANTITIES}
+    else:
+        fits = analyze(records, args.p, args.R)[2]
+    for q, fit in fits.items():
         line = f"{q}: slope {fit.slope!r} prefactor {fit.prefactor!r} residual {fit.residual!r}"
         if fit.predicted_slope is not None:
             line += f" (predicted slope {fit.predicted_slope!r})"
@@ -180,8 +193,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_report(args) -> int:
     records = records_from_csv(Path(args.records).read_text())
-    cfg = SweepConfig(p=args.p, R=args.R)
-    r0, pred, fits, verdicts = _pipeline(records, cfg)
+    r0, pred, fits, verdicts = analyze(records, args.p, args.R)
     emit_report(records, fits, verdicts, args.out, config=None, r0=r0, prediction=pred)
     passed = _verdicts_pass(verdicts)
     print("verdict:", "PASS" if passed else "FAIL")

@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 _CURVE_TAGS = {"outer": TAG_OUTER, "particle1": TAG_P1, "particle2": TAG_P2}
+_SUB_ARCS = ("s2", "particle2_away")  # pieces of particle 2 split by the neck window
+_R0_ABS_FLOOR = 1e-9  # R_delta misfits below this are solver roundoff, not noise
 
 
 class FluxError(ValueError):
@@ -83,37 +85,51 @@ def _curve_sign(curve: str) -> float:
     return 1.0 if curve == "outer" else -1.0
 
 
+def _neck_side(curve: str, neck: NeckSpec | None, pts: np.ndarray) -> np.ndarray:
+    """Mask of the points of particle 2 on sub-arc `curve`: the gap side
+    within the neck window for 's2', the rest for 'particle2_away'."""
+    if neck is None:
+        raise FluxError(f"curve {curve!r} needs a neck window")
+    # gap side of the particle only: |x| <= w excludes the far side
+    inside = (np.abs(pts[:, 0]) <= neck.w) & (pts[:, 1] < neck.pair.center2[1])
+    return inside if curve == "s2" else ~inside
+
+
 def _curve_nodes(mesh: Mesh, curve: str, neck: NeckSpec | None = None) -> np.ndarray:
     if curve in _CURVE_TAGS:
         idx = mesh.nodes_with_tag(_CURVE_TAGS[curve])
         if len(idx) == 0:
             raise FluxError(f"mesh has no nodes on curve {curve!r}")
         return idx
-    if curve in ("s2", "particle2_away"):
-        if neck is None:
-            raise FluxError(f"curve {curve!r} needs a neck window")
+    if curve in _SUB_ARCS:
         idx = mesh.nodes_with_tag(TAG_P2)
-        cy = neck.pair.center2[1]
-        # gap side of the particle only: |x| <= w excludes the far side
-        inside = (np.abs(mesh.nodes[idx, 0]) <= neck.w) & (mesh.nodes[idx, 1] < cy)
-        return idx[inside] if curve == "s2" else idx[~inside]
+        return idx[_neck_side(curve, neck, mesh.nodes[idx])]
     raise FluxError(f"unknown curve {curve!r}")
 
 
 def _curve_edges(mesh: Mesh, curve: str, neck: NeckSpec | None = None):
-    base = "outer" if curve == "outer" else (
-        "particle1" if curve == "particle1" else "particle2"
-    )
-    if curve in ("s2", "particle2_away") and neck is None:
-        raise FluxError(f"curve {curve!r} needs a neck window")
-    edges, owners = mesh.boundary_edges[_CURVE_TAGS[base]]
-    if curve in ("s2", "particle2_away"):
+    if curve in _SUB_ARCS:
+        edges, owners = mesh.boundary_edges[TAG_P2]
         mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
-        cy = neck.pair.center2[1]
-        inside = (np.abs(mids[:, 0]) <= neck.w) & (mids[:, 1] < cy)
-        sel = inside if curve == "s2" else ~inside
+        sel = _neck_side(curve, neck, mids)
         return edges[sel], owners[sel]
-    return edges, owners
+    if curve not in _CURVE_TAGS:
+        raise FluxError(f"unknown curve {curve!r}")
+    return mesh.boundary_edges[_CURVE_TAGS[curve]]
+
+
+def _edge_frame(mesh: Mesh, edges: np.ndarray, owners: np.ndarray):
+    """Midpoints, lengths and unit normals of boundary edges, the normals
+    oriented away from the owning element's centroid (out of the domain)."""
+    a = mesh.nodes[edges[:, 0]]
+    b = mesh.nodes[edges[:, 1]]
+    mid = 0.5 * (a + b)
+    tang = b - a
+    lengths = np.hypot(tang[:, 0], tang[:, 1])
+    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
+    flip = np.einsum("ei,ei->e", normals, mesh.centroids[owners] - mid) > 0
+    normals[flip] *= -1.0
+    return mid, lengths, normals
 
 
 def _line_flux(solution: DiscreteSolution, curve: str, neck=None) -> float:
@@ -124,16 +140,7 @@ def _line_flux(solution: DiscreteSolution, curve: str, neck=None) -> float:
     if len(edges) == 0:
         return 0.0
     g = element_gradients(mesh, solution.u)[owners]
-    a = mesh.nodes[edges[:, 0]]
-    b = mesh.nodes[edges[:, 1]]
-    tang = b - a
-    lengths = np.hypot(tang[:, 0], tang[:, 1])
-    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
-    # orient away from the owning element's centroid
-    mid = 0.5 * (a + b)
-    toward = mesh.centroids[owners] - mid
-    flip = np.einsum("ei,ei->e", normals, toward) > 0
-    normals[flip] *= -1.0
+    _, lengths, normals = _edge_frame(mesh, edges, owners)
     gn = np.einsum("ei,ei->e", g, normals)
     mag = np.hypot(g[:, 0], g[:, 1])
     dens = mag ** (solution.p - 2.0) * gn
@@ -251,22 +258,11 @@ def flux_report(solution: DiscreteSolution, neck: NeckSpec | None = None) -> Flu
     )
 
 
-def r_delta(solution: DiscreteSolution, neck: NeckSpec | None = None,
-            split: str = "full") -> float:
-    """Net flux through particle 2 of a tied solve (particle-outward).
-
-    split='full' integrates over the whole particle boundary,
-    split='away-from-neck' over the part outside the neck window; the two
-    differ by the neck-arc contribution, which is O(w) for the tied
-    solution.
-    """
+def r_delta(solution: DiscreteSolution) -> float:
+    """Net flux through particle 2 of a tied solve (particle-outward)."""
     if solution.kind != "tied":
         raise FluxError(f"r_delta is defined for tied solves, got {solution.kind!r}")
-    if split == "full":
-        return boundary_flux(solution, "particle2")
-    if split == "away-from-neck":
-        return boundary_flux(solution, "particle2_away", neck)
-    raise FluxError(f"unknown split {split!r}")
+    return boundary_flux(solution, "particle2")
 
 
 @dataclass(frozen=True)
@@ -286,7 +282,17 @@ class R0Estimate:
     max_fit_residual: float
 
 
-def _fit_r0(pairs, noise_tol: float, abs_floor: float = 1e-9) -> R0Estimate:
+def estimate_r0(pairs, noise_tol: float = 0.25) -> R0Estimate:
+    """Extrapolate R_delta -> R0 from (delta, R_delta) pairs.
+
+    The deltas must be strictly decreasing, at least 3 of them.  Raises
+    ExtrapolationUnreliableError (carrying the ladder) when the
+    linear-in-delta fit misfits by more than noise_tol of the data range
+    and by more than solver roundoff.
+    """
+    pairs = [(float(d), float(v)) for d, v in pairs]
+    if any(b >= a for (a, _), (b, _) in zip(pairs, pairs[1:])):
+        raise ValueError("delta ladder must be strictly decreasing")
     if len(pairs) < 3:
         raise ValueError("R0 extrapolation needs at least 3 ladder points")
     x = np.array([p[0] for p in pairs])
@@ -297,11 +303,10 @@ def _fit_r0(pairs, noise_tol: float, abs_floor: float = 1e-9) -> R0Estimate:
     resid = np.abs(fit - y)
     span = max(float(np.max(y) - np.min(y)), abs(coef[0]) * 1e-12, 1e-300)
     misfit = float(np.max(resid))
-    # fluxes below solver resolution are numerical zeros, not noise
-    if misfit > noise_tol * max(span, abs(coef[0])) and misfit > abs_floor:
+    if misfit > noise_tol * max(span, abs(coef[0])) and misfit > _R0_ABS_FLOOR:
         raise ExtrapolationUnreliableError(
             f"R_delta ladder misfits linear extrapolation by {misfit:.3e}",
-            list(pairs),
+            pairs,
         )
     return R0Estimate(
         ladder=tuple(pairs),
@@ -310,23 +315,6 @@ def _fit_r0(pairs, noise_tol: float, abs_floor: float = 1e-9) -> R0Estimate:
         residual=float(resid[-1]),
         max_fit_residual=float(np.max(resid)),
     )
-
-
-def estimate_r0(tied_solver, deltas, noise_tol: float = 0.25) -> R0Estimate:
-    """Extrapolate R_delta -> R0 over a decreasing delta ladder.
-
-    tied_solver maps delta to a converged tied DiscreteSolution.  Raises
-    ExtrapolationUnreliableError (carrying the raw ladder) when the
-    linear-in-delta fit misfits by more than noise_tol of the data range.
-    """
-    deltas = [float(d) for d in deltas]
-    if any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("delta ladder must be strictly decreasing")
-    pairs = []
-    for d in deltas:
-        sol = tied_solver(d)
-        pairs.append((d, r_delta(sol)))
-    return _fit_r0(pairs, noise_tol)
 
 
 @dataclass(frozen=True)
@@ -409,15 +397,7 @@ def sample_neck_flux(solution: DiscreteSolution, neck: NeckSpec):
     edges, owners = _curve_edges(mesh, "s2", neck)
     if len(edges) == 0:
         raise FluxError("no boundary edges inside the neck window")
-    a = mesh.nodes[edges[:, 0]]
-    b = mesh.nodes[edges[:, 1]]
-    mid = 0.5 * (a + b)
-    tang = b - a
-    lengths = np.hypot(tang[:, 0], tang[:, 1])
-    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
-    toward = mesh.centroids[owners] - mid
-    flip = np.einsum("ei,ei->e", normals, toward) > 0
-    normals[flip] *= -1.0  # out of the domain = into particle 2
+    mid, _, normals = _edge_frame(mesh, edges, owners)  # into particle 2
     g_elem = element_gradients(mesh, solution.u)[owners]
     g_node = recovered_node_gradients(mesh, solution.u)
     g_rec = 0.5 * (g_node[edges[:, 0]] + g_node[edges[:, 1]])

@@ -34,8 +34,10 @@ __all__ = [
     "gap_width",
     "upper_barrier_radii",
     "lower_barrier_radii",
-    "neck_region",
+    "datum_values",
 ]
+
+DIM = 2  # the disks, their meshes and every solve live in the plane
 
 GapMode = Literal["exact", "quadratic"]
 
@@ -210,13 +212,20 @@ class NeckSpec:
         return abs(x) <= self.w and gap_side and abs(r - self.pair.R) <= tol * self.pair.R
 
 
-def neck_region(pair: ParticlePair, w: float) -> NeckSpec:
-    """Build the neck window of half-width w between the two particles."""
-    return NeckSpec(pair=pair, w=w)
-
-
-def _linear_y(x: float, y: float) -> float:
+def _linear_y(x, y):
     return y
+
+
+def datum_values(datum, xy) -> np.ndarray:
+    """A boundary datum evaluated at the rows (x, y) of xy in one call.
+
+    Data take coordinate arrays; one that returns a scalar (a constant)
+    is broadcast over the points.
+    """
+    pts = np.asarray(xy, dtype=float)
+    vals = np.empty(len(pts))
+    vals[:] = datum(pts[:, 0], pts[:, 1])
+    return vals
 
 
 @dataclass(frozen=True)
@@ -224,14 +233,15 @@ class DomainSpec:
     """Two-particle conductor geometry inside a disk of radius R_out.
 
     The outer boundary is the circle of radius R_out centered at the
-    origin; `boundary_datum` is the applied potential on it.  `clearance`
+    origin; `boundary_datum` is the applied potential on it, a callable
+    taking coordinate arrays x, y.  `clearance`
     is the required minimum distance between the outer boundary and the
     particles.
     """
 
     pair: ParticlePair
     R_out: float
-    boundary_datum: Callable[[float, float], float] = _linear_y
+    boundary_datum: Callable = _linear_y
     clearance: float = 0.0
     datum_name: str = "linear-y"
 
@@ -253,8 +263,7 @@ class DomainSpec:
         return self.R_out - (2.0 * self.pair.R + 0.5 * self.pair.delta)
 
     def datum_values(self, xy) -> np.ndarray:
-        pts = np.asarray(xy, dtype=float)
-        return np.array([self.boundary_datum(float(p[0]), float(p[1])) for p in pts])
+        return datum_values(self.boundary_datum, xy)
 
 
 @dataclass(frozen=True)

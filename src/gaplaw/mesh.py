@@ -9,7 +9,7 @@ The two-disk mesh is assembled from three conforming pieces:
 2. a relaxed unstructured triangulation of the upper outer region
    (force-equilibrium smoothing of a rejection-sampled hex seed against a
    Lipschitz-graded sizing field, with every boundary and interface node
-   held fixed).  The smoothing runs a fixed `relax_iters` steps and
+   held fixed).  The smoothing runs a fixed RELAX_ITERS steps and
    re-triangulates only when some node has moved more than 0.05 of its
    local size since the last triangulation;
 3. the mirror image of (2) below the x-axis.
@@ -59,25 +59,30 @@ class MeshError(RuntimeError):
     """Raised for infeasible meshing requests or failed quality gates."""
 
 
+STRIP_HALFWIDTH = 0.5  # half-width of the structured strip, in units of R
+GRADING = 0.3  # Lipschitz constant of the sizing field outside the strip
+RELAX_ITERS = 160  # smoothing steps of the outer region
+QUALITY_FLOOR = 0.02  # smallest admissible element quality
+
+
 @dataclass(frozen=True)
 class MeshParams:
-    """Grading and quality knobs for the two-disk mesh.
+    """Resolution of the two-disk mesh.
 
-    `neck_layers` is the number of element layers across the gap at
-    x = 0 (even, >= 4, so the neck target size h_neck = delta/neck_layers
-    stays <= delta/4).  `strip_aspect` is the width/height ratio of the
-    structured strip cells; `grading` the Lipschitz constant of the
-    sizing field outside the strip.
+    `h_far` is the cell size far from the gap.  `neck_layers` is the
+    number of element layers across the gap at x = 0 (even, >= 4, so the
+    neck target size h_neck = delta/neck_layers stays <= delta/4).
+    `strip_aspect` is the width/height ratio of the structured strip
+    cells, and `seed` drives the initial rejection sampling.  The strip
+    half-width, the grading, the smoothing steps and the quality floor are
+    the module constants STRIP_HALFWIDTH, GRADING, RELAX_ITERS and
+    QUALITY_FLOOR.
     """
 
     h_far: float = 0.3
     neck_layers: int = 4
-    strip_halfwidth: float | None = None  # default R/2
     strip_aspect: float = 1.4
-    grading: float = 0.3
-    relax_iters: int = 160
     seed: int = 0
-    quality_floor: float = 0.02
 
     def __post_init__(self):
         if self.neck_layers < 4 or self.neck_layers % 2 != 0:
@@ -245,9 +250,7 @@ def _march_interval(a: float, b: float, step) -> np.ndarray:
 def _strip_columns(domain: DomainSpec, params: MeshParams) -> np.ndarray:
     pair = domain.pair
     R = pair.R
-    xs_half = params.strip_halfwidth if params.strip_halfwidth is not None else 0.5 * R
-    if not 0 < xs_half < R:
-        raise MeshError(f"strip half-width {xs_half} must lie in (0, R)")
+    xs_half = STRIP_HALFWIDTH * R
     N = params.neck_layers
 
     def step(x):
@@ -325,7 +328,6 @@ class _UpperRegion:
         self.y_box = float(domain.pair.upper_arc_y(xs_half))
         self.h_ifc = h_ifc
         self.h_far = params.h_far
-        self.grading = params.grading
 
     def signed_distance(self, pts: np.ndarray) -> np.ndarray:
         x, y = pts[:, 0], pts[:, 1]
@@ -341,7 +343,7 @@ class _UpperRegion:
         dx = np.maximum(np.abs(x) - self.xs_half, 0.0)
         dy = np.maximum(np.abs(y) - self.y_box, 0.0)
         dist = np.hypot(dx, dy)
-        return np.minimum(self.h_far, self.h_ifc + self.grading * dist)
+        return np.minimum(self.h_far, self.h_ifc + GRADING * dist)
 
 
 def _unique_edges(simplices: np.ndarray, n: int) -> np.ndarray:
@@ -354,12 +356,11 @@ def _unique_edges(simplices: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([key // n, key % n])
 
 
-def _relax_points(region: _UpperRegion, fixed: np.ndarray, seed_pts: np.ndarray,
-                  iters: int) -> np.ndarray:
+def _relax_points(region: _UpperRegion, fixed: np.ndarray, seed_pts: np.ndarray) -> np.ndarray:
     """Force-equilibrium smoothing of interior points against the sizing
     field; fixed points do not move, escaped points are projected back.
 
-    Runs exactly `iters` steps.  The bar set is rebuilt by a fresh Delaunay
+    Runs exactly RELAX_ITERS steps.  The bar set is rebuilt by a fresh Delaunay
     triangulation only when some node has moved more than 0.05 of its own
     local size (the sizing field at its position when the bars were last
     built) since that rebuild, so far-field nodes are measured against
@@ -372,7 +373,7 @@ def _relax_points(region: _UpperRegion, fixed: np.ndarray, seed_pts: np.ndarray,
     geps = 1e-3 * region.h_ifc
     deps = 1e-7 * region.R_out
     last = None
-    for _ in range(iters):
+    for _ in range(RELAX_ITERS):
         if last is None or np.max(np.hypot(*((pts - last).T)) / h_last) > 0.05:
             tri = Delaunay(pts)
             cent = pts[tri.simplices].mean(axis=1)
@@ -523,7 +524,7 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
 
     rng = np.random.default_rng(params.seed)
     seed_pts = _hex_seed(region, rng)
-    interior = _relax_points(region, fixed, seed_pts, params.relax_iters)
+    interior = _relax_points(region, fixed, seed_pts)
 
     upper_pts = np.vstack([fixed, interior])
     upper_tags = np.concatenate([fixed_tags, np.full(len(interior), TAG_INTERIOR, np.int8)])
@@ -583,7 +584,7 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
         h_far=params.h_far,
         domain=domain,
     )
-    _validate(mesh, params)
+    _validate(mesh)
     return mesh
 
 
@@ -592,7 +593,7 @@ def _polygon_area(loop_pts: np.ndarray) -> float:
     return 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _validate(mesh: Mesh, params: MeshParams) -> None:
+def _validate(mesh: Mesh) -> None:
     res = mesh.boundary_node_residuals()
     if res > 1e-12:
         raise MeshError(f"boundary node off its curve by {res:.3e} R")
@@ -611,9 +612,9 @@ def _validate(mesh: Mesh, params: MeshParams) -> None:
             f"mesh does not tile the domain: covered {covered!r} vs boundary {loops!r}"
         )
     q = mesh.quality()
-    if float(np.min(q)) < params.quality_floor:
+    if float(np.min(q)) < QUALITY_FLOOR:
         raise MeshError(
-            f"element quality {float(np.min(q)):.4f} below floor {params.quality_floor}"
+            f"element quality {float(np.min(q)):.4f} below floor {QUALITY_FLOOR}"
         )
 
 

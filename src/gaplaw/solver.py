@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import AnnulusSpec, DomainSpec, NeckSpec
+from .geometry import AnnulusSpec, DomainSpec, NeckSpec, datum_values
 from .mesh import TAG_INTERIOR, TAG_OUTER, TAG_P1, TAG_P2, Mesh, save_mesh_text
 
 __all__ = [
@@ -216,16 +216,13 @@ class _Constraints:
         )
 
 
-def _outer_values(mesh: Mesh, datum) -> tuple[np.ndarray, np.ndarray]:
-    idx = mesh.nodes_with_tag(TAG_OUTER)
-    vals = np.array([datum(float(x), float(y)) for x, y in mesh.nodes[idx]])
-    return idx, vals
-
-
-def _build_constraints(mesh: Mesh, kind: str, datum, pinned=None) -> _Constraints:
+def _build_constraints(mesh: Mesh, kind: str, outer_vals: np.ndarray,
+                       pinned=None) -> _Constraints:
+    """Fixed values and the node -> unknown map; `outer_vals` is the
+    applied datum at the outer-boundary nodes, in tag order."""
     n = mesh.n_nodes
     u_fix = np.zeros(n)
-    outer_idx, outer_vals = _outer_values(mesh, datum)
+    outer_idx = mesh.nodes_with_tag(TAG_OUTER)
     u_fix[outer_idx] = outer_vals
     p1 = mesh.nodes_with_tag(TAG_P1)
     p2 = mesh.nodes_with_tag(TAG_P2)
@@ -369,11 +366,6 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig):
     )
 
 
-def _datum_range(mesh: Mesh, datum) -> float:
-    _, vals = _outer_values(mesh, datum)
-    return float(np.max(vals) - np.min(vals)) if len(vals) else 0.0
-
-
 def _domain_scale(mesh: Mesh) -> float:
     dom = mesh.domain
     if isinstance(dom, DomainSpec):
@@ -397,14 +389,13 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, cfg: SolverConfig, pinned=Non
            eps: float | None = None) -> DiscreteSolution:
     if p < 2.0:
         raise SolverError(f"exponent p={p} must be >= 2")
-    con = _build_constraints(mesh, kind, datum, pinned)
+    outer_vals = datum_values(datum, mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
+    con = _build_constraints(mesh, kind, outer_vals, pinned)
     if eps is None:
-        span = _datum_range(mesh, datum)
+        vals = outer_vals
         if kind == "prescribed" and pinned is not None:
-            vals = [v for v in pinned if v is not None]
-            _, outer_vals = _outer_values(mesh, datum)
-            allv = np.concatenate([outer_vals, np.asarray(vals, dtype=float)])
-            span = float(np.max(allv) - np.min(allv))
+            vals = np.concatenate([outer_vals, [v for v in pinned if v is not None]])
+        span = float(np.max(vals) - np.min(vals)) if len(vals) else 0.0
         if kind == "linear-aux" and pinned in ("v1", "v2"):
             span = 1.0
         eps = cfg.eps_scale * span / _domain_scale(mesh)

@@ -36,13 +36,14 @@ from .flux import (
     FluxReport,
     QReport,
     R0Estimate,
+    estimate_r0,
     flux_report,
     q_functional,
     r_delta,
     sample_neck_flux,
 )
 from .barriers import barrier_flux_bound
-from .geometry import DomainSpec, NeckSpec, ParticlePair
+from .geometry import DIM, DomainSpec, GeometryError, NeckSpec, ParticlePair
 from .mesh import MeshParams, build_mesh
 from .solver import (
     DiscreteSolution,
@@ -82,23 +83,14 @@ class SweepError(RuntimeError):
         self.failures = failures or []
 
 
-def _datum_quadratic_factory(R_out: float):
-    def datum(x: float, y: float) -> float:
-        return y + 0.5 * y * y / R_out
-
-    return datum
-
-
 def _datum_table_factory(entries):
     pts = sorted((float(t) % (2.0 * math.pi), float(v)) for t, v in entries)
     thetas = np.array([t for t, _ in pts])
     vals = np.array([v for _, v in pts])
 
-    def datum(x: float, y: float) -> float:
-        th = math.atan2(y, x) % (2.0 * math.pi)
-        return float(
-            np.interp(th, thetas, vals, period=2.0 * math.pi)
-        )
+    def datum(x, y):
+        th = np.arctan2(y, x) % (2.0 * math.pi)
+        return np.interp(th, thetas, vals, period=2.0 * math.pi)
 
     return datum
 
@@ -112,6 +104,11 @@ class SweepConfig:
     as a fraction of delta (the mesher keeps at least 4 layers across the
     gap).  `datum` is 'linear-y', 'quadratic', or a {'kind': 'table',
     'entries': [[theta, value], ...]} dictionary.
+
+    Construction validates the config before any mesh is built: an
+    unknown datum, h_far <= 0, or an R_out that leaves less than
+    `clearance` around the particles at delta_start (the widest gap, so
+    the whole ladder) raises ValueError.
     """
 
     R: float = 1.0
@@ -134,7 +131,6 @@ class SweepConfig:
     ratio_band: tuple[float, float] = (0.85, 1.15)
     slope_tol: float = 0.1
     deviation_slack: float = 0.02
-    out_dir: str | None = None
 
     def __post_init__(self):
         if not 0.0 < self.delta_ratio < 1.0:
@@ -143,6 +139,14 @@ class SweepConfig:
             raise ValueError("delta_count must be >= 1")
         if self.h_neck_fraction > 0.25 + 1e-12:
             raise ValueError("h_neck_fraction must keep >= 4 layers across the gap")
+        if not self.h_far > 0.0:
+            raise ValueError(f"h_far must be positive, got {self.h_far}")
+        try:
+            self.domain(self.delta_start)  # also rejects an unknown datum
+        except GeometryError as exc:
+            raise ValueError(
+                f"R_out={self.R_out} at delta_start={self.delta_start}: {exc}"
+            ) from exc
 
     @property
     def deltas(self) -> tuple[float, ...]:
@@ -158,10 +162,11 @@ class SweepConfig:
         if self.datum == "linear-y":
             return lambda x, y: y
         if self.datum == "quadratic":
-            return _datum_quadratic_factory(self.R_out)
-        if isinstance(self.datum, dict) and self.datum.get("kind") == "table":
+            return lambda x, y: y + 0.5 * y * y / self.R_out
+        if (isinstance(self.datum, dict) and self.datum.get("kind") == "table"
+                and self.datum.get("entries")):
             return _datum_table_factory(self.datum["entries"])
-        raise ValueError(f"unknown boundary datum {self.datum!r}")
+        raise ValueError(f"unknown datum {self.datum!r}")
 
     def datum_label(self) -> str:
         return self.datum if isinstance(self.datum, str) else "table"
@@ -201,6 +206,9 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown SweepConfig keys {sorted(unknown)}")
         d = dict(d)
         if "ratio_band" in d:
             d["ratio_band"] = tuple(d["ratio_band"])
@@ -412,17 +420,7 @@ class TheoremVerdict:
     gamma: float
 
     def to_dict(self) -> dict:
-        return {
-            "deltas": list(self.deltas),
-            "ratios": list(self.ratios),
-            "band": list(self.band),
-            "in_band": list(self.in_band),
-            "deviations_decreasing": self.deviations_decreasing,
-            "passed": self.passed,
-            "R0": self.R0,
-            "C_o": self.C_o,
-            "gamma": self.gamma,
-        }
+        return dataclasses.asdict(self)
 
 
 def verify_theorem(
@@ -507,7 +505,7 @@ def verify_barrier(
     inside = 0
     for x, m, s in zip(xs, measured, slack):
         fb = barrier_flux_bound(
-            float(x), solution.T1, solution.T2, pair, p=p, d=2, C_slack=C_slack
+            float(x), solution.T1, solution.T2, pair, p=p, d=DIM, C_slack=C_slack
         )
         if fb.lower - s <= m <= fb.upper + s:
             inside += 1
@@ -524,13 +522,8 @@ def verify_barrier(
 
 def r0_from_records(records: list[SweepRecord], noise_tol: float = 0.25) -> R0Estimate:
     """R0 extrapolation reusing the tied fluxes already in the records."""
-    from .flux import _fit_r0
-
-    pairs = [
-        (r.delta, r.r_delta) for r in sorted(records, key=lambda r: -r.delta)
-        if r.error is None
-    ]
-    return _fit_r0(pairs, noise_tol)
+    ok = sorted((r for r in records if r.error is None), key=lambda r: -r.delta)
+    return estimate_r0([(r.delta, r.r_delta) for r in ok], noise_tol)
 
 
 # -----------------------------------------------------------------------------
@@ -655,15 +648,7 @@ def emit_report(
         "verdicts": {
             k: (v.to_dict() if hasattr(v, "to_dict") else v) for k, v in verdicts.items()
         },
-        "r0": None
-        if r0 is None
-        else {
-            "ladder": [list(pair) for pair in r0.ladder],
-            "R0": r0.R0,
-            "slope": r0.slope,
-            "residual": r0.residual,
-            "max_fit_residual": r0.max_fit_residual,
-        },
+        "r0": None if r0 is None else dataclasses.asdict(r0),
         "prediction": None
         if prediction is None
         else {

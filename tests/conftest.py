@@ -1,35 +1,23 @@
 import pytest
 
-from gaplaw import asymptotics
-from gaplaw.sweep import (
-    SweepConfig,
-    fit_power_law,
-    r0_from_records,
-    run_sweep,
-    verify_theorem,
-)
+from gaplaw.cli import analyze
+from gaplaw.sweep import SweepConfig, run_sweep
 
 
 def run_benchmark(p: float):
     """Full pipeline on the default five-point ladder 0.04 -> 0.0025."""
     cfg = SweepConfig(p=p)
     records = run_sweep(cfg, keep_solutions=True)
-    r0 = r0_from_records(records)
-    C_o = asymptotics.c_o_quadrature(p, 2, cfg.R)
-    pred = asymptotics.predict(p, 2, cfg.R, r0.R0, min(cfg.deltas), C_o=C_o)
-    fits = {
-        "gap": fit_power_law(records, "gap", pred),
-        "gradMax": fit_power_law(records, "gradMax", pred),
-    }
-    verdict = verify_theorem(records, r0, pred, band=cfg.ratio_band,
-                             deviation_slack=cfg.deviation_slack)
+    r0, pred, fits, verdicts = analyze(
+        records, cfg.p, cfg.R, cfg.ratio_band, cfg.slope_tol, cfg.deviation_slack
+    )
     return {
         "config": cfg,
         "records": records,
         "r0": r0,
         "prediction": pred,
         "fits": fits,
-        "verdict": verdict,
+        "verdict": verdicts["theorem_ratio"],
     }
 
 

@@ -1,7 +1,13 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gaplaw
 from gaplaw.cli import main
 from gaplaw.sweep import SweepConfig
 
@@ -88,15 +94,55 @@ class TestFitAndReport:
         out = tmp_path / "out"
         main(["sweep", "--config", str(tiny_config), "--out", str(out)])
         report1 = json.loads((out / "report.json").read_text())
+        csv = str(out / "sweep.csv")
         out2 = tmp_path / "out2"
-        rc = main(["report", "--records", str(out / "sweep.csv"), "--p", "2",
-                   "--out", str(out2)])
+        rc = main(["report", "--records", csv, "--p", "2", "--out", str(out2)])
         assert rc == 0
         report2 = json.loads((out2 / "report.json").read_text())
-        assert (
-            report2["fits"]["gap"]["slope"] == report1["fits"]["gap"]["slope"]
+        for block in ("fits", "verdicts", "r0", "prediction"):
+            assert report2[block] == report1[block], block
+        capsys.readouterr()
+        assert main(["fit", "--records", csv, "--p", "2"]) == 0
+        printed = capsys.readouterr().out
+        for q in ("gap", "gradMax"):
+            fit = report1["fits"][q]
+            assert f"{q}: slope {fit['slope']!r} prefactor {fit['prefactor']!r}" in printed
+            assert f"(predicted slope {fit['predicted_slope']!r})" in printed
+        # another radius changes C_o, so verdicts may fail, but it is no error
+        rc = main(["report", "--records", csv, "--p", "2", "--R", "2",
+                   "--out", str(tmp_path / "out3")])
+        assert rc in (0, 2)
+
+
+SRC = Path(gaplaw.__file__).resolve().parent
+
+
+class TestNoRuntimeSympy:
+    """sympy is the tests' exactness oracle, not a runtime dependency."""
+
+    def test_no_module_imports_sympy(self):
+        offenders = []
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                offenders += [f"{path.name}:{node.lineno}" for n in names
+                              if n.split(".")[0] == "sympy"]
+        assert offenders == []
+
+    def test_runs_with_sympy_blocked(self):
+        code = (
+            "import sys; sys.modules['sympy'] = None\n"
+            "import gaplaw\n"
+            "from gaplaw.cli import main\n"
+            "sys.exit(main(['constants', '--p', '3', '--d', '2']))\n"
         )
-        assert (
-            report2["verdicts"]["theorem_ratio"]["ratios"]
-            == report1["verdicts"]["theorem_ratio"]["ratios"]
-        )
+        env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "gamma: 1.5" in proc.stdout

@@ -115,7 +115,7 @@ class TestFluxReport:
 class TestRDelta:
     def test_positive_under_canonical_datum(self, tied, neck):
         assert r_delta(tied) > 0.0
-        assert r_delta(tied, neck, "away-from-neck") > 0.0
+        assert boundary_flux(tied, "particle2_away", neck) > 0.0
 
     def test_kind_guard(self, floating):
         with pytest.raises(FluxError):
@@ -126,8 +126,8 @@ class TestRDelta:
         # near-window flux density times the arc shift
         n1 = NeckSpec(two_disk.domain.pair, 0.125)
         n2 = NeckSpec(two_disk.domain.pair, 0.25)
-        a = r_delta(tied, n1, "away-from-neck")
-        b = r_delta(tied, n2, "away-from-neck")
+        a = boundary_flux(tied, "particle2_away", n1)
+        b = boundary_flux(tied, "particle2_away", n2)
         assert abs(a - b) <= 2.0 * abs(0.25 - 0.125)
 
     def test_constant_datum_zero(self, two_disk):
@@ -142,44 +142,34 @@ class TestRDelta:
         gm = grad_max(tied, "all")[0]
         for w in (0.125, 0.25):
             neck_w = NeckSpec(two_disk.domain.pair, w)
-            diff = abs(r_delta(tied) - r_delta(tied, neck_w, "away-from-neck"))
+            diff = abs(r_delta(tied) - boundary_flux(tied, "particle2_away", neck_w))
             assert diff <= 2.0 * gm ** (tied.p - 1.0) * neck_w.arc_length()
 
 
 class TestEstimateR0:
     @staticmethod
-    def _solver_factory(datum=None, p=2.0):
-        cache = {}
-
-        def solve_at(delta):
-            if delta not in cache:
-                kw = {} if datum is None else {"boundary_datum": datum}
-                dom = DomainSpec(
-                    pair=ParticlePair(R=1.0, delta=delta), R_out=4.0, **kw
-                )
-                mesh = build_mesh(dom)
-                cache[delta] = solve_tied(mesh, p=p)
-            return cache[delta]
-
-        return solve_at
+    def _ladder(deltas, datum=None, p=2.0):
+        """(delta, R_delta) pairs of tied solves on the default mesh."""
+        pairs = []
+        for delta in deltas:
+            kw = {} if datum is None else {"boundary_datum": datum}
+            dom = DomainSpec(pair=ParticlePair(R=1.0, delta=delta), R_out=4.0, **kw)
+            pairs.append((delta, r_delta(solve_tied(build_mesh(dom), p=p))))
+        return pairs
 
     def test_constant_datum_gives_zero(self):
-        solve_at = self._solver_factory(datum=lambda x, y: 2.0)
-        est = estimate_r0(solve_at, [0.08, 0.04, 0.02])
+        est = estimate_r0(self._ladder([0.08, 0.04, 0.02], datum=lambda x, y: 2.0))
         assert abs(est.R0) <= 1e-9
 
     def test_canonical_ladder(self):
-        solve_at = self._solver_factory()
-        est = estimate_r0(solve_at, [0.08, 0.04, 0.02, 0.01])
+        est = estimate_r0(self._ladder([0.08, 0.04, 0.02, 0.01]))
         assert est.R0 > 0.0
         assert est.max_fit_residual <= 0.05 * est.R0
         assert len(est.ladder) == 4
 
     def test_sign_flip_with_datum(self):
-        up = self._solver_factory()
-        down = self._solver_factory(datum=lambda x, y: -y)
-        a = estimate_r0(up, [0.08, 0.04, 0.02])
-        b = estimate_r0(down, [0.08, 0.04, 0.02])
+        a = estimate_r0(self._ladder([0.08, 0.04, 0.02]))
+        b = estimate_r0(self._ladder([0.08, 0.04, 0.02], datum=lambda x, y: -y))
         assert a.R0 == pytest.approx(-b.R0, rel=1e-8)
 
     def test_reproducible_across_refinement(self):
@@ -194,18 +184,17 @@ class TestEstimateR0:
         assert values[1] == pytest.approx(values[0], rel=0.02)
 
     def test_ladder_validation(self):
-        solve_at = self._solver_factory()
-        with pytest.raises(ValueError):
-            estimate_r0(solve_at, [0.02, 0.04, 0.08])
-        with pytest.raises(ValueError):
-            estimate_r0(solve_at, [0.08, 0.04])
+        with pytest.raises(ValueError, match="decreasing"):
+            estimate_r0([(0.02, 1.0), (0.04, 1.1), (0.08, 1.2)])
+        with pytest.raises(ValueError, match="decreasing"):
+            estimate_r0([(0.08, 1.0), (0.04, 1.1), (0.04, 1.2)])
+        with pytest.raises(ValueError, match="at least 3"):
+            estimate_r0([(0.08, 1.0), (0.04, 1.1)])
 
     def test_noisy_ladder_rejected(self):
-        from gaplaw.flux import _fit_r0
-
         pairs = [(0.08, 1.0), (0.04, 5.0), (0.02, 1.2), (0.01, 4.8)]
         with pytest.raises(ExtrapolationUnreliableError) as exc:
-            _fit_r0(pairs, noise_tol=0.25)
+            estimate_r0(pairs, noise_tol=0.25)
         assert exc.value.ladder == pairs
 
 

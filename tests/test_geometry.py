@@ -10,10 +10,10 @@ from gaplaw.geometry import (
     BarrierValidityError,
     DomainSpec,
     GeometryError,
+    NeckSpec,
     ParticlePair,
     gap_width,
     lower_barrier_radii,
-    neck_region,
     upper_barrier_radii,
 )
 
@@ -172,31 +172,31 @@ class TestScaleCovariance:
 
 class TestNeckRegion:
     def test_membership(self):
-        neck = neck_region(PAIR, 0.1)
+        neck = NeckSpec(PAIR, 0.1)
         assert neck.contains(0.0, 0.0)
         assert not neck.contains(0.2, 0.0)
         assert not neck.contains(0.05, 0.3)
 
     def test_arc_length(self):
-        neck = neck_region(PAIR, 0.1)
+        neck = NeckSpec(PAIR, 0.1)
         assert neck.arc_length() == pytest.approx(2.0 * math.asin(0.1), rel=1e-14)
         assert neck.arc_length() == pytest.approx(0.2003, abs=5e-5)
 
     def test_lateral_walls(self):
-        neck = neck_region(PAIR, 0.1)
+        neck = NeckSpec(PAIR, 0.1)
         (x0, ylo), (x1, yhi) = neck.lateral_wall(+1)
         assert x0 == x1 == 0.1
         assert yhi - ylo == pytest.approx(gap_width(0.1, PAIR, "exact"))
 
     def test_on_arc_is_gap_side_only(self):
-        neck = neck_region(PAIR, 0.1)
+        neck = NeckSpec(PAIR, 0.1)
         assert neck.on_arc(0.0, float(PAIR.upper_arc_y(0.0)), which=2)
         # the far (top) point of particle 2 also has |x| <= w but is not in the neck
         assert not neck.on_arc(0.0, 2.0 + 0.005, which=2)
 
     def test_invalid_width(self):
         with pytest.raises(GeometryError):
-            neck_region(PAIR, 1.5)
+            NeckSpec(PAIR, 1.5)
 
 
 class TestDomainSpec:
@@ -207,6 +207,14 @@ class TestDomainSpec:
             DomainSpec(pair=PAIR, R_out=4.0, clearance=3.0)
         dom = DomainSpec(pair=PAIR, R_out=4.0, clearance=1.0)
         assert dom.boundary_margin == pytest.approx(4.0 - 2.005)
+
+    def test_datum_values_on_arrays(self):
+        pts = np.array([[4.0, 0.0], [0.0, 4.0], [-2.0, -3.0]])
+        dom = DomainSpec(pair=PAIR, R_out=4.0)
+        assert dom.datum_values(pts).tolist() == [0.0, 4.0, -3.0]
+        const = DomainSpec(pair=PAIR, R_out=4.0, boundary_datum=lambda x, y: 2.5)
+        assert const.datum_values(pts).tolist() == [2.5, 2.5, 2.5]
+        assert dom.datum_values(np.empty((0, 2))).shape == (0,)
 
     def test_annulus_validation(self):
         with pytest.raises(GeometryError):

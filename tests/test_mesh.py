@@ -11,6 +11,7 @@ from gaplaw.mesh import (
     TAG_P1,
     TAG_P2,
     MeshError,
+    QUALITY_FLOOR,
     MeshParams,
     _unique_edges,
     _validate,
@@ -76,7 +77,7 @@ class TestBuildMesh:
         assert mesh02.boundary_node_residuals() <= 1e-12
 
     def test_quality_floor(self, mesh02):
-        assert float(np.min(mesh02.quality())) >= MeshParams().quality_floor
+        assert float(np.min(mesh02.quality())) >= QUALITY_FLOOR
 
     def test_mirror_symmetry(self, mesh02):
         assert_mirror_symmetric(mesh02)
@@ -97,7 +98,7 @@ class TestBuildMesh:
     def test_finer_delta_meshes(self):
         m = build_mesh(two_disk_domain(0.0025))
         assert m.h_neck <= 0.0025 / 4
-        assert float(np.min(m.quality())) >= MeshParams().quality_floor
+        assert float(np.min(m.quality())) >= QUALITY_FLOOR
 
     def test_bad_params_rejected(self):
         with pytest.raises(MeshError):
@@ -123,7 +124,7 @@ class TestMeshInvariants:
         # at least 4 layers across the gap: >= 5 nodes on the x = 0 column inside it
         on_axis = mesh.nodes[mesh.nodes[:, 0] == 0.0]
         assert np.sum(np.abs(on_axis[:, 1]) <= 0.5 * delta * (1 + 1e-12)) >= 5
-        _validate(mesh, params)
+        _validate(mesh)
         assert mesh.boundary_node_residuals() <= 1e-12
 
 

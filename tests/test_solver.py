@@ -448,8 +448,8 @@ class TestReducedAssembly:
     @pytest.mark.parametrize("p", [2.0, 4.0])
     @pytest.mark.parametrize("kind,pinned", PROBLEMS)
     def test_matches_nodal_oracle(self, two_disk, kind, pinned, p):
-        datum = two_disk.domain.boundary_datum
-        con = solver._build_constraints(two_disk, kind, datum, pinned)
+        outer = two_disk.domain.datum_values(two_disk.nodes[two_disk.nodes_with_tag(TAG_OUTER)])
+        con = solver._build_constraints(two_disk, kind, outer, pinned)
         P = reduction_oracle(two_disk, kind)
         assert con.n_dof == P.shape[1]
         z = np.random.default_rng(3).normal(size=con.n_dof)
@@ -486,11 +486,11 @@ class TestReducedAssembly:
             return lu
 
         monkeypatch.setattr(solver.spla, "splu", splu)
-        datum = two_disk.domain.boundary_datum
         sol = solve_floating(two_disk, p=4.0, config=SolverConfig(p_continuation=False))
         monkeypatch.undo()
 
-        con = solver._build_constraints(two_disk, "floating", datum)
+        outer = two_disk.domain.datum_values(two_disk.nodes[two_disk.nodes_with_tag(TAG_OUTER)])
+        con = solver._build_constraints(two_disk, "floating", outer)
         P = reduction_oracle(two_disk, "floating")
         u = con.u_fix  # the first iterate: zero free unknowns
         H_ref = (P.T @ hess_full_oracle(two_disk, u, 4.0, sol.eps) @ P).tocsc()

@@ -73,6 +73,73 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(datum="mystery").datum_callable()
 
+    def test_table_datum_on_arrays(self):
+        # unsorted entries, one of them given at a negative angle
+        entries = [[4.0, 2.0], [1.0, 0.0], [-1.0, 3.0], [2.5, -1.0]]
+        table = SweepConfig(datum={"kind": "table", "entries": entries}).datum_callable()
+        pts = sorted((t % (2 * math.pi), v) for t, v in entries)
+        ths, vals = [t for t, _ in pts], [v for _, v in pts]
+
+        def reference(x, y):
+            th = math.atan2(y, x) % (2 * math.pi)
+            return float(np.interp(th, ths, vals, period=2 * math.pi))
+
+        theta = np.linspace(-math.pi, 3 * math.pi, 97)
+        x, y = 4.0 * np.cos(theta), 4.0 * np.sin(theta)
+        got = table(x, y)
+        assert got.shape == x.shape
+        ref = [reference(a, b) for a, b in zip(x, y)]
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+        # wrap-around: theta = 0 lies between the entries at 2 pi - 1 and
+        # 1, and the interpolant is continuous across it
+        eps = 1e-9
+        below = table(math.cos(-eps), math.sin(-eps))
+        above = table(math.cos(eps), math.sin(eps))
+        assert below == pytest.approx(above, abs=1e-8)
+        assert table(math.cos(-1.0), math.sin(-1.0)) == pytest.approx(3.0, abs=1e-12)
+        assert table(1.0, 0.0) == pytest.approx(reference(1.0, 0.0), abs=1e-15)
+
+
+class TestSweepConfigValidation:
+    """Bad configs are rejected before any mesh is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_meshing(self, monkeypatch):
+        def build_mesh(*args, **kwargs):
+            raise AssertionError("build_mesh called for an invalid config")
+
+        monkeypatch.setattr("gaplaw.sweep.build_mesh", build_mesh)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"datum": "bogus"}, "datum"),
+        ({"datum": {"kind": "spline"}}, "datum"),
+        ({"datum": {"kind": "table"}}, "datum"),
+        ({"datum": {"kind": "table", "entries": []}}, "datum"),
+        ({"h_far": -1.0}, "h_far"),
+        ({"h_far": 0.0}, "h_far"),
+        ({"R_out": 2.5}, "R_out"),
+        ({"R_out": 2.0}, "R_out"),
+        ({"delta_start": 0.9, "R_out": 3.4}, "R_out"),
+    ])
+    def test_rejected_at_construction(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            SweepConfig(**kwargs)
+        with pytest.raises(ValueError, match=field):
+            SweepConfig.from_dict({**SweepConfig().to_dict(), **kwargs})
+
+    def test_unknown_key(self):
+        with pytest.raises(ValueError, match="R_outer"):
+            SweepConfig.from_dict({"p": 3.0, "R_outer": 4.0})
+        with pytest.raises(ValueError, match="out_dir"):
+            SweepConfig.from_json('{"out_dir": "results"}')
+
+    def test_clearance_checked_at_the_widest_gap(self):
+        # margin R_out - (2R + delta/2): 0.995 at delta_start = 0.04, but
+        # above the clearance 1 from delta = 0.02 down the ladder
+        with pytest.raises(ValueError, match="R_out"):
+            SweepConfig(R_out=3.015)
+        SweepConfig(R_out=3.015, delta_start=0.02)
+
 
 class TestRunSweep:
     def test_constant_datum_degenerate(self):
