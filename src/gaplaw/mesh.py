@@ -6,18 +6,19 @@ The two-disk mesh is assembled from three conforming pieces:
    two particle arcs for |x| <= strip half-width, with a fixed (even)
    number of layers across the local gap, so cell size tracks the gap
    width delta + x^2/R and the strip is exactly symmetric under y -> -y;
-2. a relaxed unstructured triangulation of the upper outer region
-   (force-equilibrium smoothing of a rejection-sampled hex seed against a
-   Lipschitz-graded sizing field, with every boundary and interface node
-   held fixed).  The smoothing runs a fixed RELAX_ITERS steps and
-   re-triangulates only when some node has moved more than 0.05 of its
-   local size since the last triangulation;
+2. an unstructured triangulation of the upper outer region.  Boundary and
+   interface nodes are marched along their curves and held fixed.  The
+   interior nodes lie on offset curves ("rings") of the strip box at
+   distances d_1 = h(0), d_{k+1} = d_k + h(d_k), where h is a
+   Lipschitz-graded sizing field of the distance from the box; each ring
+   carries points at arc-length spacing about h(d_k), every other ring
+   shifted by half a step, and a point is kept only if it lies at least
+   h/2 inside the region.  One Delaunay triangulation joins them all;
 3. the mirror image of (2) below the x-axis.
 
 Mirroring makes the whole mesh symmetric under y -> -y as a set of nodes
 and elements, which the odd-symmetry solver tests rely on.  Construction
-is deterministic for fixed inputs (a seeded generator drives only the
-initial rejection sampling).
+involves no random numbers: fixed inputs give a bitwise-identical mesh.
 
 Annulus meshes for the exact-solution tests are plain structured polar
 grids.
@@ -61,7 +62,6 @@ class MeshError(RuntimeError):
 
 STRIP_HALFWIDTH = 0.5  # half-width of the structured strip, in units of R
 GRADING = 0.3  # Lipschitz constant of the sizing field outside the strip
-RELAX_ITERS = 160  # smoothing steps of the outer region
 QUALITY_FLOOR = 0.02  # smallest admissible element quality
 
 
@@ -73,16 +73,13 @@ class MeshParams:
     number of element layers across the gap at x = 0 (even, >= 4, so the
     neck target size h_neck = delta/neck_layers stays <= delta/4).
     `strip_aspect` is the width/height ratio of the structured strip
-    cells, and `seed` drives the initial rejection sampling.  The strip
-    half-width, the grading, the smoothing steps and the quality floor are
-    the module constants STRIP_HALFWIDTH, GRADING, RELAX_ITERS and
-    QUALITY_FLOOR.
+    cells.  The strip half-width, the grading and the quality floor are
+    the module constants STRIP_HALFWIDTH, GRADING and QUALITY_FLOOR.
     """
 
     h_far: float = 0.3
     neck_layers: int = 4
     strip_aspect: float = 1.4
-    seed: int = 0
 
     def __post_init__(self):
         if self.neck_layers < 4 or self.neck_layers % 2 != 0:
@@ -310,7 +307,7 @@ def _build_strip(domain: DomainSpec, params: MeshParams):
 
 
 # -----------------------------------------------------------------------------
-# relaxed outer region (upper half)
+# outer region (upper half)
 # -----------------------------------------------------------------------------
 
 
@@ -319,11 +316,9 @@ class _UpperRegion:
     upper outer region (outer disk minus particle 2 minus strip, y > 0)."""
 
     def __init__(self, domain: DomainSpec, params: MeshParams, xs_half: float, h_ifc: float):
-        self.dom = domain
         self.R_out = domain.R_out
         self.R = domain.pair.R
         self.cy = domain.pair.R + 0.5 * domain.pair.delta
-        self.delta = domain.pair.delta
         self.xs_half = xs_half
         self.y_box = float(domain.pair.upper_arc_y(xs_half))
         self.h_ifc = h_ifc
@@ -338,96 +333,51 @@ class _UpperRegion:
         d_strip = np.minimum(self.xs_half - np.abs(x), y_up - y)
         return np.maximum.reduce([d_out, d_p2, d_strip, -y])
 
+    def size_at(self, dist):
+        """Target cell size at distance `dist` from the strip box."""
+        return np.minimum(self.h_far, self.h_ifc + GRADING * dist)
+
     def sizing(self, pts: np.ndarray) -> np.ndarray:
         x, y = pts[:, 0], pts[:, 1]
         dx = np.maximum(np.abs(x) - self.xs_half, 0.0)
         dy = np.maximum(np.abs(y) - self.y_box, 0.0)
-        dist = np.hypot(dx, dy)
-        return np.minimum(self.h_far, self.h_ifc + GRADING * dist)
+        return self.size_at(np.hypot(dx, dy))
 
+    def _offset_curve(self, d: float, s: np.ndarray) -> np.ndarray:
+        """Points at arc length s along the upper half of the curve at
+        distance d outside the box [-xs_half, xs_half] x [0, y_box]: right
+        side, corner arc, top, corner arc, left side, from (xs_half + d, 0)
+        to (-xs_half - d, 0).  The path is folded onto its right half."""
+        xs, yb = self.xs_half, self.y_box
+        q = 0.5 * math.pi * d
+        half = yb + q + xs
+        t = np.minimum(s, 2.0 * half - s)
+        th = np.clip((t - yb) / d, 0.0, 0.5 * math.pi)
+        side, arc = t < yb, t < yb + q
+        x = np.where(side, xs + d, np.where(arc, xs + d * np.cos(th), half - t))
+        y = np.where(side, t, np.where(arc, yb + d * np.sin(th), yb + d))
+        return np.column_stack([np.where(s <= half, x, -x), y])
 
-def _unique_edges(simplices: np.ndarray, n: int) -> np.ndarray:
-    """Distinct edges of a triangle list over n points as (a, b) rows with
-    a < b, in lexicographic order; deduplicated on the key a*n + b."""
-    e = np.concatenate([simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [2, 0]]])
-    a = np.minimum(e[:, 0], e[:, 1]).astype(np.int64)
-    b = np.maximum(e[:, 0], e[:, 1])
-    key = np.unique(a * n + b)
-    return np.column_stack([key // n, key % n])
+    def ring_points(self) -> np.ndarray:
+        """Interior nodes on offset curves of the strip box.
 
-
-def _relax_points(region: _UpperRegion, fixed: np.ndarray, seed_pts: np.ndarray) -> np.ndarray:
-    """Force-equilibrium smoothing of interior points against the sizing
-    field; fixed points do not move, escaped points are projected back.
-
-    Runs exactly RELAX_ITERS steps.  The bar set is rebuilt by a fresh Delaunay
-    triangulation only when some node has moved more than 0.05 of its own
-    local size (the sizing field at its position when the bars were last
-    built) since that rebuild, so far-field nodes are measured against
-    h_far and neck-side nodes against h_ifc.
-    """
-    pts = np.vstack([fixed, seed_pts])
-    n = len(pts)
-    nfix = len(fixed)
-    Fscale, deltat = 1.2, 0.2
-    geps = 1e-3 * region.h_ifc
-    deps = 1e-7 * region.R_out
-    last = None
-    for _ in range(RELAX_ITERS):
-        if last is None or np.max(np.hypot(*((pts - last).T)) / h_last) > 0.05:
-            tri = Delaunay(pts)
-            cent = pts[tri.simplices].mean(axis=1)
-            keep = region.signed_distance(cent) < -geps
-            bars = _unique_edges(tri.simplices[keep], n)
-            ends = bars.T.ravel()
-            last = pts.copy()
-            h_last = region.sizing(last)
-        vec = pts[bars[:, 0]] - pts[bars[:, 1]]
-        L = np.hypot(vec[:, 0], vec[:, 1])
-        mid = 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]])
-        hbar = region.sizing(mid)
-        L0 = hbar * Fscale * math.sqrt(np.sum(L * L) / np.sum(hbar * hbar))
-        F = np.maximum(L0 - L, 0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fvec = (F / np.maximum(L, 1e-300))[:, None] * vec
-        fvec = np.concatenate([fvec, -fvec])
-        move = np.column_stack([np.bincount(ends, fvec[:, k], n) for k in (0, 1)])
-        move[:nfix] = 0.0
-        pts = pts + deltat * move
-        # project escapees back inside
-        d = region.signed_distance(pts[nfix:])
-        out = np.flatnonzero(d > -geps) + nfix
-        if len(out):
-            po = pts[out]
-            d0 = region.signed_distance(po)
-            dgx = (region.signed_distance(po + [deps, 0.0]) - d0) / deps
-            dgy = (region.signed_distance(po + [0.0, deps]) - d0) / deps
-            norm2 = np.maximum(dgx * dgx + dgy * dgy, 1e-30)
-            pts[out, 0] = po[:, 0] - (d0 + geps) * dgx / norm2
-            pts[out, 1] = po[:, 1] - (d0 + geps) * dgy / norm2
-    # drop stragglers that ended up hugging the boundary
-    d = region.signed_distance(pts[nfix:])
-    h = region.sizing(pts[nfix:])
-    keep = d < -0.25 * h
-    return pts[nfix:][keep]
-
-
-def _hex_seed(region: _UpperRegion, rng: np.random.Generator) -> np.ndarray:
-    h0 = region.h_ifc
-    x0, x1 = -region.R_out, region.R_out
-    y0, y1 = 0.0, region.R_out
-    nx = int((x1 - x0) / h0) + 1
-    ny = int((y1 - y0) / (h0 * math.sqrt(3) / 2)) + 1
-    gx, gy = np.meshgrid(np.arange(nx), np.arange(ny))
-    px = x0 + gx * h0 + (gy % 2) * h0 / 2
-    py = y0 + gy * h0 * math.sqrt(3) / 2
-    pts = np.column_stack([px.ravel(), py.ravel()])
-    margin = 0.3 * h0
-    inside = region.signed_distance(pts) < -margin
-    pts = pts[inside]
-    keep_prob = (h0 / region.sizing(pts)) ** 2
-    pts = pts[rng.random(len(pts)) < keep_prob]
-    return pts
+        Ring k sits at distance d_k (d_1 = h(0), d_{k+1} = d_k + h(d_k))
+        and carries points at even arc-length spacing of about h(d_k),
+        every other ring shifted by half a step; only points at least
+        half a local size inside the region are kept.
+        """
+        d_end = self.R_out + self.xs_half + self.y_box
+        rings = []
+        d = float(self.size_at(0.0))
+        while d <= d_end:
+            h = float(self.size_at(d))
+            length = 2.0 * (self.y_box + self.xs_half) + math.pi * d
+            n = max(1, round(length / h))
+            s = np.arange(0.5 * (len(rings) % 2), n + 0.5) * (length / n)
+            rings.append(self._offset_curve(d, s))
+            d += h
+        pts = np.vstack(rings)
+        return pts[self.signed_distance(pts) < -0.5 * self.sizing(pts)]
 
 
 def _arc_points(center, radius, phi_a, phi_b, step_fn, endpoint_a, endpoint_b):
@@ -463,8 +413,6 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
         )
     R = pair.R
     N = params.neck_layers
-    if pair.delta / N > pair.delta / 4 + 1e-15:
-        raise MeshError("neck grading must keep at least 4 layers across the gap")
 
     strip_nodes, strip_tris, strip_tags, xs = _build_strip(domain, params)
     xs_half = xs[-1]
@@ -522,10 +470,7 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
         [np.full(len(p), t, dtype=np.int8) for p, t in fixed_parts if len(p)]
     )
 
-    rng = np.random.default_rng(params.seed)
-    seed_pts = _hex_seed(region, rng)
-    interior = _relax_points(region, fixed, seed_pts)
-
+    interior = region.ring_points()
     upper_pts = np.vstack([fixed, interior])
     upper_tags = np.concatenate([fixed_tags, np.full(len(interior), TAG_INTERIOR, np.int8)])
     tri = Delaunay(upper_pts)

@@ -75,6 +75,8 @@ CSV_COLUMNS = (
     "delta", "T1", "T2", "gap", "gradmax_all", "gradmax_neck", "gradmax_away",
     "r_delta", "flux_defect", "energy", "newton_iters", "wall_ms",
 )
+# sweep.csv column -> (format, parse); every column is a SweepRecord field
+_CSV_CODEC = {name: (repr, float) for name in CSV_COLUMNS} | {"newton_iters": (str, int)}
 
 
 class SweepError(RuntimeError):
@@ -102,7 +104,9 @@ class SweepConfig:
     The delta ladder is geometric: delta_start * delta_ratio^k for
     k = 0..delta_count-1.  `h_neck_fraction` is the target neck cell size
     as a fraction of delta (the mesher keeps at least 4 layers across the
-    gap).  `datum` is 'linear-y', 'quadratic', or a {'kind': 'table',
+    gap).  `h_far`, `h_neck_fraction` and `strip_aspect` make up the
+    MeshParams; the mesher draws no random numbers, so there is no mesh
+    seed.  `datum` is 'linear-y', 'quadratic', or a {'kind': 'table',
     'entries': [[theta, value], ...]} dictionary.
 
     Construction validates the config before any mesh is built: an
@@ -123,7 +127,6 @@ class SweepConfig:
     h_far: float = 0.3
     h_neck_fraction: float = 0.25
     strip_aspect: float = 1.4
-    mesh_seed: int = 0
     newton_tol: float = 1e-12
     max_iter: int = 80
     eps_scale: float = 1e-8
@@ -188,7 +191,6 @@ class SweepConfig:
             h_far=self.h_far,
             neck_layers=layers,
             strip_aspect=self.strip_aspect,
-            seed=self.mesh_seed,
         )
 
     def solver_config(self) -> SolverConfig:
@@ -246,13 +248,7 @@ class SweepRecord:
     tied_solution: DiscreteSolution | None = field(default=None, repr=False)
 
     def csv_row(self) -> str:
-        vals = [
-            repr(self.delta), repr(self.T1), repr(self.T2), repr(self.gap),
-            repr(self.gradmax_all), repr(self.gradmax_neck), repr(self.gradmax_away),
-            repr(self.r_delta), repr(self.flux_defect), repr(self.energy),
-            str(self.newton_iters), repr(self.wall_ms),
-        ]
-        return ",".join(vals)
+        return ",".join(fmt(getattr(self, name)) for name, (fmt, _) in _CSV_CODEC.items())
 
 
 def run_sweep(config: SweepConfig, keep_solutions: bool = False) -> list[SweepRecord]:
@@ -548,23 +544,11 @@ def records_from_csv(text: str) -> list[SweepRecord]:
     records = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        vals = dict(zip(CSV_COLUMNS, parts))
-        records.append(
-            SweepRecord(
-                delta=float(vals["delta"]),
-                T1=float(vals["T1"]),
-                T2=float(vals["T2"]),
-                gap=float(vals["gap"]),
-                gradmax_all=float(vals["gradmax_all"]),
-                gradmax_neck=float(vals["gradmax_neck"]),
-                gradmax_away=float(vals["gradmax_away"]),
-                r_delta=float(vals["r_delta"]),
-                flux_defect=float(vals["flux_defect"]),
-                energy=float(vals["energy"]),
-                newton_iters=int(vals["newton_iters"]),
-                wall_ms=float(vals["wall_ms"]),
-            )
-        )
+        if len(parts) != len(CSV_COLUMNS):
+            raise ValueError(f"sweep.csv row has {len(parts)} fields, expected {len(CSV_COLUMNS)}")
+        records.append(SweepRecord(**{
+            name: parse(v) for (name, (_, parse)), v in zip(_CSV_CODEC.items(), parts)
+        }))
     return records
 
 

@@ -1,8 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import Delaunay
 
 import gaplaw.mesh as mesh_module
 from gaplaw.geometry import AnnulusSpec, DomainSpec, ParticlePair
@@ -13,7 +14,6 @@ from gaplaw.mesh import (
     MeshError,
     QUALITY_FLOOR,
     MeshParams,
-    _unique_edges,
     _validate,
     build_annulus_mesh,
     build_mesh,
@@ -41,11 +41,6 @@ def assert_mirror_symmetric(mesh):
         assert pts in tri_set
 
 
-def reference_unique_edges(simplices):
-    e = np.concatenate([simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [2, 0]]])
-    return np.unique(np.sort(e, axis=1), axis=0)
-
-
 @pytest.fixture(scope="module")
 def mesh02():
     return build_mesh(two_disk_domain(0.02))
@@ -61,7 +56,14 @@ class TestBuildMesh:
         assert len(in_gap) >= 5
         assert mesh02.h_neck <= 0.02 / 4
 
-    def test_determinism_bitwise(self):
+    def test_determinism_bitwise(self, monkeypatch):
+        # no seed to set and no random numbers drawn: two builds agree bitwise
+        assert "seed" not in {f.name for f in dataclasses.fields(MeshParams)}
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("the mesher must not draw random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
         dom = two_disk_domain(0.02)
         m1 = build_mesh(dom)
         m2 = build_mesh(dom)
@@ -100,6 +102,36 @@ class TestBuildMesh:
         assert m.h_neck <= 0.0025 / 4
         assert float(np.min(m.quality())) >= QUALITY_FLOOR
 
+    def test_one_delaunay_per_mesh(self, monkeypatch):
+        calls = []
+        delaunay = mesh_module.Delaunay
+
+        def counting_delaunay(pts):
+            calls.append(len(pts))
+            return delaunay(pts)
+
+        monkeypatch.setattr(mesh_module, "Delaunay", counting_delaunay)
+        build_mesh(two_disk_domain(0.01))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("delta", [0.04, 0.0025])
+    def test_ring_points_clear_the_boundary(self, monkeypatch, delta):
+        # every interior node generated on the rings sits at least half a
+        # local cell size inside the upper outer region
+        seen = []
+        ring_points = mesh_module._UpperRegion.ring_points
+
+        def recording(region):
+            pts = ring_points(region)
+            seen.append((region, pts))
+            return pts
+
+        monkeypatch.setattr(mesh_module._UpperRegion, "ring_points", recording)
+        build_mesh(two_disk_domain(delta))
+        ((region, pts),) = seen
+        assert len(pts) > 100
+        assert np.all(region.signed_distance(pts) <= -0.5 * region.sizing(pts))
+
     def test_bad_params_rejected(self):
         with pytest.raises(MeshError):
             MeshParams(neck_layers=3)
@@ -115,7 +147,7 @@ class TestMeshInvariants:
         delta_over_R=st.floats(0.002, 0.1),
         R_out_over_R=st.floats(2.2, 6.0),
     )
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test_invariants(self, R, delta_over_R, R_out_over_R):
         delta = delta_over_R * R
         params = MeshParams(h_far=0.5 * R)
@@ -126,29 +158,6 @@ class TestMeshInvariants:
         assert np.sum(np.abs(on_axis[:, 1]) <= 0.5 * delta * (1 + 1e-12)) >= 5
         _validate(mesh)
         assert mesh.boundary_node_residuals() <= 1e-12
-
-
-class TestUniqueEdges:
-    def test_random_triangulation(self):
-        pts = np.random.default_rng(3).random((500, 2))
-        simplices = Delaunay(pts).simplices
-        assert np.array_equal(
-            _unique_edges(simplices, len(pts)), reference_unique_edges(simplices)
-        )
-
-    def test_relaxation_steps(self, monkeypatch):
-        seen = []
-
-        def recording_delaunay(pts):
-            tri = Delaunay(pts)
-            seen.append((tri.simplices, len(pts)))
-            return tri
-
-        monkeypatch.setattr(mesh_module, "Delaunay", recording_delaunay)
-        build_mesh(two_disk_domain(0.04))
-        assert len(seen) > 2
-        for simplices, n in (seen[0], seen[len(seen) // 2], seen[-2]):
-            assert np.array_equal(_unique_edges(simplices, n), reference_unique_edges(simplices))
 
 
 class TestAnnulusMesh:

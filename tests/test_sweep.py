@@ -132,6 +132,9 @@ class TestSweepConfigValidation:
             SweepConfig.from_dict({"p": 3.0, "R_outer": 4.0})
         with pytest.raises(ValueError, match="out_dir"):
             SweepConfig.from_json('{"out_dir": "results"}')
+        # the mesher draws no random numbers, so a mesh seed is no option
+        with pytest.raises(ValueError, match="mesh_seed"):
+            SweepConfig.from_dict({**SweepConfig().to_dict(), "mesh_seed": 0})
 
     def test_clearance_checked_at_the_widest_gap(self):
         # margin R_out - (2R + delta/2): 0.995 at delta_start = 0.04, but
@@ -276,6 +279,28 @@ class TestPersistence:
             assert a.gap == b.gap
             assert a.r_delta == b.r_delta
             assert a.newton_iters == b.newton_iters
+
+    def test_csv_round_trip_exact(self):
+        records = [
+            SweepRecord(delta=0.04, T1=-0.125, T2=0.1 + 0.2, gap=1e-300, gradmax_all=3.5,
+                        gradmax_neck=2.0, gradmax_away=math.inf, r_delta=0.75,
+                        flux_defect=math.nan, energy=-1.5, newton_iters=7, wall_ms=12.25),
+            SweepRecord(delta=0.01, newton_iters=0),
+        ]
+        text = records_to_csv(records)
+        back = records_from_csv(text)
+        assert len(back) == len(records)
+        for a, b in zip(records, back):
+            for name in CSV_COLUMNS:
+                va, vb = getattr(a, name), getattr(b, name)
+                assert type(va) is type(vb), name
+                assert va == vb or (math.isnan(va) and math.isnan(vb)), name
+        assert records[0].csv_row().split(",")[CSV_COLUMNS.index("newton_iters")] == "7"
+        assert records_to_csv(back) == text
+
+    def test_short_row_rejected(self):
+        with pytest.raises(ValueError, match="fields"):
+            records_from_csv(",".join(CSV_COLUMNS) + "\n0.04,1.0\n")
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
