@@ -204,11 +204,6 @@ class FluxReport:
     def combined_defect_rel(self) -> float:
         return self.combined_defect / self.scale if self.scale > 0 else 0.0
 
-    @property
-    def r_delta(self) -> float | None:
-        """The tied-problem flux constant; None for other problem kinds."""
-        return self.flux_p2 if self.kind == "tied" else None
-
     def csv_rows(self, delta: float) -> list[str]:
         """One `delta,kind,curve,flux` row per reported curve."""
         rows = []

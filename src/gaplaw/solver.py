@@ -23,9 +23,15 @@ gradient vanishes, so a good seed matters for p well above 2).
 The gradient and Hessian are assembled straight into the reduced
 unknowns: a node -> unknown map and a fixed CSC pattern are built once
 per solve, and each Newton step fills the pattern with one bincount.
-The reduced Hessian is symmetric positive definite, so each step factors
-it with SuperLU in symmetric mode, with diagonal pivots, under a
-minimum-degree ordering of A^T + A.
+The reduced Hessian is symmetric positive definite.  Newton is inexact:
+a solve keeps its last SuperLU factor across steps and p-stages, and
+each step first runs a few conjugate-gradient iterations on the current
+Hessian preconditioned by that factor, stopped at the Eisenstat-Walker
+forcing term (SIAM J. Sci. Comput. 17(1), 1996, choice 2).  Only when CG
+misses it, meets negative curvature or gives no descent is the Hessian
+factored afresh, with SuperLU in symmetric mode, diagonal pivots and a
+minimum-degree ordering of A^T + A.  The stopping test is the exact
+max-norm of the true gradient either way.
 """
 
 from __future__ import annotations
@@ -55,6 +61,17 @@ __all__ = [
     "save_solution_text",
 ]
 
+ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the backtracking line search
+ARMIJO_SHRINK = 0.5  # step factor per backtrack
+ARMIJO_MAX_BACKTRACKS = 50
+# Inexact Newton: the forcing-term bounds and the CG budget before a
+# refactor.  A CG step costs a few ms against ~80 ms per factorization of a
+# 20k-dof Hessian, so the forcing term is kept loose (ETA_MAX 1e-2); a
+# tight one (1e-8) spent the saved factorizations on CG steps instead.
+ETA_MAX = 1e-2
+ETA_MIN = 1e-6
+CG_MAX_ITER = 8
+
 
 class SolverError(RuntimeError):
     """Raised on an ill-posed solve request or when Newton fails to converge."""
@@ -77,9 +94,6 @@ class SolverConfig:
     max_iter: int = 80
     eps_scale: float = 1e-8
     p_step: float = 0.5
-    armijo_c1: float = 1e-4
-    armijo_shrink: float = 0.5
-    armijo_max_backtracks: int = 50
     p_continuation: bool = True
 
 
@@ -278,8 +292,9 @@ def _newton_direction(H: sp.csc_matrix, g: np.ndarray):
     """Solve (H + lam I) dz = -g for a finite descent direction.
 
     lam starts at 0 and grows while the factorization fails or the
-    direction is not one of descent; returns (dz, lam), with dz None when
-    no shift gave one.
+    direction is not one of descent; returns (dz, lam, lu), with lu the
+    factor of H + lam I that gave dz, and dz and lu None when no shift
+    gave one.
     """
     lam = 0.0
     diag = H.diagonal()
@@ -302,18 +317,62 @@ def _newton_direction(H: sp.csc_matrix, g: np.ndarray):
             continue
         dz = lu.solve(-g)
         if np.all(np.isfinite(dz)) and float(g @ dz) < 0.0:
-            return dz, lam
-    return None, lam
+            return dz, lam, lu
+        lu = None  # release a factor that gave no descent before the next one
+    return None, lam, None
 
 
-def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig):
+def _pcg(H: sp.csc_matrix, g: np.ndarray, lu, rtol: float):
+    """Conjugate gradients on H dz = -g, preconditioned by the factor `lu`.
+
+    Starts from dz = 0 and stops once ||H dz + g||_2 <= rtol ||g||_2.
+    Returns (dz, iterations); dz is None when CG missed: no convergence in
+    CG_MAX_ITER steps, a search direction d with d^T H d <= 0, or a result
+    that is not a descent direction (g . dz >= 0).
+    """
+    x = np.zeros_like(g)
+    r = -g
+    target = rtol * float(np.linalg.norm(g))
+    s = lu.solve(r)
+    d = s
+    rs = float(r @ s)
+    for it in range(1, CG_MAX_ITER + 1):
+        Hd = H @ d
+        curv = float(d @ Hd)
+        if not curv > 0.0:  # negative curvature, or NaN from the preconditioner
+            return None, it
+        alpha = rs / curv
+        x += alpha * d
+        r -= alpha * Hd
+        if float(np.linalg.norm(r)) <= target:
+            return (x, it) if float(g @ x) < 0.0 else (None, it)
+        s = lu.solve(r)
+        rs_next = float(r @ s)
+        d = s + (rs_next / rs) * d
+        rs = rs_next
+    return None, CG_MAX_ITER
+
+
+def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list):
     """Damped Newton from z0 at one exponent; returns (z, trace).
+
+    `factor` is a one-element list holding the last SuperLU factor of the
+    solve (None before the first), possibly made at an earlier p-stage.
+    Each step first solves H dz = -g by `_pcg` preconditioned with it, to
+    the Eisenstat-Walker forcing term eta_k = min(ETA_MAX,
+    0.9 (||g_k|| / ||g_k-1||)^2), floored at ETA_MIN (eta_0 = ETA_MAX).
+    When CG misses, or no factor is held yet, the old factor is released
+    and `_newton_direction` factors H afresh; the new factor replaces it
+    in `factor`, which is the only reference the solve keeps, so two
+    factors are never held at once.
 
     Each trace entry holds the residual and energy at the start of the
     iteration, then the accepted step length `t` (0 when no step was
-    taken), the Hessian shift `lam` of the last factorization and
-    `fallback`, true when no shift gave a descent direction and the step
-    went along the negative gradient.
+    taken), the Hessian shift `lam` of this step's factorization (0 when
+    CG gave the step), `cg`, the CG iterations spent (a missed attempt
+    included), `refactor`, true when the step factored the Hessian afresh,
+    and `fallback`, true when no shift gave a descent direction and the
+    step went along the negative gradient.
     """
     mesh = con.mesh
     z = z0.copy()
@@ -326,28 +385,41 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig):
     u = con.expand(z)
     g = con.grad(u, p, eps)
     E = energy(mesh, u, p, eps)
+    g2_prev = None
     for it in range(cfg.max_iter):
         gnorm = float(np.max(np.abs(g)))
-        entry = {"iter": it, "residual": gnorm, "energy": E,
-                 "t": 0.0, "lam": 0.0, "fallback": False}
+        entry = {"iter": it, "residual": gnorm, "energy": E, "t": 0.0, "lam": 0.0,
+                 "cg": 0, "refactor": False, "fallback": False}
         trace.append(entry)
         if gnorm <= max(tol, noise_floor):
             return z, trace
-        dz, entry["lam"] = _newton_direction(con.hess(u, p, eps), g)
+        H = con.hess(u, p, eps)
+        g2 = float(np.linalg.norm(g))
+        eta = ETA_MAX
+        if g2_prev is not None:
+            eta = max(ETA_MIN, min(ETA_MAX, 0.9 * (g2 / g2_prev) ** 2))
+        g2_prev = g2
+        dz = None
+        if factor[0] is not None:
+            dz, entry["cg"] = _pcg(H, g, factor[0], eta)
+        if dz is None:
+            factor[0] = None  # release the old factor before making a new one
+            dz, entry["lam"], factor[0] = _newton_direction(H, g)
+            entry["refactor"] = True
         if dz is None:
             entry["fallback"] = True
             dz = -g  # steepest descent fallback
         slope = float(g @ dz)
         t = 1.0
         accepted = False
-        for _ in range(cfg.armijo_max_backtracks):
+        for _ in range(ARMIJO_MAX_BACKTRACKS):
             z_try = z + t * dz
             u_try = con.expand(z_try)
             E_try = energy(mesh, u_try, p, eps)
-            if E_try <= E + cfg.armijo_c1 * t * slope or E_try <= E * (1 + 1e-15):
+            if E_try <= E + ARMIJO_C1 * t * slope or E_try <= E * (1 + 1e-15):
                 accepted = True
                 break
-            t *= cfg.armijo_shrink
+            t *= ARMIJO_SHRINK
         if not accepted:
             raise SolverError(
                 f"line search failed at iter {it} (p={p}, residual {gnorm:.3e})",
@@ -402,8 +474,9 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, cfg: SolverConfig, pinned=Non
 
     z = np.zeros(con.n_dof)
     trace_all = []
+    factor = [None]  # the last factor, kept across p-stages as the CG preconditioner
     for pk in _p_ladder(p, cfg):
-        z, trace = _newton(con, pk, eps, z, cfg)
+        z, trace = _newton(con, pk, eps, z, cfg, factor)
         trace_all.extend([{**t, "p": pk} for t in trace])
     u = con.expand(z)
     sol = DiscreteSolution(

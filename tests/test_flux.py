@@ -97,10 +97,12 @@ class TestFluxReport:
         assert rep.balance_defect_rel <= 1e-12
         # per-particle fluxes individually nonzero
         assert abs(rep.flux_p2) > 1.0
-        assert rep.r_delta == rep.flux_p2 == r_delta(tied)
+        assert rep.flux_p2 == r_delta(tied)
 
     def test_r_delta_only_for_tied(self, floating, neck):
-        assert flux_report(floating, neck).r_delta is None
+        assert flux_report(floating, neck).kind == "floating"
+        with pytest.raises(FluxError):
+            r_delta(floating)
 
     def test_prescribed_satisfies_neither(self, two_disk, neck):
         # generic pinned potentials (T1 = T2 = 0 would coincide with the

@@ -313,10 +313,19 @@ class TestNewtonTrace:
     def test_fields_on_every_entry(self, two_disk):
         sol = solve_floating(two_disk, p=3.0)
         assert sol.newton_iters == len(sol.trace)
+        fields = {"iter", "residual", "energy", "t", "lam", "cg", "refactor", "fallback", "p"}
         for entry in sol.trace:
-            assert {"iter", "residual", "energy", "t", "lam", "fallback", "p"} <= set(entry)
+            assert fields <= set(entry)
             assert entry["fallback"] is False
             assert entry["lam"] == 0.0
+            assert type(entry["cg"]) is int and 0 <= entry["cg"] <= solver.CG_MAX_ITER
+            assert type(entry["refactor"]) is bool
+            if entry["t"] == 0.0:  # the converged entry neither solves nor factors
+                assert entry["cg"] == 0 and entry["refactor"] is False
+            else:  # every step is CG-solved, refactored, or both (after a miss)
+                assert entry["cg"] > 0 or entry["refactor"]
+        # the first step of the solve has no factor to reuse
+        assert sol.trace[0]["refactor"] is True and sol.trace[0]["cg"] == 0
         last = {}
         for entry in sol.trace:
             last[entry["p"]] = entry
@@ -333,6 +342,7 @@ class TestNewtonTrace:
         sol = solve_floating(two_disk, p=2.0)
         assert sol.trace[0]["lam"] > 0.0
         assert sol.trace[0]["fallback"] is False
+        assert sol.trace[0]["refactor"] is True
         assert sol.T1 == pytest.approx(want.T1, abs=1e-10)
 
     def test_failed_iteration_falls_back(self, two_disk, monkeypatch):
@@ -362,16 +372,116 @@ class TestNewtonDirection:
             return factors[-1]
 
         monkeypatch.setattr(solver.spla, "splu", splu)
-        dz, lam = solver._newton_direction(H, g)
-        assert lam == 0.0 and len(factors) == 1
+        dz, lam, lu = solver._newton_direction(H, g)
+        assert lam == 0.0 and len(factors) == 1 and lu is factors[0]
         assert np.array_equal(factors[0].perm_r, factors[0].perm_c)
         assert np.allclose(dz, np.linalg.solve(H.toarray(), -g), rtol=1e-14, atol=0.0)
 
     def test_no_descent_direction(self):
         # negative definite: every shift up to the last keeps it so
-        dz, lam = solver._newton_direction(sp.csc_matrix(-np.eye(3)), np.ones(3))
-        assert dz is None
+        dz, lam, lu = solver._newton_direction(sp.csc_matrix(-np.eye(3)), np.ones(3))
+        assert dz is None and lu is None
         assert lam == pytest.approx(1e-4)
+
+
+class TestInexactNewton:
+    """Newton steps by CG preconditioned with the solve's last SuperLU factor."""
+
+    @pytest.fixture(scope="class")
+    def stage(self, two_disk, floating_p2):
+        """The converged p = 2 stage of a floating solve: (con, eps, z, lu)."""
+        outer = two_disk.domain.datum_values(two_disk.nodes[two_disk.nodes_with_tag(TAG_OUTER)])
+        con = solver._build_constraints(two_disk, "floating", outer)
+        eps = floating_p2.eps
+        factor = [None]
+        z, trace = solver._newton(con, 2.0, eps, np.zeros(con.n_dof), SolverConfig(), factor)
+        assert trace[0]["refactor"] is True and factor[0] is not None
+        return con, eps, z, factor[0]
+
+    def test_exact_factor_one_iteration(self, stage):
+        con, eps, z, _ = stage
+        u = con.expand(z)
+        H, g = con.hess(u, 3.0, eps), con.grad(u, 3.0, eps)
+        dz_ref, lam, lu = solver._newton_direction(H, g)
+        assert lam == 0.0
+        dz, iters = solver._pcg(H, g, lu, solver.ETA_MAX)
+        assert iters == 1
+        assert np.max(np.abs(dz - dz_ref)) <= 1e-10 * np.max(np.abs(dz_ref))
+
+    def test_stale_factor_meets_forcing_term(self, stage):
+        con, eps, z, lu = stage  # factored at p = 2, applied at the next stage
+        u = con.expand(z)
+        H, g = con.hess(u, 2.5, eps), con.grad(u, 2.5, eps)
+        dz, iters = solver._pcg(H, g, lu, solver.ETA_MAX)
+        assert dz is not None
+        assert 1 < iters <= solver.CG_MAX_ITER
+        assert np.linalg.norm(H @ dz + g) <= solver.ETA_MAX * np.linalg.norm(g)
+        assert float(g @ dz) < 0.0
+
+    def test_negative_curvature_refactors(self, two_disk, stage, monkeypatch):
+        con, eps, z, lu = stage
+        u = con.expand(z)
+        H, g = con.hess(u, 2.5, eps), con.grad(u, 2.5, eps)
+        assert solver._pcg(-H, g, lu, solver.ETA_MAX) == (None, 1)
+
+        # negate the Hessian of the first step at p = 2.5, the first step
+        # that has a factor to reuse
+        want = solve_floating(two_disk, p=3.0)
+        real = solver._Constraints.hess
+        calls = {"n": 0}
+
+        def hess(self, *args):
+            calls["n"] += 1
+            H = real(self, *args)
+            return -H if calls["n"] == 2 else H
+
+        monkeypatch.setattr(solver._Constraints, "hess", hess)
+        sol = solve_floating(two_disk, p=3.0)
+        first = next(e for e in sol.trace if e["p"] == 2.5)
+        assert first["iter"] == 0
+        assert first["cg"] == 1 and first["refactor"] is True
+        assert sol.newton_iters == len(sol.trace)
+        assert sol.T1 == pytest.approx(want.T1, abs=1e-10)
+
+    @pytest.fixture(scope="class")
+    def narrow_gap(self):
+        return build_mesh(DomainSpec(pair=ParticlePair(R=1.0, delta=0.01), R_out=4.0))
+
+    @pytest.mark.parametrize("solve", [solve_floating, solve_tied])
+    def test_matches_exact_newton(self, narrow_gap, solve, monkeypatch):
+        mesh = narrow_gap
+        factors = {"n": 0}
+        real = solver.spla.splu
+
+        def splu(*args, **kwargs):
+            factors["n"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "splu", splu)
+        got = solve(mesh, p=4.0)
+        n_factors = factors["n"]
+        monkeypatch.setattr(solver, "_pcg", lambda H, g, lu, rtol: (None, 0))
+        want = solve(mesh, p=4.0)
+        assert all(e["cg"] == 0 for e in want.trace)
+        assert factors["n"] - n_factors == sum(e["refactor"] for e in want.trace)
+
+        if got.kind == "floating":
+            for a, b in ((got.T1, want.T1), (got.T2, want.T2), (got.gap, want.gap)):
+                assert a == pytest.approx(b, rel=1e-8, abs=0.0)
+        else:
+            # the tied potential vanishes by symmetry under the odd datum,
+            # so its error is measured against the datum amplitude max|u|
+            assert got.gap == want.gap == 0.0
+            assert abs(got.T1 - want.T1) <= 1e-8 * np.max(np.abs(want.u))
+
+        outer = mesh.domain.datum_values(mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
+        con = solver._build_constraints(mesh, got.kind, outer)
+        gref = np.max(np.abs(con.grad(con.u_fix, 4.0, got.eps)))
+        stop = max(SolverConfig().newton_tol * gref, 64.0 * np.finfo(float).eps * gref)
+        for sol in (got, want):
+            assert sol.trace[-1]["t"] == 0.0
+            assert sol.trace[-1]["residual"] <= stop
+        assert n_factors < got.newton_iters
 
 
 class TestBincountScatter:
