@@ -16,6 +16,15 @@ The two-disk mesh is assembled from three conforming pieces:
    h/2 inside the region.  One Delaunay triangulation joins them all;
 3. the mirror image of (2) below the x-axis.
 
+The pieces are joined by one array merge (`_merge_pieces`): all points of
+strip, upper region and mirror image are numbered in order of first
+appearance under `np.unique` over the bytes of (x + 0.0, y + 0.0), so
+points with equal coordinates, the shared strip interface and the seam
+on the x-axis, become one node, whose tag is the first boundary tag seen
+for it.  Boundary edges are found by integer keys a * n + b of their
+sorted ends.  Only the marching along the boundary curves and the walk
+around each boundary loop in `_validate` go node by node in Python.
+
 Mirroring makes the whole mesh symmetric under y -> -y as a set of nodes
 and elements, which the odd-symmetry solver tests rely on.  Construction
 involves no random numbers: fixed inputs give a bitwise-identical mesh.
@@ -94,8 +103,9 @@ class Mesh:
 
     nodes: (n, 2) float; triangles: (m, 3) int (counterclockwise);
     node_tags: (n,) int with the TAG_* constants.  Geometry arrays
-    (areas, P1 gradient operators, boundary edges) are computed once at
-    construction.
+    (areas, P1 gradient operators, the (m, 3, 3) element stiffness
+    grads^T grads without the area factor, boundary edges) are computed
+    once at construction.
     """
 
     nodes: np.ndarray
@@ -107,6 +117,7 @@ class Mesh:
 
     areas: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
+    stiffness: np.ndarray = field(init=False, repr=False)
     centroids: np.ndarray = field(init=False, repr=False)
     boundary_edges: dict = field(init=False, repr=False)
 
@@ -142,14 +153,18 @@ class Mesh:
         gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
         gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
         self.grads = np.stack([gx, gy], axis=1) / det[:, None, None]
+        self.stiffness = np.einsum("eik,eil->ekl", self.grads, self.grads)
         self.centroids = p.mean(axis=1)
 
     def _build_boundary_edges(self):
         tris = self.triangles
         edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
         owner = np.tile(np.arange(len(tris)), 3)
-        key = np.sort(edges, axis=1)
-        _, idx, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
+        # an edge is a boundary edge when no other element shares it; the
+        # key a * n + b of its sorted ends orders as the pair (a, b) does
+        lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
+        key = lo * self.n_nodes + hi
+        _, idx, counts = np.unique(key, return_index=True, return_counts=True)
         bidx = idx[counts == 1]
         bedges = edges[bidx]
         bowner = owner[bidx]
@@ -269,41 +284,28 @@ def _build_strip(domain: DomainSpec, params: MeshParams):
     xs = _strip_columns(domain, params)
     M = len(xs)
 
-    nodes = np.empty((M * (N + 1), 2))
-    tags = np.zeros(M * (N + 1), dtype=np.int8)
-    for i, x in enumerate(xs):
-        g = gap_width(x, pair)
-        for j in range(N + 1):
-            # y = g*(2j - N)/(2N): exactly antisymmetric under j -> N - j
-            y = g * (2 * j - N) / (2 * N)
-            k = i * (N + 1) + j
-            nodes[k] = (x, y)
-            if j == 0:
-                tags[k] = TAG_P1
-            elif j == N:
-                tags[k] = TAG_P2
+    g = np.array([gap_width(x, pair) for x in xs])
+    # y = g*(2j - N)/(2N): exactly antisymmetric under j -> N - j
+    y = g[:, None] * (2 * np.arange(N + 1) - N) / (2 * N)
+    nodes = np.column_stack([np.repeat(xs, N + 1), y.ravel()])
+    tags = np.zeros((M, N + 1), dtype=np.int8)
+    tags[:, 0], tags[:, N] = TAG_P1, TAG_P2
 
-    def nid(i, j):
-        return i * (N + 1) + j
-
-    tris = []
-    for i in range(M - 1):
-        for j in range(N // 2, N):
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            if (i + j) % 2 == 0:
-                upper = [(a, b, c), (a, c, d)]
-            else:
-                upper = [(a, b, d), (b, c, d)]
-            tris.extend(upper)
-            # mirror image of this quad (rows N-1-j), vertex order flipped
-            am, bm = nid(i, N - j), nid(i + 1, N - j)
-            cm, dm = nid(i + 1, N - j - 1), nid(i, N - j - 1)
-            if (i + j) % 2 == 0:
-                tris.extend([(a_, c_, b_) for (a_, b_, c_) in [(am, bm, cm), (am, cm, dm)]])
-            else:
-                tris.extend([(a_, c_, b_) for (a_, b_, c_) in [(am, bm, dm), (bm, cm, dm)]])
-    return nodes, np.asarray(tris, dtype=np.int64), tags, xs
+    # quads (i, j) of the upper half, j = N/2 .. N-1, with corners a, b, c,
+    # d counterclockwise from node (i, j); the diagonal alternates with i + j
+    i = np.arange(M - 1)[:, None]
+    j = np.arange(N // 2, N)
+    a = i * (N + 1) + j
+    b, c, d = a + N + 1, a + N + 2, a + 1
+    upper = np.where(
+        ((i + j) % 2 == 0)[..., None, None],
+        np.stack([np.stack([a, b, c], -1), np.stack([a, c, d], -1)], -2),
+        np.stack([np.stack([a, b, d], -1), np.stack([b, c, d], -1)], -2),
+    )
+    # each quad's mirror image: node (i, j) -> (i, N - j), vertex order (a, c, b)
+    lower = (upper - 2 * (upper % (N + 1)) + N)[..., [0, 2, 1]]
+    tris = np.concatenate([upper, lower], axis=-2).reshape(-1, 3)
+    return nodes, tris, tags.ravel(), xs
 
 
 # -----------------------------------------------------------------------------
@@ -450,11 +452,9 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
     seam_right_pts = np.column_stack([seam_right[1:-1], np.zeros(len(seam_right) - 2)])
     seam_left_pts = np.column_stack([seam_left[1:-1], np.zeros(len(seam_left) - 2)])
 
-    iface_r = np.array([strip_node(M - 1, j) for j in range(N // 2 + 1, N)])
-    iface_l = np.array([strip_node(0, j) for j in range(N // 2 + 1, N)])
-    if len(iface_r) == 0:
-        iface_r = np.empty((0, 2))
-        iface_l = np.empty((0, 2))
+    # strip nodes strictly between the seam and particle 2 on the two ends
+    iface_r = strip_nodes[(M - 1) * N1 + N // 2 + 1 : (M - 1) * N1 + N]
+    iface_l = strip_nodes[N // 2 + 1 : N]
 
     fixed_parts = [
         (arc2, TAG_P2),
@@ -483,54 +483,56 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
     keep &= np.abs(area2) > 1e-14 * region.h_ifc**2
     upper_tris = tri.simplices[keep]
 
-    # merge strip + upper + mirrored lower ------------------------------------
-    index = {}
-    g_nodes = []
-    g_tags = []
-
-    def add_node(x, y, tag):
-        key = (float(x), float(y) + 0.0)
-        gid = index.get(key)
-        if gid is None:
-            gid = len(g_nodes)
-            index[key] = gid
-            g_nodes.append((key[0], key[1]))
-            g_tags.append(tag)
-        elif tag != TAG_INTERIOR and g_tags[gid] == TAG_INTERIOR:
-            g_tags[gid] = tag
-        return gid
-
-    g_tris = []
-
-    strip_gids = [
-        add_node(xy[0], xy[1], int(t)) for xy, t in zip(strip_nodes, strip_tags)
-    ]
-    for a, b, c in strip_tris:
-        g_tris.append((strip_gids[a], strip_gids[b], strip_gids[c]))
-
-    upper_gids = [
-        add_node(xy[0], xy[1], int(t)) for xy, t in zip(upper_pts, upper_tags)
-    ]
-    for a, b, c in upper_tris:
-        g_tris.append((upper_gids[a], upper_gids[b], upper_gids[c]))
-
-    mirror_tag = {TAG_INTERIOR: TAG_INTERIOR, TAG_OUTER: TAG_OUTER, TAG_P2: TAG_P1}
-    lower_gids = [
-        add_node(xy[0], -xy[1], mirror_tag[int(t)]) for xy, t in zip(upper_pts, upper_tags)
-    ]
-    for a, b, c in upper_tris:
-        g_tris.append((lower_gids[a], lower_gids[c], lower_gids[b]))
-
+    nodes, triangles, tags = _merge_pieces(
+        strip_nodes, strip_tris, strip_tags, upper_pts, upper_tris, upper_tags
+    )
     mesh = Mesh(
-        nodes=np.asarray(g_nodes),
-        triangles=np.asarray(g_tris, dtype=np.int64),
-        node_tags=np.asarray(g_tags, dtype=np.int8),
+        nodes=nodes,
+        triangles=triangles,
+        node_tags=tags,
         h_neck=pair.delta / N,
         h_far=params.h_far,
         domain=domain,
     )
     _validate(mesh)
     return mesh
+
+
+def _merge_pieces(strip_nodes, strip_tris, strip_tags, upper_pts, upper_tris, upper_tags):
+    """Join the strip, the upper region and its mirror image into one mesh.
+
+    Points are merged where their coordinates are equal as floats: the
+    key is the bytes of (x + 0.0, y + 0.0), so -0.0 and 0.0 are one node.
+    Merged nodes are numbered in order of first appearance (strip, upper,
+    mirror) and keep the first point's coordinates, with a y of -0.0
+    stored as 0.0.  A node keeps the first tag seen for it unless that is
+    interior and a later duplicate carries a boundary tag, which then
+    replaces it.  Mirrored triangles take the vertex order (a, c, b), and
+    mirrored particle-2 tags become particle 1.  Returns (nodes,
+    triangles, tags).
+    """
+    mirror_tag = np.array([TAG_INTERIOR, TAG_OUTER, TAG_P2, TAG_P1], dtype=np.int8)
+    pts = np.concatenate([strip_nodes, upper_pts, upper_pts * [1.0, -1.0]])
+    pts[:, 1] += 0.0
+    tags = np.concatenate([strip_tags, upper_tags, mirror_tag[upper_tags]])
+    key = (pts + 0.0).view(np.dtype((np.void, 16))).ravel()
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # sorted keys -> first-seen order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    gid = rank[inv]
+    # the first boundary tag seen for a node wins over interior
+    node_tags = np.full(len(order), TAG_INTERIOR, dtype=np.int8)
+    tagged = np.flatnonzero(tags != TAG_INTERIOR)
+    owner, pos = np.unique(gid[tagged], return_index=True)
+    node_tags[owner] = tags[tagged[pos]]
+    n_strip, n_upper = len(strip_nodes), len(upper_pts)
+    triangles = np.concatenate([
+        gid[strip_tris],
+        gid[n_strip:][upper_tris],
+        gid[n_strip + n_upper:][upper_tris[:, [0, 2, 1]]],
+    ])
+    return pts[first[order]], triangles, node_tags
 
 
 def _polygon_area(loop_pts: np.ndarray) -> float:
@@ -564,24 +566,28 @@ def _validate(mesh: Mesh) -> None:
 
 
 def _order_loop(edges: np.ndarray) -> np.ndarray:
-    """Order an edge soup into a single closed node loop."""
-    nxt = {}
-    for a, b in edges:
-        nxt.setdefault(int(a), []).append(int(b))
-        nxt.setdefault(int(b), []).append(int(a))
-    start = int(edges[0, 0])
+    """Order the directed edges (a, b) of one closed curve into a node loop.
+
+    The loop starts at edges[0, 0] and follows each edge's direction;
+    boundary edges of a counterclockwise mesh are consistently directed.
+    """
+    src, dst = edges[:, 0], edges[:, 1]
+    n = int(edges.max()) + 1
+    out_degree = np.bincount(src, minlength=n)
+    if np.any(out_degree != np.bincount(dst, minlength=n)):
+        raise MeshError("open boundary loop")
+    if np.any(out_degree > 1):
+        raise MeshError("boundary loop does not close consistently")
+    succ = np.full(n, -1, dtype=np.int64)
+    succ[src] = dst
+    succ = succ.tolist()
+    start = int(src[0])
     loop = [start]
-    prev = None
-    cur = start
-    for _ in range(len(edges)):
-        cands = [n for n in nxt[cur] if n != prev]
-        if not cands:
-            raise MeshError("open boundary loop")
-        prev, cur = cur, cands[0]
-        if cur == start:
-            break
+    cur = succ[start]
+    while cur != start and len(loop) < len(edges):
         loop.append(cur)
-    if len(loop) != len(edges):
+        cur = succ[cur]
+    if cur != start or len(loop) != len(edges):
         raise MeshError("boundary loop does not close consistently")
     return np.asarray(loop)
 
@@ -607,25 +613,22 @@ def build_annulus_mesh(annulus: AnnulusSpec, h: float) -> Mesh:
     radii = np.linspace(r1, r2, n_r + 1)
     theta = 2.0 * math.pi * np.arange(n_t) / n_t
 
-    nodes = np.empty(((n_r + 1) * n_t, 2))
+    nodes = np.column_stack([
+        (radii[:, None] * np.cos(theta)).ravel(), (radii[:, None] * np.sin(theta)).ravel()
+    ])
     tags = np.zeros((n_r + 1) * n_t, dtype=np.int8)
-    for k, r in enumerate(radii):
-        nodes[k * n_t : (k + 1) * n_t, 0] = r * np.cos(theta)
-        nodes[k * n_t : (k + 1) * n_t, 1] = r * np.sin(theta)
     tags[:n_t] = TAG_P1
     tags[n_r * n_t :] = TAG_OUTER
 
-    tris = []
-    for k in range(n_r):
-        base0, base1 = k * n_t, (k + 1) * n_t
-        for j in range(n_t):
-            jn = (j + 1) % n_t
-            a, b = base0 + j, base0 + jn
-            c, d = base1 + jn, base1 + j
-            tris.extend([(a, b, c), (a, c, d)])
+    k = np.arange(n_r)[:, None]
+    j = np.arange(n_t)[None, :]
+    jn = (j + 1) % n_t
+    a, b = k * n_t + j, k * n_t + jn
+    c, d = b + n_t, a + n_t
+    tris = np.stack([np.stack([a, b, c], -1), np.stack([a, c, d], -1)], -2).reshape(-1, 3)
     return Mesh(
         nodes=nodes,
-        triangles=np.asarray(tris, dtype=np.int64),
+        triangles=tris,
         node_tags=tags,
         h_neck=(r2 - r1) / n_r,
         h_far=h,

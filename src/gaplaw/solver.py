@@ -87,7 +87,8 @@ class SolverConfig:
 
     eps_scale sets the gradient regularization eps =
     eps_scale * (max U - min U) / R_domain; p_step is the increment of
-    the continuation ladder from p = 2 up to the target exponent.
+    the continuation ladder from p = 2 up to the target exponent, and a
+    p_step <= 0 raises ValueError.
     """
 
     newton_tol: float = 1e-12
@@ -95,6 +96,10 @@ class SolverConfig:
     eps_scale: float = 1e-8
     p_step: float = 0.5
     p_continuation: bool = True
+
+    def __post_init__(self):
+        if not self.p_step > 0.0:
+            raise ValueError(f"p_step must be positive, got {self.p_step}")
 
 
 @dataclass
@@ -204,23 +209,24 @@ class _Constraints:
         slots, self._h_slot = np.unique(key, return_inverse=True)
         self._h_indices = slots % n_dof
         self._h_indptr = np.searchsorted(slots // n_dof, np.arange(n_dof + 1))
-        self._stiff = np.einsum("eik,eil->ekl", mesh.grads, mesh.grads)
 
     def expand(self, z: np.ndarray) -> np.ndarray:
         u = self.u_fix.copy()
         u[self._free] = z[self._free_dof]
         return u
 
-    def grad(self, u: np.ndarray, p: float, eps: float) -> np.ndarray:
-        """Reduced gradient of the energy at the nodal field u."""
-        bg, w1, _ = _element_weights(self.mesh, u, p, eps)
+    def grad(self, u: np.ndarray, p: float, eps: float, weights=None) -> np.ndarray:
+        """Reduced gradient of the energy at the nodal field u; `weights`
+        is `_element_weights(mesh, u, p, eps)` when the caller has it."""
+        bg, w1, _ = weights or _element_weights(self.mesh, u, p, eps)
         contrib = w1[:, None] * bg
         return np.bincount(self._g_dof, contrib[self._g_mask], self.n_dof)
 
-    def hess(self, u: np.ndarray, p: float, eps: float) -> sp.csc_matrix:
-        """Reduced Hessian of the energy at the nodal field u (symmetric, CSC)."""
-        bg, w1, w2 = _element_weights(self.mesh, u, p, eps)
-        hloc = w1[:, None, None] * self._stiff
+    def hess(self, u: np.ndarray, p: float, eps: float, weights=None) -> sp.csc_matrix:
+        """Reduced Hessian of the energy at the nodal field u (symmetric,
+        CSC); `weights` as for `grad`."""
+        bg, w1, w2 = weights or _element_weights(self.mesh, u, p, eps)
+        hloc = w1[:, None, None] * self.mesh.stiffness
         hloc += w2[:, None, None] * np.einsum("ek,el->ekl", bg, bg)
         data = np.bincount(
             self._h_slot, hloc.reshape(-1, 9)[self._h_mask], len(self._h_indices)
@@ -383,8 +389,9 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list):
     tol = cfg.newton_tol * max(gref, 1e-300)
     noise_floor = 64.0 * np.finfo(float).eps * max(gref, 1e-300)
     u = con.expand(z)
-    g = con.grad(u, p, eps)
     E = energy(mesh, u, p, eps)
+    w = _element_weights(mesh, u, p, eps)
+    g = con.grad(u, p, eps, w)
     g2_prev = None
     for it in range(cfg.max_iter):
         gnorm = float(np.max(np.abs(g)))
@@ -393,7 +400,7 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list):
         trace.append(entry)
         if gnorm <= max(tol, noise_floor):
             return z, trace
-        H = con.hess(u, p, eps)
+        H = con.hess(u, p, eps, w)
         g2 = float(np.linalg.norm(g))
         eta = ETA_MAX
         if g2_prev is not None:
@@ -411,25 +418,22 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list):
             dz = -g  # steepest descent fallback
         slope = float(g @ dz)
         t = 1.0
-        accepted = False
         for _ in range(ARMIJO_MAX_BACKTRACKS):
             z_try = z + t * dz
             u_try = con.expand(z_try)
             E_try = energy(mesh, u_try, p, eps)
             if E_try <= E + ARMIJO_C1 * t * slope or E_try <= E * (1 + 1e-15):
-                accepted = True
                 break
             t *= ARMIJO_SHRINK
-        if not accepted:
+        else:
             raise SolverError(
                 f"line search failed at iter {it} (p={p}, residual {gnorm:.3e})",
                 trace,
             )
         entry["t"] = t
-        z = z + t * dz
-        u = con.expand(z)
-        E = energy(mesh, u, p, eps)
-        g = con.grad(u, p, eps)
+        z, u, E = z_try, u_try, E_try
+        w = _element_weights(mesh, u, p, eps)
+        g = con.grad(u, p, eps, w)
     gnorm = float(np.max(np.abs(g)))
     raise SolverError(
         f"Newton did not converge in {cfg.max_iter} iterations "
@@ -478,14 +482,13 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, cfg: SolverConfig, pinned=Non
     for pk in _p_ladder(p, cfg):
         z, trace = _newton(con, pk, eps, z, cfg, factor)
         trace_all.extend([{**t, "p": pk} for t in trace])
-    u = con.expand(z)
     sol = DiscreteSolution(
         mesh=mesh,
-        u=u,
+        u=con.expand(z),
         kind=kind,
         p=p,
         eps=eps,
-        energy=energy(mesh, u, p, eps),
+        energy=trace_all[-1]["energy"],  # at the converged z; the last stage is at p
         trace=trace_all,
         config=cfg,
         newton_iters=len(trace_all),

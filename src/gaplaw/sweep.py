@@ -110,9 +110,10 @@ class SweepConfig:
     'entries': [[theta, value], ...]} dictionary.
 
     Construction validates the config before any mesh is built: an
-    unknown datum, h_far <= 0, or an R_out that leaves less than
-    `clearance` around the particles at delta_start (the widest gap, so
-    the whole ladder) raises ValueError.
+    unknown datum, h_far <= 0, h_neck_fraction outside (0, 0.25],
+    p_step <= 0, or an R_out that leaves less than `clearance` around the
+    particles at delta_start (the widest gap, so the whole ladder) raises
+    ValueError.
     """
 
     R: float = 1.0
@@ -140,8 +141,12 @@ class SweepConfig:
             raise ValueError("delta ladder must be strictly decreasing")
         if self.delta_count < 1:
             raise ValueError("delta_count must be >= 1")
-        if self.h_neck_fraction > 0.25 + 1e-12:
-            raise ValueError("h_neck_fraction must keep >= 4 layers across the gap")
+        if not 0.0 < self.h_neck_fraction <= 0.25 + 1e-12:
+            raise ValueError(
+                f"h_neck_fraction must lie in (0, 0.25] to keep >= 4 layers across "
+                f"the gap, got {self.h_neck_fraction}"
+            )
+        self.solver_config()  # rejects p_step <= 0
         if not self.h_far > 0.0:
             raise ValueError(f"h_far must be positive, got {self.h_far}")
         try:

@@ -8,18 +8,22 @@ from hypothesis import strategies as st
 import gaplaw.mesh as mesh_module
 from gaplaw.geometry import AnnulusSpec, DomainSpec, ParticlePair
 from gaplaw.mesh import (
+    TAG_INTERIOR,
     TAG_OUTER,
     TAG_P1,
     TAG_P2,
     MeshError,
     QUALITY_FLOOR,
+    Mesh,
     MeshParams,
     _validate,
     build_annulus_mesh,
     build_mesh,
+    _order_loop,
     load_mesh_text,
     save_mesh_text,
 )
+from gaplaw.sweep import SweepConfig
 
 
 def two_disk_domain(delta=0.02, R=1.0, R_out=4.0):
@@ -39,6 +43,94 @@ def assert_mirror_symmetric(mesh):
     for t in mesh.triangles:
         pts = tuple(sorted((x, -y) for x, y in map(tuple, mesh.nodes[t])))
         assert pts in tri_set
+
+
+def merge_oracle(strip_nodes, strip_tris, strip_tags, upper_pts, upper_tris, upper_tags):
+    """The dict-and-loop merge of strip, upper region and mirror image that
+    `_merge_pieces` replaces: same arguments, same (nodes, triangles, tags)."""
+    index = {}
+    g_nodes = []
+    g_tags = []
+
+    def add_node(x, y, tag):
+        key = (float(x), float(y) + 0.0)
+        gid = index.get(key)
+        if gid is None:
+            gid = len(g_nodes)
+            index[key] = gid
+            g_nodes.append((key[0], key[1]))
+            g_tags.append(tag)
+        elif tag != TAG_INTERIOR and g_tags[gid] == TAG_INTERIOR:
+            g_tags[gid] = tag
+        return gid
+
+    g_tris = []
+    strip_gids = [add_node(xy[0], xy[1], int(t)) for xy, t in zip(strip_nodes, strip_tags)]
+    for a, b, c in strip_tris:
+        g_tris.append((strip_gids[a], strip_gids[b], strip_gids[c]))
+    upper_gids = [add_node(xy[0], xy[1], int(t)) for xy, t in zip(upper_pts, upper_tags)]
+    for a, b, c in upper_tris:
+        g_tris.append((upper_gids[a], upper_gids[b], upper_gids[c]))
+    mirror_tag = {TAG_INTERIOR: TAG_INTERIOR, TAG_OUTER: TAG_OUTER, TAG_P2: TAG_P1}
+    lower_gids = [
+        add_node(xy[0], -xy[1], mirror_tag[int(t)]) for xy, t in zip(upper_pts, upper_tags)
+    ]
+    for a, b, c in upper_tris:
+        g_tris.append((lower_gids[a], lower_gids[c], lower_gids[b]))
+    return (
+        np.asarray(g_nodes),
+        np.asarray(g_tris, dtype=np.int64),
+        np.asarray(g_tags, dtype=np.int8),
+    )
+
+
+def boundary_edges_oracle(mesh):
+    """Boundary edges and their owners by np.unique(axis=0) over sorted pairs."""
+    tris = mesh.triangles
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    owner = np.tile(np.arange(len(tris)), 3)
+    _, idx, counts = np.unique(
+        np.sort(edges, axis=1), axis=0, return_index=True, return_counts=True
+    )
+    bidx = idx[counts == 1]
+    bedges, bowner = edges[bidx], owner[bidx]
+    tag = mesh.node_tags[bedges[:, 0]]
+    return {t: (bedges[tag == t], bowner[tag == t]) for t in (TAG_OUTER, TAG_P1, TAG_P2)}
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def build_checked_against_oracles(domain, params=None):
+    """build_mesh, with its merge and boundary edges checked byte for byte
+    against `merge_oracle` and `boundary_edges_oracle`."""
+    calls = []
+    merge = mesh_module._merge_pieces
+
+    def recording(*args):
+        out = merge(*args)
+        calls.append((args, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_merge_pieces", recording)
+        mesh = build_mesh(domain, params)
+    ((args, out),) = calls
+    want = merge_oracle(*args)
+    for got, ref in zip(out, want):
+        assert_same_bytes(got, ref)
+    ref_mesh = Mesh(nodes=want[0], triangles=want[1], node_tags=want[2],
+                    h_neck=mesh.h_neck, h_far=mesh.h_far)
+    assert_same_bytes(mesh.nodes, ref_mesh.nodes)
+    assert_same_bytes(mesh.triangles, ref_mesh.triangles)
+    assert_same_bytes(mesh.node_tags, ref_mesh.node_tags)
+    ref_edges = boundary_edges_oracle(mesh)
+    for tag in (TAG_OUTER, TAG_P1, TAG_P2):
+        for got, ref in zip(mesh.boundary_edges[tag], ref_edges[tag]):
+            assert_same_bytes(got, ref)
+    return mesh
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +231,63 @@ class TestBuildMesh:
             MeshParams(neck_layers=2)
 
 
+class TestMergeOracle:
+    """The array merge and edge keys reproduce the dict-and-loop mesher."""
+
+    @pytest.mark.parametrize("delta", SweepConfig().deltas)
+    def test_default_ladder(self, delta):
+        build_checked_against_oracles(two_disk_domain(delta), SweepConfig().mesh_params())
+
+    @pytest.mark.parametrize("delta", [0.00225, 0.0025, 0.00275])
+    def test_fine_meshes(self, delta):
+        mesh = build_checked_against_oracles(
+            two_disk_domain(delta), MeshParams(h_far=0.075, neck_layers=16)
+        )
+        assert mesh.n_nodes > 19_000
+
+    def test_signed_zeros_tags_and_mirror_order(self):
+        # a first-seen y of -0.0 is stored as 0.0; x = -0.0 and 0.0 merge
+        # and keep the first x; an interior node seen again with a
+        # boundary tag takes that tag; mirrored triangles read (a, c, b)
+        strip_nodes = np.array([[0.0, -0.0], [1.0, 0.0], [-0.0, 2.0], [0.0, 1.0]])
+        strip_tags = np.array([TAG_INTERIOR, TAG_INTERIOR, TAG_P2, TAG_P2], dtype=np.int8)
+        strip_tris = np.array([[0, 1, 3]])
+        upper_pts = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0], [0.0, 2.0], [0.0, 1.0]])
+        upper_tags = np.array([TAG_OUTER, TAG_OUTER, TAG_INTERIOR, TAG_INTERIOR, TAG_P2],
+                              dtype=np.int8)
+        upper_tris = np.array([[0, 1, 2], [0, 2, 4], [2, 3, 4]])
+        args = (strip_nodes, strip_tris, strip_tags, upper_pts, upper_tris, upper_tags)
+        nodes, tris, tags = mesh_module._merge_pieces(*args)
+        for got, want in zip((nodes, tris, tags), merge_oracle(*args)):
+            assert_same_bytes(got, want)
+        assert not np.signbit(nodes[0, 1])
+        assert np.signbit(nodes[2, 0])
+        assert tags[1] == TAG_OUTER
+        assert len(nodes) == 9
+
+
+class TestOrderLoop:
+    def test_follows_the_edge_direction_from_the_first_edge(self):
+        edges = np.array([[3, 1], [1, 7], [5, 3], [7, 5]])
+        assert _order_loop(edges).tolist() == [3, 1, 7, 5]
+
+    @pytest.mark.parametrize("edges", [
+        [[0, 1], [1, 2], [2, 3]],  # open chain
+        [[0, 1], [2, 1], [2, 0]],  # inconsistently directed
+    ])
+    def test_open_loop_rejected(self, edges):
+        with pytest.raises(MeshError, match="open boundary loop"):
+            _order_loop(np.array(edges))
+
+    @pytest.mark.parametrize("edges", [
+        [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]],  # two loops
+        [[0, 1], [1, 2], [2, 0], [0, 3], [3, 4], [4, 0]],  # pinched at node 0
+    ])
+    def test_not_one_loop_rejected(self, edges):
+        with pytest.raises(MeshError, match="does not close consistently"):
+            _order_loop(np.array(edges))
+
+
 class TestMeshInvariants:
     """The mesh invariants across geometries, not only the defaults."""
 
@@ -151,7 +300,8 @@ class TestMeshInvariants:
     def test_invariants(self, R, delta_over_R, R_out_over_R):
         delta = delta_over_R * R
         params = MeshParams(h_far=0.5 * R)
-        mesh = build_mesh(two_disk_domain(delta, R=R, R_out=R_out_over_R * R), params)
+        domain = two_disk_domain(delta, R=R, R_out=R_out_over_R * R)
+        mesh = build_checked_against_oracles(domain, params)
         assert_mirror_symmetric(mesh)
         # at least 4 layers across the gap: >= 5 nodes on the x = 0 column inside it
         on_axis = mesh.nodes[mesh.nodes[:, 0] == 0.0]

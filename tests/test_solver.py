@@ -384,6 +384,49 @@ class TestNewtonDirection:
         assert lam == pytest.approx(1e-4)
 
 
+class TestEvaluationCounts:
+    """Newton evaluates the energy and the element weights once per iterate."""
+
+    def test_one_evaluation_per_iterate(self, two_disk, monkeypatch):
+        calls = {"energy": 0, "weights": 0}
+        real_energy, real_weights = solver.energy, solver._element_weights
+
+        def counting_energy(*args, **kwargs):
+            calls["energy"] += 1
+            return real_energy(*args, **kwargs)
+
+        def counting_weights(*args, **kwargs):
+            calls["weights"] += 1
+            return real_weights(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "energy", counting_energy)
+        monkeypatch.setattr(solver, "_element_weights", counting_weights)
+        sol = solve_floating(two_disk, p=3.0)
+        monkeypatch.undo()
+
+        newton_calls = len({t["p"] for t in sol.trace})
+        assert newton_calls == 3  # p = 2, 2.5, 3
+        # every entry but the last of each call took a step; a step of
+        # length 2^-k took k backtracks, so k + 1 line-search trials
+        steps = [t["t"] for t in sol.trace if t["t"] > 0.0]
+        assert len(steps) == len(sol.trace) - newton_calls
+        trials = sum(1 + round(-np.log2(t)) for t in steps)
+        # one energy per trial, plus the start of each _newton call
+        assert calls["energy"] == trials + newton_calls
+        # one per trace entry, plus the residual scale gref of each call
+        assert calls["weights"] == len(sol.trace) + newton_calls
+        assert sol.energy == sol.trace[-1]["energy"]
+        assert sol.energy == energy(two_disk, sol.u, 3.0, sol.eps)
+
+    def test_stiffness_stored_on_the_mesh(self, two_disk, tmp_path):
+        stiffness = np.einsum("eik,eil->ekl", two_disk.grads, two_disk.grads)
+        assert np.array_equal(two_disk.stiffness, stiffness)
+        path = tmp_path / "mesh.txt"
+        save_mesh_text(two_disk, path)
+        loaded, _ = load_mesh_text(path)
+        assert np.array_equal(loaded.stiffness, two_disk.stiffness)
+
+
 class TestInexactNewton:
     """Newton steps by CG preconditioned with the solve's last SuperLU factor."""
 

@@ -6,6 +6,7 @@ import pytest
 
 from gaplaw import asymptotics
 from gaplaw.flux import R0Estimate
+from gaplaw.solver import SolverConfig
 from gaplaw.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -120,12 +121,24 @@ class TestSweepConfigValidation:
         ({"R_out": 2.5}, "R_out"),
         ({"R_out": 2.0}, "R_out"),
         ({"delta_start": 0.9, "R_out": 3.4}, "R_out"),
+        # no continuation ladder with a step <= 0 (or NaN) reaches p
+        ({"p_step": 0.0, "p": 3.0}, "p_step"),
+        ({"p_step": -0.5, "p": 3.0}, "p_step"),
+        ({"p_step": float("nan")}, "p_step"),
+        # the neck cell size must be a positive fraction of delta
+        ({"h_neck_fraction": 0.0}, "h_neck_fraction"),
+        ({"h_neck_fraction": -0.1}, "h_neck_fraction"),
     ])
     def test_rejected_at_construction(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             SweepConfig(**kwargs)
         with pytest.raises(ValueError, match=field):
             SweepConfig.from_dict({**SweepConfig().to_dict(), **kwargs})
+
+    @pytest.mark.parametrize("p_step", [0.0, -0.5, float("nan")])
+    def test_solver_config_rejects_nonpositive_p_step(self, p_step):
+        with pytest.raises(ValueError, match="p_step"):
+            SolverConfig(p_step=p_step)
 
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="R_outer"):
