@@ -11,9 +11,18 @@ any window width w, with
     gamma = p - 3/2   (d = 2),      gamma = p - 2   (d = 3, p > 2),
 
 while (p, d) = (2, 3) degenerates to a logarithm: J ~ pi*R*log(1/delta).
-The closed forms for gamma above are installed only because the
-quadrature oracle in the test-suite confirms them; the oracle remains the
-ground truth.
+
+J itself has closed forms.  With x = sqrt(R*delta) t and T^2 = w^2/(R*delta),
+
+    d = 3:  J = pi*R*delta^(2-p) * (1 - (1+T^2)^(2-p)) / (p-2)
+              (pi*R*log(1+T^2) at p = 2),
+    d = 2:  J = sqrt(R*delta)*delta^(1-p) * B(1/2, p-3/2)
+              * I_{1/(1+T^2)}^c(p-3/2, 1/2),
+
+the second by s = t^2/(1+t^2), with B the beta function and I^c the
+complement of the regularized incomplete beta function.  `c_o_quadrature`
+extrapolates delta^gamma * J down a delta ladder; the test-suite checks
+the gamma above against the slope of that ladder.
 
 For integer p the limit constant has closed forms (`c_o_table`).  In
 d = 2 the table and the quadrature limit agree:
@@ -32,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy.special import beta, betaincc
 
 __all__ = [
     "LogCaseError",
@@ -142,10 +151,9 @@ def neck_integral(delta: float, w: float, R: float, p: float, d: int) -> float:
     d = 2: integral_{-w}^{w} (delta + x^2/R)^(1-p) dx.
     d = 3: 2*pi * integral_0^w r (delta + r^2/R)^(1-p) dr.
 
-    Evaluated by adaptive quadrature after the exact rescaling
-    x = sqrt(R*delta) t, which keeps the integrand O(1) for any delta;
-    relative tolerance 1e-10 (a QuadratureError reports the achieved
-    accuracy otherwise).
+    Evaluated in closed form (module docstring): log1p/expm1 in d = 3,
+    the complementary incomplete beta function at 1/(1+T^2) in d = 2, so
+    nothing cancels for any delta > 0.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -158,33 +166,15 @@ def neck_integral(delta: float, w: float, R: float, p: float, d: int) -> float:
     if d not in (2, 3):
         raise ValueError(f"d must be 2 or 3, got {d}")
 
-    T = w / math.sqrt(R * delta)
+    T2 = w * w / (R * delta)
     if d == 2:
-        # delta^(1-p) sqrt(R delta) * int_{-T}^{T} (1+t^2)^(1-p) dt
-        val, err = _scaled_integral(lambda t: (1.0 + t * t) ** (1.0 - p), T)
-        scale = 2.0 * math.sqrt(R * delta) * delta ** (1.0 - p)
-    else:
-        # 2 pi R delta^(2-p) * int_0^T t (1+t^2)^(1-p) dt
-        val, err = _scaled_integral(lambda t: t * (1.0 + t * t) ** (1.0 - p), T)
-        scale = 2.0 * math.pi * R * delta ** (2.0 - p)
-    if val != 0.0 and err > 1e-10 * abs(val):
-        raise QuadratureError(
-            f"neck integral quadrature achieved only {err / abs(val):.3e} relative"
-        )
-    return scale * val
-
-
-class QuadratureError(RuntimeError):
-    pass
-
-
-def _scaled_integral(f, T: float) -> tuple[float, float]:
-    """Adaptive quadrature of f on [0, T], split at t = 1 for peaked f."""
-    if T <= 2.0:
-        return integrate.quad(f, 0.0, T, epsabs=0.0, epsrel=1e-12, limit=200)
-    v1, e1 = integrate.quad(f, 0.0, 2.0, epsabs=0.0, epsrel=1e-12, limit=200)
-    v2, e2 = integrate.quad(f, 2.0, T, epsabs=0.0, epsrel=1e-12, limit=400)
-    return v1 + v2, e1 + e2
+        a = p - 1.5
+        return float(math.sqrt(R * delta) * delta ** (1.0 - p)
+                     * beta(0.5, a) * betaincc(a, 0.5, 1.0 / (1.0 + T2)))
+    L = math.log1p(T2)
+    if p == 2.0:
+        return math.pi * R * L
+    return math.pi * R * delta ** (2.0 - p) * -math.expm1((2.0 - p) * L) / (p - 2.0)
 
 
 def c_o_quadrature(
@@ -268,7 +258,9 @@ def predict(p: float, d: int, R: float, R0: float, delta: float,
     """Concrete gap and gradient-maximum predictions at a given delta.
 
     R0 must be positive (swap the particle labels if the measured value
-    is negative); R0 = 0 returns a degenerate all-zero prediction.
+    is negative); R0 = 0 returns a degenerate all-zero prediction.  C_o
+    defaults to `c_o_quadrature`, and in the log case to the coefficient
+    pi*R of J ~ pi*R*log(1/delta).
     """
     _check_pd(p, d)
     if delta <= 0.0:
@@ -279,7 +271,7 @@ def predict(p: float, d: int, R: float, R0: float, delta: float,
         )
     log_case = is_log_case(p, d)
     if C_o is None:
-        C_o = math.pi * R * math.log(R) if log_case else c_o_quadrature(p, d, R)
+        C_o = math.pi * R if log_case else c_o_quadrature(p, d, R)
     pm1 = p - 1.0
     if log_case:
         gamma = None

@@ -22,10 +22,9 @@ the flux the discrete optimality conditions control: per-particle fluxes
 of floating solves and the combined flux of tied solves vanish to solver
 tolerance by construction, and global conservation holds to the same
 tolerance.  The `line` route integrates one-sided element gradients with
-arc-length weights; it is the pointwise-density view used for sub-arcs
-and for sampling the neck flux against the barrier bounds, and its
-deviation from the variational value is reported as a quadrature
-diagnostic, never hidden.
+arc-length weights; it is the pointwise-density view behind
+`boundary_flux(..., method="line")` and the neck-flux samples checked
+against the barrier bounds.  Reports use the variational route only.
 """
 
 from __future__ import annotations
@@ -107,6 +106,12 @@ def _curve_nodes(mesh: Mesh, curve: str, neck: NeckSpec | None = None) -> np.nda
     raise FluxError(f"unknown curve {curve!r}")
 
 
+def _summed_flux(w: np.ndarray, mesh: Mesh, curve: str, neck: NeckSpec | None = None) -> float:
+    """Variational flux through `curve` from the node weights w of
+    `_node_flux_weights`, in the module's normal convention."""
+    return _curve_sign(curve) * float(np.sum(w[_curve_nodes(mesh, curve, neck)]))
+
+
 def _curve_edges(mesh: Mesh, curve: str, neck: NeckSpec | None = None):
     if curve in _SUB_ARCS:
         edges, owners = mesh.boundary_edges[TAG_P2]
@@ -160,9 +165,7 @@ def boundary_flux(
     particles: out of the particle).
     """
     if method == "variational":
-        w = _node_flux_weights(solution)
-        idx = _curve_nodes(solution.mesh, curve, neck)
-        return _curve_sign(curve) * float(np.sum(w[idx]))
+        return _summed_flux(_node_flux_weights(solution), solution.mesh, curve, neck)
     if method == "line":
         return _curve_sign(curve) * _line_flux(solution, curve, neck)
     raise FluxError(f"unknown quadrature method {method!r}")
@@ -173,9 +176,7 @@ class FluxReport:
     """All boundary fluxes of one solve plus their balance defects.
 
     Defects are relative to `scale`, the largest flux piece magnitude
-    (the neck sub-arc typically dominates); `quadrature_defect` is the
-    worst relative disagreement between the variational and line
-    quadratures over the full curves.
+    (the neck sub-arc typically dominates).
     """
 
     kind: str
@@ -188,7 +189,6 @@ class FluxReport:
     balance_defect: float
     particle_defects: tuple[float, ...]
     combined_defect: float
-    quadrature_defect: float
 
     @property
     def balance_defect_rel(self) -> float:
@@ -222,22 +222,17 @@ class FluxReport:
 def flux_report(solution: DiscreteSolution, neck: NeckSpec | None = None) -> FluxReport:
     """Assemble the per-curve flux table for one converged solve."""
     mesh = solution.mesh
+    w = _node_flux_weights(solution)
     have_p2 = len(mesh.nodes_with_tag(TAG_P2)) > 0
-    f_out = boundary_flux(solution, "outer")
-    f_p1 = boundary_flux(solution, "particle1")
-    f_p2 = boundary_flux(solution, "particle2") if have_p2 else 0.0
+    f_out = _summed_flux(w, mesh, "outer")
+    f_p1 = _summed_flux(w, mesh, "particle1")
+    f_p2 = _summed_flux(w, mesh, "particle2") if have_p2 else 0.0
     f_s2 = f_away = None
     if neck is not None and have_p2:
-        f_s2 = boundary_flux(solution, "s2", neck)
-        f_away = boundary_flux(solution, "particle2_away", neck)
+        f_s2 = _summed_flux(w, mesh, "s2", neck)
+        f_away = _summed_flux(w, mesh, "particle2_away", neck)
     pieces = [f_out, f_p1, f_p2] + [v for v in (f_s2, f_away) if v is not None]
     scale = max(abs(v) for v in pieces)
-    qdef = 0.0
-    for curve, v in (("outer", f_out), ("particle1", f_p1), ("particle2", f_p2)):
-        if curve == "particle2" and not have_p2:
-            continue
-        lv = boundary_flux(solution, curve, method="line")
-        qdef = max(qdef, abs(lv - v))
     return FluxReport(
         kind=solution.kind,
         flux_outer=f_out,
@@ -249,7 +244,6 @@ def flux_report(solution: DiscreteSolution, neck: NeckSpec | None = None) -> Flu
         balance_defect=abs(f_out - f_p1 - f_p2),
         particle_defects=(abs(f_p1), abs(f_p2)),
         combined_defect=abs(f_p1 + f_p2),
-        quadrature_defect=qdef / scale if scale > 0 else 0.0,
     )
 
 
@@ -352,17 +346,13 @@ def q_functional(v1: DiscreteSolution, v2: DiscreteSolution,
     mesh = v1.mesh
     if v2.mesh is not mesh or v3.mesh is not mesh:
         raise FluxError("q_functional needs all three auxiliaries on one mesh")
-    sols = (v1, v2, v3)
-    p1 = mesh.nodes_with_tag(TAG_P1)
-    p2 = mesh.nodes_with_tag(TAG_P2)
-    out = mesh.nodes_with_tag(TAG_OUTER)
     a = np.empty((2, 3))
     b = np.empty(3)
-    for j, sol in enumerate(sols):
+    for j, sol in enumerate((v1, v2, v3)):
         w = _node_flux_weights(sol)
-        a[0, j] = -float(np.sum(w[p1]))  # particle-outward
-        a[1, j] = -float(np.sum(w[p2]))
-        b[j] = float(np.sum(w[out]))
+        a[0, j] = _summed_flux(w, mesh, "particle1")
+        a[1, j] = _summed_flux(w, mesh, "particle2")
+        b[j] = _summed_flux(w, mesh, "outer")
     Q = a[0, 2] * b[1] - a[1, 2] * b[0]
     denom = a[0, 0] + a[0, 1] + a[1, 0] + a[1, 1]
     T = -(a[0, 2] + a[1, 2]) / denom

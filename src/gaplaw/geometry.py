@@ -243,7 +243,6 @@ class DomainSpec:
     R_out: float
     boundary_datum: Callable = _linear_y
     clearance: float = 0.0
-    datum_name: str = "linear-y"
 
     def __post_init__(self) -> None:
         margin = self.R_out - (2.0 * self.pair.R + 0.5 * self.pair.delta)

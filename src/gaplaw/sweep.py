@@ -110,10 +110,10 @@ class SweepConfig:
     'entries': [[theta, value], ...]} dictionary.
 
     Construction validates the config before any mesh is built: an
-    unknown datum, h_far <= 0, h_neck_fraction outside (0, 0.25],
-    p_step <= 0, or an R_out that leaves less than `clearance` around the
-    particles at delta_start (the widest gap, so the whole ladder) raises
-    ValueError.
+    unknown datum, p < 2, delta_start <= 0, h_far <= 0, h_neck_fraction
+    outside (0, 0.25], p_step <= 0, an R_out that leaves less than
+    `clearance` around the particles at delta_start (the widest gap, so
+    the whole ladder), or a neck_w outside (0, R) raises ValueError.
     """
 
     R: float = 1.0
@@ -137,6 +137,10 @@ class SweepConfig:
     deviation_slack: float = 0.02
 
     def __post_init__(self):
+        if not self.p >= 2.0:
+            raise ValueError(f"p must be >= 2, got {self.p}")
+        if not self.delta_start > 0.0:
+            raise ValueError(f"delta_start must be positive, got {self.delta_start}")
         if not 0.0 < self.delta_ratio < 1.0:
             raise ValueError("delta ladder must be strictly decreasing")
         if self.delta_count < 1:
@@ -150,11 +154,15 @@ class SweepConfig:
         if not self.h_far > 0.0:
             raise ValueError(f"h_far must be positive, got {self.h_far}")
         try:
-            self.domain(self.delta_start)  # also rejects an unknown datum
+            pair = self.domain(self.delta_start).pair  # also rejects an unknown datum
         except GeometryError as exc:
             raise ValueError(
                 f"R_out={self.R_out} at delta_start={self.delta_start}: {exc}"
             ) from exc
+        try:
+            NeckSpec(pair, self.w)
+        except GeometryError as exc:
+            raise ValueError(f"neck_w={self.neck_w}: {exc}") from exc
 
     @property
     def deltas(self) -> tuple[float, ...]:
@@ -176,16 +184,12 @@ class SweepConfig:
             return _datum_table_factory(self.datum["entries"])
         raise ValueError(f"unknown datum {self.datum!r}")
 
-    def datum_label(self) -> str:
-        return self.datum if isinstance(self.datum, str) else "table"
-
     def domain(self, delta: float) -> DomainSpec:
         return DomainSpec(
             pair=ParticlePair(R=self.R, delta=delta),
             R_out=self.R_out,
             boundary_datum=self.datum_callable(),
             clearance=self.clearance,
-            datum_name=self.datum_label(),
         )
 
     def mesh_params(self) -> MeshParams:

@@ -102,6 +102,26 @@ class TestNeckIntegral:
         got = neck_integral(delta, w, R, p, 3)
         assert got == pytest.approx(exact, rel=1e-9)
 
+    @pytest.mark.parametrize("delta", [1e-4, 1e-12])
+    @pytest.mark.parametrize("w,R", [(0.9, 1.0), (0.2, 2.0)])
+    @pytest.mark.parametrize("p,F", [
+        (2, math.atan),
+        (2.5, lambda t: t / math.sqrt(1.0 + t * t)),
+        (3, lambda t: t / (2.0 * (1.0 + t * t)) + math.atan(t) / 2.0),
+    ], ids=["p2", "p2.5", "p3"])
+    def test_exact_antiderivative_d2(self, p, F, w, R, delta):
+        # x = sqrt(R delta) t with F' = (1+t^2)^(1-p): sqrt(R delta) delta^(1-p) [F]_{-T}^{T}
+        T = w / math.sqrt(R * delta)
+        exact = math.sqrt(R * delta) * delta ** (1 - p) * 2.0 * F(T)
+        assert neck_integral(delta, w, R, p, 2) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-12])
+    @pytest.mark.parametrize("w,R", [(0.9, 1.0), (0.2, 2.0)])
+    @pytest.mark.parametrize("p", [2.5, 3, 4.5])
+    def test_exact_antiderivative_d3_exponents(self, p, w, R, delta):
+        exact = math.pi * R * (delta ** (2 - p) - (delta + w * w / R) ** (2 - p)) / (p - 2)
+        assert neck_integral(delta, w, R, p, 3) == pytest.approx(exact, rel=1e-13)
+
     def test_scaled_limit_p3(self):
         got = 1e-6 ** 1.5 * neck_integral(1e-6, 0.1, 1.0, 3, 2)
         assert got == pytest.approx(math.pi / 2, rel=5e-3)
@@ -183,6 +203,13 @@ class TestPredict:
         for p, d in [(2, 2), (3, 2), (4, 3)]:
             pred = predict(p, d, 1.0, 2.0, 3.7e-3, C_o=1.3)
             assert pred.grad_max * pred.delta == pred.gap
+
+    @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+    def test_log_case_default_coefficient(self, R):
+        # J ~ pi R log(1/delta), so the default C_o is the log coefficient pi R
+        pred = predict(2, 3, R, 1.0, 1e-3)
+        assert pred.C_o == math.pi * R
+        assert math.isfinite(pred.gap) and pred.gap > 0.0
 
     def test_log_case_scalings(self):
         pred = predict(2, 3, 1.0, 1.0, 1e-3, C_o=math.pi)

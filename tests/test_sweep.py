@@ -128,6 +128,16 @@ class TestSweepConfigValidation:
         # the neck cell size must be a positive fraction of delta
         ({"h_neck_fraction": 0.0}, "h_neck_fraction"),
         ({"h_neck_fraction": -0.1}, "h_neck_fraction"),
+        # values every ladder point would fail on, deep inside the mesher or solver
+        ({"neck_w": 0.0}, "neck_w"),
+        ({"neck_w": -0.25}, "neck_w"),
+        ({"neck_w": 1.0}, "neck_w"),
+        ({"neck_w": float("nan")}, "neck_w"),
+        ({"delta_start": 0.0}, "delta_start"),
+        ({"delta_start": -0.04}, "delta_start"),
+        ({"delta_start": float("nan")}, "delta_start"),
+        pytest.param({"p": 1.5}, r"^p\b", id="p-below-2"),
+        pytest.param({"p": float("nan")}, r"^p\b", id="p-nan"),
     ])
     def test_rejected_at_construction(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
