@@ -30,13 +30,23 @@ Hessian preconditioned by that factor, stopped at the Eisenstat-Walker
 forcing term (SIAM J. Sci. Comput. 17(1), 1996, choice 2).  Only when CG
 misses it, meets negative curvature or gives no descent is the Hessian
 factored afresh, with SuperLU in symmetric mode, diagonal pivots and a
-minimum-degree ordering of A^T + A.  The stopping test is the exact
-max-norm of the true gradient either way.
+minimum-degree ordering of A^T + A.
+
+Convergence is a property of the solution at the target exponent alone:
+there Newton stops on the true gradient at max|g| <= newton_tol * S, with
+S the largest nodal flux magnitude (or at the rounding floor of g), so a
+converged floating solve balances each particle's flux to newton_tol * S
+whatever path the continuation took.  An intermediate p-stage only seeds
+the next one and stops once max|g| has fallen by STAGE_RTOL.  The forcing
+term is floored at half the stop threshold over ||g||_2, so no step solves
+its linear system further than the stop test can see (Kelley, Iterative
+Methods for Linear and Nonlinear Equations, SIAM 1995, 6.3).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +81,11 @@ ARMIJO_MAX_BACKTRACKS = 50
 ETA_MAX = 1e-2
 ETA_MIN = 1e-6
 CG_MAX_ITER = 8
+# An intermediate p-stage only seeds the next one: it stops once max|g| has
+# fallen by this factor.  On a 19.7k-node p = 6 mesh the floating and tied
+# solves took 7 + 10 factorizations at 0.3 and 0.1, 7 + 5 at 1e-2 and
+# 5 + 6 at 1e-3, with the same answer to 6e-12.
+STAGE_RTOL = 1e-3
 
 
 class SolverError(RuntimeError):
@@ -85,10 +100,13 @@ class SolverError(RuntimeError):
 class SolverConfig:
     """Newton / regularization parameters.
 
-    eps_scale sets the gradient regularization eps =
-    eps_scale * (max U - min U) / R_domain; p_step is the increment of
-    the continuation ladder from p = 2 up to the target exponent, and a
-    p_step <= 0 raises ValueError.
+    newton_tol is relative to the largest nodal flux magnitude of the
+    solution at the target exponent (see `_newton`); max_iter bounds the
+    Newton steps of each p-stage.  eps_scale sets the gradient
+    regularization eps = eps_scale * (max U - min U) / R_domain; p_step
+    is the increment of the continuation ladder from p = 2 up to the
+    target exponent.  max_iter < 1, newton_tol outside (0, 1),
+    eps_scale < 0 and p_step <= 0 (or NaN) raise ValueError.
     """
 
     newton_tol: float = 1e-12
@@ -98,6 +116,12 @@ class SolverConfig:
     p_continuation: bool = True
 
     def __post_init__(self):
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if not 0.0 < self.newton_tol < 1.0:
+            raise ValueError(f"newton_tol must lie in (0, 1), got {self.newton_tol}")
+        if not self.eps_scale >= 0.0:
+            raise ValueError(f"eps_scale must be >= 0, got {self.eps_scale}")
         if not self.p_step > 0.0:
             raise ValueError(f"p_step must be positive, got {self.p_step}")
 
@@ -222,6 +246,26 @@ class _Constraints:
         contrib = w1[:, None] * bg
         return np.bincount(self._g_dof, contrib[self._g_mask], self.n_dof)
 
+    def stop_scales(self, u: np.ndarray, weights) -> tuple[float, float]:
+        """(S, rho) of the stop test at the nodal field u, from its
+        `_element_weights`.  S = max over dofs of sum_e |w1 B^T g|_e is the
+        largest nodal flux magnitude; rho = max over dofs of
+        sum_e w1 |B|^T |B| |u_e| bounds the rounding error of the reduced
+        gradient, a floor no iterate gets below (it decides where S is
+        about 0, as on a constant field)."""
+        bg, w1, _ = weights  # w1 > 0
+        flux = np.abs(bg)
+        flux *= w1[:, None]
+        abs_b = np.abs(self.mesh.grads)
+        bound = np.einsum("eik,ei->ek", abs_b,
+                          np.einsum("eik,ek->ei", abs_b, np.abs(u)[self.mesh.triangles]))
+        bound *= w1[:, None]
+        S, rho = (
+            float(np.max(np.bincount(self._g_dof, a[self._g_mask], self.n_dof), initial=0.0))
+            for a in (flux, bound)
+        )
+        return S, rho
+
     def hess(self, u: np.ndarray, p: float, eps: float, weights=None) -> sp.csc_matrix:
         """Reduced Hessian of the energy at the nodal field u (symmetric,
         CSC); `weights` as for `grad`."""
@@ -312,8 +356,11 @@ def _newton_direction(H: sp.csc_matrix, g: np.ndarray):
         Hk = H + lam * sp.eye(H.shape[0], format="csc") if lam else H
         try:
             # rejected: MMD_AT_PLUS_A without SymmetricMode (1.74 s per
-            # factorization) and a reused ordering with NATURAL (6.4 s,
-            # 10.7M fill), vs 0.07 s here on a 19.1k-dof Hessian.
+            # factorization) vs 0.07 s here on a 19.1k-dof Hessian.  The
+            # ordering is not where the time goes: NATURAL on the Hessian
+            # permuted by argsort(perm_c) reproduces this fill exactly
+            # (672,852 on a 17.8k-dof p = 6 Hessian) in the same time
+            # (49 ms vs 51 ms); permuting by perm_c itself gives 10.8M.
             # Diagonal pivots suffice for SPD; the default threshold 1.0
             # swapped rows on a near-singular tied Hessian and gave a
             # poorer direction there (7 extra Newton steps at p = 4.5).
@@ -359,35 +406,43 @@ def _pcg(H: sp.csc_matrix, g: np.ndarray, lu, rtol: float):
     return None, CG_MAX_ITER
 
 
-def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list):
+def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
+            stage_rtol: float = 0.0):
     """Damped Newton from z0 at one exponent; returns (z, trace).
+
+    The stop test is max|g| <= tol with tol = max(stage_rtol * r0,
+    cfg.newton_tol * S, 64 eps_mach * rho), where r0 is max|g| at z0 and
+    S and rho are `_Constraints.stop_scales`, the nodal flux magnitude and
+    the rounding bound of g.  At the target p (stage_rtol = 0) they are
+    taken at every iterate, which makes the answer a property of that p
+    alone.  An intermediate p-stage only seeds the next one: it passes
+    stage_rtol = STAGE_RTOL, and its threshold is fixed at z0, where the
+    S and rho terms let a stage that starts at the rounding floor (a
+    constant field) stop at once.
 
     `factor` is a one-element list holding the last SuperLU factor of the
     solve (None before the first), possibly made at an earlier p-stage.
     Each step first solves H dz = -g by `_pcg` preconditioned with it, to
     the Eisenstat-Walker forcing term eta_k = min(ETA_MAX,
-    0.9 (||g_k|| / ||g_k-1||)^2), floored at ETA_MIN (eta_0 = ETA_MAX).
-    When CG misses, or no factor is held yet, the old factor is released
-    and `_newton_direction` factors H afresh; the new factor replaces it
-    in `factor`, which is the only reference the solve keeps, so two
-    factors are never held at once.
+    0.9 (||g_k|| / ||g_k-1||)^2), floored at ETA_MIN and at
+    0.5 tol / ||g_k||, so that the last step does not solve past tol
+    (eta_0 = ETA_MAX).  When CG misses, or no factor is held yet, the old
+    factor is released and `_newton_direction` factors H afresh; the new
+    factor replaces it in `factor`, which is the only reference the solve
+    keeps, so two factors are never held at once.
 
-    Each trace entry holds the residual and energy at the start of the
-    iteration, then the accepted step length `t` (0 when no step was
-    taken), the Hessian shift `lam` of this step's factorization (0 when
-    CG gave the step), `cg`, the CG iterations spent (a missed attempt
-    included), `refactor`, true when the step factored the Hessian afresh,
-    and `fallback`, true when no shift gave a descent direction and the
-    step went along the negative gradient.
+    Each trace entry holds the residual, the energy and `tol`, the
+    threshold of the stop test, at the start of the iteration, then the
+    accepted step length `t` (0 when no step was taken), the Hessian shift
+    `lam` of this step's factorization (0 when CG gave the step), `cg`, the
+    CG iterations spent (a missed attempt included), `refactor`, true when
+    the step factored the Hessian afresh, and `fallback`, true when no
+    shift gave a descent direction and the step went along the negative
+    gradient.
     """
     mesh = con.mesh
     z = z0.copy()
     trace = []
-    # residual scale: gradient at the zero-interior lift state, a fixed
-    # problem-intrinsic magnitude (independent of the continuation seed)
-    gref = float(np.max(np.abs(con.grad(con.u_fix, p, eps)), initial=0.0))
-    tol = cfg.newton_tol * max(gref, 1e-300)
-    noise_floor = 64.0 * np.finfo(float).eps * max(gref, 1e-300)
     u = con.expand(z)
     E = energy(mesh, u, p, eps)
     w = _element_weights(mesh, u, p, eps)
@@ -395,16 +450,20 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list):
     g2_prev = None
     for it in range(cfg.max_iter):
         gnorm = float(np.max(np.abs(g)))
-        entry = {"iter": it, "residual": gnorm, "energy": E, "t": 0.0, "lam": 0.0,
-                 "cg": 0, "refactor": False, "fallback": False}
+        if it == 0 or not stage_rtol:
+            S, rho = con.stop_scales(u, w)
+            tol = max(stage_rtol * gnorm, cfg.newton_tol * S,
+                      64.0 * float(np.finfo(float).eps) * rho)
+        entry = {"iter": it, "residual": gnorm, "energy": E, "tol": tol, "t": 0.0,
+                 "lam": 0.0, "cg": 0, "refactor": False, "fallback": False}
         trace.append(entry)
-        if gnorm <= max(tol, noise_floor):
+        if gnorm <= tol:
             return z, trace
         H = con.hess(u, p, eps, w)
         g2 = float(np.linalg.norm(g))
         eta = ETA_MAX
         if g2_prev is not None:
-            eta = max(ETA_MIN, min(ETA_MAX, 0.9 * (g2 / g2_prev) ** 2))
+            eta = min(ETA_MAX, max(ETA_MIN, 0.9 * (g2 / g2_prev) ** 2, 0.5 * tol / g2))
         g2_prev = g2
         dz = None
         if factor[0] is not None:
@@ -479,8 +538,10 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, cfg: SolverConfig, pinned=Non
     z = np.zeros(con.n_dof)
     trace_all = []
     factor = [None]  # the last factor, kept across p-stages as the CG preconditioner
-    for pk in _p_ladder(p, cfg):
-        z, trace = _newton(con, pk, eps, z, cfg, factor)
+    ladder = _p_ladder(p, cfg)
+    for pk in ladder:
+        rtol = 0.0 if pk == ladder[-1] else STAGE_RTOL
+        z, trace = _newton(con, pk, eps, z, cfg, factor, rtol)
         trace_all.extend([{**t, "p": pk} for t in trace])
     sol = DiscreteSolution(
         mesh=mesh,

@@ -26,6 +26,7 @@ import dataclasses
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -109,9 +110,15 @@ class SweepConfig:
     seed.  `datum` is 'linear-y', 'quadratic', or a {'kind': 'table',
     'entries': [[theta, value], ...]} dictionary.
 
-    Construction validates the config before any mesh is built: an
-    unknown datum, p < 2, delta_start <= 0, h_far <= 0, h_neck_fraction
-    outside (0, 0.25], p_step <= 0, an R_out that leaves less than
+    `newton_tol`, `max_iter`, `eps_scale` and `p_step` make up the
+    SolverConfig; `newton_tol` is relative to the largest nodal flux
+    magnitude of the solution at the target p.
+
+    Construction validates the config before any mesh is built: R <= 0,
+    an unknown datum, p < 2, delta_start <= 0, a delta_count that is not
+    an integer >= 1, h_far <= 0, h_neck_fraction outside (0, 0.25], the
+    solver values SolverConfig rejects (max_iter < 1, newton_tol outside
+    (0, 1), eps_scale < 0, p_step <= 0), an R_out that leaves less than
     `clearance` around the particles at delta_start (the widest gap, so
     the whole ladder), or a neck_w outside (0, R) raises ValueError.
     """
@@ -137,20 +144,22 @@ class SweepConfig:
     deviation_slack: float = 0.02
 
     def __post_init__(self):
+        if not self.R > 0.0:
+            raise ValueError(f"R must be positive, got {self.R}")
         if not self.p >= 2.0:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if not self.delta_start > 0.0:
             raise ValueError(f"delta_start must be positive, got {self.delta_start}")
         if not 0.0 < self.delta_ratio < 1.0:
             raise ValueError("delta ladder must be strictly decreasing")
-        if self.delta_count < 1:
-            raise ValueError("delta_count must be >= 1")
+        if not (isinstance(self.delta_count, numbers.Integral) and self.delta_count >= 1):
+            raise ValueError(f"delta_count must be an integer >= 1, got {self.delta_count!r}")
         if not 0.0 < self.h_neck_fraction <= 0.25 + 1e-12:
             raise ValueError(
                 f"h_neck_fraction must lie in (0, 0.25] to keep >= 4 layers across "
                 f"the gap, got {self.h_neck_fraction}"
             )
-        self.solver_config()  # rejects p_step <= 0
+        self.solver_config()  # rejects max_iter, newton_tol, eps_scale, p_step
         if not self.h_far > 0.0:
             raise ValueError(f"h_far must be positive, got {self.h_far}")
         try:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaplaw.barriers import fit_two_point, radial_gradient
 from gaplaw.flux import (
@@ -15,7 +17,7 @@ from gaplaw.flux import (
     sample_neck_flux,
 )
 from gaplaw.geometry import AnnulusSpec, DomainSpec, NeckSpec, ParticlePair
-from gaplaw.mesh import build_annulus_mesh, build_mesh
+from gaplaw.mesh import MeshParams, build_annulus_mesh, build_mesh
 from gaplaw.solver import (
     solve_floating,
     solve_linear_aux,
@@ -81,6 +83,31 @@ class TestBoundaryFlux:
     def test_floating_per_particle_zero(self, floating):
         assert abs(boundary_flux(floating, "particle1")) <= 1e-10
         assert abs(boundary_flux(floating, "particle2")) <= 1e-10
+
+
+class TestFluxConservation:
+    """Criterion 8 across geometries and exponents: a converged floating
+    solve balances each particle's flux and a tied solve the combined flux,
+    to roundoff relative to the largest flux piece."""
+
+    @given(
+        R=st.floats(0.5, 2.0),
+        delta_over_R=st.floats(0.005, 0.05),
+        R_out_over_R=st.floats(2.5, 5.0),
+        p=st.floats(2.0, 6.0),
+    )
+    @settings(max_examples=12, deadline=None)
+    # a geometry whose p = 6 floating defect was 4e-9 when Newton stopped
+    # relative to the gradient of the lift state instead of the flux
+    @example(R=1.0, delta_over_R=0.046875, R_out_over_R=5.0, p=6.0)
+    def test_defects_at_roundoff(self, R, delta_over_R, R_out_over_R, p):
+        pair = ParticlePair(R=R, delta=delta_over_R * R)
+        mesh = build_mesh(DomainSpec(pair=pair, R_out=R_out_over_R * R), MeshParams(h_far=0.5 * R))
+        neck = NeckSpec(pair, 0.25 * R)
+        floating = flux_report(solve_floating(mesh, p=p), neck)
+        assert max(floating.particle_defects_rel) <= 1e-10
+        tied = flux_report(solve_tied(mesh, p=p), neck)
+        assert tied.combined_defect_rel <= 1e-10
 
 
 class TestFluxReport:

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gaplaw.barriers import fit_two_point, radial_eval
+from gaplaw.flux import flux_report, r_delta
 from gaplaw.geometry import AnnulusSpec, DomainSpec, NeckSpec, ParticlePair
 from gaplaw.mesh import TAG_INTERIOR, TAG_OUTER, TAG_P1, TAG_P2, build_annulus_mesh, build_mesh
 import gaplaw.solver as solver
@@ -32,6 +33,11 @@ def two_disk():
 @pytest.fixture(scope="module")
 def floating_p2(two_disk):
     return solve_floating(two_disk, p=2.0)
+
+
+@pytest.fixture(scope="module")
+def narrow_gap():
+    return build_mesh(DomainSpec(pair=ParticlePair(R=1.0, delta=0.01), R_out=4.0))
 
 
 class TestEnergy:
@@ -313,9 +319,11 @@ class TestNewtonTrace:
     def test_fields_on_every_entry(self, two_disk):
         sol = solve_floating(two_disk, p=3.0)
         assert sol.newton_iters == len(sol.trace)
-        fields = {"iter", "residual", "energy", "t", "lam", "cg", "refactor", "fallback", "p"}
+        fields = {"iter", "residual", "energy", "tol", "t", "lam", "cg", "refactor",
+                  "fallback", "p"}
         for entry in sol.trace:
             assert fields <= set(entry)
+            assert type(entry["tol"]) is float and entry["tol"] > 0.0
             assert entry["fallback"] is False
             assert entry["lam"] == 0.0
             assert type(entry["cg"]) is int and 0 <= entry["cg"] <= solver.CG_MAX_ITER
@@ -413,8 +421,8 @@ class TestEvaluationCounts:
         trials = sum(1 + round(-np.log2(t)) for t in steps)
         # one energy per trial, plus the start of each _newton call
         assert calls["energy"] == trials + newton_calls
-        # one per trace entry, plus the residual scale gref of each call
-        assert calls["weights"] == len(sol.trace) + newton_calls
+        # exactly one per trace entry: the stop test reads the same weights
+        assert calls["weights"] == len(sol.trace)
         assert sol.energy == sol.trace[-1]["energy"]
         assert sol.energy == energy(two_disk, sol.u, 3.0, sol.eps)
 
@@ -486,10 +494,6 @@ class TestInexactNewton:
         assert sol.newton_iters == len(sol.trace)
         assert sol.T1 == pytest.approx(want.T1, abs=1e-10)
 
-    @pytest.fixture(scope="class")
-    def narrow_gap(self):
-        return build_mesh(DomainSpec(pair=ParticlePair(R=1.0, delta=0.01), R_out=4.0))
-
     @pytest.mark.parametrize("solve", [solve_floating, solve_tied])
     def test_matches_exact_newton(self, narrow_gap, solve, monkeypatch):
         mesh = narrow_gap
@@ -517,14 +521,117 @@ class TestInexactNewton:
             assert got.gap == want.gap == 0.0
             assert abs(got.T1 - want.T1) <= 1e-8 * np.max(np.abs(want.u))
 
-        outer = mesh.domain.datum_values(mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
-        con = solver._build_constraints(mesh, got.kind, outer)
-        gref = np.max(np.abs(con.grad(con.u_fix, 4.0, got.eps)))
-        stop = max(SolverConfig().newton_tol * gref, 64.0 * np.finfo(float).eps * gref)
         for sol in (got, want):
-            assert sol.trace[-1]["t"] == 0.0
-            assert sol.trace[-1]["residual"] <= stop
+            last = sol.trace[-1]
+            assert last["t"] == 0.0 and last["p"] == 4.0
+            assert last["residual"] <= last["tol"]
+            # the recorded threshold is the flux-scaled stop test at the answer
+            S, rho = self.stop_scales(sol)
+            assert last["tol"] == pytest.approx(
+                max(SolverConfig().newton_tol * S, 64.0 * np.finfo(float).eps * rho),
+                rel=1e-12,
+            )
         assert n_factors < got.newton_iters
+
+    @staticmethod
+    def stop_scales(sol):
+        """S and rho of the stop test, recomputed from the solution."""
+        mesh = sol.mesh
+        outer = mesh.domain.datum_values(mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
+        con = solver._build_constraints(mesh, sol.kind, outer)
+        bg, w1, _ = solver._element_weights(mesh, sol.u, sol.p, sol.eps)
+        P = reduction_oracle(mesh, sol.kind)
+        flux = np.zeros(mesh.n_nodes)
+        np.add.at(flux, mesh.triangles, np.abs(w1[:, None] * bg))
+        b = np.abs(mesh.grads)
+        bound = np.zeros(mesh.n_nodes)
+        np.add.at(bound, mesh.triangles,
+                  w1[:, None] * np.einsum("eik,eil,el->ek", b, b, np.abs(sol.u[mesh.triangles])))
+        return float(np.max(P.T @ flux)), float(np.max(P.T @ bound))
+
+
+class TestStopRule:
+    """Convergence is a property of the target-p solution, not of the path:
+    the last p-stage stops on the flux-scaled test, the others once their
+    residual has fallen by STAGE_RTOL."""
+
+    @pytest.fixture(scope="class")
+    def solves(self, narrow_gap):
+        return {
+            (solve.__name__, p_step): solve(narrow_gap, p=4.0, config=SolverConfig(p_step=p_step))
+            for solve in (solve_floating, solve_tied)
+            for p_step in (0.5, 1.0)
+        }
+
+    @staticmethod
+    def stages(sol):
+        """The trace entries of each p-stage, in ladder order."""
+        stages = {}
+        for entry in sol.trace:
+            stages.setdefault(entry["p"], []).append(entry)
+        return list(stages.items())
+
+    def test_ladders_differ(self, solves):
+        for name in ("solve_floating", "solve_tied"):
+            assert [pk for pk, _ in self.stages(solves[name, 0.5])] == [2.0, 2.5, 3.0, 3.5, 4.0]
+            assert [pk for pk, _ in self.stages(solves[name, 1.0])] == [2.0, 3.0, 4.0]
+
+    # The bounds are tighter than the 1e-9 / 1e-10 that a stop test relative
+    # to the gradient of the lift state also met here (gap 1.6e-11 apart,
+    # R_delta 1.9e-10, particle defects up to 1.3e-11); the flux-scaled test
+    # gives 8e-15, 1.4e-12 and 1.3e-14.
+
+    def test_answer_independent_of_the_path(self, solves):
+        a, b = solves["solve_floating", 0.5], solves["solve_floating", 1.0]
+        for x, y in ((a.T1, b.T1), (a.T2, b.T2), (a.gap, b.gap)):
+            assert x == pytest.approx(y, rel=1e-12, abs=0.0)
+        a, b = solves["solve_tied", 0.5], solves["solve_tied", 1.0]
+        # the tied potential vanishes by symmetry, so its error is measured
+        # against the datum amplitude max|u|
+        assert abs(a.T1 - b.T1) <= 1e-12 * np.max(np.abs(a.u))
+        assert r_delta(a) == pytest.approx(r_delta(b), rel=1e-10, abs=0.0)
+
+    def test_floating_particle_defect(self, solves, narrow_gap):
+        neck = NeckSpec(narrow_gap.domain.pair, 0.25)
+        for p_step in (0.5, 1.0):
+            rep = flux_report(solves["solve_floating", p_step], neck)
+            assert max(rep.particle_defects_rel) <= 1e-12
+
+    def test_stage_stops(self, solves):
+        for sol in solves.values():
+            *intermediate, (p_final, final) = self.stages(sol)
+            assert p_final == sol.p
+            assert final[-1]["t"] == 0.0
+            assert final[-1]["residual"] <= final[-1]["tol"]
+            for _, entries in intermediate:
+                # one threshold per stage, fixed at its first residual
+                assert all(e["tol"] == entries[0]["tol"] for e in entries)
+                assert entries[0]["tol"] >= solver.STAGE_RTOL * entries[0]["residual"]
+                assert entries[-1]["t"] == 0.0
+                assert entries[-1]["residual"] <= solver.STAGE_RTOL * entries[0]["residual"]
+                # no earlier entry of the stage met it
+                assert all(e["residual"] > e["tol"] for e in entries[:-1])
+
+    def test_forcing_term_floor(self, narrow_gap, monkeypatch):
+        """No CG solve is asked for a linear residual below half the stop
+        threshold: rtol ||g||_2 >= min(ETA_MAX ||g||_2, tol / 2)."""
+        calls = []
+        real = solver._pcg
+
+        def pcg(H, g, lu, rtol):
+            calls.append((rtol, float(np.linalg.norm(g))))
+            return real(H, g, lu, rtol)
+
+        monkeypatch.setattr(solver, "_pcg", pcg)
+        sol = solve_floating(narrow_gap, p=4.0)
+        entries = [e for e in sol.trace if e["cg"] > 0]  # one _pcg call each
+        assert len(entries) == len(calls)
+        floored = 0
+        for e, (rtol, g2) in zip(entries, calls):
+            assert solver.ETA_MIN <= rtol <= solver.ETA_MAX
+            assert rtol >= min(solver.ETA_MAX, 0.5 * e["tol"] / g2)
+            floored += rtol == 0.5 * e["tol"] / g2
+        assert floored > 0  # the floor, not the Eisenstat-Walker term, set some steps
 
 
 class TestBincountScatter:

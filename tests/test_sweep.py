@@ -138,6 +138,23 @@ class TestSweepConfigValidation:
         ({"delta_start": float("nan")}, "delta_start"),
         pytest.param({"p": 1.5}, r"^p\b", id="p-below-2"),
         pytest.param({"p": float("nan")}, r"^p\b", id="p-nan"),
+        # solver values every solve would fail on, forwarded to SolverConfig
+        ({"max_iter": 0}, "max_iter"),
+        ({"max_iter": -3}, "max_iter"),
+        ({"max_iter": 2.5}, "max_iter"),
+        ({"newton_tol": -1.0}, "newton_tol"),
+        ({"newton_tol": float("nan")}, "newton_tol"),
+        ({"newton_tol": 0.0}, "newton_tol"),
+        ({"newton_tol": 1.0}, "newton_tol"),
+        ({"eps_scale": -1.0}, "eps_scale"),
+        ({"eps_scale": float("nan")}, "eps_scale"),
+        ({"delta_count": 2.5}, "delta_count"),
+        ({"delta_count": 0}, "delta_count"),
+        ({"delta_count": -1}, "delta_count"),
+        # the particle radius is named before the R_out clearance is checked
+        pytest.param({"R": -1.0}, r"^R\b", id="R-negative"),
+        pytest.param({"R": 0.0}, r"^R\b", id="R-zero"),
+        pytest.param({"R": float("nan")}, r"^R\b", id="R-nan"),
     ])
     def test_rejected_at_construction(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -149,6 +166,24 @@ class TestSweepConfigValidation:
     def test_solver_config_rejects_nonpositive_p_step(self, p_step):
         with pytest.raises(ValueError, match="p_step"):
             SolverConfig(p_step=p_step)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"max_iter": 0}, "max_iter"),
+        ({"max_iter": -1}, "max_iter"),
+        ({"max_iter": 2.5}, "max_iter"),
+        ({"newton_tol": -1.0}, "newton_tol"),
+        ({"newton_tol": float("nan")}, "newton_tol"),
+        ({"newton_tol": 0.0}, "newton_tol"),
+        ({"eps_scale": -1.0}, "eps_scale"),
+        ({"eps_scale": float("nan")}, "eps_scale"),
+    ])
+    def test_solver_config_rejects_unsolvable_values(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**kwargs)
+
+    def test_solver_config_accepts_boundary_values(self):
+        SolverConfig(max_iter=1, eps_scale=0.0, newton_tol=1e-15)
+        SweepConfig(delta_count=1, max_iter=1, eps_scale=0.0)
 
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="R_outer"):
