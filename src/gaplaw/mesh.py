@@ -26,7 +26,8 @@ sorted ends.  Only the marching along the boundary curves and the walk
 around each boundary loop in `_validate` go node by node in Python.
 
 Mirroring makes the whole mesh symmetric under y -> -y as a set of nodes
-and elements, which the odd-symmetry solver tests rely on.  Construction
+and elements; `Mesh.mirror` finds that symmetry from the coordinates, and
+the solver uses it to halve the unknowns under odd or even data.  Construction
 involves no random numbers: fixed inputs give a bitwise-identical mesh.
 
 Annulus meshes for the exact-solution tests are plain structured polar
@@ -106,6 +107,14 @@ class Mesh:
     (areas, P1 gradient operators, the (m, 3, 3) element stiffness
     grads^T grads without the area factor, boundary edges) are computed
     once at construction.
+
+    `mirror` is the node permutation under y -> -y, or None.  It is read
+    off the coordinates, so a mesh loaded from text has it too, and is
+    kept only when the mesh is symmetric as a whole: every x equal and
+    every y negated exactly, interior and outer tags mapped onto
+    themselves and particle 1 onto particle 2, and the elements onto the
+    element set (mirrored nodes under a different triangulation do not
+    give a symmetric energy).
     """
 
     nodes: np.ndarray
@@ -120,6 +129,7 @@ class Mesh:
     stiffness: np.ndarray = field(init=False, repr=False)
     centroids: np.ndarray = field(init=False, repr=False)
     boundary_edges: dict = field(init=False, repr=False)
+    mirror: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=float)
@@ -128,6 +138,7 @@ class Mesh:
         self._orient_ccw()
         self._build_geometry()
         self._build_boundary_edges()
+        self.mirror = self._find_mirror()
 
     # -- construction helpers -------------------------------------------------
 
@@ -179,6 +190,31 @@ class Mesh:
             sel = t1 == tag
             out[tag] = (bedges[sel], bowner[sel])
         self.boundary_edges = out
+
+    def _find_mirror(self) -> np.ndarray | None:
+        x, y = self.nodes[:, 0], self.nodes[:, 1]
+        # the k-th node in (x, y) order mirrors the k-th in (x, -y) order
+        up, down = np.lexsort((y, x)), np.lexsort((-y, x))
+        if not (np.array_equal(x[down], x[up]) and np.array_equal(y[down], -y[up])):
+            return None
+        mirror = np.empty_like(up)
+        mirror[up] = down
+        swap = np.array([TAG_INTERIOR, TAG_OUTER, TAG_P2, TAG_P1], dtype=np.int8)
+        if not np.array_equal(self.node_tags[mirror], swap[self.node_tags]):
+            return None
+
+        n = self.n_nodes
+        if n >= 2**21:  # the element keys below would overflow int64
+            return None
+
+        def element_keys(tris):
+            a, b, c = tris.T
+            lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+            return np.sort((lo * n + a + b + c - lo - hi) * n + hi)
+
+        if not np.array_equal(element_keys(mirror[self.triangles]), element_keys(self.triangles)):
+            return None
+        return mirror
 
     # -- queries --------------------------------------------------------------
 

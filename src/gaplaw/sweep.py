@@ -146,13 +146,14 @@ class SweepConfig:
     def __post_init__(self):
         if not self.R > 0.0:
             raise ValueError(f"R must be positive, got {self.R}")
-        if not self.p >= 2.0:
-            raise ValueError(f"p must be >= 2, got {self.p}")
+        if not 2.0 <= self.p < math.inf:
+            raise ValueError(f"p must be finite and >= 2, got {self.p}")
         if not self.delta_start > 0.0:
             raise ValueError(f"delta_start must be positive, got {self.delta_start}")
         if not 0.0 < self.delta_ratio < 1.0:
             raise ValueError("delta ladder must be strictly decreasing")
-        if not (isinstance(self.delta_count, numbers.Integral) and self.delta_count >= 1):
+        if not (isinstance(self.delta_count, numbers.Integral)
+                and not isinstance(self.delta_count, bool) and self.delta_count >= 1):
             raise ValueError(f"delta_count must be an integer >= 1, got {self.delta_count!r}")
         if not 0.0 < self.h_neck_fraction <= 0.25 + 1e-12:
             raise ValueError(

@@ -31,11 +31,14 @@ def two_disk_domain(delta=0.02, R=1.0, R_out=4.0):
 
 
 def assert_mirror_symmetric(mesh):
-    """Nodes, tags and elements map onto themselves under y -> -y, bitwise."""
+    """Nodes, tags and elements map onto themselves under y -> -y, bitwise,
+    and `mesh.mirror` is that node map."""
     index = {(x, y): i for i, (x, y) in enumerate(map(tuple, mesh.nodes))}
-    for (x, y), tag in zip(map(tuple, mesh.nodes), mesh.node_tags):
+    assert mesh.mirror is not None
+    for i, ((x, y), tag) in enumerate(zip(map(tuple, mesh.nodes), mesh.node_tags)):
         j = index.get((x, -y))
         assert j is not None, f"missing mirror of ({x}, {y})"
+        assert mesh.mirror[i] == j
         mirrored = {TAG_P1: TAG_P2, TAG_P2: TAG_P1}.get(int(tag), int(tag))
         assert int(mesh.node_tags[j]) == mirrored
     # elements mirror as a set
@@ -176,6 +179,23 @@ class TestBuildMesh:
     def test_mirror_symmetry(self, mesh02):
         assert_mirror_symmetric(mesh02)
 
+    def test_flipped_diagonal_has_no_mirror(self, mesh02):
+        """Mirrored nodes under a triangulation that is not mirrored give
+        no symmetric energy, so the mesh reports no mirror."""
+        flipped = flip_one_lower_diagonal(mesh02)
+        assert np.array_equal(flipped.nodes, mesh02.nodes)
+        assert float(np.sum(flipped.areas)) == pytest.approx(float(np.sum(mesh02.areas)), rel=1e-14)
+        assert flipped.mirror is None
+
+    def test_mirror_needs_particle_tags_exchanged(self, mesh02):
+        tags = mesh02.node_tags.copy()
+        tags[mesh02.node_tags == TAG_P1] = TAG_P2
+        tags[mesh02.node_tags == TAG_P2] = TAG_P1
+        swapped = Mesh(mesh02.nodes, mesh02.triangles, tags, mesh02.h_neck, mesh02.h_far)
+        assert np.array_equal(swapped.mirror, mesh02.mirror)
+        tags[mesh02.node_tags == TAG_P2] = TAG_P2  # both particles tagged 2
+        assert Mesh(mesh02.nodes, mesh02.triangles, tags, mesh02.h_neck, mesh02.h_far).mirror is None
+
     def test_tags_present(self, mesh02):
         for tag in (TAG_OUTER, TAG_P1, TAG_P2):
             assert len(mesh02.nodes_with_tag(tag)) > 10
@@ -310,7 +330,34 @@ class TestMeshInvariants:
         assert mesh.boundary_node_residuals() <= 1e-12
 
 
+def flip_one_lower_diagonal(mesh):
+    """The mesh with the diagonal of one convex quad below the axis flipped."""
+    tris = mesh.triangles.copy()
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+
+    def orient(a, b, c):
+        return (x[b] - x[a]) * (y[c] - y[a]) - (x[c] - x[a]) * (y[b] - y[a])
+
+    owners = {}
+    for e in np.flatnonzero(np.all(y[tris] < 0.0, axis=1)):
+        for k in range(3):
+            edge = tuple(sorted((int(tris[e, k]), int(tris[e, (k + 1) % 3]))))
+            owners.setdefault(edge, []).append(e)
+    for (a, b), elements in owners.items():
+        if len(elements) != 2:
+            continue
+        c, d = (int(next(v for v in tris[e] if v not in (a, b))) for e in elements)
+        if orient(c, d, a) * orient(c, d, b) < 0.0:  # the quad a, c, b, d is convex
+            tris[elements] = [[c, d, a], [d, c, b]]
+            return Mesh(mesh.nodes, tris, mesh.node_tags, mesh.h_neck, mesh.h_far, mesh.domain)
+    raise AssertionError("no convex quad below the axis")
+
+
 class TestAnnulusMesh:
+    def test_single_inclusion_has_no_mirror(self):
+        # the inner circle maps onto itself, not onto a second particle
+        assert build_annulus_mesh(AnnulusSpec(1.0, 2.0), 0.2).mirror is None
+
     def test_structure_and_tags(self):
         mesh = build_annulus_mesh(AnnulusSpec(1.0, 2.0), 0.1)
         r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
@@ -340,6 +387,7 @@ class TestSerialization:
         assert np.array_equal(loaded.nodes, mesh02.nodes)
         assert np.array_equal(loaded.triangles, mesh02.triangles)
         assert np.array_equal(loaded.node_tags, mesh02.node_tags)
+        assert np.array_equal(loaded.mirror, mesh02.mirror)
         assert np.array_equal(vals, values)
 
     def test_no_values(self, tmp_path):

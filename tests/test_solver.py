@@ -2,11 +2,22 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaplaw.barriers import fit_two_point, radial_eval
 from gaplaw.flux import flux_report, r_delta
-from gaplaw.geometry import AnnulusSpec, DomainSpec, NeckSpec, ParticlePair
-from gaplaw.mesh import TAG_INTERIOR, TAG_OUTER, TAG_P1, TAG_P2, build_annulus_mesh, build_mesh
+from gaplaw.geometry import AnnulusSpec, DomainSpec, NeckSpec, ParticlePair, datum_values
+from gaplaw.mesh import (
+    TAG_INTERIOR,
+    TAG_OUTER,
+    TAG_P1,
+    TAG_P2,
+    Mesh,
+    MeshParams,
+    build_annulus_mesh,
+    build_mesh,
+)
 import gaplaw.solver as solver
 from gaplaw.solver import (
     SolverConfig,
@@ -22,6 +33,7 @@ from gaplaw.solver import (
     solve_tied,
 )
 from gaplaw.mesh import load_mesh_text, save_mesh_text
+from gaplaw.sweep import SweepConfig
 
 
 @pytest.fixture(scope="module")
@@ -537,10 +549,9 @@ class TestInexactNewton:
     def stop_scales(sol):
         """S and rho of the stop test, recomputed from the solution."""
         mesh = sol.mesh
-        outer = mesh.domain.datum_values(mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
-        con = solver._build_constraints(mesh, sol.kind, outer)
         bg, w1, _ = solver._element_weights(mesh, sol.u, sol.p, sol.eps)
-        P = reduction_oracle(mesh, sol.kind)
+        # both scales sum magnitudes over every node of an unknown
+        P = abs(reduction_oracle(mesh, sol.kind, sol.parity))
         flux = np.zeros(mesh.n_nodes)
         np.add.at(flux, mesh.triangles, np.abs(w1[:, None] * bg))
         b = np.abs(mesh.grads)
@@ -679,61 +690,142 @@ def hess_full_oracle(mesh, u, p, eps):
     return sp.coo_matrix((hloc.ravel(), (rows, cols)), shape=(mesh.n_nodes,) * 2).tocsr()
 
 
-def reduction_oracle(mesh, kind):
-    """P with u = P z + u_fix: one column per interior node, then one per
-    merged particle (two when floating, one shared when tied)."""
-    groups = [[i] for i in mesh.nodes_with_tag(TAG_INTERIOR)]
+def mirror_oracle(mesh):
+    """Node -> its mirror image under y -> -y, looked up by coordinates."""
+    index = {(x, y): i for i, (x, y) in enumerate(mesh.nodes.tolist())}
+    return np.array([index[x, -y] for x, y in mesh.nodes.tolist()])
+
+
+def reduction_oracle(mesh, kind, parity=None):
+    """P with u = P z + u_fix.
+
+    Without parity: one column per interior node, then one per merged
+    particle (two when floating, one shared when tied).  With parity s
+    (-1 for odd fixed data, +1 for even): one column per interior node
+    above the axis, and for s = +1 on it, holding 1 there and s at the
+    node's mirror image; then, when floating, one column with 1 on
+    particle 2 and s on particle 1, and when tied with s = +1, one with 1
+    on both (under s = -1 the tied constant and the axis are fixed at 0).
+    """
+    interior = mesh.nodes_with_tag(TAG_INTERIOR)
     p1, p2 = mesh.nodes_with_tag(TAG_P1), mesh.nodes_with_tag(TAG_P2)
-    if kind == "floating":
-        groups += [p1, p2]
-    elif kind == "tied":
-        groups += [np.concatenate([p1, p2])]
-    rows = np.concatenate([np.asarray(grp, dtype=int) for grp in groups])
-    cols = np.repeat(np.arange(len(groups)), [len(grp) for grp in groups])
-    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(mesh.n_nodes, len(groups)))
+    if parity is None:
+        groups = [([i], [1.0]) for i in interior]
+        if kind == "floating":
+            groups += [(p1, np.ones(len(p1))), (p2, np.ones(len(p2)))]
+        elif kind == "tied":
+            groups += [(np.concatenate([p1, p2]), np.ones(len(p1) + len(p2)))]
+    else:
+        mirror = mirror_oracle(mesh)
+        groups = []
+        for i in interior:
+            y = mesh.nodes[i, 1]
+            if y > 0.0:
+                groups.append(([i, mirror[i]], [1.0, parity]))
+            elif y == 0.0 and parity > 0:
+                groups.append(([i], [1.0]))
+        if kind == "floating":
+            groups.append((np.concatenate([p2, p1]),
+                           np.concatenate([np.ones(len(p2)), np.full(len(p1), parity)])))
+        elif kind == "tied" and parity > 0:
+            groups.append((np.concatenate([p1, p2]), np.ones(len(p1) + len(p2))))
+    rows = np.concatenate([np.asarray(nodes, dtype=int) for nodes, _ in groups])
+    vals = np.concatenate([np.asarray(signs, dtype=float) for _, signs in groups])
+    cols = np.repeat(np.arange(len(groups)), [len(nodes) for nodes, _ in groups])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_nodes, len(groups)))
 
 
+def even_datum(x, y):
+    return x * x
+
+
+# (kind, pinned, datum, parity): the default datum u = y is odd under
+# y -> -y; v1 and the unequal pinned potentials keep the unsigned path
 PROBLEMS = [
-    ("floating", None),
-    ("tied", None),
-    ("prescribed", (-0.3, 0.4)),
-    ("linear-aux", "v1"),
-    ("linear-aux", "v3"),
+    pytest.param("floating", None, None, -1, id="floating-None"),
+    pytest.param("tied", None, None, -1, id="tied-None"),
+    pytest.param("prescribed", (-0.3, 0.4), None, None, id="prescribed-pinned2"),
+    pytest.param("linear-aux", "v1", None, None, id="linear-aux-v1"),
+    pytest.param("linear-aux", "v3", None, -1, id="linear-aux-v3"),
+    pytest.param("floating", None, even_datum, 1, id="floating-even"),
+    pytest.param("tied", None, even_datum, 1, id="tied-even"),
 ]
+
+
+def box_mesh(columns=7):
+    """A mirror-symmetric mesh of the square [-1, 1]^2 without particles.
+
+    The band |y| < 1/2 is cut into rectangles, each split into four
+    elements at its centre on the axis; the left and right ones hold a
+    node pair (x, +-1/2), so a mirror pair meets inside one element, which
+    no two-disk mesh has (its axis is a row of element edges)."""
+    xs = np.linspace(-1.0, 1.0, columns)
+    nodes, tags = [], []
+
+    def node(x, y):
+        nodes.append((x, y))
+        tags.append(TAG_OUTER if abs(x) == 1.0 or abs(y) == 1.0 else TAG_INTERIOR)
+        return len(nodes) - 1
+
+    at = {(i, y): node(x, y) for y in (1.0, 0.5, -0.5, -1.0) for i, x in enumerate(xs)}
+    tris = []
+    for i in range(columns - 1):
+        centre = node(0.5 * (xs[i] + xs[i + 1]), 0.0)
+        for s in (1.0, -1.0):  # the quads between |y| = 1/2 and 1, mirrored
+            tris += [[at[i, 0.5 * s], at[i + 1, 0.5 * s], at[i + 1, s]],
+                     [at[i, 0.5 * s], at[i + 1, s], at[i, s]]]
+        tris += [[at[i, 0.5], at[i + 1, 0.5], centre], [at[i, -0.5], at[i + 1, -0.5], centre],
+                 [at[i, 0.5], at[i, -0.5], centre], [at[i + 1, 0.5], at[i + 1, -0.5], centre]]
+    return Mesh(np.array(nodes), np.array(tris), np.array(tags), 0.5, 0.5)
+
+
+def assert_assembly_matches_oracle(mesh, kind, outer, pinned, parity, p):
+    con = solver._build_constraints(mesh, kind, outer, pinned)
+    assert con.parity == parity
+    P = reduction_oracle(mesh, kind, parity)
+    assert con.n_dof == P.shape[1]
+    z = np.random.default_rng(3).normal(size=con.n_dof)
+    u = con.expand(z)
+    assert np.array_equal(u, P @ z + con.u_fix)
+    eps = 1e-8
+
+    g = con.grad(u, p, eps)
+    g_ref = P.T @ grad_full_oracle(mesh, u, p, eps)
+    assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
+
+    H = con.hess(u, p, eps)
+    H_ref = (P.T @ hess_full_oracle(mesh, u, p, eps) @ P).tocsc()
+    # structural pattern from all-ones element blocks and |P|, so that
+    # no entry is lost to an exact cancellation in the oracle product
+    ones = hess_full_oracle(mesh, u, 2.0, 1.0)
+    ones.data[:] = 1.0
+    pattern = (abs(P).T @ ones @ abs(P)).tocsc()
+    pattern.sort_indices()
+    assert H.format == "csc" and H.has_sorted_indices
+    assert np.array_equal(H.indptr, pattern.indptr)
+    assert np.array_equal(H.indices, pattern.indices)
+    assert abs(H - H.T).max() == 0.0
+    assert abs(H - H_ref).max() <= 1e-13 * abs(H_ref).max()
 
 
 class TestReducedAssembly:
     """Scatter assembly into reduced unknowns against P^T (nodal oracle) P."""
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
-    @pytest.mark.parametrize("kind,pinned", PROBLEMS)
-    def test_matches_nodal_oracle(self, two_disk, kind, pinned, p):
-        outer = two_disk.domain.datum_values(two_disk.nodes[two_disk.nodes_with_tag(TAG_OUTER)])
-        con = solver._build_constraints(two_disk, kind, outer, pinned)
-        P = reduction_oracle(two_disk, kind)
-        assert con.n_dof == P.shape[1]
-        z = np.random.default_rng(3).normal(size=con.n_dof)
-        u = con.expand(z)
-        assert np.array_equal(u, P @ z + con.u_fix)
-        eps = 1e-8
+    @pytest.mark.parametrize("kind,pinned,datum,parity", PROBLEMS)
+    def test_matches_nodal_oracle(self, two_disk, kind, pinned, datum, parity, p):
+        outer = datum_values(datum or two_disk.domain.boundary_datum,
+                             two_disk.nodes[two_disk.nodes_with_tag(TAG_OUTER)])
+        assert_assembly_matches_oracle(two_disk, kind, outer, pinned, parity, p)
 
-        g = con.grad(u, p, eps)
-        g_ref = P.T @ grad_full_oracle(two_disk, u, p, eps)
-        assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
-
-        H = con.hess(u, p, eps)
-        H_ref = (P.T @ hess_full_oracle(two_disk, u, p, eps) @ P).tocsc()
-        # structural pattern from all-ones element blocks, so that no
-        # entry is lost to an exact cancellation in the oracle product
-        ones = hess_full_oracle(two_disk, u, 2.0, 1.0)
-        ones.data[:] = 1.0
-        pattern = (P.T @ ones @ P).tocsc()
-        pattern.sort_indices()
-        assert H.format == "csc" and H.has_sorted_indices
-        assert np.array_equal(H.indptr, pattern.indptr)
-        assert np.array_equal(H.indices, pattern.indices)
-        assert abs(H - H.T).max() == 0.0
-        assert abs(H - H_ref).max() <= 1e-13 * abs(H_ref).max()
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("datum,parity", [(lambda x, y: y, -1), (even_datum, 1)],
+                             ids=["odd", "even"])
+    def test_mirror_pair_in_one_element(self, datum, parity, p):
+        mesh = box_mesh()
+        assert mesh.mirror is not None
+        outer = datum_values(datum, mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
+        assert_assembly_matches_oracle(mesh, "prescribed", outer, (0.0, None), parity, p)
 
     def test_newton_direction_matches_spsolve(self, two_disk, monkeypatch):
         """The solver's first factor-and-solve against spsolve on the oracle."""
@@ -748,10 +840,11 @@ class TestReducedAssembly:
         monkeypatch.setattr(solver.spla, "splu", splu)
         sol = solve_floating(two_disk, p=4.0, config=SolverConfig(p_continuation=False))
         monkeypatch.undo()
+        assert sol.parity == -1
 
         outer = two_disk.domain.datum_values(two_disk.nodes[two_disk.nodes_with_tag(TAG_OUTER)])
         con = solver._build_constraints(two_disk, "floating", outer)
-        P = reduction_oracle(two_disk, "floating")
+        P = reduction_oracle(two_disk, "floating", sol.parity)
         u = con.u_fix  # the first iterate: zero free unknowns
         H_ref = (P.T @ hess_full_oracle(two_disk, u, 4.0, sol.eps) @ P).tocsc()
         g_ref = P.T @ grad_full_oracle(two_disk, u, 4.0, sol.eps)
@@ -760,3 +853,95 @@ class TestReducedAssembly:
         dz = lu.solve(-g_ref)
         dz_ref = spla.spsolve(H_ref, -g_ref)
         assert np.max(np.abs(dz - dz_ref)) <= 1e-10 * np.max(np.abs(dz_ref))
+
+
+class TestMirrorReduction:
+    """Under data that are odd or even in y, Newton runs on the unknowns of
+    the upper half: each node below the axis shares its mirror image's."""
+
+    @pytest.mark.parametrize("datum,parity", [(lambda x, y: y, -1), (even_datum, 1)],
+                             ids=["odd", "even"])
+    def test_mirror_pair_in_one_element(self, datum, parity):
+        mesh = box_mesh()
+        sol = solve_prescribed(mesh, T1=0.0, p=3.0, datum=datum)
+        assert sol.parity == parity
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mesh, "mirror", None)
+            general = solve_prescribed(mesh, T1=0.0, p=3.0, datum=datum)
+        assert general.parity is None
+        assert np.max(np.abs(sol.u - general.u)) <= 1e-12 * np.max(np.abs(general.u))
+        assert sol.energy == pytest.approx(general.energy, rel=1e-12, abs=0.0)
+
+    def test_parity_of_the_solves(self, two_disk, floating_p2):
+        assert floating_p2.parity == -1
+        assert solve_tied(two_disk).parity == -1
+        assert solve_linear_aux(two_disk, "v3").parity == -1
+        # a fallback to the unsigned path would lose the reduction silently
+        assert solve_linear_aux(two_disk, "v1").parity is None
+        assert solve_linear_aux(two_disk, "v2").parity is None
+        quadratic = SweepConfig(datum="quadratic").datum_callable()
+        assert solve_floating(two_disk, p=2.0, datum=quadratic).parity is None
+        assert solve_prescribed(two_disk, T1=-0.3, T2=0.4).parity is None
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_odd_solution_is_exactly_odd(self, two_disk, p):
+        mirror = two_disk.mirror
+        floating = solve_floating(two_disk, p=p)
+        assert floating.T1 == -floating.T2
+        assert np.array_equal(floating.u[mirror], -floating.u)
+        tied = solve_tied(two_disk, p=p)
+        assert tied.T1 == tied.T2 == 0.0
+        assert np.array_equal(tied.u[mirror], -tied.u)
+
+    @pytest.mark.parametrize("solve", [solve_floating, solve_tied])
+    def test_even_datum(self, two_disk, solve):
+        sol = solve(two_disk, p=3.0, datum=even_datum)
+        assert sol.parity == 1
+        assert sol.T1 == sol.T2
+        assert np.array_equal(sol.u[two_disk.mirror], sol.u)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(two_disk, "mirror", None)
+            general = solve(two_disk, p=3.0, datum=even_datum)
+        assert general.parity is None
+        for a, b in ((sol.T1, general.T1), (sol.T2, general.T2), (sol.energy, general.energy)):
+            assert a == pytest.approx(b, rel=1e-10, abs=0.0)
+
+    @given(
+        R=st.floats(0.5, 2.0),
+        delta_over_R=st.floats(0.005, 0.05),
+        R_out_over_R=st.floats(2.5, 5.0),
+        p=st.floats(2.0, 6.0),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_matches_the_general_solve(self, R, delta_over_R, R_out_over_R, p):
+        pair = ParticlePair(R=R, delta=delta_over_R * R)
+        mesh = build_mesh(DomainSpec(pair=pair, R_out=R_out_over_R * R), MeshParams(h_far=0.5 * R))
+        for solve in (solve_floating, solve_tied):
+            reduced = solve(mesh, p=p)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mesh, "mirror", None)
+                general = solve(mesh, p=p)
+            assert (reduced.parity, general.parity) == (-1, None)
+            assert reduced.energy == pytest.approx(general.energy, rel=1e-10, abs=0.0)
+            # the tied potential and both gaps of the tied solve vanish by
+            # symmetry, so they are measured against the datum amplitude
+            scale = np.max(np.abs(general.u))
+            for a, b in ((reduced.T1, general.T1), (reduced.T2, general.T2),
+                         (reduced.gap, general.gap)):
+                if solve is solve_floating:
+                    assert a == pytest.approx(b, rel=1e-10, abs=0.0)
+                else:
+                    assert abs(a - b) <= 1e-10 * scale
+
+
+class TestExponentValidation:
+    @pytest.mark.parametrize("p", [float("inf"), float("nan"), 1.5])
+    def test_rejected_before_the_ladder(self, two_disk, p, monkeypatch):
+        # an infinite p once made the continuation ladder grow without end;
+        # the solve must raise before it builds one
+        def no_ladder(*args):
+            raise AssertionError("the p-ladder was built")
+
+        monkeypatch.setattr(solver, "_p_ladder", no_ladder)
+        with pytest.raises(SolverError, match="exponent"):
+            solve_floating(two_disk, p=p)

@@ -155,6 +155,13 @@ class TestSweepConfigValidation:
         pytest.param({"R": -1.0}, r"^R\b", id="R-negative"),
         pytest.param({"R": 0.0}, r"^R\b", id="R-zero"),
         pytest.param({"R": float("nan")}, r"^R\b", id="R-nan"),
+        # an infinite exponent would make the continuation ladder endless,
+        # an infinite eps_scale every residual NaN; a bool is an Integral
+        # but no count
+        pytest.param({"p": float("inf")}, r"^p\b", id="p-inf"),
+        pytest.param({"eps_scale": float("inf")}, "eps_scale", id="eps_scale-inf"),
+        pytest.param({"max_iter": True}, "max_iter", id="max_iter-bool"),
+        pytest.param({"delta_count": True}, "delta_count", id="delta_count-bool"),
     ])
     def test_rejected_at_construction(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -176,6 +183,8 @@ class TestSweepConfigValidation:
         ({"newton_tol": 0.0}, "newton_tol"),
         ({"eps_scale": -1.0}, "eps_scale"),
         ({"eps_scale": float("nan")}, "eps_scale"),
+        pytest.param({"eps_scale": float("inf")}, "eps_scale", id="eps_scale-inf"),
+        pytest.param({"max_iter": True}, "max_iter", id="max_iter-bool"),
     ])
     def test_solver_config_rejects_unsolvable_values(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
