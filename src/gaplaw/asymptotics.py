@@ -20,19 +20,26 @@ J itself has closed forms.  With x = sqrt(R*delta) t and T^2 = w^2/(R*delta),
               * I_{1/(1+T^2)}^c(p-3/2, 1/2),
 
 the second by s = t^2/(1+t^2), with B the beta function and I^c the
-complement of the regularized incomplete beta function.  `c_o_quadrature`
-extrapolates delta^gamma * J down a delta ladder; the test-suite checks
-the gamma above against the slope of that ladder.
+complement of the regularized incomplete beta function.  As delta -> 0,
+T -> infinity, the last factor tends to 1 in d = 2 and (1+T^2)^(2-p) to 0
+in d = 3, so the limit constant is (`c_o_quadrature`)
+
+    d = 2:  C_o = sqrt(R) * B(1/2, p - 3/2),
+    d = 3:  C_o = pi * R / (p - 2),
+
+whatever the window width.  The test-suite checks the gamma above against
+the slope of J down a delta ladder, and C_o against delta^gamma * J at a
+tiny delta.
 
 For integer p the limit constant has closed forms (`c_o_table`).  In
-d = 2 the table and the quadrature limit agree:
+d = 2 the table and the limit agree:
 
     C_o = pi * sqrt(R) * prod_{k=1}^{p-2} (k - 1/2)/k.
 
-In d = 3 the direct disk-integral limit is pi*R/(p - 2), while the
-tabulated closed forms are smaller by the factor 2^(p-2); both values are
-reported side by side (`table_consistency_report`) and the mismatch is
-flagged rather than silently reconciled.
+In d = 3 the tabulated closed forms are smaller than the disk-integral
+limit pi*R/(p - 2) by the factor 2^(p-2); both values are reported side
+by side (`table_consistency_report`) and the mismatch is flagged rather
+than silently reconciled.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import beta, betaincc
 
 __all__ = [
@@ -58,27 +64,12 @@ __all__ = [
     "table_consistency_report",
 ]
 
-#: delta ladder used for the limit extrapolation of c_o_quadrature.
-DEFAULT_LADDER = tuple(10.0 ** (-4 - k) for k in range(5))
-
-#: default window half-width, as a fraction of R, for the limit integral.
-DEFAULT_WINDOW_FRACTION = 0.25
-
-
 class LogCaseError(ValueError):
     """Raised when (p, d) = (2, 3): the power-law constant degenerates."""
 
 
 class UnsupportedRegimeError(ValueError):
     """Raised for d > p, outside the blow-up regime covered here."""
-
-
-class ExtrapolationError(RuntimeError):
-    """Raised when the delta-ladder extrapolation does not stabilize."""
-
-    def __init__(self, message: str, ladder: list[tuple[float, float]]):
-        super().__init__(message)
-        self.ladder = ladder
 
 
 def is_log_case(p: float, d: int) -> bool:
@@ -177,54 +168,23 @@ def neck_integral(delta: float, w: float, R: float, p: float, d: int) -> float:
     return math.pi * R * delta ** (2.0 - p) * -math.expm1((2.0 - p) * L) / (p - 2.0)
 
 
-def c_o_quadrature(
-    p: float,
-    d: int,
-    R: float,
-    w: float | None = None,
-    ladder: tuple[float, ...] = DEFAULT_LADDER,
-    rtol: float = 1e-6,
-) -> float:
-    """Limit of delta^gamma * neck_integral over a geometric delta ladder.
+def c_o_quadrature(p: float, d: int, R: float) -> float:
+    """Limit constant C_o = lim_{delta -> 0} delta^gamma * neck_integral.
 
-    The finite-window correction expands in powers delta^(gamma + j),
-    j = 0, 1, ...; successive Richardson elimination of those exponents
-    is applied down the ladder and the deepest stabilized column is
-    returned.  The result is window-independent to the stated tolerance.
+    The limit of the closed form of J (module docstring), the same for
+    every window width: sqrt(R) * B(1/2, p - 3/2) in d = 2 and
+    pi * R / (p - 2) in d = 3.
     """
     _check_pd(p, d)
     if is_log_case(p, d):
         raise LogCaseError(
             "(p, d) = (2, 3) grows like log(1/delta); no power-law constant"
         )
-    if w is None:
-        w = DEFAULT_WINDOW_FRACTION * R
-    gamma = gamma_exponent(p, d)
-    deltas = np.asarray(sorted(ladder, reverse=True), dtype=float)
-    if len(deltas) < 3:
-        raise ValueError("ladder needs at least 3 delta values")
-    vals = np.array([d_**gamma * neck_integral(d_, w, R, p, d) for d_ in deltas])
-
-    # Raw ladder already converged (large gamma): take the deepest value.
-    if abs(vals[-1] - vals[-2]) <= 0.5 * rtol * abs(vals[-1]):
-        return float(vals[-1])
-
-    ratio = deltas[1] / deltas[0]
-    if not np.allclose(deltas[1:] / deltas[:-1], ratio, rtol=1e-12):
-        raise ValueError("ladder must be geometric for Richardson extrapolation")
-
-    table = [vals]
-    for level in range(1, len(deltas)):
-        q = ratio ** (gamma + (level - 1))
-        prev = table[-1]
-        table.append((prev[1:] - q * prev[:-1]) / (1.0 - q))
-        last = table[-1]
-        if len(last) >= 2 and abs(last[-1] - last[-2]) <= rtol * abs(last[-1]):
-            return float(last[-1])
-    trace = [(float(dd), float(vv)) for dd, vv in zip(deltas, vals)]
-    raise ExtrapolationError(
-        f"delta-ladder extrapolation did not stabilize to rtol={rtol}", trace
-    )
+    if R <= 0.0:
+        raise ValueError(f"R must be positive, got {R}")
+    if d == 2:
+        return float(math.sqrt(R) * beta(0.5, p - 1.5))
+    return math.pi * R / (p - 2.0)
 
 
 @dataclass(frozen=True)
@@ -325,7 +285,7 @@ def table_consistency_report(
 ) -> ConstantsReport:
     """Compare the closed-form constant against the quadrature limit.
 
-    d = 2 agrees to quadrature accuracy; d = 3 is flagged with the ratio
+    d = 2 agrees to rounding; d = 3 is flagged with the ratio
     quadrature/table = 2^(p-2).  Non-integer p has no closed form and
     only the quadrature value is reported.
     """

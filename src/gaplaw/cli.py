@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    constants --p P --d D --R R [--w W]
+    constants --p P --d D --R R
         print the blow-up exponent, the closed-form and quadrature limit
         constants, and their difference (d = 3 flags the known mismatch)
     solve --config FILE [--out DIR] [--kind KIND] [--delta D]

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 DIM = 2  # the disks, their meshes and every solve live in the plane
+NECK_W_FRACTION = 0.25  # default neck-window half-width, as a fraction of R
 
 GapMode = Literal["exact", "quadratic"]
 
@@ -196,20 +197,6 @@ class NeckSpec:
     def arc_length(self) -> float:
         """Arc length of each of arc_1, arc_2: 2 R asin(w/R)."""
         return 2.0 * self.pair.R * self.arc_halfangle()
-
-    def lateral_wall(self, side: int) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Endpoints of the lateral wall at x = side*w, side in {-1, +1}."""
-        if side not in (-1, 1):
-            raise GeometryError("side must be -1 or +1")
-        x = side * self.w
-        return (x, float(self.pair.lower_arc_y(x))), (x, float(self.pair.upper_arc_y(x)))
-
-    def on_arc(self, x, y, which: int, tol: float = 1e-12) -> bool:
-        """Whether the point lies on neck arc `which` (1 or 2) within tol*R."""
-        cx, cy = self.pair.center1 if which == 1 else self.pair.center2
-        r = math.hypot(x - cx, y - cy)
-        gap_side = y > cy if which == 1 else y < cy
-        return abs(x) <= self.w and gap_side and abs(r - self.pair.R) <= tol * self.pair.R
 
 
 def _linear_y(x, y):

@@ -64,6 +64,8 @@ TAG_P1 = 2
 TAG_P2 = 3
 
 _TAG_NAMES = {TAG_INTERIOR: "interior", TAG_OUTER: "outer", TAG_P1: "particle1", TAG_P2: "particle2"}
+# a node's tag -> its mirror image's under y -> -y: the particles swap
+_MIRROR_TAG = np.array([TAG_INTERIOR, TAG_OUTER, TAG_P2, TAG_P1], dtype=np.int8)
 
 
 class MeshError(RuntimeError):
@@ -199,8 +201,7 @@ class Mesh:
             return None
         mirror = np.empty_like(up)
         mirror[up] = down
-        swap = np.array([TAG_INTERIOR, TAG_OUTER, TAG_P2, TAG_P1], dtype=np.int8)
-        if not np.array_equal(self.node_tags[mirror], swap[self.node_tags]):
+        if not np.array_equal(self.node_tags[mirror], _MIRROR_TAG[self.node_tags]):
             return None
 
         n = self.n_nodes
@@ -547,10 +548,9 @@ def _merge_pieces(strip_nodes, strip_tris, strip_tags, upper_pts, upper_tris, up
     mirrored particle-2 tags become particle 1.  Returns (nodes,
     triangles, tags).
     """
-    mirror_tag = np.array([TAG_INTERIOR, TAG_OUTER, TAG_P2, TAG_P1], dtype=np.int8)
     pts = np.concatenate([strip_nodes, upper_pts, upper_pts * [1.0, -1.0]])
     pts[:, 1] += 0.0
-    tags = np.concatenate([strip_tags, upper_tags, mirror_tag[upper_tags]])
+    tags = np.concatenate([strip_tags, upper_tags, _MIRROR_TAG[upper_tags]])
     key = (pts + 0.0).view(np.dtype((np.void, 16))).ravel()
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)  # sorted keys -> first-seen order
@@ -697,24 +697,50 @@ def save_mesh_text(mesh: Mesh, path, values: np.ndarray | None = None,
 
 
 def load_mesh_text(path) -> tuple[Mesh, np.ndarray | None]:
-    """Read a mesh written by save_mesh_text; returns (mesh, values|None)."""
+    """Read a mesh written by save_mesh_text; returns (mesh, values|None).
+
+    A record with missing, extra or unparseable fields or an unknown tag
+    raises MeshError naming its line, and so do node, triangle or value
+    records that do not match the `counts` header.
+    """
     name_to_tag = {v: k for k, v in _TAG_NAMES.items()}
+    widths = {"counts": 4, "sizes": 3, "node": 5, "tri": 5, "value": 3}  # name included
     nodes, tags, tris, values = [], [], [], []
+    counts = None
     h_neck = h_far = 0.0
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             parts = line.split()
-            if not parts or parts[0] == "#":
+            if not parts or parts[0] not in widths:
                 continue
-            if parts[0] == "sizes":
-                h_neck, h_far = float(parts[1]), float(parts[2])
-            elif parts[0] == "node":
-                nodes.append((float(parts[2]), float(parts[3])))
-                tags.append(name_to_tag[parts[4]])
-            elif parts[0] == "tri":
-                tris.append((int(parts[2]), int(parts[3]), int(parts[4])))
-            elif parts[0] == "value":
-                values.append(float(parts[2]))
+            try:
+                if len(parts) != widths[parts[0]]:
+                    raise ValueError(f"expected {widths[parts[0]]} fields, got {len(parts)}")
+                if parts[0] == "counts":
+                    counts = [int(v) for v in parts[1:]]
+                elif parts[0] == "sizes":
+                    h_neck, h_far = float(parts[1]), float(parts[2])
+                elif parts[0] == "node":
+                    if parts[4] not in name_to_tag:
+                        raise ValueError(f"unknown tag {parts[4]!r}")
+                    nodes.append((float(parts[2]), float(parts[3])))
+                    tags.append(name_to_tag[parts[4]])
+                elif parts[0] == "tri":
+                    tris.append((int(parts[2]), int(parts[3]), int(parts[4])))
+                else:
+                    values.append(float(parts[2]))
+            except ValueError as exc:
+                raise MeshError(
+                    f"{path}, line {lineno}: malformed {parts[0]} record ({exc})"
+                ) from None
+    if counts is None:
+        raise MeshError(f"{path}: no counts header")
+    n_nodes, n_tris, has_values = counts
+    for name, got, want in (("node", nodes, n_nodes), ("tri", tris, n_tris),
+                            ("value", values, n_nodes if has_values else 0)):
+        if len(got) != want:
+            raise MeshError(f"{path}: {len(got)} {name} records, the counts header "
+                            f"{n_nodes} {n_tris} {has_values} asks for {want}")
     mesh = Mesh(
         nodes=np.asarray(nodes),
         triangles=np.asarray(tris, dtype=np.int64),

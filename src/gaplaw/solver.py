@@ -12,7 +12,9 @@ boundary; they differ only in how the inclusion potentials enter:
   tied        a single free constant shared by both particles (only the
               combined flux vanishes)
   prescribed  particle potentials pinned by the caller (no flux condition)
-  linear-aux  the three harmonic unit-datum problems of the p = 2 theory
+
+The three harmonic auxiliaries of the linear (p = 2) theory are
+prescribed solves (`solve_linear_aux`).
 
 Free constants are realized by merging all nodes of a particle into one
 unknown, so no Lagrange multipliers are needed.  The nonlinear solve is
@@ -64,7 +66,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import AnnulusSpec, DomainSpec, NeckSpec, datum_values
+from .geometry import NECK_W_FRACTION, AnnulusSpec, DomainSpec, NeckSpec, datum_values
 from .mesh import TAG_INTERIOR, TAG_OUTER, TAG_P1, TAG_P2, Mesh, save_mesh_text
 
 __all__ = [
@@ -125,7 +127,6 @@ class SolverConfig:
     max_iter: int = 80
     eps_scale: float = 1e-8
     p_step: float = 0.5
-    p_continuation: bool = True
 
     def __post_init__(self):
         if not (isinstance(self.max_iter, numbers.Integral)
@@ -353,17 +354,6 @@ def _build_constraints(mesh: Mesh, kind: str, outer_vals: np.ndarray,
             if T2 is None:
                 raise SolverError("prescribed solve with particle 2 needs T2")
             u_fix[p2] = T2
-    elif kind == "linear-aux":
-        which = pinned
-        u_fix[outer_idx] = 0.0
-        if which == "v1":
-            u_fix[p1] = 1.0
-        elif which == "v2":
-            u_fix[p2] = 1.0
-        elif which == "v3":
-            u_fix[outer_idx] = outer_vals
-        else:
-            raise SolverError(f"unknown auxiliary problem {which!r}")
     else:
         raise SolverError(f"unknown problem kind {kind!r}")
 
@@ -575,7 +565,7 @@ def _domain_scale(mesh: Mesh) -> float:
 
 
 def _p_ladder(p: float, cfg: SolverConfig) -> list[float]:
-    if not cfg.p_continuation or p <= 2.0:
+    if p <= 2.0:
         return [p]
     ladder = [2.0]
     while ladder[-1] + cfg.p_step < p - 1e-12:
@@ -597,8 +587,6 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, cfg: SolverConfig, pinned=Non
         if kind == "prescribed" and pinned is not None:
             vals = np.concatenate([outer_vals, [v for v in pinned if v is not None]])
         span = float(np.max(vals) - np.min(vals)) if len(vals) else 0.0
-        if kind == "linear-aux" and pinned in ("v1", "v2"):
-            span = 1.0
         eps = cfg.eps_scale * span / _domain_scale(mesh)
 
     z = np.zeros(con.n_dof)
@@ -622,12 +610,11 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, cfg: SolverConfig, pinned=Non
         newton_iters=len(trace_all),
         parity=con.parity,
     )
-    if kind in ("floating", "tied"):
-        sol.T1 = float(u[mesh.nodes_with_tag(TAG_P1)[0]])
-        sol.T2 = float(u[mesh.nodes_with_tag(TAG_P2)[0]])
-    elif kind == "prescribed" and pinned is not None:
-        sol.T1 = pinned[0]
-        sol.T2 = pinned[1]
+    p1, p2 = mesh.nodes_with_tag(TAG_P1), mesh.nodes_with_tag(TAG_P2)
+    if len(p1):
+        sol.T1 = float(u[p1[0]])
+    if len(p2):
+        sol.T2 = float(u[p2[0]])
     return sol
 
 
@@ -672,17 +659,30 @@ def solve_prescribed(mesh: Mesh, T1: float, T2: float | None = None,
     return _solve(mesh, "prescribed", datum, p, cfg, pinned=(T1, T2))
 
 
+def _zero_datum(x, y):
+    return 0.0
+
+
+# which -> (T1, T2, datum): the caller's datum where None
+_LINEAR_AUX = {"v1": (1.0, 0.0, _zero_datum), "v2": (0.0, 1.0, _zero_datum),
+               "v3": (0.0, 0.0, None)}
+
+
 def solve_linear_aux(mesh: Mesh, which: str, config: SolverConfig | None = None,
                      datum=None) -> DiscreteSolution:
-    """One of the three harmonic auxiliaries of the linear (p = 2) theory.
+    """One of the three harmonic auxiliaries of the linear (p = 2) theory,
+    as a prescribed solve at p = 2.
 
     v1: 1 on particle 1, 0 on particle 2 and the outer boundary;
     v2: the roles of the particles swapped;
     v3: 0 on both particles, the applied datum on the outer boundary.
+
+    Only v3 reads a datum (the caller's, else the domain's).
     """
-    cfg = config or SolverConfig()
-    return _solve(mesh, "linear-aux", _datum(mesh, datum, "linear-aux"), 2.0, cfg,
-                  pinned=which)
+    if which not in _LINEAR_AUX:
+        raise SolverError(f"unknown auxiliary problem {which!r}")
+    T1, T2, fixed = _LINEAR_AUX[which]
+    return solve_prescribed(mesh, T1, T2, p=2.0, config=config, datum=fixed or datum)
 
 
 # -----------------------------------------------------------------------------
@@ -694,9 +694,12 @@ def grad_max(solution: DiscreteSolution, region: str = "all",
              neck: NeckSpec | None = None) -> tuple[float, tuple[float, float]]:
     """Maximum |grad u| over a region and the attaining element centroid.
 
-    region is one of 'all', 'neck', 'away'; the latter two need the neck
-    window (taken from the domain when not passed explicitly).
+    region is one of 'all', 'neck', 'away' (anything else raises
+    ValueError); the latter two need the neck window, by default the one
+    of half-width NECK_W_FRACTION * R on the mesh's two-particle domain.
     """
+    if region not in ("all", "neck", "away"):
+        raise ValueError(f"unknown region {region!r}: expected 'all', 'neck' or 'away'")
     mesh = solution.mesh
     g = element_gradients(mesh, solution.u)
     mag = np.hypot(g[:, 0], g[:, 1])
@@ -707,7 +710,7 @@ def grad_max(solution: DiscreteSolution, region: str = "all",
             dom = mesh.domain
             if not isinstance(dom, DomainSpec):
                 raise ValueError("neck/away regions need a two-particle domain")
-            neck = NeckSpec(pair=dom.pair, w=0.25 * dom.pair.R)
+            neck = NeckSpec(pair=dom.pair, w=NECK_W_FRACTION * dom.pair.R)
         inside = neck.contains(mesh.centroids[:, 0], mesh.centroids[:, 1])
         mask = inside if region == "neck" else ~inside
         if not np.any(mask):

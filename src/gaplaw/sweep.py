@@ -44,7 +44,7 @@ from .flux import (
     sample_neck_flux,
 )
 from .barriers import barrier_flux_bound
-from .geometry import DIM, DomainSpec, GeometryError, NeckSpec, ParticlePair
+from .geometry import DIM, NECK_W_FRACTION, DomainSpec, GeometryError, NeckSpec, ParticlePair
 from .mesh import MeshParams, build_mesh
 from .solver import (
     DiscreteSolution,
@@ -182,7 +182,7 @@ class SweepConfig:
 
     @property
     def w(self) -> float:
-        return self.neck_w if self.neck_w is not None else 0.25 * self.R
+        return self.neck_w if self.neck_w is not None else NECK_W_FRACTION * self.R
 
     def datum_callable(self):
         if self.datum == "linear-y":

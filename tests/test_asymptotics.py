@@ -152,9 +152,13 @@ class TestCOQuadrature:
         assert c_o_quadrature(2.5, 2, 1.0) == pytest.approx(2.0, rel=1e-6)
 
     def test_window_independence(self):
-        a = c_o_quadrature(3, 2, 1.0, w=0.05)
-        b = c_o_quadrature(3, 2, 1.0, w=0.2)
-        assert a == pytest.approx(b, rel=1e-4)
+        # the closed-form limit against delta^gamma * J at a tiny delta,
+        # whatever the window width; (2.5, 3) and (2, 3) are not allowed
+        delta = 1e-12
+        for p, d in [(2, 2), (2.5, 2), (3, 2), (6, 2), (3, 3), (6, 3)]:
+            for w in (0.05, 0.2, 0.9):
+                oracle = delta ** gamma_exponent(p, d) * neck_integral(delta, w, 1.0, p, d)
+                assert c_o_quadrature(p, d, 1.0) == pytest.approx(oracle, rel=1e-4), (p, d, w)
 
     def test_scale_law(self):
         # sqrt(R) in d = 2, R in d = 3

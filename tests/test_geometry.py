@@ -182,18 +182,6 @@ class TestNeckRegion:
         assert neck.arc_length() == pytest.approx(2.0 * math.asin(0.1), rel=1e-14)
         assert neck.arc_length() == pytest.approx(0.2003, abs=5e-5)
 
-    def test_lateral_walls(self):
-        neck = NeckSpec(PAIR, 0.1)
-        (x0, ylo), (x1, yhi) = neck.lateral_wall(+1)
-        assert x0 == x1 == 0.1
-        assert yhi - ylo == pytest.approx(gap_width(0.1, PAIR, "exact"))
-
-    def test_on_arc_is_gap_side_only(self):
-        neck = NeckSpec(PAIR, 0.1)
-        assert neck.on_arc(0.0, float(PAIR.upper_arc_y(0.0)), which=2)
-        # the far (top) point of particle 2 also has |x| <= w but is not in the neck
-        assert not neck.on_arc(0.0, 2.0 + 0.005, which=2)
-
     def test_invalid_width(self):
         with pytest.raises(GeometryError):
             NeckSpec(PAIR, 1.5)

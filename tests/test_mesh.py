@@ -397,3 +397,53 @@ class TestSerialization:
         loaded, vals = load_mesh_text(path)
         assert vals is None
         assert loaded.n_triangles == mesh.n_triangles
+
+
+class TestLoadValidation:
+    """A damaged text file raises MeshError instead of loading short."""
+
+    @staticmethod
+    def saved_lines(tmp_path):
+        mesh = build_annulus_mesh(AnnulusSpec(1.0, 2.0), 0.2)
+        path = tmp_path / "mesh.txt"
+        save_mesh_text(mesh, path, values=np.zeros(mesh.n_nodes))
+        return path, path.read_text().splitlines(keepends=True)
+
+    @staticmethod
+    def first(lines, record):
+        return next(i for i, line in enumerate(lines) if line.startswith(record + " "))
+
+    @pytest.mark.parametrize("record", ["node", "tri", "value"])
+    def test_missing_record(self, tmp_path, record):
+        path, lines = self.saved_lines(tmp_path)
+        last = max(i for i, line in enumerate(lines) if line.startswith(record + " "))
+        path.write_text("".join(lines[:last] + lines[last + 1:]))
+        with pytest.raises(MeshError, match=f"{record} records, the counts header"):
+            load_mesh_text(path)
+
+    def test_missing_counts(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("".join(line for line in lines if not line.startswith("counts")))
+        with pytest.raises(MeshError, match="no counts header"):
+            load_mesh_text(path)
+
+    def test_unknown_tag(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        k = self.first(lines, "node")
+        lines[k] = lines[k].replace("particle1", "particle9")
+        path.write_text("".join(lines))
+        with pytest.raises(MeshError, match=f"line {k + 1}: .*unknown tag 'particle9'"):
+            load_mesh_text(path)
+
+    @pytest.mark.parametrize("record,damage", [
+        ("tri", lambda line: line.rsplit(" ", 1)[0] + "\n"),  # one vertex short
+        ("node", lambda line: line.replace("node 0 ", "node 0 x")),
+        ("value", lambda line: "value 0\n"),
+    ])
+    def test_malformed_record(self, tmp_path, record, damage):
+        path, lines = self.saved_lines(tmp_path)
+        k = self.first(lines, record)
+        lines[k] = damage(lines[k])
+        path.write_text("".join(lines))
+        with pytest.raises(MeshError, match=f"line {k + 1}: malformed {record} record"):
+            load_mesh_text(path)

@@ -232,6 +232,25 @@ class TestLinearAux:
             assert sol.u.min() >= -1e-12
             assert sol.u.max() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("delta", SweepConfig().deltas)
+    def test_bitwise_equal_to_prescribed(self, delta):
+        cfg = SweepConfig()
+        mesh = build_mesh(cfg.domain(delta), cfg.mesh_params())
+        scfg = cfg.solver_config()
+        for which, T1, T2, datum in (("v1", 1.0, 0.0, zero_datum),
+                                     ("v2", 0.0, 1.0, zero_datum),
+                                     ("v3", 0.0, 0.0, None)):
+            aux = solve_linear_aux(mesh, which, config=scfg)
+            want = solve_prescribed(mesh, T1, T2, p=2.0, config=scfg, datum=datum)
+            assert np.array_equal(aux.u, want.u)
+            assert (aux.kind, aux.p, aux.eps, aux.energy, aux.newton_iters, aux.parity) == (
+                want.kind, want.p, want.eps, want.energy, want.newton_iters, want.parity)
+            assert (aux.T1, aux.T2) == (T1, T2)
+
+    def test_unknown_problem(self, two_disk):
+        with pytest.raises(SolverError, match="v4"):
+            solve_linear_aux(two_disk, "v4")
+
 
 class TestGradMax:
     def test_constant_zero(self, two_disk):
@@ -269,6 +288,12 @@ class TestGradMax:
         with pytest.raises(ValueError):
             grad_max(sol, "neck")
 
+    @pytest.mark.parametrize("region", ["nekc", "Neck"])
+    def test_unknown_region(self, floating_p2, region):
+        # once read as 'away' by the mask ~inside
+        with pytest.raises(ValueError, match=repr(region)):
+            grad_max(floating_p2, region)
+
 
 class TestSolutionSerialization:
     def test_round_trip(self, floating_p2, tmp_path):
@@ -302,6 +327,12 @@ class TestDomainlessMesh:
     def test_without_datum_raises(self, loaded, solve):
         with pytest.raises(SolverError, match="datum"):
             solve(loaded)
+
+    @pytest.mark.parametrize("which", ["v1", "v2"])
+    def test_unit_auxiliaries_need_no_datum(self, two_disk, loaded, which):
+        got = solve_linear_aux(loaded, which)
+        want = solve_linear_aux(two_disk, which)
+        assert np.array_equal(got.u, want.u)
 
     @pytest.mark.parametrize("solve", [solve_floating, solve_tied])
     def test_with_datum_matches_original(self, two_disk, loaded, solve):
@@ -739,14 +770,19 @@ def even_datum(x, y):
     return x * x
 
 
+def zero_datum(x, y):
+    return 0.0
+
+
 # (kind, pinned, datum, parity): the default datum u = y is odd under
-# y -> -y; v1 and the unequal pinned potentials keep the unsigned path
+# y -> -y; the unequal pinned potentials, v1's among them, keep the
+# unsigned path
 PROBLEMS = [
     pytest.param("floating", None, None, -1, id="floating-None"),
     pytest.param("tied", None, None, -1, id="tied-None"),
     pytest.param("prescribed", (-0.3, 0.4), None, None, id="prescribed-pinned2"),
-    pytest.param("linear-aux", "v1", None, None, id="linear-aux-v1"),
-    pytest.param("linear-aux", "v3", None, -1, id="linear-aux-v3"),
+    pytest.param("prescribed", (1.0, 0.0), zero_datum, None, id="prescribed-v1"),
+    pytest.param("prescribed", (0.0, 0.0), None, -1, id="prescribed-v3"),
     pytest.param("floating", None, even_datum, 1, id="floating-even"),
     pytest.param("tied", None, even_datum, 1, id="tied-even"),
 ]
@@ -838,7 +874,8 @@ class TestReducedAssembly:
             return lu
 
         monkeypatch.setattr(solver.spla, "splu", splu)
-        sol = solve_floating(two_disk, p=4.0, config=SolverConfig(p_continuation=False))
+        monkeypatch.setattr(solver, "_p_ladder", lambda p, cfg: [p])  # no continuation
+        sol = solve_floating(two_disk, p=4.0)
         monkeypatch.undo()
         assert sol.parity == -1
 
