@@ -45,6 +45,15 @@ halves the unknowns and cuts the fill of each factorization by about two
 thirds.  Data without a parity (v1, v2, the quadratic datum, a general
 table) keep the unsigned map.
 
+Under a reduction the element work halves too: an element below the axis
+adds to the energy, the gradient, the Hessian and the stop scales exactly
+what its mirror image adds, up to rounding.  So Newton sums over one
+element of each mirror pair, the ones with centroid y >= 0, with the
+areas weighted by the orbit size: 2 above the axis, 1 for an element that
+is its own mirror image (`_Constraints.elements`).  Post-processing (flux
+reports, `grad_max`, the Q functional) reads the full mesh and the
+expanded field.
+
 Convergence is a property of the solution at the target exponent alone:
 there Newton stops on the true gradient at max|g| <= newton_tol * S, with
 S the largest nodal flux magnitude (or at the rounding floor of g), so a
@@ -146,7 +155,10 @@ class DiscreteSolution:
 
     `parity` is -1 or +1 when the solve ran on the mirror-symmetric half
     of the unknowns (odd or even fixed data, see `_build_constraints`),
-    None otherwise.
+    None otherwise.  `energy` is the value Newton accepted at the last
+    iterate.  Without a parity it equals `energy(mesh, u, p, eps)` bit for
+    bit; with one it is the orbit-weighted sum over half the elements and
+    lies within a few ulp of it (the tests allow 4).
     """
 
     mesh: Mesh
@@ -184,7 +196,9 @@ def energy(mesh: Mesh, u: np.ndarray, p: float, eps: float = 0.0) -> float:
     """Regularized p-Dirichlet energy of a nodal field.
 
     Exact for piecewise-linear u at eps = 0 (the integrand is constant
-    per element), and convex in u for p >= 2.
+    per element), and convex in u for p >= 2.  `mesh` may be any object
+    with the mesh's `triangles`, `grads` and `areas`, as Newton's orbit
+    representatives (`_Constraints.elements`) are.
     """
     g = element_gradients(mesh, u)
     s = eps * eps + np.einsum("ei,ei->e", g, g)
@@ -221,6 +235,17 @@ def _grad_full(mesh: Mesh, u: np.ndarray, p: float, eps: float) -> np.ndarray:
 # -----------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _ElementSet:
+    """The element arrays the Newton sums run over: an orbit
+    representative of each mirror pair, areas times orbit size."""
+
+    triangles: np.ndarray
+    grads: np.ndarray
+    areas: np.ndarray
+    stiffness: np.ndarray
+
+
 class _Constraints:
     """Reduction u = u_fix + sign * z[dof] from nodal values to free unknowns.
 
@@ -236,19 +261,39 @@ class _Constraints:
     sign_k sign_l, in a fixed slot of a CSC pattern, so one `np.bincount`
     fills the matrix.  A sign of 1 multiplies exactly, so without a
     reduction the assembly is the unsigned one bit for bit.
+
+    `elements` is what the energy, the element weights, the gradient, the
+    Hessian and the stop scales sum over.  Without a reduction it is the
+    mesh itself.  Under one, an element and its mirror image add the same
+    terms to every reduced sum (the field has the data's parity, so the
+    two see mirrored gradients of equal length), and `elements` holds one
+    element of each orbit: those with centroid y >= 0, the areas of the
+    ones above the axis doubled.  An element with centroid y exactly 0
+    keeps weight 1: it is its own mirror image, or its image is kept too.
+    The centroid is summed over the sorted vertex y, an order in which the
+    mirror negates it exactly, so an element and its image never land on
+    the same side of the axis.
     """
 
     def __init__(self, mesh: Mesh, dof: np.ndarray, n_dof: int, u_fix: np.ndarray,
                  sign: np.ndarray, parity: int | None):
-        self.mesh = mesh
         self.n_dof = n_dof
         self.u_fix = u_fix
         self.parity = parity
+        self.elements = mesh
+        if parity is not None:
+            ys = np.sort(mesh.nodes[mesh.triangles, 1], axis=1)
+            y = (ys[:, 0] + ys[:, 2]) + ys[:, 1]  # 3 x centroid y
+            keep = y >= 0.0
+            self.elements = _ElementSet(
+                triangles=mesh.triangles[keep], grads=mesh.grads[keep],
+                areas=mesh.areas[keep] * np.where(y[keep] > 0.0, 2.0, 1.0),
+                stiffness=mesh.stiffness[keep])
         self._free = np.flatnonzero(dof >= 0)
         self._free_dof = dof[self._free]
         self._free_sign = sign[self._free]
-        edof = dof[mesh.triangles]
-        esign = sign[mesh.triangles]
+        edof = dof[self.elements.triangles]
+        esign = sign[self.elements.triangles]
         self._g_mask = edof >= 0
         self._g_dof = edof[self._g_mask]
         self._g_sign = esign[self._g_mask]
@@ -269,8 +314,9 @@ class _Constraints:
 
     def grad(self, u: np.ndarray, p: float, eps: float, weights=None) -> np.ndarray:
         """Reduced gradient of the energy at the nodal field u; `weights`
-        is `_element_weights(mesh, u, p, eps)` when the caller has it."""
-        bg, w1, _ = weights or _element_weights(self.mesh, u, p, eps)
+        is `_element_weights(self.elements, u, p, eps)` when the caller
+        has it."""
+        bg, w1, _ = weights or _element_weights(self.elements, u, p, eps)
         contrib = w1[:, None] * bg
         return np.bincount(self._g_dof, contrib[self._g_mask] * self._g_sign, self.n_dof)
 
@@ -286,9 +332,9 @@ class _Constraints:
         bg, w1, _ = weights  # w1 > 0
         flux = np.abs(bg)
         flux *= w1[:, None]
-        abs_b = np.abs(self.mesh.grads)
+        abs_b = np.abs(self.elements.grads)
         bound = np.einsum("eik,ei->ek", abs_b,
-                          np.einsum("eik,ek->ei", abs_b, np.abs(u)[self.mesh.triangles]))
+                          np.einsum("eik,ek->ei", abs_b, np.abs(u)[self.elements.triangles]))
         bound *= w1[:, None]
         S, rho = (
             float(np.max(np.bincount(self._g_dof, a[self._g_mask], self.n_dof), initial=0.0))
@@ -299,8 +345,8 @@ class _Constraints:
     def hess(self, u: np.ndarray, p: float, eps: float, weights=None) -> sp.csc_matrix:
         """Reduced Hessian of the energy at the nodal field u (symmetric,
         CSC); `weights` as for `grad`."""
-        bg, w1, w2 = weights or _element_weights(self.mesh, u, p, eps)
-        hloc = w1[:, None, None] * self.mesh.stiffness
+        bg, w1, w2 = weights or _element_weights(self.elements, u, p, eps)
+        hloc = w1[:, None, None] * self.elements.stiffness
         hloc += w2[:, None, None] * np.einsum("ek,el->ekl", bg, bg)
         data = np.bincount(
             self._h_slot, hloc.reshape(-1, 9)[self._h_mask] * self._h_sign,
@@ -494,12 +540,12 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
     shift gave a descent direction and the step went along the negative
     gradient.
     """
-    mesh = con.mesh
+    elements = con.elements
     z = z0.copy()
     trace = []
     u = con.expand(z)
-    E = energy(mesh, u, p, eps)
-    w = _element_weights(mesh, u, p, eps)
+    E = energy(elements, u, p, eps)
+    w = _element_weights(elements, u, p, eps)
     g = con.grad(u, p, eps, w)
     g2_prev = None
     for it in range(cfg.max_iter):
@@ -534,7 +580,7 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
         for _ in range(ARMIJO_MAX_BACKTRACKS):
             z_try = z + t * dz
             u_try = con.expand(z_try)
-            E_try = energy(mesh, u_try, p, eps)
+            E_try = energy(elements, u_try, p, eps)
             if E_try <= E + ARMIJO_C1 * t * slope or E_try <= E * (1 + 1e-15):
                 break
             t *= ARMIJO_SHRINK
@@ -545,7 +591,7 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
             )
         entry["t"] = t
         z, u, E = z_try, u_try, E_try
-        w = _element_weights(mesh, u, p, eps)
+        w = _element_weights(elements, u, p, eps)
         g = con.grad(u, p, eps, w)
     gnorm = float(np.max(np.abs(g)))
     raise SolverError(

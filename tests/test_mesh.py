@@ -326,6 +326,15 @@ class TestMeshInvariants:
         # at least 4 layers across the gap: >= 5 nodes on the x = 0 column inside it
         on_axis = mesh.nodes[mesh.nodes[:, 0] == 0.0]
         assert np.sum(np.abs(on_axis[:, 1]) <= 0.5 * delta * (1 + 1e-12)) >= 5
+        # the element orbits Newton sums over under a mirror reduction: each
+        # element above the axis has its image below it, and none lies on
+        # it (the axis is a row of element edges)
+        cy = mesh.centroids[:, 1]
+        assert 2 * np.sum(cy > 0.0) + np.sum(cy == 0.0) == mesh.n_triangles
+        assert not np.any(cy == 0.0)
+        lower = set(map(tuple, np.sort(mesh.triangles[cy < 0.0], axis=1)))
+        images = np.sort(mesh.mirror[mesh.triangles[cy > 0.0]], axis=1)
+        assert all(tuple(t) in lower for t in images)
         _validate(mesh)
         assert mesh.boundary_node_residuals() <= 1e-12
 

@@ -467,7 +467,15 @@ class TestEvaluationCounts:
         # exactly one per trace entry: the stop test reads the same weights
         assert calls["weights"] == len(sol.trace)
         assert sol.energy == sol.trace[-1]["energy"]
-        assert sol.energy == energy(two_disk, sol.u, 3.0, sol.eps)
+        # under the mirror reduction Newton sums one element of each mirror
+        # pair, weighted by its orbit size: a few ulp from the full sum
+        assert sol.parity == -1
+        full = energy(two_disk, sol.u, 3.0, sol.eps)
+        assert abs(sol.energy - full) <= 4 * np.finfo(float).eps * full
+        # without a parity the sums run over the mesh itself, bit for bit
+        v1 = solve_linear_aux(two_disk, "v1")
+        assert v1.parity is None
+        assert v1.energy == energy(two_disk, v1.u, 2.0, v1.eps)
 
     def test_stiffness_stored_on_the_mesh(self, two_disk, tmp_path):
         stiffness = np.einsum("eik,eil->ekl", two_disk.grads, two_disk.grads)
@@ -890,6 +898,92 @@ class TestReducedAssembly:
         dz = lu.solve(-g_ref)
         dz_ref = spla.spsolve(H_ref, -g_ref)
         assert np.max(np.abs(dz - dz_ref)) <= 1e-10 * np.max(np.abs(dz_ref))
+
+
+def full_sum_twin(mesh, con):
+    """`con`'s reduction (same dof and sign) with its sums over every
+    element of the mesh instead of one element of each mirror pair."""
+    dof = np.full(mesh.n_nodes, -1)
+    dof[con._free] = con._free_dof
+    sign = np.ones(mesh.n_nodes)
+    sign[con._free] = con._free_sign
+    return solver._Constraints(mesh, dof, con.n_dof, con.u_fix, sign, None)
+
+
+def assert_close(a, b, rtol=1e-13):
+    assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
+class TestOrbitSums:
+    """Under a mirror reduction the Newton sums run over one element of
+    each mirror pair, its area weighted by the orbit size."""
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("kind", ["floating", "tied"])
+    def test_two_disk_odd(self, two_disk, kind, p):
+        outer = two_disk.domain.datum_values(two_disk.nodes[two_disk.nodes_with_tag(TAG_OUTER)])
+        self.assert_matches_full_sums(two_disk, kind, outer, None, -1, p)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("datum,parity", [(lambda x, y: y, -1), (even_datum, 1)],
+                             ids=["odd", "even"])
+    def test_box_mesh(self, datum, parity, p):
+        mesh = box_mesh()
+        outer = datum_values(datum, mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
+        self.assert_matches_full_sums(mesh, "prescribed", outer, (0.0, None), parity, p)
+
+    @staticmethod
+    def assert_matches_full_sums(mesh, kind, outer, pinned, parity, p):
+        con = solver._build_constraints(mesh, kind, outer, pinned)
+        assert con.parity == parity
+        full = full_sum_twin(mesh, con)
+        cy = mesh.centroids[:, 1]
+        assert len(con.elements.areas) == np.sum(cy >= 0.0) < mesh.n_triangles
+        u = con.expand(np.random.default_rng(5).normal(size=con.n_dof))
+        eps = 1e-8
+        assert energy(con.elements, u, p, eps) == pytest.approx(
+            energy(mesh, u, p, eps), rel=1e-13, abs=0.0)
+        w, w_full = (solver._element_weights(c.elements, u, p, eps) for c in (con, full))
+        assert_close(con.grad(u, p, eps, w), full.grad(u, p, eps, w_full))
+        H, H_full = con.hess(u, p, eps, w), full.hess(u, p, eps, w_full)
+        assert np.array_equal(H.indptr, H_full.indptr)
+        assert np.array_equal(H.indices, H_full.indices)
+        assert_close(H.data, H_full.data)
+        for a, b in zip(con.stop_scales(u, w), full.stop_scales(u, w_full)):
+            assert a == pytest.approx(b, rel=1e-13, abs=0.0)
+
+    def test_self_mirrored_elements_weigh_once(self):
+        mesh = box_mesh()
+        outer = datum_values(lambda x, y: y, mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
+        con = solver._build_constraints(mesh, "prescribed", outer, (0.0, None))
+        cy = mesh.centroids[:, 1]
+        on_axis = cy == 0.0
+        assert np.any(on_axis)  # each is its own mirror image on this mesh
+        weight = con.elements.areas / mesh.areas[cy >= 0.0]
+        assert np.array_equal(weight, np.where(on_axis[cy >= 0.0], 1.0, 2.0))
+        # weight 2 on them would count their area, and energy, once more
+        assert np.sum(con.elements.areas) == pytest.approx(np.sum(mesh.areas), rel=1e-14)
+
+    def test_pair_across_the_axis_weighs_twice(self):
+        # an element crossing the axis and its image, whose centroid y in
+        # vertex order reads 0.0 and 9e-18: both would land on y >= 0
+        y = np.array([-0.39, -0.09, 0.48])
+        nodes = np.column_stack([np.tile([0.0, 1.0, 0.5], 2), np.concatenate([y, -y])])
+        mesh = Mesh(nodes, np.array([[0, 1, 2], [3, 4, 5]]), np.full(6, TAG_OUTER), 0.5, 0.5)
+        assert mesh.mirror is not None
+        assert mesh.centroids[0, 1] == 0.0 < mesh.centroids[1, 1]
+        outer = datum_values(lambda x, y: y, mesh.nodes)
+        con = solver._build_constraints(mesh, "prescribed", outer, (0.0, None))
+        assert con.parity == -1
+        assert np.sum(con.elements.areas) == pytest.approx(np.sum(mesh.areas), rel=1e-14)
+
+    def test_general_path_sums_over_the_mesh(self, two_disk):
+        outer = np.zeros(len(two_disk.nodes_with_tag(TAG_OUTER)))
+        con = solver._build_constraints(two_disk, "prescribed", outer, (1.0, 0.0))  # v1
+        assert con.parity is None
+        assert con.elements is two_disk
+        for name in ("triangles", "grads", "areas", "stiffness"):
+            assert getattr(con.elements, name) is getattr(two_disk, name)
 
 
 class TestMirrorReduction:
