@@ -257,13 +257,15 @@ def predict(p: float, d: int, R: float, R0: float, delta: float,
 
 @dataclass(frozen=True)
 class ConstantsReport:
-    """Side-by-side closed-form and quadrature constants for one (p, d, R).
+    """Side-by-side table and limit constants for one (p, d, R).
 
-    For d = 3 the quadrature limit is pi*R/(p-2) while the closed-form
-    pattern is smaller by 2^(p-2); `mismatch` flags any relative
+    `quadrature_value` is the limit constant C_o of `c_o_quadrature`, the
+    closed-form delta -> 0 limit of delta^gamma * J (no quadrature is
+    computed; the name is kept for its callers), and `table_value` the
+    integer-p table entry.  For d = 3 the limit is pi*R/(p-2) while the
+    table pattern is smaller by 2^(p-2); `mismatch` flags any relative
     difference above `tol`, and for the log pair (2, 3) the tabulated
-    value pi*R*log(R) is recorded next to the quadrature log-coefficient
-    pi*R.
+    value pi*R*log(R) is recorded next to the limit log-coefficient pi*R.
     """
 
     p: float
@@ -283,11 +285,12 @@ class ConstantsReport:
 def table_consistency_report(
     p: float, d: int, R: float, tol: float = 1e-4
 ) -> ConstantsReport:
-    """Compare the closed-form constant against the quadrature limit.
+    """Compare the integer-p table constant against the delta -> 0 limit
+    constant (`c_o_quadrature`, a closed form).
 
     d = 2 agrees to rounding; d = 3 is flagged with the ratio
-    quadrature/table = 2^(p-2).  Non-integer p has no closed form and
-    only the quadrature value is reported.
+    limit/table = 2^(p-2).  Non-integer p has no table entry and only the
+    limit value is reported.
     """
     _check_pd(p, d)
     if is_log_case(p, d):
@@ -299,7 +302,7 @@ def table_consistency_report(
             mismatch=True,
             ratio=None,
             note=(
-                "logarithmic case: quadrature gives J ~ pi*R*log(1/delta); the "
+                "logarithmic case: the closed form gives J ~ pi*R*log(1/delta); the "
                 "tabulated closed form pi*R*log(R) does not match that "
                 "normalization and is reported verbatim"
             ),
@@ -330,5 +333,5 @@ def table_consistency_report(
     return ConstantsReport(
         p=p, d=d, R=R, gamma=gamma, table_value=None, quadrature_value=quad,
         mismatch=False, ratio=None,
-        note="non-integer p: quadrature value only",
+        note="non-integer p: limit value only",
     )

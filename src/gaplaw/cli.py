@@ -3,8 +3,9 @@
 Subcommands:
 
     constants --p P --d D --R R
-        print the blow-up exponent, the closed-form and quadrature limit
-        constants, and their difference (d = 3 flags the known mismatch)
+        print the blow-up exponent, the delta -> 0 limit constant and the
+        integer-p table constant, and their difference (d = 3 flags the
+        known mismatch)
     solve --config FILE [--out DIR] [--kind KIND] [--delta D]
         one solve from a sweep config; writes solution.txt and flux.json
     sweep --config FILE --out DIR
@@ -59,21 +60,21 @@ def _cmd_constants(args) -> int:
     print(f"p = {args.p:g}, d = {args.d}, R = {args.R:g}")
     if rep.gamma is None:
         print("gamma: logarithmic case (gap law carries log(1/delta), no power)")
-        print(f"quadrature log-coefficient: {rep.log_coefficient!r}")
-        print(f"tabulated closed form:      {rep.table_log_value!r}")
+        print(f"limit log-coefficient (closed form, delta -> 0): {rep.log_coefficient!r}")
+        print(f"tabulated closed form: {rep.table_log_value!r}")
     else:
         print(f"gamma: {rep.gamma!r}")
         quad = rep.quadrature_value
-        print(f"quadrature constant: {quad!r}")
+        print(f"limit constant (closed form, delta -> 0): {quad!r}")
         if rep.table_value is not None:
-            print(f"closed-form constant: {rep.table_value!r}")
+            print(f"table constant (integer p): {rep.table_value!r}")
             print(f"difference: {quad - rep.table_value!r}")
             if rep.ratio is not None:
-                print(f"ratio quadrature/closed-form: {rep.ratio!r}")
+                print(f"ratio limit/table: {rep.ratio!r}")
             if rep.table_general_row is not None:
-                print(f"closed-form general-p row: {rep.table_general_row!r}")
+                print(f"table general-p row: {rep.table_general_row!r}")
         else:
-            print("closed-form constant: none (non-integer p)")
+            print("table constant: none (non-integer p)")
     if rep.mismatch:
         print(f"MISMATCH FLAGGED: {rep.note}")
     return EXIT_PASS

@@ -340,12 +340,22 @@ def q_functional(v1: DiscreteSolution, v2: DiscreteSolution,
 
     Q = flux_1(v3) * b_2 - flux_2(v3) * b_1, with flux_i over particle i
     and b_j over the outer boundary.  All three solutions must live on
-    the same mesh; the tied linear solution is reconstructed by
-    superposition, which is exact for the discrete problems.
+    the same mesh, at p = 2, with particle potentials (T1, T2) of
+    (1, 0), (0, 1) and (0, 0) in that order; anything else raises
+    FluxError naming the argument.  The tied linear solution is
+    reconstructed by superposition, which is exact for the discrete
+    problems.
     """
     mesh = v1.mesh
     if v2.mesh is not mesh or v3.mesh is not mesh:
         raise FluxError("q_functional needs all three auxiliaries on one mesh")
+    for name, sol, pinned in (("v1", v1, (1.0, 0.0)), ("v2", v2, (0.0, 1.0)),
+                              ("v3", v3, (0.0, 0.0))):
+        if sol.p != 2.0:
+            raise FluxError(f"q_functional: {name} is a p = {sol.p} solution, expected p = 2")
+        if (sol.T1, sol.T2) != pinned:
+            raise FluxError(f"q_functional: {name} has particle potentials "
+                            f"{(sol.T1, sol.T2)}, expected {pinned}")
     a = np.empty((2, 3))
     b = np.empty(3)
     for j, sol in enumerate((v1, v2, v3)):

@@ -377,7 +377,11 @@ class _UpperRegion:
         return np.minimum(self.h_far, self.h_ifc + GRADING * dist)
 
     def sizing(self, pts: np.ndarray) -> np.ndarray:
-        x, y = pts[:, 0], pts[:, 1]
+        return self.sizing_xy(pts[:, 0], pts[:, 1])
+
+    def sizing_xy(self, x, y):
+        """Target cell size at coordinates x, y: arrays, or the scalars of
+        one point (the boundary marching), through the same ufuncs."""
         dx = np.maximum(np.abs(x) - self.xs_half, 0.0)
         dy = np.maximum(np.abs(y) - self.y_box, 0.0)
         return self.size_at(np.hypot(dx, dy))
@@ -459,7 +463,7 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
     region = _UpperRegion(domain, params, xs_half, h_ifc)
 
     def hsize(x, y):
-        return float(region.sizing(np.array([[x, y]]))[0])
+        return float(region.sizing_xy(x, y))
 
     # fixed boundary nodes of the upper region -------------------------------
     M = len(xs)

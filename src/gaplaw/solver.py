@@ -14,7 +14,8 @@ boundary; they differ only in how the inclusion potentials enter:
   prescribed  particle potentials pinned by the caller (no flux condition)
 
 The three harmonic auxiliaries of the linear (p = 2) theory are
-prescribed solves (`solve_linear_aux`).
+prescribed solves (`solve_linear_aux`); on a mirror-symmetric mesh v2 is
+also v1's mirror image (`mirrored`).
 
 Free constants are realized by merging all nodes of a particle into one
 unknown, so no Lagrange multipliers are needed.  The nonlinear solve is
@@ -87,6 +88,7 @@ __all__ = [
     "solve_tied",
     "solve_prescribed",
     "solve_linear_aux",
+    "mirrored",
     "grad_max",
     "element_gradients",
     "recovered_node_gradients",
@@ -729,6 +731,25 @@ def solve_linear_aux(mesh: Mesh, which: str, config: SolverConfig | None = None,
         raise SolverError(f"unknown auxiliary problem {which!r}")
     T1, T2, fixed = _LINEAR_AUX[which]
     return solve_prescribed(mesh, T1, T2, p=2.0, config=config, datum=fixed or datum)
+
+
+def mirrored(solution: DiscreteSolution) -> DiscreteSolution:
+    """The solution composed with the mesh's mirror y -> -y.
+
+    The mirror swaps the particles, so the image of v1 is v2: the problem
+    with the particle potentials swapped and the mirrored datum (zero for
+    both).  The image keeps `p`, `eps`, `energy`, `config` and `parity`;
+    its trace is empty and `newton_iters` 0, since no Newton ran.  Raises
+    SolverError when the mesh has no mirror.
+    """
+    mirror = solution.mesh.mirror
+    if mirror is None:
+        raise SolverError("mirrored needs a mesh with a mirror map (Mesh.mirror)")
+    return DiscreteSolution(
+        mesh=solution.mesh, u=solution.u[mirror], kind=solution.kind, p=solution.p,
+        eps=solution.eps, energy=solution.energy, T1=solution.T2, T2=solution.T1,
+        config=solution.config, parity=solution.parity,
+    )
 
 
 # -----------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 A sweep runs, for each gap delta on a geometric ladder, a floating solve
 (potential gap, gradient maxima, flux balance) and a tied solve (the flux
-constant R_delta), plus the three linear auxiliaries when p = 2.  The
-measured gap and gradient maximum are then fit to power laws in delta and
-compared against the predictions
+constant R_delta).  When p = 2 it also forms the three linear auxiliaries
+of the Q functional, solving only what symmetry cannot give: v1 is always
+solved; v2 is v1's mirror image when the mesh has a mirror, and v3 is the
+tied solve itself when that ran under odd fixed data (its tied constant
+is then pinned at 0, v3's value on both particles).  Either is solved as
+a prescribed problem otherwise.  The measured gap and gradient maximum
+are then fit to power laws in delta and compared against the predictions
 
     gap ~ (R0/C_o)^(1/(p-1)) delta^(gamma/(p-1)),
     max|grad u| ~ gap/delta,
@@ -50,6 +54,7 @@ from .solver import (
     DiscreteSolution,
     SolverConfig,
     grad_max,
+    mirrored,
     solve_floating,
     solve_linear_aux,
     solve_tied,
@@ -273,6 +278,12 @@ class SweepRecord:
 def run_sweep(config: SweepConfig, keep_solutions: bool = False) -> list[SweepRecord]:
     """One record per ladder delta, floating + tied solves throughout.
 
+    At p = 2 each record also carries the Q functional (`q_report`) of
+    v1, v2, v3: v1 is solved, v2 is `mirrored(v1)` when the mesh has a
+    mirror, and v3 is the tied solution when its parity is -1 (odd data
+    fix the tied constant at 0, so the two problems have the same fixed
+    values and unknowns); otherwise v2 and v3 are solved too.
+
     Individual ladder failures are recorded on the affected record
     (error field) without aborting; only an all-points failure raises.
     """
@@ -309,8 +320,9 @@ def run_sweep(config: SweepConfig, keep_solutions: bool = False) -> list[SweepRe
             rec.tied_reports = trep
             if config.p == 2.0:
                 v1 = solve_linear_aux(mesh, "v1", config=scfg)
-                v2 = solve_linear_aux(mesh, "v2", config=scfg)
-                v3 = solve_linear_aux(mesh, "v3", config=scfg)
+                v2 = (mirrored(v1) if mesh.mirror is not None
+                      else solve_linear_aux(mesh, "v2", config=scfg))
+                v3 = tsol if tsol.parity == -1 else solve_linear_aux(mesh, "v3", config=scfg)
                 rec.q_report = q_functional(v1, v2, v3)
             if keep_solutions:
                 rec.floating_solution = fsol

@@ -28,6 +28,16 @@ class TestConstants:
         assert "gamma: 1.5" in out
         assert "MISMATCH" not in out
 
+    @pytest.mark.parametrize("p,d", [(3, 2), (3, 3), (2, 3), (2.5, 2)])
+    def test_labels_name_the_limit_constant(self, capsys, p, d):
+        # the limit constant is a closed form; no quadrature is computed
+        assert main(["constants", "--p", str(p), "--d", str(d)]) == 0
+        out = capsys.readouterr().out
+        assert "quadrature" not in out
+        assert "(closed form, delta -> 0)" in out
+        if d == 3 and p == 3:
+            assert "ratio limit/table: " in out
+
     def test_d3_flags_mismatch(self, capsys):
         assert main(["constants", "--p", "3", "--d", "3"]) == 0
         out = capsys.readouterr().out

@@ -263,6 +263,26 @@ class TestQFunctional:
         with pytest.raises(FluxError):
             q_functional(v1o, aux[1], aux[2])
 
+    @pytest.mark.parametrize("k,name", [(0, "v1"), (1, "v2"), (2, "v3")])
+    def test_wrong_exponent_rejected(self, two_disk, aux, k, name):
+        # the same particle potentials and outer data, solved at p = 3
+        sol = aux[k]
+        datum = None if name == "v3" else (lambda x, y: 0.0)
+        p3 = solve_prescribed(two_disk, sol.T1, sol.T2, p=3.0, datum=datum)
+        args = list(aux)
+        args[k] = p3
+        with pytest.raises(FluxError, match=f"{name} is a p = 3.0 solution"):
+            q_functional(*args)
+
+    def test_swapped_auxiliaries_rejected(self, aux):
+        v1, v2, v3 = aux
+        with pytest.raises(FluxError, match=r"v1 has particle potentials \(0.0, 1.0\)"):
+            q_functional(v2, v1, v3)
+
+    def test_nonzero_v3_potentials_rejected(self, aux, floating):
+        with pytest.raises(FluxError, match="v3 has particle potentials"):
+            q_functional(aux[0], aux[1], floating)
+
 
 class TestSampleNeckFlux:
     def test_positive_and_near_leading(self, floating, neck):

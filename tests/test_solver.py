@@ -25,6 +25,7 @@ from gaplaw.solver import (
     element_gradients,
     energy,
     grad_max,
+    mirrored,
     recovered_node_gradients,
     save_solution_text,
     solve_floating,
@@ -250,6 +251,37 @@ class TestLinearAux:
     def test_unknown_problem(self, two_disk):
         with pytest.raises(SolverError, match="v4"):
             solve_linear_aux(two_disk, "v4")
+
+
+class TestDerivedAuxiliaries:
+    """On a mirror-symmetric mesh v2 is v1's mirror image, and under the
+    odd datum u = y the p = 2 tied solve is the v3 solve."""
+
+    @pytest.mark.parametrize("R,delta,R_out", [(1.0, 0.04, 4.0), (0.7, 0.01, 2.1),
+                                               (1.5, 0.005, 6.0)])
+    def test_mirror_and_tied_give_v2_and_v3(self, R, delta, R_out):
+        mesh = build_mesh(DomainSpec(pair=ParticlePair(R=R, delta=delta), R_out=R_out),
+                          MeshParams(h_far=0.5 * R))
+        v1 = solve_linear_aux(mesh, "v1")
+        v2 = solve_linear_aux(mesh, "v2")
+        image = mirrored(v1)
+        assert np.max(np.abs(image.u - v2.u)) <= 1e-14
+        assert (image.T1, image.T2) == (v2.T1, v2.T2) == (0.0, 1.0)
+        assert (image.kind, image.p, image.eps, image.energy, image.config, image.parity) == (
+            v1.kind, v1.p, v1.eps, v1.energy, v1.config, v1.parity)
+        assert (image.trace, image.newton_iters) == ([], 0)
+        tied = solve_tied(mesh, p=2.0)
+        v3 = solve_linear_aux(mesh, "v3")
+        assert tied.parity == v3.parity == -1
+        assert np.array_equal(tied.u, v3.u)
+        assert tied.eps == v3.eps
+
+    def test_mirrored_needs_a_mirror(self, two_disk):
+        v1 = solve_linear_aux(two_disk, "v1")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(two_disk, "mirror", None)
+            with pytest.raises(SolverError, match="mirror"):
+                mirrored(v1)
 
 
 class TestGradMax:

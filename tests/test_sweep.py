@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import gaplaw.sweep as sweep
 from gaplaw import asymptotics
-from gaplaw.flux import R0Estimate
-from gaplaw.solver import SolverConfig
+from gaplaw.flux import R0Estimate, q_functional
+from gaplaw.mesh import build_mesh
+from gaplaw.solver import SolverConfig, solve_linear_aux
 from gaplaw.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -237,6 +239,36 @@ class TestRunSweep:
             assert r.q_report is not None
             assert np.sign(r.q_report.Q) == np.sign(r.q_report.R_delta)
             assert r.q_report.identity_defect <= 1e-6 * abs(r.q_report.Q)
+
+    @pytest.mark.parametrize("datum,parity", [("linear-y", -1), ("quadratic", None)])
+    def test_q_report_matches_independent_auxiliaries(self, datum, parity, monkeypatch):
+        # the sweep derives v2 as v1's mirror image and, under the odd datum,
+        # v3 as the tied solve; three independent solves must give the same Q
+        cfg = SweepConfig(p=2.0, datum=datum, **TINY)
+        calls = []
+
+        def counted(mesh, which, **kwargs):
+            calls.append(which)
+            return solve_linear_aux(mesh, which, **kwargs)
+
+        monkeypatch.setattr(sweep, "solve_linear_aux", counted)
+        records = run_sweep(cfg, keep_solutions=True)
+        assert calls == (["v1"] if parity == -1 else ["v1", "v3"]) * len(cfg.deltas)
+        scfg = cfg.solver_config()
+        for rec in records:
+            assert rec.error is None
+            assert rec.tied_solution.parity == parity
+            mesh = build_mesh(cfg.domain(rec.delta), cfg.mesh_params())
+            want = q_functional(*(solve_linear_aux(mesh, which, config=scfg)
+                                  for which in ("v1", "v2", "v3")))
+            got = rec.q_report
+            for a, b in [(got.Q, want.Q), (got.R_delta, want.R_delta),
+                         *zip(got.b, want.b), *zip(sum(got.a, ()), sum(want.a, ()))]:
+                assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+            # T_tied vanishes under the odd datum: measured against the
+            # datum amplitude, the bound of every potential
+            amp = np.max(np.abs(rec.tied_solution.u))
+            assert got.T_tied == pytest.approx(want.T_tied, rel=1e-12, abs=1e-12 * amp)
 
     def test_determinism(self, tiny_records):
         again = run_sweep(SweepConfig(p=2.0, **TINY))
