@@ -22,6 +22,7 @@ from typing import Literal
 from .geometry import (
     BarrierValidityError,
     ParticlePair,
+    gap_width,
     lower_barrier_radii,
     upper_barrier_radii,
 )
@@ -166,13 +167,12 @@ def barrier_flux_bound(
         )
     if pair.delta <= 0.0:
         raise ValueError("barrier bounds require a positive surface gap")
-    delta, R = pair.delta, pair.R
-    gap_quad = delta + x * x / R
-    dT = T2 - T1
-    leading = dT / gap_quad
-
+    delta = pair.delta
     _, r2 = upper_barrier_radii(x, delta, pair)
     gap_u = r2 - delta
+    gap_quad = gap_width(x, pair, "quadratic")
+    dT = T2 - T1
+    leading = dT / gap_quad
     try:
         _, rho2 = lower_barrier_radii(x, delta, pair)
         gap_l = rho2 - delta

@@ -232,11 +232,11 @@ class DomainSpec:
     clearance: float = 0.0
 
     def __post_init__(self) -> None:
-        margin = self.R_out - (2.0 * self.pair.R + 0.5 * self.pair.delta)
+        margin = self.boundary_margin
         if margin <= 0.0:
             raise GeometryError(
-                f"particles of extent {2 * self.pair.R + 0.5 * self.pair.delta} do not "
-                f"fit inside the outer disk of radius {self.R_out}"
+                f"particles do not fit inside the outer disk of radius {self.R_out} "
+                f"(margin {margin:.6g})"
             )
         if margin < self.clearance:
             raise GeometryError(

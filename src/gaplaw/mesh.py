@@ -106,9 +106,8 @@ class Mesh:
 
     nodes: (n, 2) float; triangles: (m, 3) int (counterclockwise);
     node_tags: (n,) int with the TAG_* constants.  Geometry arrays
-    (areas, P1 gradient operators, the (m, 3, 3) element stiffness
-    grads^T grads without the area factor, boundary edges) are computed
-    once at construction.
+    (areas, P1 gradient operators, centroids, boundary edges) are
+    computed once at construction.
 
     `mirror` is the node permutation under y -> -y, or None.  It is read
     off the coordinates, so a mesh loaded from text has it too, and is
@@ -128,7 +127,6 @@ class Mesh:
 
     areas: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
-    stiffness: np.ndarray = field(init=False, repr=False)
     centroids: np.ndarray = field(init=False, repr=False)
     boundary_edges: dict = field(init=False, repr=False)
     mirror: np.ndarray | None = field(init=False, repr=False)
@@ -166,7 +164,6 @@ class Mesh:
         gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
         gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
         self.grads = np.stack([gx, gy], axis=1) / det[:, None, None]
-        self.stiffness = np.einsum("eik,eil->ekl", self.grads, self.grads)
         self.centroids = p.mean(axis=1)
 
     def _build_boundary_edges(self):

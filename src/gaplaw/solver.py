@@ -37,23 +37,19 @@ minimum-degree ordering of A^T + A.
 
 The two-disk mesh is symmetric under y -> -y (`Mesh.mirror`).  When the
 fixed data are exactly odd or even under it, as the applied datum u = y
-makes them for the floating, tied and v3 problems, so is the minimizer,
-and each node below the axis shares its mirror image's unknown with sign
--1 or +1 (`DiscreteSolution.parity`); under odd data the axis and the
-tied constant are fixed at 0 (the symmetry reduction of a boundary-value
+makes them for the floating, tied and v3 problems, so is the minimizer
+(`DiscreteSolution.parity`), and Newton solves an ordinary problem on the
+upper half: the nodes below the axis are dropped from the unknowns, the
+sums run over the elements with no vertex below the axis, their areas
+doubled, and `_Constraints.expand` rebuilds the lower half by reflection,
+u(x, -y) = parity * u(x, y).  Under odd data the axis and the tied
+constant are fixed at 0 (the symmetry reduction of a boundary-value
 problem; Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).  That
-halves the unknowns and cuts the fill of each factorization by about two
-thirds.  Data without a parity (v1, v2, the quadratic datum, a general
-table) keep the unsigned map.
-
-Under a reduction the element work halves too: an element below the axis
-adds to the energy, the gradient, the Hessian and the stop scales exactly
-what its mirror image adds, up to rounding.  So Newton sums over one
-element of each mirror pair, the ones with centroid y >= 0, with the
-areas weighted by the orbit size: 2 above the axis, 1 for an element that
-is its own mirror image (`_Constraints.elements`).  Post-processing (flux
-reports, `grad_max`, the Q functional) reads the full mesh and the
-expanded field.
+halves the unknowns and the element work and cuts the fill of each
+factorization by about two thirds.  Data without a parity (v1, v2, the
+quadratic datum, a general table) and meshes with an element across the
+axis are solved on the whole mesh.  Post-processing (flux reports,
+`grad_max`, the Q functional) reads the full mesh and the expanded field.
 
 Convergence is a property of the solution at the target exponent alone:
 there Newton stops on the true gradient at max|g| <= newton_tol * S, with
@@ -159,8 +155,8 @@ class DiscreteSolution:
     of the unknowns (odd or even fixed data, see `_build_constraints`),
     None otherwise.  `energy` is the value Newton accepted at the last
     iterate.  Without a parity it equals `energy(mesh, u, p, eps)` bit for
-    bit; with one it is the orbit-weighted sum over half the elements and
-    lies within a few ulp of it (the tests allow 4).
+    bit; with one it is twice the sum over the upper half of the elements
+    and lies within a few ulp of it (the tests allow 4).
     """
 
     mesh: Mesh
@@ -199,8 +195,8 @@ def energy(mesh: Mesh, u: np.ndarray, p: float, eps: float = 0.0) -> float:
 
     Exact for piecewise-linear u at eps = 0 (the integrand is constant
     per element), and convex in u for p >= 2.  `mesh` may be any object
-    with the mesh's `triangles`, `grads` and `areas`, as Newton's orbit
-    representatives (`_Constraints.elements`) are.
+    with the mesh's `triangles`, `grads` and `areas`, as Newton's element
+    set (`_Constraints.elements`) is.
     """
     g = element_gradients(mesh, u)
     s = eps * eps + np.einsum("ei,ei->e", g, g)
@@ -239,70 +235,57 @@ def _grad_full(mesh: Mesh, u: np.ndarray, p: float, eps: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ElementSet:
-    """The element arrays the Newton sums run over: an orbit
-    representative of each mirror pair, areas times orbit size."""
+    """The element arrays the Newton sums run over under a mirror
+    reduction: the upper half of the mesh, areas doubled."""
 
     triangles: np.ndarray
     grads: np.ndarray
     areas: np.ndarray
-    stiffness: np.ndarray
 
 
 class _Constraints:
-    """Reduction u = u_fix + sign * z[dof] from nodal values to free unknowns.
+    """Reduction u = u_fix + P z from nodal values to free unknowns.
 
     `dof` maps each node to its free unknown, -1 on a fixed node; all
-    nodes of a floating particle share one unknown.  `sign` is 1 except
-    under a mirror reduction (`parity` -1 or +1, see
-    `_build_constraints`), where a node below the axis shares its mirror
-    image's unknown with sign = parity.  The gradient and Hessian are
-    assembled straight into the reduced unknowns, P^T g and P^T H P for
-    the signed reduction u = u_fix + P z, through a scatter map built here
-    once and reused by every Newton step and p-stage: each local entry
-    (k, l) of each element whose nodes are both free lands, times
-    sign_k sign_l, in a fixed slot of a CSC pattern, so one `np.bincount`
-    fills the matrix.  A sign of 1 multiplies exactly, so without a
-    reduction the assembly is the unsigned one bit for bit.
+    nodes of a floating particle share one unknown.  The gradient and
+    Hessian are assembled straight into the reduced unknowns, P^T g and
+    P^T H P, through a scatter map built here once and reused by every
+    Newton step and p-stage: each local entry (k, l) of each element whose
+    nodes are both free lands in a fixed slot of a CSC pattern, so one
+    `np.bincount` fills the matrix.
 
     `elements` is what the energy, the element weights, the gradient, the
-    Hessian and the stop scales sum over.  Without a reduction it is the
-    mesh itself.  Under one, an element and its mirror image add the same
-    terms to every reduced sum (the field has the data's parity, so the
-    two see mirrored gradients of equal length), and `elements` holds one
-    element of each orbit: those with centroid y >= 0, the areas of the
-    ones above the axis doubled.  An element with centroid y exactly 0
-    keeps weight 1: it is its own mirror image, or its image is kept too.
-    The centroid is summed over the sorted vertex y, an order in which the
-    mirror negates it exactly, so an element and its image never land on
-    the same side of the axis.
+    Hessian and the stop scales sum over: the mesh itself, or under a
+    mirror reduction (`parity` -1 or +1, see `_build_constraints`) the
+    elements with no vertex below the axis (`upper`), areas doubled.  The
+    field has the data's parity, so each of them adds to every sum what
+    its mirror image below the axis would.  No sum reads a node below the
+    axis; `expand` gives the ones the reduction took out of the unknowns
+    (`reflected`) parity times their mirror image's value, and the fixed
+    ones keep theirs.
     """
 
     def __init__(self, mesh: Mesh, dof: np.ndarray, n_dof: int, u_fix: np.ndarray,
-                 sign: np.ndarray, parity: int | None):
+                 parity: int | None = None, upper=None, reflected=None):
         self.n_dof = n_dof
         self.u_fix = u_fix
         self.parity = parity
         self.elements = mesh
         if parity is not None:
-            ys = np.sort(mesh.nodes[mesh.triangles, 1], axis=1)
-            y = (ys[:, 0] + ys[:, 2]) + ys[:, 1]  # 3 x centroid y
-            keep = y >= 0.0
-            self.elements = _ElementSet(
-                triangles=mesh.triangles[keep], grads=mesh.grads[keep],
-                areas=mesh.areas[keep] * np.where(y[keep] > 0.0, 2.0, 1.0),
-                stiffness=mesh.stiffness[keep])
+            self.elements = _ElementSet(triangles=mesh.triangles[upper],
+                                        grads=mesh.grads[upper], areas=2.0 * mesh.areas[upper])
+            self._reflected = reflected
+            self._image = mesh.mirror[reflected]
+        grads = self.elements.grads
+        self._stiffness = np.einsum("eik,eil->ekl", grads, grads)  # B^T B without the area
         self._free = np.flatnonzero(dof >= 0)
         self._free_dof = dof[self._free]
-        self._free_sign = sign[self._free]
         edof = dof[self.elements.triangles]
-        esign = sign[self.elements.triangles]
         self._g_mask = edof >= 0
         self._g_dof = edof[self._g_mask]
-        self._g_sign = esign[self._g_mask]
         rows = np.repeat(edof, 3, axis=1)  # local entry (k, l) at 3k + l
         cols = np.tile(edof, (1, 3))
         self._h_mask = (rows >= 0) & (cols >= 0)
-        self._h_sign = (np.repeat(esign, 3, axis=1) * np.tile(esign, (1, 3)))[self._h_mask]
         # column-major keys give CSC directly, the format splu factors
         key = cols[self._h_mask] * n_dof + rows[self._h_mask]
         slots, self._h_slot = np.unique(key, return_inverse=True)
@@ -311,7 +294,9 @@ class _Constraints:
 
     def expand(self, z: np.ndarray) -> np.ndarray:
         u = self.u_fix.copy()
-        u[self._free] = z[self._free_dof] * self._free_sign
+        u[self._free] = z[self._free_dof]
+        if self.parity is not None:
+            u[self._reflected] = self.parity * u[self._image]
         return u
 
     def grad(self, u: np.ndarray, p: float, eps: float, weights=None) -> np.ndarray:
@@ -320,7 +305,7 @@ class _Constraints:
         has it."""
         bg, w1, _ = weights or _element_weights(self.elements, u, p, eps)
         contrib = w1[:, None] * bg
-        return np.bincount(self._g_dof, contrib[self._g_mask] * self._g_sign, self.n_dof)
+        return np.bincount(self._g_dof, contrib[self._g_mask], self.n_dof)
 
     def stop_scales(self, u: np.ndarray, weights) -> tuple[float, float]:
         """(S, rho) of the stop test at the nodal field u, from its
@@ -329,8 +314,8 @@ class _Constraints:
         sum_e w1 |B|^T |B| |u_e| bounds the rounding error of the reduced
         gradient, a floor no iterate gets below (it decides where S is
         about 0, as on a constant field).  Both sum over every node of an
-        unknown, so a mirror pair counts both of its nodes, as its
-        gradient entry does."""
+        unknown, and under a mirror reduction the doubled areas count a
+        node's mirror image too, as its gradient entry does."""
         bg, w1, _ = weights  # w1 > 0
         flux = np.abs(bg)
         flux *= w1[:, None]
@@ -348,11 +333,10 @@ class _Constraints:
         """Reduced Hessian of the energy at the nodal field u (symmetric,
         CSC); `weights` as for `grad`."""
         bg, w1, w2 = weights or _element_weights(self.elements, u, p, eps)
-        hloc = w1[:, None, None] * self.elements.stiffness
+        hloc = w1[:, None, None] * self._stiffness
         hloc += w2[:, None, None] * np.einsum("ek,el->ekl", bg, bg)
         data = np.bincount(
-            self._h_slot, hloc.reshape(-1, 9)[self._h_mask] * self._h_sign,
-            len(self._h_indices),
+            self._h_slot, hloc.reshape(-1, 9)[self._h_mask], len(self._h_indices)
         )
         return sp.csc_matrix(
             (data, self._h_indices, self._h_indptr), shape=(self.n_dof, self.n_dof)
@@ -364,14 +348,14 @@ def _build_constraints(mesh: Mesh, kind: str, outer_vals: np.ndarray,
     """Fixed values and the node -> unknown map; `outer_vals` is the
     applied datum at the outer-boundary nodes, in tag order.
 
-    When the mesh has a mirror (`Mesh.mirror`) and the fixed values are
-    odd (parity -1) or even (+1) under it, the minimizer has that parity
-    too: the energy is strictly convex and invariant under
-    u -> parity * u(x, -y).  Then each free node below the axis takes its
-    mirror image's unknown with sign parity, so a floating particle 1
-    takes particle 2's; under odd data the unknowns that are their own
-    mirror image, those of the nodes on the axis and the tied constant,
-    are fixed at 0.  Otherwise the map is the unsigned one.
+    When the mesh has a mirror (`Mesh.mirror`), no element crosses the
+    axis and the fixed values are odd (parity -1) or even (+1) under the
+    mirror, the minimizer has that parity too: the energy is strictly
+    convex and invariant under u -> parity * u(x, -y).  Then the nodes
+    below the axis, particle 1 among them, leave the unknowns and are
+    reflected from their mirror images (`_Constraints.expand`); under odd
+    data the unknowns that are their own mirror image, those of the nodes
+    on the axis and the tied constant, are fixed at 0.
     """
     n = mesh.n_nodes
     u_fix = np.zeros(n)
@@ -405,26 +389,29 @@ def _build_constraints(mesh: Mesh, kind: str, outer_vals: np.ndarray,
     else:
         raise SolverError(f"unknown problem kind {kind!r}")
 
-    sign = np.ones(n)
-    parity = _parity(mesh, u_fix)
-    if parity is not None:
-        mirror = mesh.mirror
-        if parity < 0:
-            own = (dof >= 0) & (dof[mirror] == dof)
-            dof[np.isin(dof, dof[own])] = -1
-        lower = mesh.nodes[:, 1] < 0.0
-        dof[lower] = dof[mirror[lower]]
-        sign[lower] = parity
-        free = dof >= 0
-        kept, dof[free] = np.unique(dof[free], return_inverse=True)
-        n_dof = len(kept)
-    return _Constraints(mesh, dof, n_dof, u_fix, sign, parity)
+    lower = mesh.nodes[:, 1] < 0.0
+    upper = ~np.any(lower[mesh.triangles], axis=1)  # no vertex below the axis
+    parity = _parity(mesh, u_fix, upper)
+    if parity is None:
+        return _Constraints(mesh, dof, n_dof, u_fix)
+    if parity < 0:
+        own = (dof >= 0) & (dof[mesh.mirror] == dof)
+        dof[np.isin(dof, dof[own])] = -1
+    reflected = np.flatnonzero(lower & (dof >= 0))
+    dof[lower] = -1
+    free = dof >= 0
+    kept, dof[free] = np.unique(dof[free], return_inverse=True)
+    return _Constraints(mesh, dof, len(kept), u_fix, parity, upper, reflected)
 
 
-def _parity(mesh: Mesh, u_fix: np.ndarray) -> int | None:
+def _parity(mesh: Mesh, u_fix: np.ndarray, upper: np.ndarray) -> int | None:
     """-1 when the fixed values are exactly odd under the mesh's mirror,
-    +1 when exactly even, None when neither holds or there is no mirror."""
-    if mesh.mirror is None:
+    +1 when exactly even; None when neither holds, when there is no
+    mirror or when an element crosses the axis.  `upper` marks the
+    elements with no vertex below the axis; the mirror pairs them with
+    those with no vertex above, so they are half the mesh exactly when
+    none crosses."""
+    if mesh.mirror is None or 2 * np.count_nonzero(upper) != len(upper):
         return None
     for parity in (-1, 1):
         if np.array_equal(u_fix[mesh.mirror], parity * u_fix):
@@ -517,10 +504,10 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
     alone.  An intermediate p-stage only seeds the next one: it passes
     stage_rtol = STAGE_RTOL, and its threshold is fixed at z0, where the
     S and rho terms let a stage that starts at the rounding floor (a
-    constant field) stop at once.  Under a mirror reduction the gradient
-    entry of an unknown shared by a node pair sums both nodes, and so do S
-    and rho, so g and S scale together and the test stays relative to the
-    same nodal fluxes.
+    constant field) stop at once.  Under a mirror reduction the doubled
+    areas make the gradient entry of a node count its mirror image too, and
+    S and rho alike, so g and S scale together and the test stays relative
+    to the same nodal fluxes.
 
     `factor` is a one-element list holding the last SuperLU factor of the
     solve (None before the first), possibly made at an earlier p-stage.
@@ -622,20 +609,19 @@ def _p_ladder(p: float, cfg: SolverConfig) -> list[float]:
     return ladder
 
 
-def _solve(mesh: Mesh, kind: str, datum, p: float, cfg: SolverConfig, pinned=None,
-           eps: float | None = None) -> DiscreteSolution:
+def _solve(mesh: Mesh, kind: str, datum, p: float, cfg: SolverConfig,
+           pinned=None) -> DiscreteSolution:
     if not math.isfinite(p):
         raise SolverError(f"exponent p={p} must be finite")
     if p < 2.0:
         raise SolverError(f"exponent p={p} must be >= 2")
     outer_vals = datum_values(datum, mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
     con = _build_constraints(mesh, kind, outer_vals, pinned)
-    if eps is None:
-        vals = outer_vals
-        if kind == "prescribed" and pinned is not None:
-            vals = np.concatenate([outer_vals, [v for v in pinned if v is not None]])
-        span = float(np.max(vals) - np.min(vals)) if len(vals) else 0.0
-        eps = cfg.eps_scale * span / _domain_scale(mesh)
+    vals = outer_vals
+    if kind == "prescribed" and pinned is not None:
+        vals = np.concatenate([outer_vals, [v for v in pinned if v is not None]])
+    span = float(np.max(vals) - np.min(vals)) if len(vals) else 0.0
+    eps = cfg.eps_scale * span / _domain_scale(mesh)
 
     z = np.zeros(con.n_dof)
     trace_all = []

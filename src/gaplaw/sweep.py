@@ -19,9 +19,10 @@ delta surrogates for the limit statements: the acceptance band and slope
 tolerances are engineering choices, all exposed in the config.
 
 Outputs: `sweep.csv` (fixed column schema), `report.json` (fits,
-verdicts, extrapolation), and plain plot scripts.  Physics content is
-byte-deterministic for a fixed config; the wall_ms timing column is the
-one intrinsically nondeterministic field.
+verdicts, extrapolation, and at p = 2 the Q report of each delta), and
+plain plot scripts.  Physics content is byte-deterministic for a fixed
+config; the wall_ms timing column is the one intrinsically
+nondeterministic field.
 """
 
 from __future__ import annotations
@@ -608,15 +609,18 @@ import matplotlib.pyplot as plt
 
 rows = list(csv.DictReader(open('sweep.csv')))
 delta = [float(r['delta']) for r in rows]
-for col, fname, fit_a, fit_s in [
-    ('gap', 'gap.png', {gap_a}, {gap_s}),
-    ('gradmax_all', 'gradmax.png', {gm_a}, {gm_s}),
+for col, fname, fit_a, fit_s, pred_a, pred_s in [
+    ('gap', 'gap.png', {gap_a}, {gap_s}, {gap_pa}, {gap_ps}),
+    ('gradmax_all', 'gradmax.png', {gm_a}, {gm_s}, {gm_pa}, {gm_ps}),
 ]:
     y = [float(r[col]) for r in rows]
     plt.figure()
     plt.loglog(delta, y, 'o', label=col)
     plt.loglog(delta, [fit_a * d**fit_s for d in delta], '-',
                label=f'fit slope {{fit_s:.4g}}')
+    if pred_a is not None and pred_s is not None:
+        plt.loglog(delta, [pred_a * d**pred_s for d in delta], '--',
+                   label=f'predicted slope {{pred_s:.4g}}')
     plt.xlabel('delta'); plt.ylabel(col); plt.legend(); plt.grid(True, which='both')
     plt.savefig(fname, dpi=150)
 """
@@ -633,8 +637,10 @@ def emit_report(
 ) -> dict:
     """Write sweep.csv, report.json, and the plot scripts into outdir.
 
-    Returns the written paths.  All content except the timing column is
-    reproducible byte-for-byte from the same inputs.
+    report.json has a `q_functional` key (`QReport` fields by `repr(delta)`)
+    only when some record carries a Q report.  Returns the written paths.
+    All content except the timing column is reproducible byte-for-byte
+    from the same inputs.
     """
     from pathlib import Path
 
@@ -680,6 +686,10 @@ def emit_report(
         },
         "errors": {repr(r.delta): r.error for r in records if r.error is not None},
     }
+    q_reports = {repr(r.delta): dataclasses.asdict(r.q_report)
+                 for r in records if r.q_report is not None}
+    if q_reports:
+        report["q_functional"] = q_reports
     (outdir / "report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n"
     )
@@ -705,6 +715,8 @@ def emit_report(
         py = _PYPLOT_TEMPLATE.format(
             gap_a=repr(gap_fit.prefactor), gap_s=repr(gap_fit.slope),
             gm_a=repr(gm_fit.prefactor), gm_s=repr(gm_fit.slope),
+            gap_pa=repr(gap_fit.predicted_prefactor), gap_ps=repr(gap_fit.predicted_slope),
+            gm_pa=repr(gm_fit.predicted_prefactor), gm_ps=repr(gm_fit.predicted_slope),
         )
         (outdir / "plots.py").write_text(py)
         paths["plots"] = outdir / "plots.gp"

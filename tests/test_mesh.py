@@ -326,9 +326,12 @@ class TestMeshInvariants:
         # at least 4 layers across the gap: >= 5 nodes on the x = 0 column inside it
         on_axis = mesh.nodes[mesh.nodes[:, 0] == 0.0]
         assert np.sum(np.abs(on_axis[:, 1]) <= 0.5 * delta * (1 + 1e-12)) >= 5
-        # the element orbits Newton sums over under a mirror reduction: each
-        # element above the axis has its image below it, and none lies on
-        # it (the axis is a row of element edges)
+        # the mirror reduction's precondition: no element crosses the axis
+        # (it is a row of element edges), so the elements with no vertex
+        # below it are half the mesh and their images are the other half
+        y = mesh.nodes[mesh.triangles, 1]
+        assert not np.any((y.min(axis=1) < 0.0) & (y.max(axis=1) > 0.0))
+        assert 2 * np.count_nonzero(~np.any(y < 0.0, axis=1)) == mesh.n_triangles
         cy = mesh.centroids[:, 1]
         assert 2 * np.sum(cy > 0.0) + np.sum(cy == 0.0) == mesh.n_triangles
         assert not np.any(cy == 0.0)

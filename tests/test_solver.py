@@ -499,8 +499,8 @@ class TestEvaluationCounts:
         # exactly one per trace entry: the stop test reads the same weights
         assert calls["weights"] == len(sol.trace)
         assert sol.energy == sol.trace[-1]["energy"]
-        # under the mirror reduction Newton sums one element of each mirror
-        # pair, weighted by its orbit size: a few ulp from the full sum
+        # under the mirror reduction Newton sums over the upper half of the
+        # elements, areas doubled: a few ulp from the full sum
         assert sol.parity == -1
         full = energy(two_disk, sol.u, 3.0, sol.eps)
         assert abs(sol.energy - full) <= 4 * np.finfo(float).eps * full
@@ -508,14 +508,6 @@ class TestEvaluationCounts:
         v1 = solve_linear_aux(two_disk, "v1")
         assert v1.parity is None
         assert v1.energy == energy(two_disk, v1.u, 2.0, v1.eps)
-
-    def test_stiffness_stored_on_the_mesh(self, two_disk, tmp_path):
-        stiffness = np.einsum("eik,eil->ekl", two_disk.grads, two_disk.grads)
-        assert np.array_equal(two_disk.stiffness, stiffness)
-        path = tmp_path / "mesh.txt"
-        save_mesh_text(two_disk, path)
-        loaded, _ = load_mesh_text(path)
-        assert np.array_equal(loaded.stiffness, two_disk.stiffness)
 
 
 class TestInexactNewton:
@@ -833,8 +825,9 @@ def box_mesh(columns=7):
 
     The band |y| < 1/2 is cut into rectangles, each split into four
     elements at its centre on the axis; the left and right ones hold a
-    node pair (x, +-1/2), so a mirror pair meets inside one element, which
-    no two-disk mesh has (its axis is a row of element edges)."""
+    node pair (x, +-1/2), so a mirror pair meets inside one element across
+    the axis, which no two-disk mesh has (its axis is a row of element
+    edges); such a mesh is not reduced."""
     xs = np.linspace(-1.0, 1.0, columns)
     nodes, tags = [], []
 
@@ -895,13 +888,13 @@ class TestReducedAssembly:
         assert_assembly_matches_oracle(two_disk, kind, outer, pinned, parity, p)
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
-    @pytest.mark.parametrize("datum,parity", [(lambda x, y: y, -1), (even_datum, 1)],
-                             ids=["odd", "even"])
-    def test_mirror_pair_in_one_element(self, datum, parity, p):
+    @pytest.mark.parametrize("datum", [lambda x, y: y, even_datum], ids=["odd", "even"])
+    def test_mirror_pair_in_one_element(self, datum, p):
+        # elements across the axis: no reduction, the unsigned assembly
         mesh = box_mesh()
         assert mesh.mirror is not None
         outer = datum_values(datum, mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
-        assert_assembly_matches_oracle(mesh, "prescribed", outer, (0.0, None), parity, p)
+        assert_assembly_matches_oracle(mesh, "prescribed", outer, (0.0, None), None, p)
 
     def test_newton_direction_matches_spsolve(self, two_disk, monkeypatch):
         """The solver's first factor-and-solve against spsolve on the oracle."""
@@ -932,108 +925,116 @@ class TestReducedAssembly:
         assert np.max(np.abs(dz - dz_ref)) <= 1e-10 * np.max(np.abs(dz_ref))
 
 
-def full_sum_twin(mesh, con):
-    """`con`'s reduction (same dof and sign) with its sums over every
-    element of the mesh instead of one element of each mirror pair."""
-    dof = np.full(mesh.n_nodes, -1)
-    dof[con._free] = con._free_dof
-    sign = np.ones(mesh.n_nodes)
-    sign[con._free] = con._free_sign
-    return solver._Constraints(mesh, dof, con.n_dof, con.u_fix, sign, None)
+def stop_scales_oracle(mesh, P, u, p, eps):
+    """(S, rho) of `_Constraints.stop_scales`: nodal sums over every element
+    of the mesh, scattered with np.add.at, gathered into unknowns by |P|."""
+    g = element_gradients(mesh, u)
+    s = eps * eps + np.einsum("ei,ei->e", g, g)
+    w1 = mesh.areas * p * s ** (0.5 * p - 1.0)
+    abs_b = np.abs(mesh.grads)
+    flux = np.abs(np.einsum("eik,ei->ek", mesh.grads, g))
+    bound = np.einsum("eik,ei->ek", abs_b, np.einsum("eik,ek->ei", abs_b, np.abs(u)[mesh.triangles]))
+    scales = []
+    for a in (flux, bound):
+        nodal = np.zeros(mesh.n_nodes)
+        np.add.at(nodal, mesh.triangles, w1[:, None] * a)
+        scales.append(float(np.max(abs(P).T @ nodal)))
+    return scales
 
 
-def assert_close(a, b, rtol=1e-13):
-    assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+def upper_elements(mesh):
+    """Mask of the elements with no vertex below the axis."""
+    return ~np.any(mesh.nodes[mesh.triangles, 1] < 0.0, axis=1)
 
 
 class TestOrbitSums:
-    """Under a mirror reduction the Newton sums run over one element of
-    each mirror pair, its area weighted by the orbit size."""
+    """Under a mirror reduction the Newton sums run over the elements with
+    no vertex below the axis, areas doubled; a mesh with an element across
+    the axis is solved whole."""
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
     @pytest.mark.parametrize("kind", ["floating", "tied"])
     def test_two_disk_odd(self, two_disk, kind, p):
-        outer = two_disk.domain.datum_values(two_disk.nodes[two_disk.nodes_with_tag(TAG_OUTER)])
-        self.assert_matches_full_sums(two_disk, kind, outer, None, -1, p)
-
-    @pytest.mark.parametrize("p", [2.0, 4.0])
-    @pytest.mark.parametrize("datum,parity", [(lambda x, y: y, -1), (even_datum, 1)],
-                             ids=["odd", "even"])
-    def test_box_mesh(self, datum, parity, p):
-        mesh = box_mesh()
-        outer = datum_values(datum, mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
-        self.assert_matches_full_sums(mesh, "prescribed", outer, (0.0, None), parity, p)
-
-    @staticmethod
-    def assert_matches_full_sums(mesh, kind, outer, pinned, parity, p):
-        con = solver._build_constraints(mesh, kind, outer, pinned)
-        assert con.parity == parity
-        full = full_sum_twin(mesh, con)
-        cy = mesh.centroids[:, 1]
-        assert len(con.elements.areas) == np.sum(cy >= 0.0) < mesh.n_triangles
+        mesh = two_disk
+        outer = mesh.domain.datum_values(mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
+        con = solver._build_constraints(mesh, kind, outer)
+        assert con.parity == -1
+        upper = upper_elements(mesh)
+        assert 2 * np.count_nonzero(upper) == mesh.n_triangles
+        assert np.array_equal(con.elements.triangles, mesh.triangles[upper])
+        assert np.array_equal(con.elements.areas, 2.0 * mesh.areas[upper])
         u = con.expand(np.random.default_rng(5).normal(size=con.n_dof))
         eps = 1e-8
         assert energy(con.elements, u, p, eps) == pytest.approx(
             energy(mesh, u, p, eps), rel=1e-13, abs=0.0)
-        w, w_full = (solver._element_weights(c.elements, u, p, eps) for c in (con, full))
-        assert_close(con.grad(u, p, eps, w), full.grad(u, p, eps, w_full))
-        H, H_full = con.hess(u, p, eps, w), full.hess(u, p, eps, w_full)
-        assert np.array_equal(H.indptr, H_full.indptr)
-        assert np.array_equal(H.indices, H_full.indices)
-        assert_close(H.data, H_full.data)
-        for a, b in zip(con.stop_scales(u, w), full.stop_scales(u, w_full)):
+        w = solver._element_weights(con.elements, u, p, eps)
+        P = reduction_oracle(mesh, kind, -1)
+        for a, b in zip(con.stop_scales(u, w), stop_scales_oracle(mesh, P, u, p, eps)):
             assert a == pytest.approx(b, rel=1e-13, abs=0.0)
 
-    def test_self_mirrored_elements_weigh_once(self):
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("datum", [lambda x, y: y, even_datum], ids=["odd", "even"])
+    def test_box_mesh(self, datum, p):
         mesh = box_mesh()
-        outer = datum_values(lambda x, y: y, mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
+        assert 2 * np.count_nonzero(upper_elements(mesh)) < mesh.n_triangles  # some cross
+        outer = datum_values(datum, mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
         con = solver._build_constraints(mesh, "prescribed", outer, (0.0, None))
-        cy = mesh.centroids[:, 1]
-        on_axis = cy == 0.0
-        assert np.any(on_axis)  # each is its own mirror image on this mesh
-        weight = con.elements.areas / mesh.areas[cy >= 0.0]
-        assert np.array_equal(weight, np.where(on_axis[cy >= 0.0], 1.0, 2.0))
-        # weight 2 on them would count their area, and energy, once more
-        assert np.sum(con.elements.areas) == pytest.approx(np.sum(mesh.areas), rel=1e-14)
+        assert con.parity is None
+        assert con.elements is mesh
+        u = con.expand(np.random.default_rng(5).normal(size=con.n_dof))
+        eps = 1e-8
+        w = solver._element_weights(mesh, u, p, eps)
+        P = reduction_oracle(mesh, "prescribed")
+        for a, b in zip(con.stop_scales(u, w), stop_scales_oracle(mesh, P, u, p, eps)):
+            assert a == pytest.approx(b, rel=1e-13, abs=0.0)
 
-    def test_pair_across_the_axis_weighs_twice(self):
-        # an element crossing the axis and its image, whose centroid y in
-        # vertex order reads 0.0 and 9e-18: both would land on y >= 0
+    def test_pair_across_the_axis_is_not_reduced(self):
+        # an element crossing the axis and its image
         y = np.array([-0.39, -0.09, 0.48])
         nodes = np.column_stack([np.tile([0.0, 1.0, 0.5], 2), np.concatenate([y, -y])])
         mesh = Mesh(nodes, np.array([[0, 1, 2], [3, 4, 5]]), np.full(6, TAG_OUTER), 0.5, 0.5)
         assert mesh.mirror is not None
-        assert mesh.centroids[0, 1] == 0.0 < mesh.centroids[1, 1]
         outer = datum_values(lambda x, y: y, mesh.nodes)
         con = solver._build_constraints(mesh, "prescribed", outer, (0.0, None))
-        assert con.parity == -1
-        assert np.sum(con.elements.areas) == pytest.approx(np.sum(mesh.areas), rel=1e-14)
+        assert con.parity is None
+        assert con.elements is mesh
 
     def test_general_path_sums_over_the_mesh(self, two_disk):
         outer = np.zeros(len(two_disk.nodes_with_tag(TAG_OUTER)))
         con = solver._build_constraints(two_disk, "prescribed", outer, (1.0, 0.0))  # v1
         assert con.parity is None
         assert con.elements is two_disk
-        for name in ("triangles", "grads", "areas", "stiffness"):
+        for name in ("triangles", "grads", "areas"):
             assert getattr(con.elements, name) is getattr(two_disk, name)
+
+    def test_stiffness_of_the_element_set(self, two_disk):
+        """The constraint's B^T B is the mesh's, restricted to the elements
+        it sums over; the mesh keeps none."""
+        assert not hasattr(two_disk, "stiffness")
+        full = np.einsum("eik,eil->ekl", two_disk.grads, two_disk.grads)
+        outer = two_disk.domain.datum_values(two_disk.nodes[two_disk.nodes_with_tag(TAG_OUTER)])
+        odd = solver._build_constraints(two_disk, "floating", outer)
+        v1 = solver._build_constraints(two_disk, "prescribed", 0.0 * outer, (1.0, 0.0))
+        assert (odd.parity, v1.parity) == (-1, None)
+        assert np.array_equal(odd._stiffness, full[upper_elements(two_disk)])
+        assert np.array_equal(v1._stiffness, full)
 
 
 class TestMirrorReduction:
     """Under data that are odd or even in y, Newton runs on the unknowns of
     the upper half: each node below the axis shares its mirror image's."""
 
-    @pytest.mark.parametrize("datum,parity", [(lambda x, y: y, -1), (even_datum, 1)],
-                             ids=["odd", "even"])
-    def test_mirror_pair_in_one_element(self, datum, parity):
+    @pytest.mark.parametrize("datum", [lambda x, y: y, even_datum], ids=["odd", "even"])
+    def test_mirror_pair_in_one_element(self, datum):
+        # elements across the axis: solved whole, as without a mirror
         mesh = box_mesh()
         sol = solve_prescribed(mesh, T1=0.0, p=3.0, datum=datum)
-        assert sol.parity == parity
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mesh, "mirror", None)
             general = solve_prescribed(mesh, T1=0.0, p=3.0, datum=datum)
-        assert general.parity is None
-        assert np.max(np.abs(sol.u - general.u)) <= 1e-12 * np.max(np.abs(general.u))
-        assert sol.energy == pytest.approx(general.energy, rel=1e-12, abs=0.0)
+        assert sol.parity is None and general.parity is None
+        assert np.array_equal(sol.u, general.u)
+        assert sol.energy == general.energy
 
     def test_parity_of_the_solves(self, two_disk, floating_p2):
         assert floating_p2.parity == -1

@@ -422,9 +422,28 @@ class TestPersistence:
         assert report["fits"]["gap"]["slope"] == fits["gap"].slope
         assert report["verdicts"]["theorem_ratio"]["passed"] is True
         assert report["r0"]["R0"] == r0.R0
+        # the p = 2 Q report of every delta, keyed like "errors"
+        q = report["q_functional"]
+        assert set(q) == {repr(r.delta) for r in tiny_records}
+        for rec in tiny_records:
+            entry = q[repr(rec.delta)]
+            assert set(entry) == {"Q", "R_delta", "T_tied", "a", "b",
+                                  "identity_defect", "reciprocity_defect"}
+            for name in ("Q", "R_delta", "T_tied", "identity_defect", "reciprocity_defect"):
+                assert entry[name] == getattr(rec.q_report, name)
+            assert entry["a"] == [list(row) for row in rec.q_report.a]
+            assert entry["b"] == list(rec.q_report.b)
         gp = (tmp_path / "plots.gp").read_text()
         assert "sweep.csv" in gp and "logscale" in gp
-        assert (tmp_path / "plots.py").exists()
+        # both scripts draw the fitted and the predicted slope
+        py = (tmp_path / "plots.py").read_text()
+        compile(py, "plots.py", "exec")
+        for fit in fits.values():
+            assert fit.predicted_slope is not None
+            pred = f"{fit.predicted_prefactor!r}, {fit.predicted_slope!r}),"
+            assert pred in py
+            assert f"predicted slope {fit.predicted_slope!r}" in gp
+        assert "'--'" in py and "predicted slope" in py
         # CSV rows = ladder length
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + len(tiny_records)
@@ -446,6 +465,7 @@ class TestPersistence:
         assert text == ",".join(CSV_COLUMNS) + "\n"
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["fits"] == {}
+        assert "q_functional" not in report  # no record carries a Q report
 
     def test_csv_bytes_deterministic_outside_timing(self, tiny_records, tmp_path):
         again = run_sweep(SweepConfig(p=2.0, **TINY))
