@@ -282,9 +282,10 @@ class ConstantsReport:
     note: str = ""
 
 
-def table_consistency_report(
-    p: float, d: int, R: float, tol: float = 1e-4
-) -> ConstantsReport:
+TABLE_MISMATCH_RTOL = 1e-4  # relative difference above which table and limit disagree
+
+
+def table_consistency_report(p: float, d: int, R: float) -> ConstantsReport:
     """Compare the integer-p table constant against the delta -> 0 limit
     constant (`c_o_quadrature`, a closed form).
 
@@ -312,7 +313,7 @@ def table_consistency_report(
     if int(p) == p:
         table = c_o_table(int(p), d, R)
         ratio = quad / table
-        mismatch = abs(quad - table) > tol * abs(table)
+        mismatch = abs(quad - table) > TABLE_MISMATCH_RTOL * abs(table)
         note = ""
         general_row = None
         if d == 3:

@@ -39,6 +39,8 @@ __all__ = [
 
 Branch = Literal["power", "log"]
 
+C_DELTA = 2.0  # first-order widening factor 1 +/- C_DELTA*delta of the flux bounds
+
 
 class RadialDomainError(ValueError):
     """Raised for nonpositive radii or degenerate fit intervals."""
@@ -147,19 +149,17 @@ def barrier_flux_bound(
     T1: float,
     T2: float,
     pair: ParticlePair,
-    p: float,
-    d: int,
     C_slack: float,
-    c_delta: float = 2.0,
 ) -> FluxBound:
     """Two-sided bound for n.grad(u) at the neck-arc point above x.
 
     The upper bound divides the potential gap by the upper-barrier
     separation (inner radius r1 = delta), the lower bound by the exact
     lower-barrier separation (rho1 = delta); both are then widened by the
-    configurable first-order factor (1 +/- c_delta*delta) and the additive
-    slack C_slack.  Outside the lower construction's validity window the
-    quadratic gap inflated by (1 + c_delta*delta) is used instead.
+    first-order factor (1 +/- C_DELTA*delta) and the additive slack
+    C_slack.  Outside the lower construction's validity window the
+    quadratic gap inflated by (1 + C_DELTA*delta) is used instead.  The
+    bounds depend on neither p nor the dimension.
     """
     if T2 < T1:
         raise ValueError(
@@ -178,10 +178,10 @@ def barrier_flux_bound(
         gap_l = rho2 - delta
         valid = True
     except BarrierValidityError:
-        gap_l = gap_quad * (1.0 + c_delta * delta)
+        gap_l = gap_quad * (1.0 + C_DELTA * delta)
         valid = False
 
-    one = 1.0 + c_delta * delta
+    one = 1.0 + C_DELTA * delta
     upper = dT / gap_u * one + C_slack
     lower = dT / gap_l / one - C_slack
     return FluxBound(

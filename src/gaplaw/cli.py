@@ -53,6 +53,7 @@ EXIT_ERROR = 1
 EXIT_FAIL = 2
 
 QUANTITIES = ("gap", "gradMax")
+SLOPE_TOL = 0.1  # largest |fitted - predicted| slope of the gap and gradient maximum
 
 
 def _cmd_constants(args) -> int:
@@ -125,16 +126,14 @@ def _cmd_solve(args) -> int:
     return EXIT_PASS
 
 
-def analyze(records, p: float, R: float = 1.0,
-            ratio_band=SweepConfig.ratio_band,
-            slope_tol: float = SweepConfig.slope_tol,
-            deviation_slack: float = SweepConfig.deviation_slack):
+def analyze(records, p: float, R: float = 1.0):
     """Sweep records -> (r0, prediction, fits, verdicts).
 
     R0 is extrapolated from the tied fluxes of the successful records,
     C_o and the prediction come from `asymptotics` at the smallest
-    successful delta, and the verdicts apply the given tolerances (the
-    SweepConfig defaults unless passed).
+    successful delta, and the verdicts apply the fixed tolerances
+    (`sweep.RATIO_BAND`, `sweep.DEVIATION_SLACK` and SLOPE_TOL), so a
+    ladder gets the same verdicts from every command.
     """
     r0 = r0_from_records(records)
     C_o = asymptotics.c_o_quadrature(p, DIM, R)
@@ -142,11 +141,9 @@ def analyze(records, p: float, R: float = 1.0,
     pred = asymptotics.predict(p, DIM, R, r0.R0, smallest, C_o=C_o)
     fits = {q: fit_power_law(records, q, pred) for q in QUANTITIES}
     verdicts = {
-        "theorem_ratio": verify_theorem(
-            records, r0, pred, band=ratio_band, deviation_slack=deviation_slack,
-        ),
-        "gap_slope_ok": abs(fits["gap"].slope_deviation) <= slope_tol,
-        "gradmax_slope_ok": abs(fits["gradMax"].slope_deviation) <= slope_tol,
+        "theorem_ratio": verify_theorem(records, r0, pred),
+        "gap_slope_ok": abs(fits["gap"].slope_deviation) <= SLOPE_TOL,
+        "gradmax_slope_ok": abs(fits["gradMax"].slope_deviation) <= SLOPE_TOL,
     }
     return r0, pred, fits, verdicts
 
@@ -161,9 +158,7 @@ def _verdicts_pass(verdicts) -> bool:
 def _cmd_sweep(args) -> int:
     cfg = SweepConfig.from_json(Path(args.config).read_text())
     records = run_sweep(cfg)
-    r0, pred, fits, verdicts = analyze(
-        records, cfg.p, cfg.R, cfg.ratio_band, cfg.slope_tol, cfg.deviation_slack
-    )
+    r0, pred, fits, verdicts = analyze(records, cfg.p, cfg.R)
     emit_report(records, fits, verdicts, args.out, config=cfg, r0=r0, prediction=pred)
     for rec in records:
         status = rec.error or "ok"

@@ -16,15 +16,14 @@ the blow-up laws) positive.  Conservation then reads
 
     flux(outer) = flux(particle 1) + flux(particle 2).
 
-Two quadratures are provided.  The `variational` route sums the
-unconstrained energy-gradient residuals over the curve's nodes, which is
-the flux the discrete optimality conditions control: per-particle fluxes
-of floating solves and the combined flux of tied solves vanish to solver
-tolerance by construction, and global conservation holds to the same
-tolerance.  The `line` route integrates one-sided element gradients with
-arc-length weights; it is the pointwise-density view behind
-`boundary_flux(..., method="line")` and the neck-flux samples checked
-against the barrier bounds.  Reports use the variational route only.
+Curve fluxes are variational: they sum the unconstrained energy-gradient
+residuals over the curve's nodes, which is the flux the discrete
+optimality conditions control.  Per-particle fluxes of floating solves
+and the combined flux of tied solves vanish to solver tolerance by
+construction, and global conservation holds to the same tolerance.  The
+pointwise neck-flux samples checked against the barrier bounds use
+one-sided element gradients at the boundary-edge midpoints instead
+(`sample_neck_flux`).
 """
 
 from __future__ import annotations
@@ -59,6 +58,7 @@ __all__ = [
 _CURVE_TAGS = {"outer": TAG_OUTER, "particle1": TAG_P1, "particle2": TAG_P2}
 _SUB_ARCS = ("s2", "particle2_away")  # pieces of particle 2 split by the neck window
 _R0_ABS_FLOOR = 1e-9  # R_delta misfits below this are solver roundoff, not noise
+R0_NOISE_TOL = 0.25  # largest R_delta misfit accepted, as a fraction of the data range
 
 
 class FluxError(ValueError):
@@ -112,20 +112,18 @@ def _summed_flux(w: np.ndarray, mesh: Mesh, curve: str, neck: NeckSpec | None = 
     return _curve_sign(curve) * float(np.sum(w[_curve_nodes(mesh, curve, neck)]))
 
 
-def _curve_edges(mesh: Mesh, curve: str, neck: NeckSpec | None = None):
-    if curve in _SUB_ARCS:
-        edges, owners = mesh.boundary_edges[TAG_P2]
-        mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
-        sel = _neck_side(curve, neck, mids)
-        return edges[sel], owners[sel]
-    if curve not in _CURVE_TAGS:
-        raise FluxError(f"unknown curve {curve!r}")
-    return mesh.boundary_edges[_CURVE_TAGS[curve]]
+def _neck_edges(mesh: Mesh, neck: NeckSpec):
+    """Boundary edges of particle 2 on the neck arc 's2', with their owning
+    elements."""
+    edges, owners = mesh.boundary_edges[TAG_P2]
+    mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
+    sel = _neck_side("s2", neck, mids)
+    return edges[sel], owners[sel]
 
 
 def _edge_frame(mesh: Mesh, edges: np.ndarray, owners: np.ndarray):
-    """Midpoints, lengths and unit normals of boundary edges, the normals
-    oriented away from the owning element's centroid (out of the domain)."""
+    """Midpoints and unit normals of boundary edges, the normals oriented
+    away from the owning element's centroid (out of the domain)."""
     a = mesh.nodes[edges[:, 0]]
     b = mesh.nodes[edges[:, 1]]
     mid = 0.5 * (a + b)
@@ -134,29 +132,13 @@ def _edge_frame(mesh: Mesh, edges: np.ndarray, owners: np.ndarray):
     normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
     flip = np.einsum("ei,ei->e", normals, mesh.centroids[owners] - mid) > 0
     normals[flip] *= -1.0
-    return mid, lengths, normals
-
-
-def _line_flux(solution: DiscreteSolution, curve: str, neck=None) -> float:
-    """Arc-length quadrature of |grad u|^(p-2) n.grad u with one-sided
-    element gradients, in the raw all-outward convention."""
-    mesh = solution.mesh
-    edges, owners = _curve_edges(mesh, curve, neck)
-    if len(edges) == 0:
-        return 0.0
-    g = element_gradients(mesh, solution.u)[owners]
-    _, lengths, normals = _edge_frame(mesh, edges, owners)
-    gn = np.einsum("ei,ei->e", g, normals)
-    mag = np.hypot(g[:, 0], g[:, 1])
-    dens = mag ** (solution.p - 2.0) * gn
-    return float(np.sum(dens * lengths))
+    return mid, normals
 
 
 def boundary_flux(
     solution: DiscreteSolution,
     curve: str,
     neck: NeckSpec | None = None,
-    method: str = "variational",
 ) -> float:
     """Flux through a tagged curve or neck sub-arc.
 
@@ -164,11 +146,7 @@ def boundary_flux(
     Normals follow the module convention (outer: out of the domain,
     particles: out of the particle).
     """
-    if method == "variational":
-        return _summed_flux(_node_flux_weights(solution), solution.mesh, curve, neck)
-    if method == "line":
-        return _curve_sign(curve) * _line_flux(solution, curve, neck)
-    raise FluxError(f"unknown quadrature method {method!r}")
+    return _summed_flux(_node_flux_weights(solution), solution.mesh, curve, neck)
 
 
 @dataclass(frozen=True)
@@ -271,12 +249,12 @@ class R0Estimate:
     max_fit_residual: float
 
 
-def estimate_r0(pairs, noise_tol: float = 0.25) -> R0Estimate:
+def estimate_r0(pairs) -> R0Estimate:
     """Extrapolate R_delta -> R0 from (delta, R_delta) pairs.
 
     The deltas must be strictly decreasing, at least 3 of them.  Raises
     ExtrapolationUnreliableError (carrying the ladder) when the
-    linear-in-delta fit misfits by more than noise_tol of the data range
+    linear-in-delta fit misfits by more than R0_NOISE_TOL of the data range
     and by more than solver roundoff.
     """
     pairs = [(float(d), float(v)) for d, v in pairs]
@@ -292,7 +270,7 @@ def estimate_r0(pairs, noise_tol: float = 0.25) -> R0Estimate:
     resid = np.abs(fit - y)
     span = max(float(np.max(y) - np.min(y)), abs(coef[0]) * 1e-12, 1e-300)
     misfit = float(np.max(resid))
-    if misfit > noise_tol * max(span, abs(coef[0])) and misfit > _R0_ABS_FLOOR:
+    if misfit > R0_NOISE_TOL * max(span, abs(coef[0])) and misfit > _R0_ABS_FLOOR:
         raise ExtrapolationUnreliableError(
             f"R_delta ladder misfits linear extrapolation by {misfit:.3e}",
             pairs,
@@ -389,10 +367,10 @@ def sample_neck_flux(solution: DiscreteSolution, neck: NeckSpec):
     gradient, an observed discretization error proxy per sample.
     """
     mesh = solution.mesh
-    edges, owners = _curve_edges(mesh, "s2", neck)
+    edges, owners = _neck_edges(mesh, neck)
     if len(edges) == 0:
         raise FluxError("no boundary edges inside the neck window")
-    mid, _, normals = _edge_frame(mesh, edges, owners)  # into particle 2
+    mid, normals = _edge_frame(mesh, edges, owners)  # into particle 2
     g_elem = element_gradients(mesh, solution.u)[owners]
     g_node = recovered_node_gradients(mesh, solution.u)
     g_rec = 0.5 * (g_node[edges[:, 0]] + g_node[edges[:, 1]])

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 DIM = 2  # the disks, their meshes and every solve live in the plane
-NECK_W_FRACTION = 0.25  # default neck-window half-width, as a fraction of R
+NECK_W_FRACTION = 0.25  # neck-window half-width, as a fraction of R
 
 GapMode = Literal["exact", "quadratic"]
 
@@ -66,10 +66,12 @@ class ParticlePair:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.R <= 0.0:
-            raise GeometryError(f"particle radius must be positive, got {self.R}")
-        if self.delta < 0.0:
-            raise GeometryError(f"surface gap must be nonnegative, got {self.delta}")
+        if not 0.0 < self.R < math.inf:
+            raise GeometryError(f"particle radius R must be positive and finite, got {self.R}")
+        if not 0.0 <= self.delta < math.inf:
+            raise GeometryError(
+                f"surface gap delta must be nonnegative and finite, got {self.delta}"
+            )
 
     @property
     def center1(self) -> tuple[float, float]:
@@ -232,6 +234,12 @@ class DomainSpec:
     clearance: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.R_out):
+            raise GeometryError(f"outer radius R_out must be finite, got {self.R_out}")
+        if not 0.0 <= self.clearance < math.inf:
+            raise GeometryError(
+                f"clearance must be nonnegative and finite, got {self.clearance}"
+            )
         margin = self.boundary_margin
         if margin <= 0.0:
             raise GeometryError(

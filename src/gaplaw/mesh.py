@@ -75,6 +75,7 @@ class MeshError(RuntimeError):
 STRIP_HALFWIDTH = 0.5  # half-width of the structured strip, in units of R
 GRADING = 0.3  # Lipschitz constant of the sizing field outside the strip
 QUALITY_FLOOR = 0.02  # smallest admissible element quality
+STRIP_ASPECT = 1.4  # width/height ratio of the structured strip cells
 
 
 @dataclass(frozen=True)
@@ -84,20 +85,19 @@ class MeshParams:
     `h_far` is the cell size far from the gap.  `neck_layers` is the
     number of element layers across the gap at x = 0 (even, >= 4, so the
     neck target size h_neck = delta/neck_layers stays <= delta/4).
-    `strip_aspect` is the width/height ratio of the structured strip
-    cells.  The strip half-width, the grading and the quality floor are
-    the module constants STRIP_HALFWIDTH, GRADING and QUALITY_FLOOR.
+    The strip half-width, the strip cells' aspect ratio, the grading and
+    the quality floor are the module constants STRIP_HALFWIDTH,
+    STRIP_ASPECT, GRADING and QUALITY_FLOOR.
     """
 
     h_far: float = 0.3
     neck_layers: int = 4
-    strip_aspect: float = 1.4
 
     def __post_init__(self):
         if self.neck_layers < 4 or self.neck_layers % 2 != 0:
             raise MeshError(f"neck_layers must be even and >= 4, got {self.neck_layers}")
-        if self.h_far <= 0:
-            raise MeshError("h_far must be positive")
+        if not 0.0 < self.h_far < math.inf:
+            raise MeshError(f"h_far must be positive and finite, got {self.h_far}")
 
 
 @dataclass
@@ -300,7 +300,7 @@ def _strip_columns(domain: DomainSpec, params: MeshParams) -> np.ndarray:
     N = params.neck_layers
 
     def step(x):
-        return params.strip_aspect * gap_width(x, pair) / N
+        return STRIP_ASPECT * gap_width(x, pair) / N
 
     xs_pos = _march_interval(0.0, xs_half, step)
     return np.concatenate([-xs_pos[:0:-1], xs_pos])

@@ -15,8 +15,11 @@ are then fit to power laws in delta and compared against the predictions
 
 with R0 extrapolated from the tied ladder and (gamma, C_o) supplied by
 the asymptotics module (never re-derived here).  Verdicts are finite-
-delta surrogates for the limit statements: the acceptance band and slope
-tolerances are engineering choices, all exposed in the config.
+delta surrogates for the limit statements: the acceptance band, the
+deviation slack and the barrier coverage are engineering choices, fixed
+as module constants (RATIO_BAND, DEVIATION_SLACK, BARRIER_COVERAGE; the
+slope tolerance is `cli.SLOPE_TOL`), so every command that judges a
+ladder judges it the same way.
 
 Outputs: `sweep.csv` (fixed column schema), `report.json` (fits,
 verdicts, extrapolation, and at p = 2 the Q report of each delta), and
@@ -49,7 +52,7 @@ from .flux import (
     sample_neck_flux,
 )
 from .barriers import barrier_flux_bound
-from .geometry import DIM, NECK_W_FRACTION, DomainSpec, GeometryError, NeckSpec, ParticlePair
+from .geometry import NECK_W_FRACTION, DomainSpec, GeometryError, NeckSpec, ParticlePair
 from .mesh import MeshParams, build_mesh
 from .solver import (
     DiscreteSolution,
@@ -85,6 +88,10 @@ CSV_COLUMNS = (
 # sweep.csv column -> (format, parse); every column is a SweepRecord field
 _CSV_CODEC = {name: (repr, float) for name in CSV_COLUMNS} | {"newton_iters": (str, int)}
 
+RATIO_BAND = (0.85, 1.15)  # criterion 6: the two smallest-delta ratios lie inside
+DEVIATION_SLACK = 0.02  # allowed growth of |ratio - 1| from one delta to the next
+BARRIER_COVERAGE = 0.95  # criterion 7: share of neck samples inside the sandwich
+
 
 class SweepError(RuntimeError):
     def __init__(self, message, failures=None):
@@ -111,22 +118,25 @@ class SweepConfig:
     The delta ladder is geometric: delta_start * delta_ratio^k for
     k = 0..delta_count-1.  `h_neck_fraction` is the target neck cell size
     as a fraction of delta (the mesher keeps at least 4 layers across the
-    gap).  `h_far`, `h_neck_fraction` and `strip_aspect` make up the
-    MeshParams; the mesher draws no random numbers, so there is no mesh
-    seed.  `datum` is 'linear-y', 'quadratic', or a {'kind': 'table',
-    'entries': [[theta, value], ...]} dictionary.
+    gap).  `h_far` and `h_neck_fraction` make up the MeshParams; the
+    mesher draws no random numbers, so there is no mesh seed.  The neck
+    window half-width is NECK_W_FRACTION * R.  `datum` is 'linear-y',
+    'quadratic', or a {'kind': 'table', 'entries': [[theta, value], ...]}
+    dictionary.
 
     `newton_tol`, `max_iter`, `eps_scale` and `p_step` make up the
     SolverConfig; `newton_tol` is relative to the largest nodal flux
     magnitude of the solution at the target p.
 
-    Construction validates the config before any mesh is built: R <= 0,
-    an unknown datum, p < 2, delta_start <= 0, a delta_count that is not
-    an integer >= 1, h_far <= 0, h_neck_fraction outside (0, 0.25], the
-    solver values SolverConfig rejects (max_iter < 1, newton_tol outside
-    (0, 1), eps_scale < 0, p_step <= 0), an R_out that leaves less than
-    `clearance` around the particles at delta_start (the widest gap, so
-    the whole ladder), or a neck_w outside (0, R) raises ValueError.
+    Construction validates the config before any mesh is built: an R
+    that is not positive and finite, an unknown datum, p < 2,
+    delta_start <= 0, a delta_count that is not an integer >= 1, an h_far
+    that is not positive and finite, h_neck_fraction outside (0, 0.25],
+    the solver values SolverConfig rejects (max_iter < 1, newton_tol
+    outside (0, 1), eps_scale < 0, p_step <= 0), a non-finite R_out, a
+    clearance that is negative or not finite, or an R_out that leaves
+    less than `clearance` around the particles at delta_start (the widest
+    gap, so the whole ladder) raises ValueError.
     """
 
     R: float = 1.0
@@ -137,21 +147,16 @@ class SweepConfig:
     delta_start: float = 0.04
     delta_ratio: float = 0.5
     delta_count: int = 5
-    neck_w: float | None = None
     h_far: float = 0.3
     h_neck_fraction: float = 0.25
-    strip_aspect: float = 1.4
     newton_tol: float = 1e-12
     max_iter: int = 80
     eps_scale: float = 1e-8
     p_step: float = 0.5
-    ratio_band: tuple[float, float] = (0.85, 1.15)
-    slope_tol: float = 0.1
-    deviation_slack: float = 0.02
 
     def __post_init__(self):
-        if not self.R > 0.0:
-            raise ValueError(f"R must be positive, got {self.R}")
+        if not 0.0 < self.R < math.inf:
+            raise ValueError(f"R must be positive and finite, got {self.R}")
         if not 2.0 <= self.p < math.inf:
             raise ValueError(f"p must be finite and >= 2, got {self.p}")
         if not self.delta_start > 0.0:
@@ -167,18 +172,14 @@ class SweepConfig:
                 f"the gap, got {self.h_neck_fraction}"
             )
         self.solver_config()  # rejects max_iter, newton_tol, eps_scale, p_step
-        if not self.h_far > 0.0:
-            raise ValueError(f"h_far must be positive, got {self.h_far}")
+        if not 0.0 < self.h_far < math.inf:
+            raise ValueError(f"h_far must be positive and finite, got {self.h_far}")
         try:
-            pair = self.domain(self.delta_start).pair  # also rejects an unknown datum
+            self.domain(self.delta_start)  # also rejects an unknown datum
         except GeometryError as exc:
             raise ValueError(
                 f"R_out={self.R_out} at delta_start={self.delta_start}: {exc}"
             ) from exc
-        try:
-            NeckSpec(pair, self.w)
-        except GeometryError as exc:
-            raise ValueError(f"neck_w={self.neck_w}: {exc}") from exc
 
     @property
     def deltas(self) -> tuple[float, ...]:
@@ -188,7 +189,8 @@ class SweepConfig:
 
     @property
     def w(self) -> float:
-        return self.neck_w if self.neck_w is not None else NECK_W_FRACTION * self.R
+        """Half-width of the neck window, a fixed fraction of R."""
+        return NECK_W_FRACTION * self.R
 
     def datum_callable(self):
         if self.datum == "linear-y":
@@ -212,11 +214,7 @@ class SweepConfig:
         layers = max(4, int(math.ceil(1.0 / self.h_neck_fraction)))
         if layers % 2:
             layers += 1
-        return MeshParams(
-            h_far=self.h_far,
-            neck_layers=layers,
-            strip_aspect=self.strip_aspect,
-        )
+        return MeshParams(h_far=self.h_far, neck_layers=layers)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
@@ -227,18 +225,13 @@ class SweepConfig:
         )
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["ratio_band"] = list(self.ratio_band)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown SweepConfig keys {sorted(unknown)}")
-        d = dict(d)
-        if "ratio_band" in d:
-            d["ratio_band"] = tuple(d["ratio_band"])
         return cls(**d)
 
     @classmethod
@@ -432,9 +425,9 @@ def fit_power_law(
 class TheoremVerdict:
     """Per-delta ratios gap^(p-1) delta^(-gamma) C_o / R0 and the verdict.
 
-    PASS requires the two smallest-delta ratios inside the band and the
-    deviation-from-1 sequence nonincreasing along the ladder (up to the
-    configured slack).
+    PASS requires the two smallest-delta ratios inside RATIO_BAND and
+    the deviation-from-1 sequence nonincreasing along the ladder (up to
+    DEVIATION_SLACK).
     """
 
     deltas: tuple[float, ...]
@@ -455,8 +448,6 @@ def verify_theorem(
     records: list[SweepRecord],
     r0: R0Estimate,
     prediction: AsymptoticPrediction,
-    band: tuple[float, float] = (0.85, 1.15),
-    deviation_slack: float = 0.02,
 ) -> TheoremVerdict:
     """Check the gap law at finite delta against the extrapolated R0.
 
@@ -477,16 +468,17 @@ def verify_theorem(
     ratios = tuple(
         (r.gap ** (p - 1.0)) * r.delta ** (-gamma) * C_o / r0.R0 for r in ok
     )
-    in_band = tuple(band[0] <= rt <= band[1] for rt in ratios)
+    lo, hi = RATIO_BAND
+    in_band = tuple(lo <= rt <= hi for rt in ratios)
     devs = [abs(rt - 1.0) for rt in ratios]
     decreasing = all(
-        devs[i + 1] <= devs[i] + deviation_slack for i in range(len(devs) - 1)
+        devs[i + 1] <= devs[i] + DEVIATION_SLACK for i in range(len(devs) - 1)
     ) and devs[-1] <= devs[0] + 1e-12
     passed = bool(in_band[-1] and in_band[-2] and decreasing)
     return TheoremVerdict(
         deltas=tuple(r.delta for r in ok),
         ratios=ratios,
-        band=band,
+        band=RATIO_BAND,
         in_band=in_band,
         deviations_decreasing=decreasing,
         passed=passed,
@@ -515,26 +507,25 @@ def verify_barrier(
     solution: DiscreteSolution,
     neck: NeckSpec,
     p: float,
-    C_slack: float | None = None,
-    required_coverage: float = 0.95,
 ) -> BarrierVerdict:
     """Fraction of neck-arc flux samples inside the sandwich bounds,
-    inflated per sample by the observed discretization slack.
+    inflated per sample by the observed discretization slack; PASS at a
+    coverage of at least BARRIER_COVERAGE.
 
-    C_slack defaults to the measured far-field gradient maximum, the
-    quantity the additive constant of the bounds stands in for.
+    The additive constant of the bounds is the measured far-field
+    gradient maximum, the quantity it stands in for.  `p` must be the
+    solution's exponent; a different value raises ValueError.
     """
     if solution.kind != "floating":
         raise ValueError("barrier verdict applies to floating solves")
-    if C_slack is None:
-        C_slack = grad_max(solution, "away", neck)[0]
+    if p != solution.p:
+        raise ValueError(f"p={p} differs from the solution's p={solution.p}")
+    C_slack = grad_max(solution, "away", neck)[0]
     pair = neck.pair
     xs, measured, slack = sample_neck_flux(solution, neck)
     inside = 0
     for x, m, s in zip(xs, measured, slack):
-        fb = barrier_flux_bound(
-            float(x), solution.T1, solution.T2, pair, p=p, d=DIM, C_slack=C_slack
-        )
+        fb = barrier_flux_bound(float(x), solution.T1, solution.T2, pair, C_slack=C_slack)
         if fb.lower - s <= m <= fb.upper + s:
             inside += 1
     cov = inside / len(xs)
@@ -542,16 +533,16 @@ def verify_barrier(
         n_samples=len(xs),
         n_inside=inside,
         coverage=cov,
-        required=required_coverage,
-        passed=cov >= required_coverage,
+        required=BARRIER_COVERAGE,
+        passed=cov >= BARRIER_COVERAGE,
         C_slack=float(C_slack),
     )
 
 
-def r0_from_records(records: list[SweepRecord], noise_tol: float = 0.25) -> R0Estimate:
+def r0_from_records(records: list[SweepRecord]) -> R0Estimate:
     """R0 extrapolation reusing the tied fluxes already in the records."""
     ok = sorted((r for r in records if r.error is None), key=lambda r: -r.delta)
-    return estimate_r0([(r.delta, r.r_delta) for r in ok], noise_tol)
+    return estimate_r0([(r.delta, r.r_delta) for r in ok])
 
 
 # -----------------------------------------------------------------------------

@@ -8,9 +8,7 @@ def run_benchmark(p: float):
     """Full pipeline on the default five-point ladder 0.04 -> 0.0025."""
     cfg = SweepConfig(p=p)
     records = run_sweep(cfg, keep_solutions=True)
-    r0, pred, fits, verdicts = analyze(
-        records, cfg.p, cfg.R, cfg.ratio_band, cfg.slope_tol, cfg.deviation_slack
-    )
+    r0, pred, fits, verdicts = analyze(records, cfg.p, cfg.R)
     return {
         "config": cfg,
         "records": records,

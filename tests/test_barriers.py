@@ -210,24 +210,24 @@ PAIR = ParticlePair(R=1.0, delta=1e-3)
 
 class TestBarrierFluxBound:
     def test_no_gap(self):
-        fb = barrier_flux_bound(0.1, 0.5, 0.5, PAIR, p=3, d=2, C_slack=0.7)
+        fb = barrier_flux_bound(0.1, 0.5, 0.5, PAIR, C_slack=0.7)
         assert fb.leading == 0.0
         assert fb.upper == pytest.approx(0.7)
         assert fb.lower == pytest.approx(-0.7)
 
     def test_leading_at_axis(self):
         pair = ParticlePair(R=1.0, delta=0.01)
-        fb = barrier_flux_bound(0.0, 0.0, 0.1, pair, p=3, d=2, C_slack=0.0)
+        fb = barrier_flux_bound(0.0, 0.0, 0.1, pair, C_slack=0.0)
         assert fb.leading == pytest.approx(10.0)
 
     def test_leading_off_axis(self):
-        fb = barrier_flux_bound(0.05, 0.0, 0.1, PAIR, p=3, d=2, C_slack=0.2)
+        fb = barrier_flux_bound(0.05, 0.0, 0.1, PAIR, C_slack=0.2)
         assert fb.leading == pytest.approx(28.571, abs=1e-2)
         assert fb.lower <= fb.leading <= fb.upper
 
     def test_swap_labels_error(self):
         with pytest.raises(ValueError):
-            barrier_flux_bound(0.0, 1.0, 0.0, PAIR, p=3, d=2, C_slack=0.1)
+            barrier_flux_bound(0.0, 1.0, 0.0, PAIR, C_slack=0.1)
 
     @given(
         x=st.floats(-0.25, 0.25),
@@ -238,7 +238,7 @@ class TestBarrierFluxBound:
     @settings(max_examples=100)
     def test_sandwich_order(self, x, delta, dT, C):
         pair = ParticlePair(R=1.0, delta=delta)
-        fb = barrier_flux_bound(x, 0.0, dT, pair, p=3, d=2, C_slack=C)
+        fb = barrier_flux_bound(x, 0.0, dT, pair, C_slack=C)
         assert fb.lower <= fb.upper
         assert fb.lower <= fb.leading * (1.0 + 2.0 * delta)
 
@@ -248,12 +248,12 @@ class TestBarrierFluxBound:
         dT, C = 0.3, 0.05
         for delta in (1e-3, 1e-4, 1e-5):
             pair = ParticlePair(R=1.0, delta=delta)
-            fb = barrier_flux_bound(0.0, 0.0, dT, pair, p=3, d=2, C_slack=C)
+            fb = barrier_flux_bound(0.0, 0.0, dT, pair, C_slack=C)
             for v in (fb.lower, fb.upper):
                 assert abs(v / fb.leading - 1.0) <= 2.0 * 2.0 * delta + C / fb.leading
 
     def test_out_of_validity_falls_back(self):
         pair = ParticlePair(R=1.0, delta=0.01)
-        fb = barrier_flux_bound(0.6, 0.0, 0.1, pair, p=3, d=2, C_slack=0.1)
+        fb = barrier_flux_bound(0.6, 0.0, 0.1, pair, C_slack=0.1)
         assert not fb.lower_barrier_valid
         assert fb.lower <= fb.upper

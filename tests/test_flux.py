@@ -68,14 +68,6 @@ class TestBoundaryFlux:
         assert outer == pytest.approx(exact, rel=2e-4)
         assert abs(inner - outer) <= 1e-10 * abs(exact)
 
-    def test_line_quadrature_consistent(self, floating):
-        # one-sided line quadrature approaches the variational value at
-        # discretization accuracy; they are distinct routes
-        for curve in ("outer",):
-            v = boundary_flux(floating, curve, method="variational")
-            l = boundary_flux(floating, curve, method="line")
-            assert abs(v - l) <= 0.5
-
     def test_unknown_curve(self, floating):
         with pytest.raises(FluxError):
             boundary_flux(floating, "everything")
@@ -223,7 +215,7 @@ class TestEstimateR0:
     def test_noisy_ladder_rejected(self):
         pairs = [(0.08, 1.0), (0.04, 5.0), (0.02, 1.2), (0.01, 4.8)]
         with pytest.raises(ExtrapolationUnreliableError) as exc:
-            estimate_r0(pairs, noise_tol=0.25)
+            estimate_r0(pairs)
         assert exc.value.ladder == pairs
 
 

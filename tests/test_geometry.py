@@ -32,6 +32,11 @@ class TestParticlePair:
             ParticlePair(R=-1.0, delta=0.1)
         with pytest.raises(GeometryError):
             ParticlePair(R=1.0, delta=-0.1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(GeometryError, match=r"\bR\b"):
+                ParticlePair(R=bad, delta=0.1)
+            with pytest.raises(GeometryError, match="delta"):
+                ParticlePair(R=1.0, delta=bad)
 
     def test_arcs_meet_gap(self):
         assert PAIR.upper_arc_y(0.0) == pytest.approx(0.005)
@@ -193,6 +198,12 @@ class TestDomainSpec:
             DomainSpec(pair=ParticlePair(R=1.0, delta=0.1), R_out=2.0)
         with pytest.raises(GeometryError):
             DomainSpec(pair=PAIR, R_out=4.0, clearance=3.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(GeometryError, match="R_out"):
+                DomainSpec(pair=PAIR, R_out=bad)
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(GeometryError, match="clearance"):
+                DomainSpec(pair=PAIR, R_out=4.0, clearance=bad)
         dom = DomainSpec(pair=PAIR, R_out=4.0, clearance=1.0)
         assert dom.boundary_margin == pytest.approx(4.0 - 2.005)
 

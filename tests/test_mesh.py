@@ -249,6 +249,9 @@ class TestBuildMesh:
             MeshParams(neck_layers=3)
         with pytest.raises(MeshError):
             MeshParams(neck_layers=2)
+        for bad in (0.0, -0.3, float("nan"), float("inf")):
+            with pytest.raises(MeshError, match="h_far"):
+                MeshParams(h_far=bad)
 
 
 class TestMergeOracle:

@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +10,9 @@ import pytest
 import gaplaw.sweep as sweep
 from gaplaw import asymptotics
 from gaplaw.flux import R0Estimate, q_functional
+from gaplaw.geometry import NeckSpec
 from gaplaw.mesh import build_mesh
-from gaplaw.solver import SolverConfig, solve_linear_aux
+from gaplaw.solver import SolverConfig, solve_floating, solve_linear_aux
 from gaplaw.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -19,6 +23,7 @@ from gaplaw.sweep import (
     records_from_csv,
     records_to_csv,
     run_sweep,
+    verify_barrier,
     verify_theorem,
 )
 
@@ -76,6 +81,12 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(datum="mystery").datum_callable()
 
+    def test_readme_example_is_the_default_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        assert set(block) == {f.name for f in dataclasses.fields(SweepConfig)}
+        assert SweepConfig.from_dict(block) == SweepConfig()
+
     def test_table_datum_on_arrays(self):
         # unsorted entries, one of them given at a negative angle
         entries = [[4.0, 2.0], [1.0, 0.0], [-1.0, 3.0], [2.5, -1.0]]
@@ -131,10 +142,10 @@ class TestSweepConfigValidation:
         ({"h_neck_fraction": 0.0}, "h_neck_fraction"),
         ({"h_neck_fraction": -0.1}, "h_neck_fraction"),
         # values every ladder point would fail on, deep inside the mesher or solver
-        ({"neck_w": 0.0}, "neck_w"),
-        ({"neck_w": -0.25}, "neck_w"),
-        ({"neck_w": 1.0}, "neck_w"),
-        ({"neck_w": float("nan")}, "neck_w"),
+        ({"R_out": float("nan")}, "R_out"),
+        ({"R_out": float("inf")}, "R_out"),
+        ({"clearance": float("nan")}, "clearance"),
+        ({"clearance": -1.0}, "clearance"),
         ({"delta_start": 0.0}, "delta_start"),
         ({"delta_start": -0.04}, "delta_start"),
         ({"delta_start": float("nan")}, "delta_start"),
@@ -164,6 +175,9 @@ class TestSweepConfigValidation:
         pytest.param({"eps_scale": float("inf")}, "eps_scale", id="eps_scale-inf"),
         pytest.param({"max_iter": True}, "max_iter", id="max_iter-bool"),
         pytest.param({"delta_count": True}, "delta_count", id="delta_count-bool"),
+        pytest.param({"R": float("inf")}, r"^R\b", id="R-inf"),
+        pytest.param({"h_far": float("nan")}, "h_far", id="h_far-nan"),
+        pytest.param({"h_far": float("inf")}, "h_far", id="h_far-inf"),
     ])
     def test_rejected_at_construction(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -201,9 +215,14 @@ class TestSweepConfigValidation:
             SweepConfig.from_dict({"p": 3.0, "R_outer": 4.0})
         with pytest.raises(ValueError, match="out_dir"):
             SweepConfig.from_json('{"out_dir": "results"}')
-        # the mesher draws no random numbers, so a mesh seed is no option
-        with pytest.raises(ValueError, match="mesh_seed"):
-            SweepConfig.from_dict({**SweepConfig().to_dict(), "mesh_seed": 0})
+        # the mesher draws no random numbers, so a mesh seed is no option;
+        # the verdict tolerances, the neck width and the strip aspect are
+        # module constants
+        for key, value in [("mesh_seed", 0), ("ratio_band", [0.995, 1.005]),
+                           ("slope_tol", 0.1), ("deviation_slack", 0.02),
+                           ("neck_w", None), ("strip_aspect", 1.4)]:
+            with pytest.raises(ValueError, match=key):
+                SweepConfig.from_dict({**SweepConfig().to_dict(), key: value})
 
     def test_clearance_checked_at_the_widest_gap(self):
         # margin R_out - (2R + delta/2): 0.995 at delta_start = 0.04, but
@@ -366,6 +385,18 @@ class TestVerifyTheorem:
         r0 = R0Estimate(ladder=(), R0=-1.0, slope=0.0, residual=0.0, max_fit_residual=0.0)
         with pytest.raises(ValueError, match="swap"):
             verify_theorem(recs, r0, pred)
+
+
+class TestVerifyBarrier:
+    def test_rejects_another_p(self):
+        cfg = SweepConfig(p=2.0, **TINY)
+        dom = cfg.domain(cfg.delta_start)
+        sol = solve_floating(build_mesh(dom, cfg.mesh_params()), p=2.0,
+                             config=cfg.solver_config())
+        neck = NeckSpec(dom.pair, cfg.w)
+        assert verify_barrier(sol, neck, p=2.0).n_samples > 0
+        with pytest.raises(ValueError, match="p=3.0"):
+            verify_barrier(sol, neck, p=3.0)
 
 
 class TestPersistence:
