@@ -307,10 +307,6 @@ class QReport:
     identity_defect: float
     reciprocity_defect: float
 
-    @property
-    def minus_b_sum(self) -> float:
-        return -(self.b[0] + self.b[1])
-
 
 def q_functional(v1: DiscreteSolution, v2: DiscreteSolution,
                  v3: DiscreteSolution) -> QReport:

@@ -81,10 +81,6 @@ class ParticlePair:
     def center2(self) -> tuple[float, float]:
         return (0.0, self.R + 0.5 * self.delta)
 
-    @property
-    def center_separation(self) -> float:
-        return 2.0 * self.R + self.delta
-
     def lower_arc_y(self, x):
         """y of the particle-1 surface (top of the lower disk) at offset x."""
         r2 = self.R * self.R - np.asarray(x) ** 2
@@ -191,14 +187,6 @@ class NeckSpec:
         xw = np.where(in_window, x, 0.0)  # keep the arc square roots real
         inside = in_window & (self.pair.lower_arc_y(xw) < y) & (y < self.pair.upper_arc_y(xw))
         return bool(inside) if inside.ndim == 0 else inside
-
-    def arc_halfangle(self) -> float:
-        """Half-angle subtended by each neck arc at its particle center."""
-        return math.asin(self.w / self.pair.R)
-
-    def arc_length(self) -> float:
-        """Arc length of each of arc_1, arc_2: 2 R asin(w/R)."""
-        return 2.0 * self.pair.R * self.arc_halfangle()
 
 
 def _linear_y(x, y):

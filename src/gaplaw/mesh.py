@@ -1,34 +1,40 @@
 """Body-fitted graded triangulations for the two-disk and annulus domains.
 
-The two-disk mesh is assembled from three conforming pieces:
+The two-disk mesh is assembled from five conforming pieces:
 
 1. a structured strip through the neck: vertical node columns between the
    two particle arcs for |x| <= strip half-width, with a fixed (even)
    number of layers across the local gap, so cell size tracks the gap
-   width delta + x^2/R and the strip is exactly symmetric under y -> -y;
-2. an unstructured triangulation of the upper outer region.  Boundary and
-   interface nodes are marched along their curves and held fixed.  The
-   interior nodes lie on offset curves ("rings") of the strip box at
-   distances d_1 = h(0), d_{k+1} = d_k + h(d_k), where h is a
-   Lipschitz-graded sizing field of the distance from the box; each ring
-   carries points at arc-length spacing about h(d_k), every other ring
-   shifted by half a step, and a point is kept only if it lies at least
-   h/2 inside the region.  One Delaunay triangulation joins them all;
-3. the mirror image of (2) below the x-axis.
+   width delta + x^2/R and the strip, diagonals included, is exactly
+   symmetric under y -> -y and under x -> -x;
+2. an unstructured triangulation of the quarter x >= 0, y >= 0 of the
+   outer region.  Boundary and interface nodes are marched along their
+   curves and held fixed, the seam on y = 0 and the segment of x = 0
+   between particle 2 and the outer circle among them; both are straight
+   sides of the quarter's hull.  The interior nodes lie on offset curves
+   ("rings") of the strip box at distances d_1 = h(0),
+   d_{k+1} = d_k + h(d_k), where h is a Lipschitz-graded sizing field of
+   the distance from the box; each ring carries points at arc-length
+   spacing about h(d_k), every other ring shifted by half a step, and a
+   point is kept only if it lies at least h/2 inside the quarter.  One
+   Delaunay triangulation joins them all;
+3.-5. the images of (2) under x -> -x, y -> -y and both.
 
 The pieces are joined by one array merge (`_merge_pieces`): all points of
-strip, upper region and mirror image are numbered in order of first
-appearance under `np.unique` over the bytes of (x + 0.0, y + 0.0), so
-points with equal coordinates, the shared strip interface and the seam
-on the x-axis, become one node, whose tag is the first boundary tag seen
-for it.  Boundary edges are found by integer keys a * n + b of their
+the strip and the four images of the quarter are numbered in order of
+first appearance under `np.unique` over the bytes of (x + 0.0, y + 0.0),
+so points with equal coordinates, the shared strip interface and the
+sides on the axes, become one node, whose tag is the first boundary tag
+seen for it.  Boundary edges are found by integer keys a * n + b of their
 sorted ends.  Only the marching along the boundary curves and the walk
 around each boundary loop in `_validate` go node by node in Python.
 
-Mirroring makes the whole mesh symmetric under y -> -y as a set of nodes
-and elements; `Mesh.mirror` finds that symmetry from the coordinates, and
-the solver uses it to halve the unknowns under odd or even data.  Construction
-involves no random numbers: fixed inputs give a bitwise-identical mesh.
+Mirroring makes the whole mesh symmetric under y -> -y and under x -> -x
+as a set of nodes and elements; `Mesh.mirror` and `Mesh.x_mirror` find
+those symmetries from the coordinates, and the solver uses them to solve
+on a half or a quarter of the unknowns under odd or even data.
+Construction involves no random numbers: fixed inputs give a
+bitwise-identical mesh.
 
 Annulus meshes for the exact-solution tests are plain structured polar
 grids.
@@ -64,8 +70,10 @@ TAG_P1 = 2
 TAG_P2 = 3
 
 _TAG_NAMES = {TAG_INTERIOR: "interior", TAG_OUTER: "outer", TAG_P1: "particle1", TAG_P2: "particle2"}
-# a node's tag -> its mirror image's under y -> -y: the particles swap
+# a node's tag -> its mirror image's under y -> -y: the particles swap;
+# under x -> -x each particle maps onto itself
 _MIRROR_TAG = np.array([TAG_INTERIOR, TAG_OUTER, TAG_P2, TAG_P1], dtype=np.int8)
+_SAME_TAG = np.array([TAG_INTERIOR, TAG_OUTER, TAG_P1, TAG_P2], dtype=np.int8)
 
 
 class MeshError(RuntimeError):
@@ -109,11 +117,13 @@ class Mesh:
     (areas, P1 gradient operators, centroids, boundary edges) are
     computed once at construction.
 
-    `mirror` is the node permutation under y -> -y, or None.  It is read
-    off the coordinates, so a mesh loaded from text has it too, and is
-    kept only when the mesh is symmetric as a whole: every x equal and
-    every y negated exactly, interior and outer tags mapped onto
-    themselves and particle 1 onto particle 2, and the elements onto the
+    `mirror` is the node permutation under y -> -y, or None, and
+    `x_mirror` the one under x -> -x.  Each is read off the coordinates,
+    so a mesh loaded from text has them too, and is kept only when the
+    mesh is symmetric as a whole: the other coordinate equal and the
+    reflected one negated exactly, interior and outer tags mapped onto
+    themselves, particle 1 onto particle 2 under `mirror` and each
+    particle onto itself under `x_mirror`, and the elements onto the
     element set (mirrored nodes under a different triangulation do not
     give a symmetric energy).
     """
@@ -130,6 +140,7 @@ class Mesh:
     centroids: np.ndarray = field(init=False, repr=False)
     boundary_edges: dict = field(init=False, repr=False)
     mirror: np.ndarray | None = field(init=False, repr=False)
+    x_mirror: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=float)
@@ -138,7 +149,8 @@ class Mesh:
         self._orient_ccw()
         self._build_geometry()
         self._build_boundary_edges()
-        self.mirror = self._find_mirror()
+        self.mirror = self._find_mirror(1, _MIRROR_TAG)
+        self.x_mirror = self._find_mirror(0, _SAME_TAG)
 
     # -- construction helpers -------------------------------------------------
 
@@ -190,15 +202,18 @@ class Mesh:
             out[tag] = (bedges[sel], bowner[sel])
         self.boundary_edges = out
 
-    def _find_mirror(self) -> np.ndarray | None:
-        x, y = self.nodes[:, 0], self.nodes[:, 1]
-        # the k-th node in (x, y) order mirrors the k-th in (x, -y) order
-        up, down = np.lexsort((y, x)), np.lexsort((-y, x))
-        if not (np.array_equal(x[down], x[up]) and np.array_equal(y[down], -y[up])):
+    def _find_mirror(self, axis: int, image_tag: np.ndarray) -> np.ndarray | None:
+        """The node permutation under the reflection that negates
+        coordinate `axis`, with node tags mapped by `image_tag`; None when
+        the mesh is not symmetric under it."""
+        c, other = self.nodes[:, axis], self.nodes[:, 1 - axis]
+        # the k-th node in (other, c) order mirrors the k-th in (other, -c) order
+        up, down = np.lexsort((c, other)), np.lexsort((-c, other))
+        if not (np.array_equal(other[down], other[up]) and np.array_equal(c[down], -c[up])):
             return None
         mirror = np.empty_like(up)
         mirror[up] = down
-        if not np.array_equal(self.node_tags[mirror], _MIRROR_TAG[self.node_tags]):
+        if not np.array_equal(self.node_tags[mirror], image_tag[self.node_tags]):
             return None
 
         n = self.n_nodes
@@ -343,13 +358,14 @@ def _build_strip(domain: DomainSpec, params: MeshParams):
 
 
 # -----------------------------------------------------------------------------
-# outer region (upper half)
+# outer region (the quarter x >= 0, y >= 0)
 # -----------------------------------------------------------------------------
 
 
 class _UpperRegion:
     """Inside test, approximate signed distance, and sizing field for the
-    upper outer region (outer disk minus particle 2 minus strip, y > 0)."""
+    quarter of the outer region that is meshed: the outer disk minus
+    particle 2 minus the strip, with x > 0 and y > 0."""
 
     def __init__(self, domain: DomainSpec, params: MeshParams, xs_half: float, h_ifc: float):
         self.R_out = domain.R_out
@@ -367,7 +383,7 @@ class _UpperRegion:
         xc = np.clip(np.abs(x), 0.0, self.R * (1.0 - 1e-12))
         y_up = self.cy - np.sqrt(self.R * self.R - xc * xc)
         d_strip = np.minimum(self.xs_half - np.abs(x), y_up - y)
-        return np.maximum.reduce([d_out, d_p2, d_strip, -y])
+        return np.maximum.reduce([d_out, d_p2, d_strip, -x, -y])
 
     def size_at(self, dist):
         """Target cell size at distance `dist` from the strip box."""
@@ -384,37 +400,36 @@ class _UpperRegion:
         return self.size_at(np.hypot(dx, dy))
 
     def _offset_curve(self, d: float, s: np.ndarray) -> np.ndarray:
-        """Points at arc length s along the upper half of the curve at
-        distance d outside the box [-xs_half, xs_half] x [0, y_box]: right
-        side, corner arc, top, corner arc, left side, from (xs_half + d, 0)
-        to (-xs_half - d, 0).  The path is folded onto its right half."""
+        """Points at arc length s along the quarter of the curve at
+        distance d outside the box [0, xs_half] x [0, y_box]: right side,
+        corner arc, top, from (xs_half + d, 0) at s = 0 to (0, y_box + d)
+        at s = y_box + pi d / 2 + xs_half."""
         xs, yb = self.xs_half, self.y_box
         q = 0.5 * math.pi * d
-        half = yb + q + xs
-        t = np.minimum(s, 2.0 * half - s)
-        th = np.clip((t - yb) / d, 0.0, 0.5 * math.pi)
-        side, arc = t < yb, t < yb + q
-        x = np.where(side, xs + d, np.where(arc, xs + d * np.cos(th), half - t))
-        y = np.where(side, t, np.where(arc, yb + d * np.sin(th), yb + d))
-        return np.column_stack([np.where(s <= half, x, -x), y])
+        th = np.clip((s - yb) / d, 0.0, 0.5 * math.pi)
+        side, arc = s < yb, s < yb + q
+        x = np.where(side, xs + d, np.where(arc, xs + d * np.cos(th), yb + q + xs - s))
+        y = np.where(side, s, np.where(arc, yb + d * np.sin(th), yb + d))
+        return np.column_stack([x, y])
 
     def ring_points(self) -> np.ndarray:
         """Interior nodes on offset curves of the strip box.
 
-        Ring k sits at distance d_k (d_1 = h(0), d_{k+1} = d_k + h(d_k))
-        and carries points at even arc-length spacing of about h(d_k),
-        every other ring shifted by half a step; only points at least
-        half a local size inside the region are kept.
+        Ring k sits at distance d_k (d_1 = h(0), d_{k+1} = d_k + h(d_k)).
+        Its points are spaced evenly, about h(d_k) apart, along the upper
+        half of the offset curve, every other ring shifted by half a step,
+        and only those on the quarter are made; of these, only points at
+        least half a local size inside the region are kept.
         """
         d_end = self.R_out + self.xs_half + self.y_box
         rings = []
         d = float(self.size_at(0.0))
         while d <= d_end:
             h = float(self.size_at(d))
-            length = 2.0 * (self.y_box + self.xs_half) + math.pi * d
-            n = max(1, round(length / h))
-            s = np.arange(0.5 * (len(rings) % 2), n + 0.5) * (length / n)
-            rings.append(self._offset_curve(d, s))
+            half = self.y_box + self.xs_half + 0.5 * math.pi * d
+            n = max(1, round(2.0 * half / h))
+            s = np.arange(0.5 * (len(rings) % 2), n + 0.5) * (2.0 * half / n)
+            rings.append(self._offset_curve(d, s[s <= half]))
             d += h
         pts = np.vstack(rings)
         return pts[self.signed_distance(pts) < -0.5 * self.sizing(pts)]
@@ -462,46 +477,44 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
     def hsize(x, y):
         return float(region.sizing_xy(x, y))
 
-    # fixed boundary nodes of the upper region -------------------------------
+    # fixed boundary nodes of the quarter -------------------------------------
     M = len(xs)
     N1 = N + 1
 
     def strip_node(i, j):
         return strip_nodes[i * N1 + j]
 
-    corner_r = strip_node(M - 1, N)  # (+xs_half, on particle 2)
-    corner_l = strip_node(0, N)  # (-xs_half, on particle 2)
-    seam_r = strip_node(M - 1, N // 2)  # (+xs_half, 0)
-    seam_l = strip_node(0, N // 2)  # (-xs_half, 0)
+    corner = strip_node(M - 1, N)  # (+xs_half, on particle 2)
+    seam_end = strip_node(M - 1, N // 2)  # (+xs_half, 0)
 
     cy = R + 0.5 * pair.delta
-    phi_r = math.atan2(corner_r[1] - cy, corner_r[0])
-    phi_l = math.atan2(corner_l[1] - cy, corner_l[0])
-    arc2 = _arc_points((0.0, cy), R, phi_r, phi_l + 2.0 * math.pi, hsize, corner_r, corner_l)
+    top = np.array([0.0, cy + R])  # where particle 2 meets the axis x = 0
+    phi = math.atan2(corner[1] - cy, corner[0])
+    arc2 = _arc_points((0.0, cy), R, phi, 0.5 * math.pi, hsize, corner, top)
 
     outer_right = np.array([domain.R_out, 0.0])
-    outer_left = np.array([-domain.R_out, 0.0])
+    outer_top = np.array([0.0, domain.R_out])
     outer_arc = _arc_points(
-        (0.0, 0.0), domain.R_out, 0.0, math.pi, hsize, outer_right, outer_left
+        (0.0, 0.0), domain.R_out, 0.0, 0.5 * math.pi, hsize, outer_right, outer_top
     )
 
-    seam_right = _march_interval(xs_half, domain.R_out, lambda x: hsize(x, 0.0))
-    seam_left = -seam_right
-    seam_right_pts = np.column_stack([seam_right[1:-1], np.zeros(len(seam_right) - 2)])
-    seam_left_pts = np.column_stack([seam_left[1:-1], np.zeros(len(seam_left) - 2)])
+    # the two straight sides: the seam on y = 0 and the segment of x = 0
+    # above particle 2, both without their end points
+    seam = _march_interval(xs_half, domain.R_out, lambda x: hsize(x, 0.0))[1:-1]
+    axis = _march_interval(top[1], domain.R_out, lambda y: hsize(0.0, y))[1:-1]
+    seam_pts = np.column_stack([seam, np.zeros(len(seam))])
+    axis_pts = np.column_stack([np.zeros(len(axis)), axis])
 
-    # strip nodes strictly between the seam and particle 2 on the two ends
-    iface_r = strip_nodes[(M - 1) * N1 + N // 2 + 1 : (M - 1) * N1 + N]
-    iface_l = strip_nodes[N // 2 + 1 : N]
+    # strip nodes strictly between the seam and particle 2 on the right end
+    iface = strip_nodes[(M - 1) * N1 + N // 2 + 1 : (M - 1) * N1 + N]
 
     fixed_parts = [
         (arc2, TAG_P2),
         (outer_arc, TAG_OUTER),
-        (seam_right_pts, TAG_INTERIOR),
-        (seam_left_pts, TAG_INTERIOR),
-        (np.array([seam_r, seam_l]), TAG_INTERIOR),
-        (iface_r, TAG_INTERIOR),
-        (iface_l, TAG_INTERIOR),
+        (seam_pts, TAG_INTERIOR),
+        (axis_pts, TAG_INTERIOR),
+        (seam_end[None, :], TAG_INTERIOR),
+        (iface, TAG_INTERIOR),
     ]
     fixed = np.vstack([p for p, _ in fixed_parts if len(p)])
     fixed_tags = np.concatenate(
@@ -509,20 +522,20 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
     )
 
     interior = region.ring_points()
-    upper_pts = np.vstack([fixed, interior])
-    upper_tags = np.concatenate([fixed_tags, np.full(len(interior), TAG_INTERIOR, np.int8)])
-    tri = Delaunay(upper_pts)
-    cent = upper_pts[tri.simplices].mean(axis=1)
+    quarter_pts = np.vstack([fixed, interior])
+    quarter_tags = np.concatenate([fixed_tags, np.full(len(interior), TAG_INTERIOR, np.int8)])
+    tri = Delaunay(quarter_pts)
+    cent = quarter_pts[tri.simplices].mean(axis=1)
     keep = region.signed_distance(cent) < 0.0
-    p = upper_pts[tri.simplices]
+    p = quarter_pts[tri.simplices]
     area2 = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
         p[:, 2, 0] - p[:, 0, 0]
     ) * (p[:, 1, 1] - p[:, 0, 1])
     keep &= np.abs(area2) > 1e-14 * region.h_ifc**2
-    upper_tris = tri.simplices[keep]
+    quarter_tris = tri.simplices[keep]
 
     nodes, triangles, tags = _merge_pieces(
-        strip_nodes, strip_tris, strip_tags, upper_pts, upper_tris, upper_tags
+        strip_nodes, strip_tris, strip_tags, quarter_pts, quarter_tris, quarter_tags
     )
     mesh = Mesh(
         nodes=nodes,
@@ -536,23 +549,33 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
     return mesh
 
 
-def _merge_pieces(strip_nodes, strip_tris, strip_tags, upper_pts, upper_tris, upper_tags):
-    """Join the strip, the upper region and its mirror image into one mesh.
+# the quarter's images: (sign of x, sign of y, vertex order of a triangle);
+# one reflection reverses a triangle's orientation, two restore it
+_IMAGES = ((1.0, 1.0, [0, 1, 2]), (-1.0, 1.0, [0, 2, 1]),
+           (1.0, -1.0, [0, 2, 1]), (-1.0, -1.0, [0, 1, 2]))
 
-    Points are merged where their coordinates are equal as floats: the
-    key is the bytes of (x + 0.0, y + 0.0), so -0.0 and 0.0 are one node.
-    Merged nodes are numbered in order of first appearance (strip, upper,
-    mirror) and keep the first point's coordinates, with a y of -0.0
-    stored as 0.0.  A node keeps the first tag seen for it unless that is
-    interior and a later duplicate carries a boundary tag, which then
-    replaces it.  Mirrored triangles take the vertex order (a, c, b), and
-    mirrored particle-2 tags become particle 1.  Returns (nodes,
-    triangles, tags).
+
+def _merge_pieces(strip_nodes, strip_tris, strip_tags, quarter_pts, quarter_tris, quarter_tags):
+    """Join the strip and the quarter's four images into one mesh.
+
+    The images are the quarter itself and its reflections under x -> -x,
+    y -> -y and both, in that order.  Points are merged where their
+    coordinates are equal as floats: every coordinate is stored as
+    x + 0.0, so -0.0 and 0.0 are one node.  Merged nodes are numbered in
+    order of first appearance (strip, then the images in order).  A node
+    keeps the first tag seen for it unless that is interior and a later
+    duplicate carries a boundary tag, which then replaces it.  A triangle
+    of a single reflection takes the vertex order (a, c, b), and particle-2
+    tags reflected in y become particle 1.  Returns (nodes, triangles,
+    tags).
     """
-    pts = np.concatenate([strip_nodes, upper_pts, upper_pts * [1.0, -1.0]])
-    pts[:, 1] += 0.0
-    tags = np.concatenate([strip_tags, upper_tags, _MIRROR_TAG[upper_tags]])
-    key = (pts + 0.0).view(np.dtype((np.void, 16))).ravel()
+    pts = np.concatenate(
+        [strip_nodes] + [quarter_pts * [sx, sy] for sx, sy, _ in _IMAGES]
+    ) + 0.0
+    y_image_tags = _MIRROR_TAG[quarter_tags]
+    tags = np.concatenate([strip_tags] + [quarter_tags if sy > 0.0 else y_image_tags
+                                          for _, sy, _ in _IMAGES])
+    key = pts.view(np.dtype((np.void, 16))).ravel()
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)  # sorted keys -> first-seen order
     rank = np.empty_like(order)
@@ -563,11 +586,10 @@ def _merge_pieces(strip_nodes, strip_tris, strip_tags, upper_pts, upper_tris, up
     tagged = np.flatnonzero(tags != TAG_INTERIOR)
     owner, pos = np.unique(gid[tagged], return_index=True)
     node_tags[owner] = tags[tagged[pos]]
-    n_strip, n_upper = len(strip_nodes), len(upper_pts)
-    triangles = np.concatenate([
-        gid[strip_tris],
-        gid[n_strip:][upper_tris],
-        gid[n_strip + n_upper:][upper_tris[:, [0, 2, 1]]],
+    n_strip, n_quarter = len(strip_nodes), len(quarter_pts)
+    triangles = np.concatenate([gid[strip_tris]] + [
+        gid[n_strip + k * n_quarter:][quarter_tris[:, vertex_order]]
+        for k, (_, _, vertex_order) in enumerate(_IMAGES)
     ])
     return pts[first[order]], triangles, node_tags
 

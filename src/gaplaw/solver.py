@@ -35,21 +35,24 @@ misses it, meets negative curvature or gives no descent is the Hessian
 factored afresh, with SuperLU in symmetric mode, diagonal pivots and a
 minimum-degree ordering of A^T + A.
 
-The two-disk mesh is symmetric under y -> -y (`Mesh.mirror`).  When the
-fixed data are exactly odd or even under it, as the applied datum u = y
-makes them for the floating, tied and v3 problems, so is the minimizer
-(`DiscreteSolution.parity`), and Newton solves an ordinary problem on the
-upper half: the nodes below the axis are dropped from the unknowns, the
-sums run over the elements with no vertex below the axis, their areas
-doubled, and `_Constraints.expand` rebuilds the lower half by reflection,
-u(x, -y) = parity * u(x, y).  Under odd data the axis and the tied
-constant are fixed at 0 (the symmetry reduction of a boundary-value
-problem; Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).  That
-halves the unknowns and the element work and cuts the fill of each
-factorization by about two thirds.  Data without a parity (v1, v2, the
-quadratic datum, a general table) and meshes with an element across the
-axis are solved on the whole mesh.  Post-processing (flux reports,
-`grad_max`, the Q functional) reads the full mesh and the expanded field.
+The two-disk mesh is symmetric under y -> -y (`Mesh.mirror`) and under
+x -> -x (`Mesh.x_mirror`).  When the fixed data are exactly odd or even
+under a mirror, so is the minimizer (`DiscreteSolution.parity`), and
+Newton drops the half of the unknowns on the negative side of that
+mirror's axis; one code path applies 0, 1 or 2 mirrors.  The sums run
+over the elements with no vertex in a dropped half-plane, their areas
+scaled by the orbit size 2^k, and `_Constraints.expand` rebuilds the
+rest by reflection, u(image) = parity * u, one mirror after the other.
+Under odd data the axis and the constants that are their own image are
+fixed at 0 (the symmetry reduction of a boundary-value problem;
+Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).  The applied
+datum u = y is odd in y and even in x, so the floating, tied and v3
+problems run on a quarter of the unknowns; v1, v2 and the quadratic
+datum are even in x only and run on a half.  A mirror whose axis some
+element crosses is not used, and a general table is solved on the whole
+mesh.
+Post-processing (flux reports, `grad_max`, the Q functional) reads the
+full mesh and the expanded field.
 
 Convergence is a property of the solution at the target exponent alone:
 there Newton stops on the true gradient at max|g| <= newton_tol * S, with
@@ -151,12 +154,13 @@ class SolverConfig:
 class DiscreteSolution:
     """A converged nodal field with its constraint metadata.
 
-    `parity` is -1 or +1 when the solve ran on the mirror-symmetric half
-    of the unknowns (odd or even fixed data, see `_build_constraints`),
-    None otherwise.  `energy` is the value Newton accepted at the last
-    iterate.  Without a parity it equals `energy(mesh, u, p, eps)` bit for
-    bit; with one it is twice the sum over the upper half of the elements
-    and lies within a few ulp of it (the tests allow 4).
+    `parity` is the character of the fixed data under the mesh's mirrors
+    (y -> -y, x -> -x): for each, -1 or +1 when the solve used that mirror
+    to drop half of the unknowns (odd or even fixed data, see
+    `_build_constraints`), None otherwise.  `energy` is the value Newton
+    accepted at the last iterate.  Without a reduction it equals
+    `energy(mesh, u, p, eps)` bit for bit; with k mirrors used it is 2^k
+    times the sum over the kept elements and lies within a few ulp of it.
     """
 
     mesh: Mesh
@@ -170,7 +174,7 @@ class DiscreteSolution:
     trace: list = field(default_factory=list)
     config: SolverConfig | None = None
     newton_iters: int = 0
-    parity: int | None = None
+    parity: tuple = (None, None)
 
     @property
     def gap(self) -> float:
@@ -236,7 +240,8 @@ def _grad_full(mesh: Mesh, u: np.ndarray, p: float, eps: float) -> np.ndarray:
 @dataclass(frozen=True)
 class _ElementSet:
     """The element arrays the Newton sums run over under a mirror
-    reduction: the upper half of the mesh, areas doubled."""
+    reduction: the elements of the kept quarter or half of the mesh, areas
+    scaled by the orbit size."""
 
     triangles: np.ndarray
     grads: np.ndarray
@@ -254,33 +259,32 @@ class _Constraints:
     nodes are both free lands in a fixed slot of a CSC pattern, so one
     `np.bincount` fills the matrix.
 
-    `elements` is what the energy, the element weights, the gradient, the
-    Hessian and the stop scales sum over: the mesh itself, or under a
-    mirror reduction (`parity` -1 or +1, see `_build_constraints`) the
-    elements with no vertex below the axis (`upper`), areas doubled.  The
-    field has the data's parity, so each of them adds to every sum what
-    its mirror image below the axis would.  No sum reads a node below the
-    axis; `expand` gives the ones the reduction took out of the unknowns
-    (`reflected`) parity times their mirror image's value, and the fixed
-    ones keep theirs.
+    `parity` holds the character of the fixed data under the mesh's two
+    mirrors, (y -> -y, x -> -x), each -1, +1 or None when that mirror is
+    not used (see `_build_constraints`).  `elements` is what the energy,
+    the element weights, the gradient, the Hessian and the stop scales sum
+    over: the mesh itself when no mirror is used, else the elements with
+    no vertex in a dropped half-plane, areas scaled by the orbit size 2^k
+    of the k mirrors used.  The field has the data's parities, so each of
+    them adds to every sum what its images would.  No sum reads a node in a
+    dropped half-plane; `expand` rebuilds the ones the reduction took out
+    of the unknowns from their images, one mirror after the other
+    (`reflections`: the nodes, their images and the parity, in the order
+    the mirrors were applied), and the fixed ones keep their values.
     """
 
-    def __init__(self, mesh: Mesh, dof: np.ndarray, n_dof: int, u_fix: np.ndarray,
-                 parity: int | None = None, upper=None, reflected=None):
+    def __init__(self, dof: np.ndarray, n_dof: int, u_fix: np.ndarray, elements,
+                 parity: tuple, reflections: list):
         self.n_dof = n_dof
         self.u_fix = u_fix
         self.parity = parity
-        self.elements = mesh
-        if parity is not None:
-            self.elements = _ElementSet(triangles=mesh.triangles[upper],
-                                        grads=mesh.grads[upper], areas=2.0 * mesh.areas[upper])
-            self._reflected = reflected
-            self._image = mesh.mirror[reflected]
-        grads = self.elements.grads
+        self.elements = elements
+        self._reflections = reflections
+        grads = elements.grads
         self._stiffness = np.einsum("eik,eil->ekl", grads, grads)  # B^T B without the area
         self._free = np.flatnonzero(dof >= 0)
         self._free_dof = dof[self._free]
-        edof = dof[self.elements.triangles]
+        edof = dof[elements.triangles]
         self._g_mask = edof >= 0
         self._g_dof = edof[self._g_mask]
         rows = np.repeat(edof, 3, axis=1)  # local entry (k, l) at 3k + l
@@ -295,8 +299,10 @@ class _Constraints:
     def expand(self, z: np.ndarray) -> np.ndarray:
         u = self.u_fix.copy()
         u[self._free] = z[self._free_dof]
-        if self.parity is not None:
-            u[self._reflected] = self.parity * u[self._image]
+        # the last mirror applied first: its images lie in the part kept
+        # by the ones before it
+        for nodes, images, parity in reversed(self._reflections):
+            u[nodes] = parity * u[images]
         return u
 
     def grad(self, u: np.ndarray, p: float, eps: float, weights=None) -> np.ndarray:
@@ -314,8 +320,8 @@ class _Constraints:
         sum_e w1 |B|^T |B| |u_e| bounds the rounding error of the reduced
         gradient, a floor no iterate gets below (it decides where S is
         about 0, as on a constant field).  Both sum over every node of an
-        unknown, and under a mirror reduction the doubled areas count a
-        node's mirror image too, as its gradient entry does."""
+        unknown, and under a mirror reduction the scaled areas count a
+        node's images too, as its gradient entry does."""
         bg, w1, _ = weights  # w1 > 0
         flux = np.abs(bg)
         flux *= w1[:, None]
@@ -348,14 +354,19 @@ def _build_constraints(mesh: Mesh, kind: str, outer_vals: np.ndarray,
     """Fixed values and the node -> unknown map; `outer_vals` is the
     applied datum at the outer-boundary nodes, in tag order.
 
-    When the mesh has a mirror (`Mesh.mirror`), no element crosses the
-    axis and the fixed values are odd (parity -1) or even (+1) under the
-    mirror, the minimizer has that parity too: the energy is strictly
-    convex and invariant under u -> parity * u(x, -y).  Then the nodes
-    below the axis, particle 1 among them, leave the unknowns and are
-    reflected from their mirror images (`_Constraints.expand`); under odd
-    data the unknowns that are their own mirror image, those of the nodes
-    on the axis and the tied constant, are fixed at 0.
+    The mesh's mirrors are tried in turn, y -> -y (`Mesh.mirror`) and then
+    x -> -x (`Mesh.x_mirror`), and each one is used when it exists, no
+    element of the part kept so far crosses its axis, and the fixed
+    values are odd (parity -1) or even (+1) under it.  Then the minimizer
+    has that parity too, since the energy is strictly convex and invariant
+    under u -> parity * (u composed with the mirror).  The nodes in the
+    negative half-plane (below the x-axis, or left of the y-axis) leave the
+    unknowns, particle 1 among them under y -> -y, and are reflected from
+    their images (`_Constraints.expand`).  Under odd data the unknowns that
+    are their own image are fixed at 0: those of the nodes on the axis,
+    and the tied constant under y -> -y or a particle's constant under
+    x -> -x.  With both mirrors Newton solves on the quarter x >= 0,
+    y >= 0.
     """
     n = mesh.n_nodes
     u_fix = np.zeros(n)
@@ -389,32 +400,42 @@ def _build_constraints(mesh: Mesh, kind: str, outer_vals: np.ndarray,
     else:
         raise SolverError(f"unknown problem kind {kind!r}")
 
-    lower = mesh.nodes[:, 1] < 0.0
-    upper = ~np.any(lower[mesh.triangles], axis=1)  # no vertex below the axis
-    parity = _parity(mesh, u_fix, upper)
-    if parity is None:
-        return _Constraints(mesh, dof, n_dof, u_fix)
-    if parity < 0:
-        own = (dof >= 0) & (dof[mesh.mirror] == dof)
-        dof[np.isin(dof, dof[own])] = -1
-    reflected = np.flatnonzero(lower & (dof >= 0))
-    dof[lower] = -1
+    parity, reflections = [], []
+    kept = np.ones(mesh.n_triangles, dtype=bool)
+    for axis, mirror in ((1, mesh.mirror), (0, mesh.x_mirror)):
+        dropped = mesh.nodes[:, axis] < 0.0
+        half = kept & ~np.any(dropped[mesh.triangles], axis=1)
+        character = _parity(mirror, u_fix, np.count_nonzero(kept), np.count_nonzero(half))
+        parity.append(character)
+        if character is None:
+            continue
+        if character < 0:
+            own = (dof >= 0) & (dof[mirror] == dof)
+            dof[np.isin(dof, dof[own])] = -1
+        reflected = np.flatnonzero(dropped & (dof >= 0))
+        reflections.append((reflected, mirror[reflected], character))
+        dof[dropped] = -1
+        kept = half
+    elements = mesh
+    if reflections:
+        elements = _ElementSet(triangles=mesh.triangles[kept], grads=mesh.grads[kept],
+                               areas=2.0 ** len(reflections) * mesh.areas[kept])
     free = dof >= 0
-    kept, dof[free] = np.unique(dof[free], return_inverse=True)
-    return _Constraints(mesh, dof, len(kept), u_fix, parity, upper, reflected)
+    unknowns, dof[free] = np.unique(dof[free], return_inverse=True)
+    return _Constraints(dof, len(unknowns), u_fix, elements, tuple(parity), reflections)
 
 
-def _parity(mesh: Mesh, u_fix: np.ndarray, upper: np.ndarray) -> int | None:
-    """-1 when the fixed values are exactly odd under the mesh's mirror,
-    +1 when exactly even; None when neither holds, when there is no
-    mirror or when an element crosses the axis.  `upper` marks the
-    elements with no vertex below the axis; the mirror pairs them with
-    those with no vertex above, so they are half the mesh exactly when
-    none crosses."""
-    if mesh.mirror is None or 2 * np.count_nonzero(upper) != len(upper):
+def _parity(mirror, u_fix: np.ndarray, n_elements: int, n_half: int) -> int | None:
+    """-1 when the fixed values are exactly odd under `mirror`, +1 when
+    exactly even; None when neither holds, when there is no mirror or
+    when an element crosses its axis.  Of the `n_elements` elements the
+    reduction sums over so far, `n_half` have no vertex in the half-plane
+    the mirror would drop; the mirror pairs them with those that have no
+    vertex in the other, so they are half exactly when none crosses."""
+    if mirror is None or 2 * n_half != n_elements:
         return None
     for parity in (-1, 1):
-        if np.array_equal(u_fix[mesh.mirror], parity * u_fix):
+        if np.array_equal(u_fix[mirror], parity * u_fix):
             return parity
     return None
 
@@ -504,8 +525,8 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
     alone.  An intermediate p-stage only seeds the next one: it passes
     stage_rtol = STAGE_RTOL, and its threshold is fixed at z0, where the
     S and rho terms let a stage that starts at the rounding floor (a
-    constant field) stop at once.  Under a mirror reduction the doubled
-    areas make the gradient entry of a node count its mirror image too, and
+    constant field) stop at once.  Under a mirror reduction the scaled
+    areas make the gradient entry of a node count its images too, and
     S and rho alike, so g and S scale together and the test stays relative
     to the same nodal fluxes.
 

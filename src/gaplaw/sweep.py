@@ -35,6 +35,7 @@ import io
 import json
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -100,7 +101,14 @@ class SweepError(RuntimeError):
 
 
 def _datum_table_factory(entries):
-    pts = sorted((float(t) % (2.0 * math.pi), float(v)) for t, v in entries)
+    pts = []
+    for k, (t, v) in enumerate(entries):
+        t, v = float(t), float(v)
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise ValueError(f"datum table entry {k} must hold a finite angle and value, "
+                             f"got [{t}, {v}]")
+        pts.append((t % (2.0 * math.pi), v))
+    pts.sort()
     thetas = np.array([t for t, _ in pts])
     vals = np.array([v for _, v in pts])
 
@@ -129,8 +137,10 @@ class SweepConfig:
     magnitude of the solution at the target p.
 
     Construction validates the config before any mesh is built: an R
-    that is not positive and finite, an unknown datum, p < 2,
-    delta_start <= 0, a delta_count that is not an integer >= 1, an h_far
+    that is not positive and finite, an unknown datum, a table entry with
+    a non-finite angle or value, p < 2, delta_start <= 0, a delta_count
+    that is not an integer >= 1, a ladder whose smallest delta is not a
+    positive normal float, an h_far
     that is not positive and finite, h_neck_fraction outside (0, 0.25],
     the solver values SolverConfig rejects (max_iter < 1, newton_tol
     outside (0, 1), eps_scale < 0, p_step <= 0), a non-finite R_out, a
@@ -166,6 +176,12 @@ class SweepConfig:
         if not (isinstance(self.delta_count, numbers.Integral)
                 and not isinstance(self.delta_count, bool) and self.delta_count >= 1):
             raise ValueError(f"delta_count must be an integer >= 1, got {self.delta_count!r}")
+        smallest = self.delta_start * self.delta_ratio ** (self.delta_count - 1)
+        if not smallest >= sys.float_info.min:
+            raise ValueError(
+                f"delta_ratio={self.delta_ratio} and delta_count={self.delta_count} take the "
+                f"smallest delta to {smallest!r}, below the smallest normal float"
+            )
         if not 0.0 < self.h_neck_fraction <= 0.25 + 1e-12:
             raise ValueError(
                 f"h_neck_fraction must lie in (0, 0.25] to keep >= 4 layers across "
@@ -274,9 +290,9 @@ def run_sweep(config: SweepConfig, keep_solutions: bool = False) -> list[SweepRe
 
     At p = 2 each record also carries the Q functional (`q_report`) of
     v1, v2, v3: v1 is solved, v2 is `mirrored(v1)` when the mesh has a
-    mirror, and v3 is the tied solution when its parity is -1 (odd data
-    fix the tied constant at 0, so the two problems have the same fixed
-    values and unknowns); otherwise v2 and v3 are solved too.
+    mirror, and v3 is the tied solution when its parity under y -> -y is
+    -1 (odd data fix the tied constant at 0, so the two problems have the
+    same fixed values and unknowns); otherwise v2 and v3 are solved too.
 
     Individual ladder failures are recorded on the affected record
     (error field) without aborting; only an all-points failure raises.
@@ -316,7 +332,7 @@ def run_sweep(config: SweepConfig, keep_solutions: bool = False) -> list[SweepRe
                 v1 = solve_linear_aux(mesh, "v1", config=scfg)
                 v2 = (mirrored(v1) if mesh.mirror is not None
                       else solve_linear_aux(mesh, "v2", config=scfg))
-                v3 = tsol if tsol.parity == -1 else solve_linear_aux(mesh, "v3", config=scfg)
+                v3 = tsol if tsol.parity[0] == -1 else solve_linear_aux(mesh, "v3", config=scfg)
                 rec.q_report = q_functional(v1, v2, v3)
             if keep_solutions:
                 rec.floating_solution = fsol

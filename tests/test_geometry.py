@@ -22,7 +22,6 @@ PAIR = ParticlePair(R=1.0, delta=0.01)
 
 class TestParticlePair:
     def test_center_separation(self):
-        assert PAIR.center_separation == 2.0 + 0.01
         c1, c2 = PAIR.center1, PAIR.center2
         assert c1 == (0.0, -1.005)
         assert c2 == (0.0, 1.005)
@@ -181,11 +180,6 @@ class TestNeckRegion:
         assert neck.contains(0.0, 0.0)
         assert not neck.contains(0.2, 0.0)
         assert not neck.contains(0.05, 0.3)
-
-    def test_arc_length(self):
-        neck = NeckSpec(PAIR, 0.1)
-        assert neck.arc_length() == pytest.approx(2.0 * math.asin(0.1), rel=1e-14)
-        assert neck.arc_length() == pytest.approx(0.2003, abs=5e-5)
 
     def test_invalid_width(self):
         with pytest.raises(GeometryError):

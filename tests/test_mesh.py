@@ -30,38 +30,44 @@ def two_disk_domain(delta=0.02, R=1.0, R_out=4.0):
     return DomainSpec(pair=ParticlePair(R=R, delta=delta), R_out=R_out)
 
 
-def assert_mirror_symmetric(mesh):
-    """Nodes, tags and elements map onto themselves under y -> -y, bitwise,
-    and `mesh.mirror` is that node map."""
+def assert_mirror_symmetric(mesh, axis=1):
+    """Nodes, tags and elements map onto themselves under the reflection
+    that negates coordinate `axis` (y -> -y by default, x -> -x for
+    axis=0), bitwise, and `mesh.mirror` (`mesh.x_mirror`) is that node
+    map.  The particles swap under y -> -y and stay under x -> -x."""
+    sign = np.array([1.0, 1.0])
+    sign[axis] = -1.0
+    node_map = mesh.mirror if axis == 1 else mesh.x_mirror
     index = {(x, y): i for i, (x, y) in enumerate(map(tuple, mesh.nodes))}
-    assert mesh.mirror is not None
+    assert node_map is not None
     for i, ((x, y), tag) in enumerate(zip(map(tuple, mesh.nodes), mesh.node_tags)):
-        j = index.get((x, -y))
+        j = index.get((sign[0] * x, sign[1] * y))
         assert j is not None, f"missing mirror of ({x}, {y})"
-        assert mesh.mirror[i] == j
-        mirrored = {TAG_P1: TAG_P2, TAG_P2: TAG_P1}.get(int(tag), int(tag))
+        assert node_map[i] == j
+        mirrored = {TAG_P1: TAG_P2, TAG_P2: TAG_P1}.get(int(tag), int(tag)) if axis else int(tag)
         assert int(mesh.node_tags[j]) == mirrored
     # elements mirror as a set
     tri_set = {tuple(sorted(map(tuple, mesh.nodes[t]))) for t in mesh.triangles}
     for t in mesh.triangles:
-        pts = tuple(sorted((x, -y) for x, y in map(tuple, mesh.nodes[t])))
+        pts = tuple(sorted((sign[0] * x, sign[1] * y) for x, y in map(tuple, mesh.nodes[t])))
         assert pts in tri_set
 
 
-def merge_oracle(strip_nodes, strip_tris, strip_tags, upper_pts, upper_tris, upper_tags):
-    """The dict-and-loop merge of strip, upper region and mirror image that
-    `_merge_pieces` replaces: same arguments, same (nodes, triangles, tags)."""
+def merge_oracle(strip_nodes, strip_tris, strip_tags, quarter_pts, quarter_tris, quarter_tags):
+    """The dict-and-loop merge of the strip and the quarter's four images
+    that `_merge_pieces` replaces: same arguments, same (nodes, triangles,
+    tags)."""
     index = {}
     g_nodes = []
     g_tags = []
 
     def add_node(x, y, tag):
-        key = (float(x), float(y) + 0.0)
+        key = (float(x) + 0.0, float(y) + 0.0)
         gid = index.get(key)
         if gid is None:
             gid = len(g_nodes)
             index[key] = gid
-            g_nodes.append((key[0], key[1]))
+            g_nodes.append(key)
             g_tags.append(tag)
         elif tag != TAG_INTERIOR and g_tags[gid] == TAG_INTERIOR:
             g_tags[gid] = tag
@@ -71,15 +77,18 @@ def merge_oracle(strip_nodes, strip_tris, strip_tags, upper_pts, upper_tris, upp
     strip_gids = [add_node(xy[0], xy[1], int(t)) for xy, t in zip(strip_nodes, strip_tags)]
     for a, b, c in strip_tris:
         g_tris.append((strip_gids[a], strip_gids[b], strip_gids[c]))
-    upper_gids = [add_node(xy[0], xy[1], int(t)) for xy, t in zip(upper_pts, upper_tags)]
-    for a, b, c in upper_tris:
-        g_tris.append((upper_gids[a], upper_gids[b], upper_gids[c]))
-    mirror_tag = {TAG_INTERIOR: TAG_INTERIOR, TAG_OUTER: TAG_OUTER, TAG_P2: TAG_P1}
-    lower_gids = [
-        add_node(xy[0], -xy[1], mirror_tag[int(t)]) for xy, t in zip(upper_pts, upper_tags)
-    ]
-    for a, b, c in upper_tris:
-        g_tris.append((lower_gids[a], lower_gids[c], lower_gids[b]))
+    # the quarter, then its images under x -> -x, y -> -y and both; a
+    # reflection in y swaps the particles, and one reflection (not two)
+    # reverses the vertex order
+    y_image_tag = {TAG_INTERIOR: TAG_INTERIOR, TAG_OUTER: TAG_OUTER, TAG_P2: TAG_P1}
+    for sx, sy in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+        gids = [add_node(sx * xy[0], sy * xy[1], int(t) if sy > 0 else y_image_tag[int(t)])
+                for xy, t in zip(quarter_pts, quarter_tags)]
+        for a, b, c in quarter_tris:
+            if sx * sy > 0:
+                g_tris.append((gids[a], gids[b], gids[c]))
+            else:
+                g_tris.append((gids[a], gids[c], gids[b]))
     return (
         np.asarray(g_nodes),
         np.asarray(g_tris, dtype=np.int64),
@@ -108,17 +117,23 @@ def assert_same_bytes(got, want):
 
 def build_checked_against_oracles(domain, params=None):
     """build_mesh, with its merge and boundary edges checked byte for byte
-    against `merge_oracle` and `boundary_edges_oracle`."""
-    calls = []
-    merge = mesh_module._merge_pieces
+    against `merge_oracle` and `boundary_edges_oracle`.  Returns the mesh,
+    the arguments `_merge_pieces` got and the quarter's Delaunay."""
+    calls, triangulations = [], []
+    merge, delaunay = mesh_module._merge_pieces, mesh_module.Delaunay
 
     def recording(*args):
         out = merge(*args)
         calls.append((args, out))
         return out
 
+    def recording_delaunay(pts):
+        triangulations.append(delaunay(pts))
+        return triangulations[-1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mesh_module, "_merge_pieces", recording)
+        mp.setattr(mesh_module, "Delaunay", recording_delaunay)
         mesh = build_mesh(domain, params)
     ((args, out),) = calls
     want = merge_oracle(*args)
@@ -133,7 +148,8 @@ def build_checked_against_oracles(domain, params=None):
     for tag in (TAG_OUTER, TAG_P1, TAG_P2):
         for got, ref in zip(mesh.boundary_edges[tag], ref_edges[tag]):
             assert_same_bytes(got, ref)
-    return mesh
+    (tri,) = triangulations
+    return mesh, args, tri
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +194,7 @@ class TestBuildMesh:
 
     def test_mirror_symmetry(self, mesh02):
         assert_mirror_symmetric(mesh02)
+        assert_mirror_symmetric(mesh02, axis=0)
 
     def test_flipped_diagonal_has_no_mirror(self, mesh02):
         """Mirrored nodes under a triangulation that is not mirrored give
@@ -241,7 +258,7 @@ class TestBuildMesh:
         monkeypatch.setattr(mesh_module._UpperRegion, "ring_points", recording)
         build_mesh(two_disk_domain(delta))
         ((region, pts),) = seen
-        assert len(pts) > 100
+        assert len(pts) > 50
         assert np.all(region.signed_distance(pts) <= -0.5 * region.sizing(pts))
 
     def test_bad_params_rejected(self):
@@ -263,30 +280,30 @@ class TestMergeOracle:
 
     @pytest.mark.parametrize("delta", [0.00225, 0.0025, 0.00275])
     def test_fine_meshes(self, delta):
-        mesh = build_checked_against_oracles(
+        mesh, _, _ = build_checked_against_oracles(
             two_disk_domain(delta), MeshParams(h_far=0.075, neck_layers=16)
         )
         assert mesh.n_nodes > 19_000
 
     def test_signed_zeros_tags_and_mirror_order(self):
-        # a first-seen y of -0.0 is stored as 0.0; x = -0.0 and 0.0 merge
-        # and keep the first x; an interior node seen again with a
-        # boundary tag takes that tag; mirrored triangles read (a, c, b)
+        # a first-seen coordinate of -0.0 is stored as 0.0, so x = -0.0
+        # and 0.0 merge; an interior node seen again with a boundary tag
+        # takes that tag; the triangles of one reflection read (a, c, b)
         strip_nodes = np.array([[0.0, -0.0], [1.0, 0.0], [-0.0, 2.0], [0.0, 1.0]])
         strip_tags = np.array([TAG_INTERIOR, TAG_INTERIOR, TAG_P2, TAG_P2], dtype=np.int8)
         strip_tris = np.array([[0, 1, 3]])
-        upper_pts = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0], [0.0, 2.0], [0.0, 1.0]])
-        upper_tags = np.array([TAG_OUTER, TAG_OUTER, TAG_INTERIOR, TAG_INTERIOR, TAG_P2],
-                              dtype=np.int8)
-        upper_tris = np.array([[0, 1, 2], [0, 2, 4], [2, 3, 4]])
-        args = (strip_nodes, strip_tris, strip_tags, upper_pts, upper_tris, upper_tags)
+        quarter_pts = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0], [0.0, 2.0], [0.0, 1.0]])
+        quarter_tags = np.array([TAG_OUTER, TAG_OUTER, TAG_INTERIOR, TAG_INTERIOR, TAG_P2],
+                                dtype=np.int8)
+        quarter_tris = np.array([[0, 1, 2], [0, 2, 4], [2, 3, 4]])
+        args = (strip_nodes, strip_tris, strip_tags, quarter_pts, quarter_tris, quarter_tags)
         nodes, tris, tags = mesh_module._merge_pieces(*args)
         for got, want in zip((nodes, tris, tags), merge_oracle(*args)):
             assert_same_bytes(got, want)
-        assert not np.signbit(nodes[0, 1])
-        assert np.signbit(nodes[2, 0])
+        assert not np.any(np.signbit(nodes[nodes == 0.0]))
         assert tags[1] == TAG_OUTER
-        assert len(nodes) == 9
+        assert len(nodes) == 13
+        assert len(tris) == 1 + 4 * 3
 
 
 class TestOrderLoop:
@@ -324,23 +341,38 @@ class TestMeshInvariants:
         delta = delta_over_R * R
         params = MeshParams(h_far=0.5 * R)
         domain = two_disk_domain(delta, R=R, R_out=R_out_over_R * R)
-        mesh = build_checked_against_oracles(domain, params)
+        mesh, (_, strip_tris, _, quarter_pts, quarter_tris, _), tri = (
+            build_checked_against_oracles(domain, params))
         assert_mirror_symmetric(mesh)
+        assert_mirror_symmetric(mesh, axis=0)
         # at least 4 layers across the gap: >= 5 nodes on the x = 0 column inside it
         on_axis = mesh.nodes[mesh.nodes[:, 0] == 0.0]
         assert np.sum(np.abs(on_axis[:, 1]) <= 0.5 * delta * (1 + 1e-12)) >= 5
-        # the mirror reduction's precondition: no element crosses the axis
-        # (it is a row of element edges), so the elements with no vertex
-        # below it are half the mesh and their images are the other half
-        y = mesh.nodes[mesh.triangles, 1]
-        assert not np.any((y.min(axis=1) < 0.0) & (y.max(axis=1) > 0.0))
-        assert 2 * np.count_nonzero(~np.any(y < 0.0, axis=1)) == mesh.n_triangles
-        cy = mesh.centroids[:, 1]
-        assert 2 * np.sum(cy > 0.0) + np.sum(cy == 0.0) == mesh.n_triangles
-        assert not np.any(cy == 0.0)
-        lower = set(map(tuple, np.sort(mesh.triangles[cy < 0.0], axis=1)))
-        images = np.sort(mesh.mirror[mesh.triangles[cy > 0.0]], axis=1)
-        assert all(tuple(t) in lower for t in images)
+        # the mirror reduction's precondition: no element crosses either
+        # axis (each is a row of element edges), so the elements with no
+        # vertex below the x-axis are half the mesh, their images are the
+        # other half, and those with no vertex left of the y-axis either
+        # are a quarter
+        for axis, node_map in ((1, mesh.mirror), (0, mesh.x_mirror)):
+            c = mesh.nodes[mesh.triangles, axis]
+            assert not np.any((c.min(axis=1) < 0.0) & (c.max(axis=1) > 0.0))
+            assert 2 * np.count_nonzero(~np.any(c < 0.0, axis=1)) == mesh.n_triangles
+            cc = mesh.centroids[:, axis]
+            assert not np.any(cc == 0.0)
+            assert 2 * np.sum(cc > 0.0) == mesh.n_triangles
+            negative = set(map(tuple, np.sort(mesh.triangles[cc < 0.0], axis=1)))
+            images = np.sort(node_map[mesh.triangles[cc > 0.0]], axis=1)
+            assert all(tuple(t) in negative for t in images)
+        quarter = ~np.any(mesh.nodes[mesh.triangles] < 0.0, axis=(1, 2))
+        assert 4 * np.count_nonzero(quarter) == mesh.n_triangles
+        # the quarter's triangles and their three images are every
+        # triangle outside the strip
+        assert 4 * len(quarter_tris) + len(strip_tris) == mesh.n_triangles
+        # every point of the quarter is a vertex of its Delaunay, the
+        # fixed points on x = 0 and y = 0 among them
+        assert len(tri.coplanar) == 0
+        assert np.count_nonzero(quarter_pts[:, 0] == 0.0) >= 2
+        assert np.count_nonzero(quarter_pts[:, 1] == 0.0) >= 2
         _validate(mesh)
         assert mesh.boundary_node_residuals() <= 1e-12
 
@@ -403,6 +435,8 @@ class TestSerialization:
         assert np.array_equal(loaded.triangles, mesh02.triangles)
         assert np.array_equal(loaded.node_tags, mesh02.node_tags)
         assert np.array_equal(loaded.mirror, mesh02.mirror)
+        assert np.array_equal(loaded.x_mirror, mesh02.x_mirror)
+        assert loaded.x_mirror is not None
         assert np.array_equal(vals, values)
 
     def test_no_values(self, tmp_path):

@@ -272,7 +272,7 @@ class TestDerivedAuxiliaries:
         assert (image.trace, image.newton_iters) == ([], 0)
         tied = solve_tied(mesh, p=2.0)
         v3 = solve_linear_aux(mesh, "v3")
-        assert tied.parity == v3.parity == -1
+        assert tied.parity == v3.parity == (-1, 1)
         assert np.array_equal(tied.u, v3.u)
         assert tied.eps == v3.eps
 
@@ -499,15 +499,15 @@ class TestEvaluationCounts:
         # exactly one per trace entry: the stop test reads the same weights
         assert calls["weights"] == len(sol.trace)
         assert sol.energy == sol.trace[-1]["energy"]
-        # under the mirror reduction Newton sums over the upper half of the
-        # elements, areas doubled: a few ulp from the full sum
-        assert sol.parity == -1
+        # under both mirrors Newton sums over the quarter of the elements,
+        # areas times 4: a few ulp from the full sum
+        assert sol.parity == (-1, 1)
         full = energy(two_disk, sol.u, 3.0, sol.eps)
         assert abs(sol.energy - full) <= 4 * np.finfo(float).eps * full
         # without a parity the sums run over the mesh itself, bit for bit
-        v1 = solve_linear_aux(two_disk, "v1")
-        assert v1.parity is None
-        assert v1.energy == energy(two_disk, v1.u, 2.0, v1.eps)
+        general = solve_prescribed(two_disk, T1=-0.3, T2=0.4, datum=lambda x, y: x + y)
+        assert general.parity == (None, None)
+        assert general.energy == energy(two_disk, general.u, 2.0, general.eps)
 
 
 class TestInexactNewton:
@@ -689,22 +689,23 @@ class TestStopRule:
     def test_forcing_term_floor(self, narrow_gap, monkeypatch):
         """No CG solve is asked for a linear residual below half the stop
         threshold: rtol ||g||_2 >= min(ETA_MAX ||g||_2, tol / 2)."""
-        calls = []
         real = solver._pcg
-
-        def pcg(H, g, lu, rtol):
-            calls.append((rtol, float(np.linalg.norm(g))))
-            return real(H, g, lu, rtol)
-
-        monkeypatch.setattr(solver, "_pcg", pcg)
-        sol = solve_floating(narrow_gap, p=4.0)
-        entries = [e for e in sol.trace if e["cg"] > 0]  # one _pcg call each
-        assert len(entries) == len(calls)
         floored = 0
-        for e, (rtol, g2) in zip(entries, calls):
-            assert solver.ETA_MIN <= rtol <= solver.ETA_MAX
-            assert rtol >= min(solver.ETA_MAX, 0.5 * e["tol"] / g2)
-            floored += rtol == 0.5 * e["tol"] / g2
+        for solve in (solve_floating, solve_tied):
+            calls = []
+
+            def pcg(H, g, lu, rtol):
+                calls.append((rtol, float(np.linalg.norm(g))))
+                return real(H, g, lu, rtol)
+
+            monkeypatch.setattr(solver, "_pcg", pcg)
+            sol = solve(narrow_gap, p=4.0)
+            entries = [e for e in sol.trace if e["cg"] > 0]  # one _pcg call each
+            assert len(entries) == len(calls)
+            for e, (rtol, g2) in zip(entries, calls):
+                assert solver.ETA_MIN <= rtol <= solver.ETA_MAX
+                assert rtol >= min(solver.ETA_MAX, 0.5 * e["tol"] / g2)
+                floored += rtol == 0.5 * e["tol"] / g2
         assert floored > 0  # the floor, not the Eisenstat-Walker term, set some steps
 
 
@@ -753,45 +754,50 @@ def hess_full_oracle(mesh, u, p, eps):
     return sp.coo_matrix((hloc.ravel(), (rows, cols)), shape=(mesh.n_nodes,) * 2).tocsr()
 
 
-def mirror_oracle(mesh):
-    """Node -> its mirror image under y -> -y, looked up by coordinates."""
+def image_oracle(mesh, sx, sy):
+    """Node -> its image under (x, y) -> (sx x, sy y), looked up by coordinates."""
     index = {(x, y): i for i, (x, y) in enumerate(mesh.nodes.tolist())}
-    return np.array([index[x, -y] for x, y in mesh.nodes.tolist()])
+    return np.array([index[sx * x, sy * y] for x, y in mesh.nodes.tolist()])
 
 
-def reduction_oracle(mesh, kind, parity=None):
+def reduction_oracle(mesh, kind, parity=(None, None)):
     """P with u = P z + u_fix.
 
-    Without parity: one column per interior node, then one per merged
-    particle (two when floating, one shared when tied).  With parity s
-    (-1 for odd fixed data, +1 for even): one column per interior node
-    above the axis, and for s = +1 on it, holding 1 there and s at the
-    node's mirror image; then, when floating, one column with 1 on
-    particle 2 and s on particle 1, and when tied with s = +1, one with 1
-    on both (under s = -1 the tied constant and the axis are fixed at 0).
+    Unreduced: one column per interior node, then one per merged particle
+    (two when floating, one shared when tied).  `parity` is the character
+    of the data under (y -> -y, x -> -x), each -1 (odd), +1 (even) or None
+    (mirror not used).  The mirrors used make a group G, and chi(g) is the
+    product of the parities of the mirrors that make g.  A column c
+    becomes the sum over g in G of chi(g) g(c), scaled to entries +-1; of
+    the images of c only the one with a node that has no negative
+    coordinate on a used axis keeps a column, and that column is zero, the
+    unknown fixed at 0, when some g with chi(g) = -1 maps c onto itself.
     """
     interior = mesh.nodes_with_tag(TAG_INTERIOR)
     p1, p2 = mesh.nodes_with_tag(TAG_P1), mesh.nodes_with_tag(TAG_P2)
-    if parity is None:
-        groups = [([i], [1.0]) for i in interior]
-        if kind == "floating":
-            groups += [(p1, np.ones(len(p1))), (p2, np.ones(len(p2)))]
-        elif kind == "tied":
-            groups += [(np.concatenate([p1, p2]), np.ones(len(p1) + len(p2)))]
-    else:
-        mirror = mirror_oracle(mesh)
-        groups = []
-        for i in interior:
-            y = mesh.nodes[i, 1]
-            if y > 0.0:
-                groups.append(([i, mirror[i]], [1.0, parity]))
-            elif y == 0.0 and parity > 0:
-                groups.append(([i], [1.0]))
-        if kind == "floating":
-            groups.append((np.concatenate([p2, p1]),
-                           np.concatenate([np.ones(len(p2)), np.full(len(p1), parity)])))
-        elif kind == "tied" and parity > 0:
-            groups.append((np.concatenate([p1, p2]), np.ones(len(p1) + len(p2))))
+    columns = [[i] for i in interior]
+    if kind == "floating":
+        columns += [p1, p2]
+    elif kind == "tied":
+        columns += [np.concatenate([p1, p2])]
+    group = [(np.arange(mesh.n_nodes), 1)]
+    axes = []
+    for axis, (sx, sy), s in ((1, (1.0, -1.0), parity[0]), (0, (-1.0, 1.0), parity[1])):
+        if s is not None:
+            image = image_oracle(mesh, sx, sy)
+            group += [(image[g], chi * s) for g, chi in group]
+            axes.append(axis)
+    groups = []
+    for column in columns:
+        column = np.asarray(column)
+        if not np.any(np.all(mesh.nodes[column][:, axes] >= 0.0, axis=1)):
+            continue  # an image of a column with a node on the kept side
+        v = np.zeros(mesh.n_nodes)
+        for g, chi in group:
+            v[g[column]] += chi
+        nodes = np.flatnonzero(v)
+        if len(nodes):
+            groups.append((nodes, v[nodes] / np.max(np.abs(v))))
     rows = np.concatenate([np.asarray(nodes, dtype=int) for nodes, _ in groups])
     vals = np.concatenate([np.asarray(signs, dtype=float) for _, signs in groups])
     cols = np.repeat(np.arange(len(groups)), [len(nodes) for nodes, _ in groups])
@@ -807,16 +813,16 @@ def zero_datum(x, y):
 
 
 # (kind, pinned, datum, parity): the default datum u = y is odd under
-# y -> -y; the unequal pinned potentials, v1's among them, keep the
-# unsigned path
+# y -> -y and even under x -> -x; the unequal pinned potentials, v1's
+# among them, use the x-mirror only
 PROBLEMS = [
-    pytest.param("floating", None, None, -1, id="floating-None"),
-    pytest.param("tied", None, None, -1, id="tied-None"),
-    pytest.param("prescribed", (-0.3, 0.4), None, None, id="prescribed-pinned2"),
-    pytest.param("prescribed", (1.0, 0.0), zero_datum, None, id="prescribed-v1"),
-    pytest.param("prescribed", (0.0, 0.0), None, -1, id="prescribed-v3"),
-    pytest.param("floating", None, even_datum, 1, id="floating-even"),
-    pytest.param("tied", None, even_datum, 1, id="tied-even"),
+    pytest.param("floating", None, None, (-1, 1), id="floating-None"),
+    pytest.param("tied", None, None, (-1, 1), id="tied-None"),
+    pytest.param("prescribed", (-0.3, 0.4), None, (None, 1), id="prescribed-pinned2"),
+    pytest.param("prescribed", (1.0, 0.0), zero_datum, (None, 1), id="prescribed-v1"),
+    pytest.param("prescribed", (0.0, 0.0), None, (-1, 1), id="prescribed-v3"),
+    pytest.param("floating", None, even_datum, (1, 1), id="floating-even"),
+    pytest.param("tied", None, even_datum, (1, 1), id="tied-even"),
 ]
 
 
@@ -894,7 +900,7 @@ class TestReducedAssembly:
         mesh = box_mesh()
         assert mesh.mirror is not None
         outer = datum_values(datum, mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
-        assert_assembly_matches_oracle(mesh, "prescribed", outer, (0.0, None), None, p)
+        assert_assembly_matches_oracle(mesh, "prescribed", outer, (0.0, None), (None, None), p)
 
     def test_newton_direction_matches_spsolve(self, two_disk, monkeypatch):
         """The solver's first factor-and-solve against spsolve on the oracle."""
@@ -910,7 +916,7 @@ class TestReducedAssembly:
         monkeypatch.setattr(solver, "_p_ladder", lambda p, cfg: [p])  # no continuation
         sol = solve_floating(two_disk, p=4.0)
         monkeypatch.undo()
-        assert sol.parity == -1
+        assert sol.parity == (-1, 1)
 
         outer = two_disk.domain.datum_values(two_disk.nodes[two_disk.nodes_with_tag(TAG_OUTER)])
         con = solver._build_constraints(two_disk, "floating", outer)
@@ -942,15 +948,16 @@ def stop_scales_oracle(mesh, P, u, p, eps):
     return scales
 
 
-def upper_elements(mesh):
-    """Mask of the elements with no vertex below the axis."""
-    return ~np.any(mesh.nodes[mesh.triangles, 1] < 0.0, axis=1)
+def quarter_elements(mesh):
+    """Mask of the elements with no vertex below the x-axis or left of the
+    y-axis."""
+    return ~np.any(mesh.nodes[mesh.triangles] < 0.0, axis=(1, 2))
 
 
 class TestOrbitSums:
     """Under a mirror reduction the Newton sums run over the elements with
-    no vertex below the axis, areas doubled; a mesh with an element across
-    the axis is solved whole."""
+    no vertex in a dropped half-plane, areas scaled by the orbit size; a
+    mesh with an element across the axis is solved whole."""
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
     @pytest.mark.parametrize("kind", ["floating", "tied"])
@@ -958,17 +965,17 @@ class TestOrbitSums:
         mesh = two_disk
         outer = mesh.domain.datum_values(mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
         con = solver._build_constraints(mesh, kind, outer)
-        assert con.parity == -1
-        upper = upper_elements(mesh)
-        assert 2 * np.count_nonzero(upper) == mesh.n_triangles
-        assert np.array_equal(con.elements.triangles, mesh.triangles[upper])
-        assert np.array_equal(con.elements.areas, 2.0 * mesh.areas[upper])
+        assert con.parity == (-1, 1)
+        quarter = quarter_elements(mesh)
+        assert 4 * np.count_nonzero(quarter) == mesh.n_triangles
+        assert np.array_equal(con.elements.triangles, mesh.triangles[quarter])
+        assert np.array_equal(con.elements.areas, 4.0 * mesh.areas[quarter])
         u = con.expand(np.random.default_rng(5).normal(size=con.n_dof))
         eps = 1e-8
         assert energy(con.elements, u, p, eps) == pytest.approx(
             energy(mesh, u, p, eps), rel=1e-13, abs=0.0)
         w = solver._element_weights(con.elements, u, p, eps)
-        P = reduction_oracle(mesh, kind, -1)
+        P = reduction_oracle(mesh, kind, (-1, 1))
         for a, b in zip(con.stop_scales(u, w), stop_scales_oracle(mesh, P, u, p, eps)):
             assert a == pytest.approx(b, rel=1e-13, abs=0.0)
 
@@ -976,10 +983,11 @@ class TestOrbitSums:
     @pytest.mark.parametrize("datum", [lambda x, y: y, even_datum], ids=["odd", "even"])
     def test_box_mesh(self, datum, p):
         mesh = box_mesh()
-        assert 2 * np.count_nonzero(upper_elements(mesh)) < mesh.n_triangles  # some cross
+        assert 2 * np.count_nonzero(~np.any(mesh.nodes[mesh.triangles, 1] < 0.0, axis=1)) < (
+            mesh.n_triangles)  # some cross
         outer = datum_values(datum, mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
         con = solver._build_constraints(mesh, "prescribed", outer, (0.0, None))
-        assert con.parity is None
+        assert con.parity == (None, None)
         assert con.elements is mesh
         u = con.expand(np.random.default_rng(5).normal(size=con.n_dof))
         eps = 1e-8
@@ -996,13 +1004,13 @@ class TestOrbitSums:
         assert mesh.mirror is not None
         outer = datum_values(lambda x, y: y, mesh.nodes)
         con = solver._build_constraints(mesh, "prescribed", outer, (0.0, None))
-        assert con.parity is None
+        assert con.parity == (None, None)
         assert con.elements is mesh
 
     def test_general_path_sums_over_the_mesh(self, two_disk):
-        outer = np.zeros(len(two_disk.nodes_with_tag(TAG_OUTER)))
-        con = solver._build_constraints(two_disk, "prescribed", outer, (1.0, 0.0))  # v1
-        assert con.parity is None
+        outer = datum_values(lambda x, y: x + y, two_disk.nodes[two_disk.nodes_with_tag(TAG_OUTER)])
+        con = solver._build_constraints(two_disk, "prescribed", outer, (-0.3, 0.4))
+        assert con.parity == (None, None)
         assert con.elements is two_disk
         for name in ("triangles", "grads", "areas"):
             assert getattr(con.elements, name) is getattr(two_disk, name)
@@ -1015,14 +1023,18 @@ class TestOrbitSums:
         outer = two_disk.domain.datum_values(two_disk.nodes[two_disk.nodes_with_tag(TAG_OUTER)])
         odd = solver._build_constraints(two_disk, "floating", outer)
         v1 = solver._build_constraints(two_disk, "prescribed", 0.0 * outer, (1.0, 0.0))
-        assert (odd.parity, v1.parity) == (-1, None)
-        assert np.array_equal(odd._stiffness, full[upper_elements(two_disk)])
-        assert np.array_equal(v1._stiffness, full)
+        assert (odd.parity, v1.parity) == ((-1, 1), (None, 1))
+        assert np.array_equal(odd._stiffness, full[quarter_elements(two_disk)])
+        right = ~np.any(two_disk.nodes[two_disk.triangles, 0] < 0.0, axis=1)
+        assert 2 * np.count_nonzero(right) == two_disk.n_triangles
+        assert np.array_equal(v1._stiffness, full[right])
+        assert np.array_equal(v1.elements.areas, 2.0 * two_disk.areas[right])
 
 
 class TestMirrorReduction:
-    """Under data that are odd or even in y, Newton runs on the unknowns of
-    the upper half: each node below the axis shares its mirror image's."""
+    """Under data that are odd or even in y, or even in x, Newton runs on
+    the unknowns of the upper half, the right half or the quarter: each
+    dropped node shares its image's."""
 
     @pytest.mark.parametrize("datum", [lambda x, y: y, even_datum], ids=["odd", "even"])
     def test_mirror_pair_in_one_element(self, datum):
@@ -1032,41 +1044,47 @@ class TestMirrorReduction:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mesh, "mirror", None)
             general = solve_prescribed(mesh, T1=0.0, p=3.0, datum=datum)
-        assert sol.parity is None and general.parity is None
+        assert sol.parity == general.parity == (None, None)
         assert np.array_equal(sol.u, general.u)
         assert sol.energy == general.energy
 
     def test_parity_of_the_solves(self, two_disk, floating_p2):
-        assert floating_p2.parity == -1
-        assert solve_tied(two_disk).parity == -1
-        assert solve_linear_aux(two_disk, "v3").parity == -1
-        # a fallback to the unsigned path would lose the reduction silently
-        assert solve_linear_aux(two_disk, "v1").parity is None
-        assert solve_linear_aux(two_disk, "v2").parity is None
+        # (y -> -y, x -> -x): u = y is odd in y and even in x, the unit data
+        # and the quadratic datum are even in x only; a fallback to a
+        # smaller reduction would lose unknowns' savings silently
+        assert floating_p2.parity == (-1, 1)
+        assert solve_tied(two_disk).parity == (-1, 1)
+        assert solve_linear_aux(two_disk, "v3").parity == (-1, 1)
+        assert solve_linear_aux(two_disk, "v1").parity == (None, 1)
+        assert solve_linear_aux(two_disk, "v2").parity == (None, 1)
         quadratic = SweepConfig(datum="quadratic").datum_callable()
-        assert solve_floating(two_disk, p=2.0, datum=quadratic).parity is None
-        assert solve_prescribed(two_disk, T1=-0.3, T2=0.4).parity is None
+        assert solve_floating(two_disk, p=2.0, datum=quadratic).parity == (None, 1)
+        assert solve_prescribed(two_disk, T1=-0.3, T2=0.4).parity == (None, 1)
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_odd_solution_is_exactly_odd(self, two_disk, p):
-        mirror = two_disk.mirror
+        mirror, x_mirror = two_disk.mirror, two_disk.x_mirror
         floating = solve_floating(two_disk, p=p)
         assert floating.T1 == -floating.T2
         assert np.array_equal(floating.u[mirror], -floating.u)
+        assert np.array_equal(floating.u[x_mirror], floating.u)
         tied = solve_tied(two_disk, p=p)
         assert tied.T1 == tied.T2 == 0.0
         assert np.array_equal(tied.u[mirror], -tied.u)
+        assert np.array_equal(tied.u[x_mirror], tied.u)
 
     @pytest.mark.parametrize("solve", [solve_floating, solve_tied])
     def test_even_datum(self, two_disk, solve):
         sol = solve(two_disk, p=3.0, datum=even_datum)
-        assert sol.parity == 1
+        assert sol.parity == (1, 1)
         assert sol.T1 == sol.T2
         assert np.array_equal(sol.u[two_disk.mirror], sol.u)
+        assert np.array_equal(sol.u[two_disk.x_mirror], sol.u)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(two_disk, "mirror", None)
+            mp.setattr(two_disk, "x_mirror", None)
             general = solve(two_disk, p=3.0, datum=even_datum)
-        assert general.parity is None
+        assert general.parity == (None, None)
         for a, b in ((sol.T1, general.T1), (sol.T2, general.T2), (sol.energy, general.energy)):
             assert a == pytest.approx(b, rel=1e-10, abs=0.0)
 
@@ -1078,24 +1096,30 @@ class TestMirrorReduction:
     )
     @settings(max_examples=12, deadline=None)
     def test_matches_the_general_solve(self, R, delta_over_R, R_out_over_R, p):
+        # on one mesh: the quarter solve against the solve with only the
+        # x-mirror removed (the upper half) and with both removed
         pair = ParticlePair(R=R, delta=delta_over_R * R)
         mesh = build_mesh(DomainSpec(pair=pair, R_out=R_out_over_R * R), MeshParams(h_far=0.5 * R))
         for solve in (solve_floating, solve_tied):
             reduced = solve(mesh, p=p)
+            assert reduced.parity == (-1, 1)
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mesh, "x_mirror", None)
+                half = solve(mesh, p=p)
                 mp.setattr(mesh, "mirror", None)
                 general = solve(mesh, p=p)
-            assert (reduced.parity, general.parity) == (-1, None)
-            assert reduced.energy == pytest.approx(general.energy, rel=1e-10, abs=0.0)
+            assert (half.parity, general.parity) == ((-1, None), (None, None))
             # the tied potential and both gaps of the tied solve vanish by
             # symmetry, so they are measured against the datum amplitude
             scale = np.max(np.abs(general.u))
-            for a, b in ((reduced.T1, general.T1), (reduced.T2, general.T2),
-                         (reduced.gap, general.gap)):
-                if solve is solve_floating:
-                    assert a == pytest.approx(b, rel=1e-10, abs=0.0)
-                else:
-                    assert abs(a - b) <= 1e-10 * scale
+            for other in (half, general):
+                assert reduced.energy == pytest.approx(other.energy, rel=1e-10, abs=0.0)
+                for a, b in ((reduced.T1, other.T1), (reduced.T2, other.T2),
+                             (reduced.gap, other.gap)):
+                    if solve is solve_floating:
+                        assert a == pytest.approx(b, rel=1e-10, abs=0.0)
+                    else:
+                        assert abs(a - b) <= 1e-10 * scale
 
 
 class TestExponentValidation:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,16 @@ class TestSweepConfigValidation:
         pytest.param({"R": float("inf")}, r"^R\b", id="R-inf"),
         pytest.param({"h_far": float("nan")}, "h_far", id="h_far-nan"),
         pytest.param({"h_far": float("inf")}, "h_far", id="h_far-inf"),
+        # a non-finite table entry made every ladder point fail in the solver
+        *(pytest.param({"datum": {"kind": "table", "entries": [[0.0, 1.0], entry]}},
+                       "datum table entry 1", id=f"table-{column}-{bad}")
+          for bad in ("nan", "inf", "-inf")
+          for column, entry in (("angle", [float(bad), 1.0]), ("value", [3.0, float(bad)]))),
+        # an underflowing ladder: (0.04, 4e-202, 0.0) and 2^-1023, a subnormal
+        pytest.param({"delta_ratio": 1e-200, "delta_count": 3}, "delta_ratio=.* delta_count=3",
+                     id="ladder-underflow"),
+        pytest.param({"delta_start": 2.0**-5, "delta_count": 1019},
+                     "delta_ratio=.* delta_count=1019", id="ladder-subnormal"),
     ])
     def test_rejected_at_construction(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -209,6 +220,11 @@ class TestSweepConfigValidation:
     def test_solver_config_accepts_boundary_values(self):
         SolverConfig(max_iter=1, eps_scale=0.0, newton_tol=1e-15)
         SweepConfig(delta_count=1, max_iter=1, eps_scale=0.0)
+
+    def test_smallest_normal_delta_accepted(self):
+        # 2^-5 * 0.5^1017 = 2^-1022, the smallest normal float
+        cfg = SweepConfig(delta_start=2.0**-5, delta_count=1018)
+        assert cfg.deltas[-1] == sys.float_info.min
 
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="R_outer"):
@@ -262,7 +278,9 @@ class TestRunSweep:
     @pytest.mark.parametrize("datum,parity", [("linear-y", -1), ("quadratic", None)])
     def test_q_report_matches_independent_auxiliaries(self, datum, parity, monkeypatch):
         # the sweep derives v2 as v1's mirror image and, under the odd datum,
-        # v3 as the tied solve; three independent solves must give the same Q
+        # v3 as the tied solve; three independent solves must give the same
+        # Q.  `parity` is the tied solve's under y -> -y; both data are even
+        # in x
         cfg = SweepConfig(p=2.0, datum=datum, **TINY)
         calls = []
 
@@ -276,7 +294,7 @@ class TestRunSweep:
         scfg = cfg.solver_config()
         for rec in records:
             assert rec.error is None
-            assert rec.tied_solution.parity == parity
+            assert rec.tied_solution.parity == (parity, 1)
             mesh = build_mesh(cfg.domain(rec.delta), cfg.mesh_params())
             want = q_functional(*(solve_linear_aux(mesh, which, config=scfg)
                                   for which in ("v1", "v2", "v3")))
