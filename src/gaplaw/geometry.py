@@ -92,17 +92,18 @@ class ParticlePair:
         return (self.R + 0.5 * self.delta) - np.sqrt(r2)
 
 
-def gap_width(x: float, pair: ParticlePair, mode: GapMode = "exact") -> float:
-    """Vertical distance between the two particle surfaces at offset x.
+def gap_width(x, pair: ParticlePair, mode: GapMode = "exact"):
+    """Vertical distance between the two particle surfaces at offset x, a
+    number or an array of offsets.
 
     exact mode evaluates the circle geometry, quadratic mode the
     leading-order parabola delta + x^2/R.  For all admissible x,
     exact >= quadratic >= delta.
     """
-    if abs(x) >= pair.R:
-        raise GeometryError(f"|x|={abs(x)} must be < R={pair.R}")
+    if np.any(np.abs(x) >= pair.R):
+        raise GeometryError(f"|x|={np.max(np.abs(x))} must be < R={pair.R}")
     if mode == "exact":
-        return 2.0 * pair.R + pair.delta - 2.0 * math.sqrt(pair.R**2 - x * x)
+        return 2.0 * pair.R + pair.delta - 2.0 * np.sqrt(pair.R**2 - x * x)
     if mode == "quadratic":
         return pair.delta + x * x / pair.R
     raise GeometryError(f"unknown gap mode {mode!r}")

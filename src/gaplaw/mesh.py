@@ -1,38 +1,38 @@
 """Body-fitted graded triangulations for the two-disk and annulus domains.
 
-The two-disk mesh is assembled from five conforming pieces:
+The two-disk mesh is built on the quarter x >= 0, y >= 0 and reflected.
+The quarter has two conforming parts:
 
-1. a structured strip through the neck: vertical node columns between the
-   two particle arcs for |x| <= strip half-width, with a fixed (even)
-   number of layers across the local gap, so cell size tracks the gap
-   width delta + x^2/R and the strip, diagonals included, is exactly
-   symmetric under y -> -y and under x -> -x;
-2. an unstructured triangulation of the quarter x >= 0, y >= 0 of the
-   outer region.  Boundary and interface nodes are marched along their
-   curves and held fixed, the seam on y = 0 and the segment of x = 0
-   between particle 2 and the outer circle among them; both are straight
-   sides of the quarter's hull.  The interior nodes lie on offset curves
-   ("rings") of the strip box at distances d_1 = h(0),
+1. the quarter of a structured strip through the neck: vertical node
+   columns from x = 0 to the strip half-width, each from the axis y = 0
+   up to particle 2 in half of a fixed (even) number of layers across the
+   local gap, so cell size tracks the gap width delta + x^2/R;
+2. an unstructured triangulation of the quarter of the outer region.
+   Boundary and interface nodes are marched along their curves and held
+   fixed, the strip's right column, the seam on y = 0 and the segment of
+   x = 0 between particle 2 and the outer circle among them; the seam and
+   the segment are straight sides of the hull.  The interior nodes lie on
+   offset curves ("rings") of the strip box at distances d_1 = h(0),
    d_{k+1} = d_k + h(d_k), where h is a Lipschitz-graded sizing field of
    the distance from the box; each ring carries points at arc-length
    spacing about h(d_k), every other ring shifted by half a step, and a
    point is kept only if it lies at least h/2 inside the quarter.  One
-   Delaunay triangulation joins them all;
-3.-5. the images of (2) under x -> -x, y -> -y and both.
+   Delaunay triangulation joins them all.
 
-The pieces are joined by one array merge (`_merge_pieces`): all points of
-the strip and the four images of the quarter are numbered in order of
-first appearance under `np.unique` over the bytes of (x + 0.0, y + 0.0),
-so points with equal coordinates, the shared strip interface and the
-sides on the axes, become one node, whose tag is the first boundary tag
-seen for it.  Boundary edges are found by integer keys a * n + b of their
+One array merge (`_merge_pieces`) joins the quarter and its three images
+under x -> -x, y -> -y and both; negation is the only operation on a
+coordinate.  All points are numbered in order of first appearance under
+`np.unique` over the bytes of (x + 0.0, y + 0.0), so points with equal
+coordinates, the strip's right column shared by both parts and the sides
+on the axes, become one node, whose tag is the first boundary tag seen
+for it.  Boundary edges are found by integer keys a * n + b of their
 sorted ends.  Only the marching along the boundary curves and the walk
 around each boundary loop in `_validate` go node by node in Python.
 
-Mirroring makes the whole mesh symmetric under y -> -y and under x -> -x
-as a set of nodes and elements; `Mesh.mirror` and `Mesh.x_mirror` find
-those symmetries from the coordinates, and the solver uses them to solve
-on a half or a quarter of the unknowns under odd or even data.
+So the whole mesh is symmetric under y -> -y and under x -> -x as a set
+of nodes and elements; `Mesh.mirror` and `Mesh.x_mirror` find those
+symmetries from the coordinates, and the solver uses them to solve on a
+half or a quarter of the unknowns under odd or even data.
 Construction involves no random numbers: fixed inputs give a
 bitwise-identical mesh.
 
@@ -43,6 +43,7 @@ grids.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,8 +103,10 @@ class MeshParams:
     neck_layers: int = 4
 
     def __post_init__(self):
-        if self.neck_layers < 4 or self.neck_layers % 2 != 0:
-            raise MeshError(f"neck_layers must be even and >= 4, got {self.neck_layers}")
+        if not (isinstance(self.neck_layers, numbers.Integral)
+                and not isinstance(self.neck_layers, bool)
+                and self.neck_layers >= 4 and self.neck_layers % 2 == 0):
+            raise MeshError(f"neck_layers must be an even integer >= 4, got {self.neck_layers!r}")
         if not 0.0 < self.h_far < math.inf:
             raise MeshError(f"h_far must be positive and finite, got {self.h_far}")
 
@@ -131,8 +134,6 @@ class Mesh:
     nodes: np.ndarray
     triangles: np.ndarray
     node_tags: np.ndarray
-    h_neck: float
-    h_far: float
     domain: object = None
 
     areas: np.ndarray = field(init=False, repr=False)
@@ -308,53 +309,40 @@ def _march_interval(a: float, b: float, step) -> np.ndarray:
 # -----------------------------------------------------------------------------
 
 
-def _strip_columns(domain: DomainSpec, params: MeshParams) -> np.ndarray:
-    pair = domain.pair
-    R = pair.R
-    xs_half = STRIP_HALFWIDTH * R
-    N = params.neck_layers
-
-    def step(x):
-        return STRIP_ASPECT * gap_width(x, pair) / N
-
-    xs_pos = _march_interval(0.0, xs_half, step)
-    return np.concatenate([-xs_pos[:0:-1], xs_pos])
-
-
 def _build_strip(domain: DomainSpec, params: MeshParams):
-    """Structured strip nodes, triangles, and tags.
+    """The quarter x >= 0, y >= 0 of the structured strip: nodes,
+    triangles and tags.
 
     Node (i, j) sits at column x_i, height fraction j/N across the local
-    gap; j coordinates are built antisymmetric in exact float arithmetic
-    so the strip mirrors onto itself under y -> -y.
+    gap, for the rows j = N/2 (on y = 0) to N (on particle 2).  The
+    columns run from 0 to STRIP_HALFWIDTH * R, spaced STRIP_ASPECT times
+    the local cell height.  Quad (i, j) takes the diagonal that alternates
+    with i + j counted from the leftmost column of the whole strip, K - 1
+    columns left of x = 0 for K columns here, so the quarter's images
+    continue the pattern.
     """
     pair = domain.pair
     N = params.neck_layers
-    xs = _strip_columns(domain, params)
-    M = len(xs)
+    xs = _march_interval(0.0, STRIP_HALFWIDTH * pair.R,
+                         lambda x: STRIP_ASPECT * gap_width(x, pair) / N)
+    K = len(xs)
+    rows = np.arange(N // 2, N + 1)
+    y = gap_width(xs, pair)[:, None] * (2 * rows - N) / (2 * N)
+    nodes = np.column_stack([np.repeat(xs, len(rows)), y.ravel()])
+    tags = np.zeros(y.shape, dtype=np.int8)
+    tags[:, -1] = TAG_P2
 
-    g = np.array([gap_width(x, pair) for x in xs])
-    # y = g*(2j - N)/(2N): exactly antisymmetric under j -> N - j
-    y = g[:, None] * (2 * np.arange(N + 1) - N) / (2 * N)
-    nodes = np.column_stack([np.repeat(xs, N + 1), y.ravel()])
-    tags = np.zeros((M, N + 1), dtype=np.int8)
-    tags[:, 0], tags[:, N] = TAG_P1, TAG_P2
-
-    # quads (i, j) of the upper half, j = N/2 .. N-1, with corners a, b, c,
-    # d counterclockwise from node (i, j); the diagonal alternates with i + j
-    i = np.arange(M - 1)[:, None]
-    j = np.arange(N // 2, N)
-    a = i * (N + 1) + j
-    b, c, d = a + N + 1, a + N + 2, a + 1
-    upper = np.where(
-        ((i + j) % 2 == 0)[..., None, None],
+    # quads (i, j) with corners a, b, c, d counterclockwise from node (i, j)
+    i = np.arange(K - 1)[:, None]
+    j = rows[:-1]
+    a = i * len(rows) + j - N // 2
+    b, c, d = a + len(rows), a + len(rows) + 1, a + 1
+    tris = np.where(
+        ((i + K - 1 + j) % 2 == 0)[..., None, None],
         np.stack([np.stack([a, b, c], -1), np.stack([a, c, d], -1)], -2),
         np.stack([np.stack([a, b, d], -1), np.stack([b, c, d], -1)], -2),
     )
-    # each quad's mirror image: node (i, j) -> (i, N - j), vertex order (a, c, b)
-    lower = (upper - 2 * (upper % (N + 1)) + N)[..., [0, 2, 1]]
-    tris = np.concatenate([upper, lower], axis=-2).reshape(-1, 3)
-    return nodes, tris, tags.ravel(), xs
+    return nodes, tris.reshape(-1, 3), tags.ravel()
 
 
 # -----------------------------------------------------------------------------
@@ -469,23 +457,17 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
     R = pair.R
     N = params.neck_layers
 
-    strip_nodes, strip_tris, strip_tags, xs = _build_strip(domain, params)
-    xs_half = xs[-1]
+    strip_pts, strip_tris, strip_tags = _build_strip(domain, params)
+    xs_half = STRIP_HALFWIDTH * R
     h_ifc = gap_width(xs_half, pair) / N
     region = _UpperRegion(domain, params, xs_half, h_ifc)
 
     def hsize(x, y):
         return float(region.sizing_xy(x, y))
 
-    # fixed boundary nodes of the quarter -------------------------------------
-    M = len(xs)
-    N1 = N + 1
-
-    def strip_node(i, j):
-        return strip_nodes[i * N1 + j]
-
-    corner = strip_node(M - 1, N)  # (+xs_half, on particle 2)
-    seam_end = strip_node(M - 1, N // 2)  # (+xs_half, 0)
+    # fixed boundary nodes of the outer quarter ------------------------------
+    right = strip_pts[-(N // 2 + 1):]  # the strip's right column, from y = 0 up
+    corner = right[-1]  # (+xs_half, on particle 2)
 
     cy = R + 0.5 * pair.delta
     top = np.array([0.0, cy + R])  # where particle 2 meets the axis x = 0
@@ -505,16 +487,12 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
     seam_pts = np.column_stack([seam, np.zeros(len(seam))])
     axis_pts = np.column_stack([np.zeros(len(axis)), axis])
 
-    # strip nodes strictly between the seam and particle 2 on the right end
-    iface = strip_nodes[(M - 1) * N1 + N // 2 + 1 : (M - 1) * N1 + N]
-
     fixed_parts = [
         (arc2, TAG_P2),
         (outer_arc, TAG_OUTER),
         (seam_pts, TAG_INTERIOR),
         (axis_pts, TAG_INTERIOR),
-        (seam_end[None, :], TAG_INTERIOR),
-        (iface, TAG_INTERIOR),
+        (right[:-1], TAG_INTERIOR),
     ]
     fixed = np.vstack([p for p, _ in fixed_parts if len(p)])
     fixed_tags = np.concatenate(
@@ -522,29 +500,24 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
     )
 
     interior = region.ring_points()
-    quarter_pts = np.vstack([fixed, interior])
-    quarter_tags = np.concatenate([fixed_tags, np.full(len(interior), TAG_INTERIOR, np.int8)])
-    tri = Delaunay(quarter_pts)
-    cent = quarter_pts[tri.simplices].mean(axis=1)
-    keep = region.signed_distance(cent) < 0.0
-    p = quarter_pts[tri.simplices]
+    outer_pts = np.vstack([fixed, interior])
+    tri = Delaunay(outer_pts)
+    p = outer_pts[tri.simplices]
+    keep = region.signed_distance(p.mean(axis=1)) < 0.0
     area2 = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
         p[:, 2, 0] - p[:, 0, 0]
     ) * (p[:, 1, 1] - p[:, 0, 1])
     keep &= np.abs(area2) > 1e-14 * region.h_ifc**2
-    quarter_tris = tri.simplices[keep]
 
-    nodes, triangles, tags = _merge_pieces(
-        strip_nodes, strip_tris, strip_tags, quarter_pts, quarter_tris, quarter_tags
+    # the quarter: the strip's, then the outer region's (which repeats the
+    # strip's right column; the merge makes each of those points one node)
+    quarter_pts = np.vstack([strip_pts, outer_pts])
+    quarter_tris = np.concatenate([strip_tris, len(strip_pts) + tri.simplices[keep]])
+    quarter_tags = np.concatenate(
+        [strip_tags, fixed_tags, np.full(len(interior), TAG_INTERIOR, np.int8)]
     )
-    mesh = Mesh(
-        nodes=nodes,
-        triangles=triangles,
-        node_tags=tags,
-        h_neck=pair.delta / N,
-        h_far=params.h_far,
-        domain=domain,
-    )
+    nodes, triangles, tags = _merge_pieces(quarter_pts, quarter_tris, quarter_tags)
+    mesh = Mesh(nodes=nodes, triangles=triangles, node_tags=tags, domain=domain)
     _validate(mesh)
     return mesh
 
@@ -555,26 +528,25 @@ _IMAGES = ((1.0, 1.0, [0, 1, 2]), (-1.0, 1.0, [0, 2, 1]),
            (1.0, -1.0, [0, 2, 1]), (-1.0, -1.0, [0, 1, 2]))
 
 
-def _merge_pieces(strip_nodes, strip_tris, strip_tags, quarter_pts, quarter_tris, quarter_tags):
-    """Join the strip and the quarter's four images into one mesh.
+def _merge_pieces(quarter_pts, quarter_tris, quarter_tags):
+    """Join the quarter's four images into one mesh.
 
     The images are the quarter itself and its reflections under x -> -x,
-    y -> -y and both, in that order.  Points are merged where their
-    coordinates are equal as floats: every coordinate is stored as
+    y -> -y and both, in that order; each reflection only negates a
+    coordinate.  Points are merged where their coordinates are equal as
+    floats, within the quarter too: every coordinate is stored as
     x + 0.0, so -0.0 and 0.0 are one node.  Merged nodes are numbered in
-    order of first appearance (strip, then the images in order).  A node
-    keeps the first tag seen for it unless that is interior and a later
-    duplicate carries a boundary tag, which then replaces it.  A triangle
-    of a single reflection takes the vertex order (a, c, b), and particle-2
+    order of first appearance (the images in order), so the quarter's
+    nodes keep their relative order and come first.  A node keeps the
+    first tag seen for it unless that is interior and a later duplicate
+    carries a boundary tag, which then replaces it.  A triangle of a
+    single reflection takes the vertex order (a, c, b), and particle-2
     tags reflected in y become particle 1.  Returns (nodes, triangles,
     tags).
     """
-    pts = np.concatenate(
-        [strip_nodes] + [quarter_pts * [sx, sy] for sx, sy, _ in _IMAGES]
-    ) + 0.0
+    pts = np.concatenate([quarter_pts * [sx, sy] for sx, sy, _ in _IMAGES]) + 0.0
     y_image_tags = _MIRROR_TAG[quarter_tags]
-    tags = np.concatenate([strip_tags] + [quarter_tags if sy > 0.0 else y_image_tags
-                                          for _, sy, _ in _IMAGES])
+    tags = np.concatenate([quarter_tags if sy > 0.0 else y_image_tags for _, sy, _ in _IMAGES])
     key = pts.view(np.dtype((np.void, 16))).ravel()
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)  # sorted keys -> first-seen order
@@ -586,10 +558,11 @@ def _merge_pieces(strip_nodes, strip_tris, strip_tags, quarter_pts, quarter_tris
     tagged = np.flatnonzero(tags != TAG_INTERIOR)
     owner, pos = np.unique(gid[tagged], return_index=True)
     node_tags[owner] = tags[tagged[pos]]
-    n_strip, n_quarter = len(strip_nodes), len(quarter_pts)
-    triangles = np.concatenate([gid[strip_tris]] + [
-        gid[n_strip + k * n_quarter:][quarter_tris[:, vertex_order]]
-        for k, (_, _, vertex_order) in enumerate(_IMAGES)
+    # take, not a fancy column index: that would give Fortran-ordered
+    # triangles, which Mesh then copies
+    triangles = np.concatenate([
+        image_gid[quarter_tris.take(vertex_order, axis=1)]
+        for image_gid, (_, _, vertex_order) in zip(gid.reshape(len(_IMAGES), -1), _IMAGES)
     ])
     return pts[first[order]], triangles, node_tags
 
@@ -685,14 +658,7 @@ def build_annulus_mesh(annulus: AnnulusSpec, h: float) -> Mesh:
     a, b = k * n_t + j, k * n_t + jn
     c, d = b + n_t, a + n_t
     tris = np.stack([np.stack([a, b, c], -1), np.stack([a, c, d], -1)], -2).reshape(-1, 3)
-    return Mesh(
-        nodes=nodes,
-        triangles=tris,
-        node_tags=tags,
-        h_neck=(r2 - r1) / n_r,
-        h_far=h,
-        domain=annulus,
-    )
+    return Mesh(nodes=nodes, triangles=tris, node_tags=tags, domain=annulus)
 
 
 # -----------------------------------------------------------------------------
@@ -709,7 +675,6 @@ def save_mesh_text(mesh: Mesh, path, values: np.ndarray | None = None,
         for line in header_lines:
             f.write(f"# {line}\n")
         f.write(f"counts {mesh.n_nodes} {mesh.n_triangles} {1 if values is not None else 0}\n")
-        f.write(f"sizes {float(mesh.h_neck)!r} {float(mesh.h_far)!r}\n")
         for i, ((x, y), t) in enumerate(zip(mesh.nodes, mesh.node_tags)):
             f.write(f"node {i} {float(x)!r} {float(y)!r} {_TAG_NAMES[int(t)]}\n")
         for i, (a, b, c) in enumerate(mesh.triangles):
@@ -722,15 +687,16 @@ def save_mesh_text(mesh: Mesh, path, values: np.ndarray | None = None,
 def load_mesh_text(path) -> tuple[Mesh, np.ndarray | None]:
     """Read a mesh written by save_mesh_text; returns (mesh, values|None).
 
-    A record with missing, extra or unparseable fields or an unknown tag
-    raises MeshError naming its line, and so do node, triangle or value
-    records that do not match the `counts` header.
+    A record with missing, extra or unparseable fields, an unknown tag, a
+    non-finite coordinate or a vertex index outside the `counts` header's
+    node range raises MeshError naming its line; so do node, triangle or
+    value records that do not match the `counts` header in number.  Other
+    records (the `sizes` of older files among them) are skipped.
     """
     name_to_tag = {v: k for k, v in _TAG_NAMES.items()}
-    widths = {"counts": 4, "sizes": 3, "node": 5, "tri": 5, "value": 3}  # name included
-    nodes, tags, tris, values = [], [], [], []
+    widths = {"counts": 4, "node": 5, "tri": 5, "value": 3}  # name included
+    nodes, tags, tris, tri_lines, values = [], [], [], [], []
     counts = None
-    h_neck = h_far = 0.0
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             parts = line.split()
@@ -741,15 +707,17 @@ def load_mesh_text(path) -> tuple[Mesh, np.ndarray | None]:
                     raise ValueError(f"expected {widths[parts[0]]} fields, got {len(parts)}")
                 if parts[0] == "counts":
                     counts = [int(v) for v in parts[1:]]
-                elif parts[0] == "sizes":
-                    h_neck, h_far = float(parts[1]), float(parts[2])
                 elif parts[0] == "node":
                     if parts[4] not in name_to_tag:
                         raise ValueError(f"unknown tag {parts[4]!r}")
-                    nodes.append((float(parts[2]), float(parts[3])))
+                    xy = (float(parts[2]), float(parts[3]))
+                    if not all(map(math.isfinite, xy)):
+                        raise ValueError("non-finite coordinate")
+                    nodes.append(xy)
                     tags.append(name_to_tag[parts[4]])
                 elif parts[0] == "tri":
                     tris.append((int(parts[2]), int(parts[3]), int(parts[4])))
+                    tri_lines.append(lineno)
                 else:
                     values.append(float(parts[2]))
             except ValueError as exc:
@@ -764,11 +732,11 @@ def load_mesh_text(path) -> tuple[Mesh, np.ndarray | None]:
         if len(got) != want:
             raise MeshError(f"{path}: {len(got)} {name} records, the counts header "
                             f"{n_nodes} {n_tris} {has_values} asks for {want}")
-    mesh = Mesh(
-        nodes=np.asarray(nodes),
-        triangles=np.asarray(tris, dtype=np.int64),
-        node_tags=np.asarray(tags, dtype=np.int8),
-        h_neck=h_neck,
-        h_far=h_far,
-    )
+    triangles = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+    outside = np.flatnonzero(np.any((triangles < 0) | (triangles >= n_nodes), axis=1))
+    if len(outside):
+        raise MeshError(f"{path}, line {tri_lines[outside[0]]}: tri record has a vertex "
+                        f"outside [0, {n_nodes})")
+    mesh = Mesh(nodes=np.asarray(nodes), triangles=triangles,
+                node_tags=np.asarray(tags, dtype=np.int8))
     return mesh, (np.asarray(values) if values else None)

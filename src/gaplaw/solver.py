@@ -172,7 +172,6 @@ class DiscreteSolution:
     T1: float | None = None
     T2: float | None = None
     trace: list = field(default_factory=list)
-    config: SolverConfig | None = None
     newton_iters: int = 0
     parity: tuple = (None, None)
 
@@ -305,11 +304,10 @@ class _Constraints:
             u[nodes] = parity * u[images]
         return u
 
-    def grad(self, u: np.ndarray, p: float, eps: float, weights=None) -> np.ndarray:
-        """Reduced gradient of the energy at the nodal field u; `weights`
-        is `_element_weights(self.elements, u, p, eps)` when the caller
-        has it."""
-        bg, w1, _ = weights or _element_weights(self.elements, u, p, eps)
+    def grad(self, weights) -> np.ndarray:
+        """Reduced gradient of the energy at the nodal field u, from its
+        `_element_weights(self.elements, u, p, eps)`."""
+        bg, w1, _ = weights
         contrib = w1[:, None] * bg
         return np.bincount(self._g_dof, contrib[self._g_mask], self.n_dof)
 
@@ -335,10 +333,10 @@ class _Constraints:
         )
         return S, rho
 
-    def hess(self, u: np.ndarray, p: float, eps: float, weights=None) -> sp.csc_matrix:
+    def hess(self, weights) -> sp.csc_matrix:
         """Reduced Hessian of the energy at the nodal field u (symmetric,
-        CSC); `weights` as for `grad`."""
-        bg, w1, w2 = weights or _element_weights(self.elements, u, p, eps)
+        CSC), from its element weights as for `grad`."""
+        bg, w1, w2 = weights
         hloc = w1[:, None, None] * self._stiffness
         hloc += w2[:, None, None] * np.einsum("ek,el->ekl", bg, bg)
         data = np.bincount(
@@ -556,7 +554,7 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
     u = con.expand(z)
     E = energy(elements, u, p, eps)
     w = _element_weights(elements, u, p, eps)
-    g = con.grad(u, p, eps, w)
+    g = con.grad(w)
     g2_prev = None
     for it in range(cfg.max_iter):
         gnorm = float(np.max(np.abs(g)))
@@ -569,7 +567,7 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
         trace.append(entry)
         if gnorm <= tol:
             return z, trace
-        H = con.hess(u, p, eps, w)
+        H = con.hess(w)
         g2 = float(np.linalg.norm(g))
         eta = ETA_MAX
         if g2_prev is not None:
@@ -602,7 +600,7 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
         entry["t"] = t
         z, u, E = z_try, u_try, E_try
         w = _element_weights(elements, u, p, eps)
-        g = con.grad(u, p, eps, w)
+        g = con.grad(w)
     gnorm = float(np.max(np.abs(g)))
     raise SolverError(
         f"Newton did not converge in {cfg.max_iter} iterations "
@@ -661,7 +659,6 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, cfg: SolverConfig,
         eps=eps,
         energy=trace_all[-1]["energy"],  # at the converged z; the last stage is at p
         trace=trace_all,
-        config=cfg,
         newton_iters=len(trace_all),
         parity=con.parity,
     )
@@ -745,7 +742,7 @@ def mirrored(solution: DiscreteSolution) -> DiscreteSolution:
 
     The mirror swaps the particles, so the image of v1 is v2: the problem
     with the particle potentials swapped and the mirrored datum (zero for
-    both).  The image keeps `p`, `eps`, `energy`, `config` and `parity`;
+    both).  The image keeps `p`, `eps`, `energy` and `parity`;
     its trace is empty and `newton_iters` 0, since no Newton ran.  Raises
     SolverError when the mesh has no mirror.
     """
@@ -755,7 +752,7 @@ def mirrored(solution: DiscreteSolution) -> DiscreteSolution:
     return DiscreteSolution(
         mesh=solution.mesh, u=solution.u[mirror], kind=solution.kind, p=solution.p,
         eps=solution.eps, energy=solution.energy, T1=solution.T2, T2=solution.T1,
-        config=solution.config, parity=solution.parity,
+        parity=solution.parity,
     )
 
 

@@ -53,9 +53,9 @@ def assert_mirror_symmetric(mesh, axis=1):
         assert pts in tri_set
 
 
-def merge_oracle(strip_nodes, strip_tris, strip_tags, quarter_pts, quarter_tris, quarter_tags):
-    """The dict-and-loop merge of the strip and the quarter's four images
-    that `_merge_pieces` replaces: same arguments, same (nodes, triangles,
+def merge_oracle(quarter_pts, quarter_tris, quarter_tags):
+    """The dict-and-loop merge of the quarter's four images that
+    `_merge_pieces` replaces: same arguments, same (nodes, triangles,
     tags)."""
     index = {}
     g_nodes = []
@@ -74,9 +74,6 @@ def merge_oracle(strip_nodes, strip_tris, strip_tags, quarter_pts, quarter_tris,
         return gid
 
     g_tris = []
-    strip_gids = [add_node(xy[0], xy[1], int(t)) for xy, t in zip(strip_nodes, strip_tags)]
-    for a, b, c in strip_tris:
-        g_tris.append((strip_gids[a], strip_gids[b], strip_gids[c]))
     # the quarter, then its images under x -> -x, y -> -y and both; a
     # reflection in y swaps the particles, and one reflection (not two)
     # reverses the vertex order
@@ -139,8 +136,7 @@ def build_checked_against_oracles(domain, params=None):
     want = merge_oracle(*args)
     for got, ref in zip(out, want):
         assert_same_bytes(got, ref)
-    ref_mesh = Mesh(nodes=want[0], triangles=want[1], node_tags=want[2],
-                    h_neck=mesh.h_neck, h_far=mesh.h_far)
+    ref_mesh = Mesh(nodes=want[0], triangles=want[1], node_tags=want[2])
     assert_same_bytes(mesh.nodes, ref_mesh.nodes)
     assert_same_bytes(mesh.triangles, ref_mesh.triangles)
     assert_same_bytes(mesh.node_tags, ref_mesh.node_tags)
@@ -165,7 +161,6 @@ class TestBuildMesh:
         on_axis = nodes[np.abs(nodes[:, 0]) == 0.0]
         in_gap = on_axis[np.abs(on_axis[:, 1]) <= 0.010000001]
         assert len(in_gap) >= 5
-        assert mesh02.h_neck <= 0.02 / 4
 
     def test_determinism_bitwise(self, monkeypatch):
         # no seed to set and no random numbers drawn: two builds agree bitwise
@@ -208,10 +203,10 @@ class TestBuildMesh:
         tags = mesh02.node_tags.copy()
         tags[mesh02.node_tags == TAG_P1] = TAG_P2
         tags[mesh02.node_tags == TAG_P2] = TAG_P1
-        swapped = Mesh(mesh02.nodes, mesh02.triangles, tags, mesh02.h_neck, mesh02.h_far)
+        swapped = Mesh(mesh02.nodes, mesh02.triangles, tags)
         assert np.array_equal(swapped.mirror, mesh02.mirror)
         tags[mesh02.node_tags == TAG_P2] = TAG_P2  # both particles tagged 2
-        assert Mesh(mesh02.nodes, mesh02.triangles, tags, mesh02.h_neck, mesh02.h_far).mirror is None
+        assert Mesh(mesh02.nodes, mesh02.triangles, tags).mirror is None
 
     def test_tags_present(self, mesh02):
         for tag in (TAG_OUTER, TAG_P1, TAG_P2):
@@ -228,7 +223,6 @@ class TestBuildMesh:
 
     def test_finer_delta_meshes(self):
         m = build_mesh(two_disk_domain(0.0025))
-        assert m.h_neck <= 0.0025 / 4
         assert float(np.min(m.quality())) >= QUALITY_FLOOR
 
     def test_one_delaunay_per_mesh(self, monkeypatch):
@@ -269,6 +263,10 @@ class TestBuildMesh:
         for bad in (0.0, -0.3, float("nan"), float("inf")):
             with pytest.raises(MeshError, match="h_far"):
                 MeshParams(h_far=bad)
+        for bad in (8.0, True, "8"):
+            with pytest.raises(MeshError, match="neck_layers"):
+                MeshParams(neck_layers=bad)
+        assert MeshParams(neck_layers=np.int64(8)).neck_layers == 8
 
 
 class TestMergeOracle:
@@ -287,23 +285,22 @@ class TestMergeOracle:
 
     def test_signed_zeros_tags_and_mirror_order(self):
         # a first-seen coordinate of -0.0 is stored as 0.0, so x = -0.0
-        # and 0.0 merge; an interior node seen again with a boundary tag
-        # takes that tag; the triangles of one reflection read (a, c, b)
-        strip_nodes = np.array([[0.0, -0.0], [1.0, 0.0], [-0.0, 2.0], [0.0, 1.0]])
-        strip_tags = np.array([TAG_INTERIOR, TAG_INTERIOR, TAG_P2, TAG_P2], dtype=np.int8)
-        strip_tris = np.array([[0, 1, 3]])
-        quarter_pts = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0], [0.0, 2.0], [0.0, 1.0]])
-        quarter_tags = np.array([TAG_OUTER, TAG_OUTER, TAG_INTERIOR, TAG_INTERIOR, TAG_P2],
-                                dtype=np.int8)
-        quarter_tris = np.array([[0, 1, 2], [0, 2, 4], [2, 3, 4]])
-        args = (strip_nodes, strip_tris, strip_tags, quarter_pts, quarter_tris, quarter_tags)
+        # and 0.0 merge; points repeated within the quarter merge too; an
+        # interior node seen again with a boundary tag takes that tag; the
+        # triangles of one reflection read (a, c, b)
+        quarter_pts = np.array([[0.0, -0.0], [1.0, 0.0], [-0.0, 2.0], [0.0, 1.0],
+                                [1.0, 0.0], [2.0, 0.0], [1.0, 1.0], [0.0, 2.0], [0.0, 1.0]])
+        quarter_tags = np.array([TAG_INTERIOR, TAG_INTERIOR, TAG_P2, TAG_P2, TAG_OUTER,
+                                 TAG_OUTER, TAG_INTERIOR, TAG_INTERIOR, TAG_P2], dtype=np.int8)
+        quarter_tris = np.array([[0, 1, 3], [4, 5, 6], [4, 6, 8], [6, 7, 8]])
+        args = (quarter_pts, quarter_tris, quarter_tags)
         nodes, tris, tags = mesh_module._merge_pieces(*args)
         for got, want in zip((nodes, tris, tags), merge_oracle(*args)):
             assert_same_bytes(got, want)
         assert not np.any(np.signbit(nodes[nodes == 0.0]))
         assert tags[1] == TAG_OUTER
         assert len(nodes) == 13
-        assert len(tris) == 1 + 4 * 3
+        assert len(tris) == 4 * 4
 
 
 class TestOrderLoop:
@@ -341,7 +338,7 @@ class TestMeshInvariants:
         delta = delta_over_R * R
         params = MeshParams(h_far=0.5 * R)
         domain = two_disk_domain(delta, R=R, R_out=R_out_over_R * R)
-        mesh, (_, strip_tris, _, quarter_pts, quarter_tris, _), tri = (
+        mesh, (quarter_pts, quarter_tris, quarter_tags), tri = (
             build_checked_against_oracles(domain, params))
         assert_mirror_symmetric(mesh)
         assert_mirror_symmetric(mesh, axis=0)
@@ -365,14 +362,21 @@ class TestMeshInvariants:
             assert all(tuple(t) in negative for t in images)
         quarter = ~np.any(mesh.nodes[mesh.triangles] < 0.0, axis=(1, 2))
         assert 4 * np.count_nonzero(quarter) == mesh.n_triangles
-        # the quarter's triangles and their three images are every
-        # triangle outside the strip
-        assert 4 * len(quarter_tris) + len(strip_tris) == mesh.n_triangles
-        # every point of the quarter is a vertex of its Delaunay, the
-        # fixed points on x = 0 and y = 0 among them
+        # the quarter's triangles and their three images are every triangle
+        assert 4 * len(quarter_tris) == mesh.n_triangles
+        # every node is (+-x, +-y) of a point of the quarter, its tag that
+        # point's with the particles swapped in the images under y -> -y
+        quarter_tag = {(x + 0.0, y + 0.0): int(t)
+                       for (x, y), t in zip(map(tuple, quarter_pts), quarter_tags)}
+        swap = {TAG_P1: TAG_P2, TAG_P2: TAG_P1}
+        for (x, y), t in zip(map(tuple, mesh.nodes), mesh.node_tags):
+            want = quarter_tag[(abs(x), abs(y))]
+            assert int(t) == (swap.get(want, want) if y < 0.0 else want)
+        # every point the outer quarter's Delaunay got is a vertex of it,
+        # the fixed points on x = 0 and y = 0 among them
         assert len(tri.coplanar) == 0
-        assert np.count_nonzero(quarter_pts[:, 0] == 0.0) >= 2
-        assert np.count_nonzero(quarter_pts[:, 1] == 0.0) >= 2
+        assert np.count_nonzero(tri.points[:, 0] == 0.0) >= 2
+        assert np.count_nonzero(tri.points[:, 1] == 0.0) >= 2
         _validate(mesh)
         assert mesh.boundary_node_residuals() <= 1e-12
 
@@ -396,7 +400,7 @@ def flip_one_lower_diagonal(mesh):
         c, d = (int(next(v for v in tris[e] if v not in (a, b))) for e in elements)
         if orient(c, d, a) * orient(c, d, b) < 0.0:  # the quad a, c, b, d is convex
             tris[elements] = [[c, d, a], [d, c, b]]
-            return Mesh(mesh.nodes, tris, mesh.node_tags, mesh.h_neck, mesh.h_far, mesh.domain)
+            return Mesh(mesh.nodes, tris, mesh.node_tags, mesh.domain)
     raise AssertionError("no convex quad below the axis")
 
 
@@ -482,6 +486,32 @@ class TestLoadValidation:
         lines[k] = lines[k].replace("particle1", "particle9")
         path.write_text("".join(lines))
         with pytest.raises(MeshError, match=f"line {k + 1}: .*unknown tag 'particle9'"):
+            load_mesh_text(path)
+
+    @staticmethod
+    def triangle_file(tmp_path, node2="node 2 0.0 1.0 outer", tri="tri 0 0 1 2"):
+        path = tmp_path / "triangle.txt"
+        path.write_text("# gaplaw mesh/text v1\ncounts 3 1 0\nnode 0 0.0 0.0 outer\n"
+                        f"node 1 1.0 0.0 outer\n{node2}\n{tri}\n")
+        return path
+
+    def test_older_file_with_sizes_record_loads(self, tmp_path):
+        path = self.triangle_file(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + ["sizes 0.005 0.3\n"] + lines[2:]))
+        mesh, values = load_mesh_text(path)
+        assert (mesh.n_nodes, mesh.n_triangles, values) == (3, 1, None)
+
+    @pytest.mark.parametrize("vertex", [7, 3, -1])
+    def test_vertex_outside_node_range(self, tmp_path, vertex):
+        path = self.triangle_file(tmp_path, tri=f"tri 0 0 1 {vertex}")
+        with pytest.raises(MeshError, match=r"line 6: tri record has a vertex outside \[0, 3\)"):
+            load_mesh_text(path)
+
+    @pytest.mark.parametrize("coordinate", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate(self, tmp_path, coordinate):
+        path = self.triangle_file(tmp_path, node2=f"node 2 {coordinate} 1.0 outer")
+        with pytest.raises(MeshError, match="line 5: malformed node record .*non-finite"):
             load_mesh_text(path)
 
     @pytest.mark.parametrize("record,damage", [

@@ -267,8 +267,8 @@ class TestDerivedAuxiliaries:
         image = mirrored(v1)
         assert np.max(np.abs(image.u - v2.u)) <= 1e-14
         assert (image.T1, image.T2) == (v2.T1, v2.T2) == (0.0, 1.0)
-        assert (image.kind, image.p, image.eps, image.energy, image.config, image.parity) == (
-            v1.kind, v1.p, v1.eps, v1.energy, v1.config, v1.parity)
+        assert (image.kind, image.p, image.eps, image.energy, image.parity) == (
+            v1.kind, v1.p, v1.eps, v1.energy, v1.parity)
         assert (image.trace, image.newton_iters) == ([], 0)
         tied = solve_tied(mesh, p=2.0)
         v3 = solve_linear_aux(mesh, "v3")
@@ -527,7 +527,8 @@ class TestInexactNewton:
     def test_exact_factor_one_iteration(self, stage):
         con, eps, z, _ = stage
         u = con.expand(z)
-        H, g = con.hess(u, 3.0, eps), con.grad(u, 3.0, eps)
+        w = solver._element_weights(con.elements, u, 3.0, eps)
+        H, g = con.hess(w), con.grad(w)
         dz_ref, lam, lu = solver._newton_direction(H, g)
         assert lam == 0.0
         dz, iters = solver._pcg(H, g, lu, solver.ETA_MAX)
@@ -537,7 +538,8 @@ class TestInexactNewton:
     def test_stale_factor_meets_forcing_term(self, stage):
         con, eps, z, lu = stage  # factored at p = 2, applied at the next stage
         u = con.expand(z)
-        H, g = con.hess(u, 2.5, eps), con.grad(u, 2.5, eps)
+        w = solver._element_weights(con.elements, u, 2.5, eps)
+        H, g = con.hess(w), con.grad(w)
         dz, iters = solver._pcg(H, g, lu, solver.ETA_MAX)
         assert dz is not None
         assert 1 < iters <= solver.CG_MAX_ITER
@@ -547,7 +549,8 @@ class TestInexactNewton:
     def test_negative_curvature_refactors(self, two_disk, stage, monkeypatch):
         con, eps, z, lu = stage
         u = con.expand(z)
-        H, g = con.hess(u, 2.5, eps), con.grad(u, 2.5, eps)
+        w = solver._element_weights(con.elements, u, 2.5, eps)
+        H, g = con.hess(w), con.grad(w)
         assert solver._pcg(-H, g, lu, solver.ETA_MAX) == (None, 1)
 
         # negate the Hessian of the first step at p = 2.5, the first step
@@ -851,7 +854,7 @@ def box_mesh(columns=7):
                      [at[i, 0.5 * s], at[i + 1, s], at[i, s]]]
         tris += [[at[i, 0.5], at[i + 1, 0.5], centre], [at[i, -0.5], at[i + 1, -0.5], centre],
                  [at[i, 0.5], at[i, -0.5], centre], [at[i + 1, 0.5], at[i + 1, -0.5], centre]]
-    return Mesh(np.array(nodes), np.array(tris), np.array(tags), 0.5, 0.5)
+    return Mesh(np.array(nodes), np.array(tris), np.array(tags))
 
 
 def assert_assembly_matches_oracle(mesh, kind, outer, pinned, parity, p):
@@ -864,11 +867,12 @@ def assert_assembly_matches_oracle(mesh, kind, outer, pinned, parity, p):
     assert np.array_equal(u, P @ z + con.u_fix)
     eps = 1e-8
 
-    g = con.grad(u, p, eps)
+    w = solver._element_weights(con.elements, u, p, eps)
+    g = con.grad(w)
     g_ref = P.T @ grad_full_oracle(mesh, u, p, eps)
     assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
 
-    H = con.hess(u, p, eps)
+    H = con.hess(w)
     H_ref = (P.T @ hess_full_oracle(mesh, u, p, eps) @ P).tocsc()
     # structural pattern from all-ones element blocks and |P|, so that
     # no entry is lost to an exact cancellation in the oracle product
@@ -1000,7 +1004,7 @@ class TestOrbitSums:
         # an element crossing the axis and its image
         y = np.array([-0.39, -0.09, 0.48])
         nodes = np.column_stack([np.tile([0.0, 1.0, 0.5], 2), np.concatenate([y, -y])])
-        mesh = Mesh(nodes, np.array([[0, 1, 2], [3, 4, 5]]), np.full(6, TAG_OUTER), 0.5, 0.5)
+        mesh = Mesh(nodes, np.array([[0, 1, 2], [3, 4, 5]]), np.full(6, TAG_OUTER))
         assert mesh.mirror is not None
         outer = datum_values(lambda x, y: y, mesh.nodes)
         con = solver._build_constraints(mesh, "prescribed", outer, (0.0, None))
