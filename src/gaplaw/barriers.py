@@ -19,11 +19,12 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .geometry import (
-    BarrierValidityError,
     ParticlePair,
     gap_width,
-    lower_barrier_radii,
+    lower_barrier_outer_radius,
     upper_barrier_radii,
 )
 
@@ -129,7 +130,8 @@ class FluxBound:
     the barrier-circle separations with the first-order factor
     (1 +/- c*delta) and the additive slack C applied.  The normal here
     points from the gap into particle 2, which makes all three values
-    nonnegative when T2 >= T1.
+    nonnegative when T2 >= T1.  For an array of offsets every field but
+    `slack` is an array, one entry per offset.
     """
 
     lower: float
@@ -140,18 +142,19 @@ class FluxBound:
     gap_lower_barrier: float
     lower_barrier_valid: bool
 
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
+    def contains(self, value):
+        return (self.lower <= value) & (value <= self.upper)
 
 
 def barrier_flux_bound(
-    x: float,
+    x,
     T1: float,
     T2: float,
     pair: ParticlePair,
     C_slack: float,
 ) -> FluxBound:
-    """Two-sided bound for n.grad(u) at the neck-arc point above x.
+    """Two-sided bound for n.grad(u) at the neck-arc point above x, a
+    number or an array of offsets.
 
     The upper bound divides the potential gap by the upper-barrier
     separation (inner radius r1 = delta), the lower bound by the exact
@@ -159,7 +162,8 @@ def barrier_flux_bound(
     first-order factor (1 +/- C_DELTA*delta) and the additive slack
     C_slack.  Outside the lower construction's validity window the
     quadratic gap inflated by (1 + C_DELTA*delta) is used instead.  The
-    bounds depend on neither p nor the dimension.
+    bounds depend on neither p nor the dimension.  For a number x the
+    fields are floats and `lower_barrier_valid` a bool.
     """
     if T2 < T1:
         raise ValueError(
@@ -172,24 +176,18 @@ def barrier_flux_bound(
     gap_u = r2 - delta
     gap_quad = gap_width(x, pair, "quadratic")
     dT = T2 - T1
-    leading = dT / gap_quad
-    try:
-        _, rho2 = lower_barrier_radii(x, delta, pair)
-        gap_l = rho2 - delta
-        valid = True
-    except BarrierValidityError:
-        gap_l = gap_quad * (1.0 + C_DELTA * delta)
-        valid = False
+    rho2, valid = lower_barrier_outer_radius(x, delta, pair)
+    gap_l = np.where(valid, rho2 - delta, gap_quad * (1.0 + C_DELTA * delta))
 
     one = 1.0 + C_DELTA * delta
-    upper = dT / gap_u * one + C_slack
-    lower = dT / gap_l / one - C_slack
-    return FluxBound(
-        lower=lower,
-        upper=upper,
-        leading=leading,
-        slack=C_slack,
-        gap_upper_barrier=gap_u,
-        gap_lower_barrier=gap_l,
-        lower_barrier_valid=valid,
-    )
+    fields = {
+        "lower": dT / gap_l / one - C_slack,
+        "upper": dT / gap_u * one + C_slack,
+        "leading": dT / gap_quad,
+        "gap_upper_barrier": gap_u,
+        "gap_lower_barrier": gap_l,
+    }
+    if np.ndim(x) == 0:
+        fields = {k: float(v) for k, v in fields.items()}
+        valid = bool(valid)
+    return FluxBound(slack=C_slack, lower_barrier_valid=valid, **fields)

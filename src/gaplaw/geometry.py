@@ -34,6 +34,7 @@ __all__ = [
     "gap_width",
     "upper_barrier_radii",
     "lower_barrier_radii",
+    "lower_barrier_outer_radius",
     "datum_values",
 ]
 
@@ -109,8 +110,9 @@ def gap_width(x, pair: ParticlePair, mode: GapMode = "exact"):
     raise GeometryError(f"unknown gap mode {mode!r}")
 
 
-def upper_barrier_radii(x: float, r1: float, pair: ParticlePair) -> tuple[float, float]:
-    """Radii (r1, r2) of the upper-barrier circle pair at contact offset x.
+def upper_barrier_radii(x, r1: float, pair: ParticlePair):
+    """Radii (r1, r2) of the upper-barrier circle pair at contact offset x,
+    a number or an array of offsets.
 
     The inner circle of radius r1 touches particle 1 from inside at the
     surface point above x; r2 is the radius of the concentric circle
@@ -122,11 +124,28 @@ def upper_barrier_radii(x: float, r1: float, pair: ParticlePair) -> tuple[float,
     """
     if not 0.0 < r1 < pair.R:
         raise GeometryError(f"inner radius r1={r1} must lie in (0, R={pair.R})")
-    if abs(x) >= pair.R:
-        raise GeometryError(f"|x|={abs(x)} must be < R={pair.R}")
+    if np.any(np.abs(x) >= pair.R):
+        raise GeometryError(f"|x|={np.max(np.abs(x))} must be < R={pair.R}")
     R, delta = pair.R, pair.delta
     r2 = delta + r1 + 0.5 * (1.0 - r1 / R) * (2.0 - r1 / R) * x * x / R
     return r1, r2
+
+
+def lower_barrier_outer_radius(x, rho1: float, pair: ParticlePair):
+    """(rho2, valid) of the lower-barrier circle pair at offset x, a number
+    or an array of offsets (see `lower_barrier_radii`): `valid` is where
+    the construction exists, and rho2 is NaN elsewhere."""
+    if not 0.0 < rho1 < pair.R:
+        raise GeometryError(f"inner radius rho1={rho1} must lie in (0, R={pair.R})")
+    R, delta = pair.R, pair.delta
+    s = 2.0 * R + delta
+    u = x * x / (R * R)
+    rad1 = 1.0 - u
+    rad2 = ((R - rho1) / s) ** 2 - u
+    valid = (rad1 >= 0.0) & (rad2 >= 0.0)
+    with np.errstate(invalid="ignore"):
+        rho2 = -R + s * (np.sqrt(rad1) - np.sqrt(rad2))
+    return rho2, valid
 
 
 def lower_barrier_radii(x: float, rho1: float, pair: ParticlePair) -> tuple[float, float]:
@@ -143,22 +162,16 @@ def lower_barrier_radii(x: float, rho1: float, pair: ParticlePair) -> tuple[floa
     At x = 0 this collapses to rho2 = delta + rho1.  The construction is
     only valid while the second radicand is nonnegative, i.e. for
     |x| <= R (R - rho1) / (2R + delta); beyond that a
-    BarrierValidityError is raised.
+    BarrierValidityError is raised (`lower_barrier_outer_radius` returns
+    a validity mask instead, for an array of offsets).
     """
-    if not 0.0 < rho1 < pair.R:
-        raise GeometryError(f"inner radius rho1={rho1} must lie in (0, R={pair.R})")
-    R, delta = pair.R, pair.delta
-    s = 2.0 * R + delta
-    u = x * x / (R * R)
-    rad1 = 1.0 - u
-    rad2 = ((R - rho1) / s) ** 2 - u
-    if rad1 < 0.0 or rad2 < 0.0:
+    rho2, valid = lower_barrier_outer_radius(x, rho1, pair)
+    if not valid:
         raise BarrierValidityError(
             f"lower barrier undefined at |x|={abs(x)}; valid window is "
-            f"|x| <= {R * (R - rho1) / s}"
+            f"|x| <= {pair.R * (pair.R - rho1) / (2.0 * pair.R + pair.delta)}"
         )
-    rho2 = -R + s * (math.sqrt(rad1) - math.sqrt(rad2))
-    return rho1, rho2
+    return rho1, float(rho2)
 
 
 @dataclass(frozen=True)

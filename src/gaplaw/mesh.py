@@ -688,14 +688,18 @@ def load_mesh_text(path) -> tuple[Mesh, np.ndarray | None]:
     """Read a mesh written by save_mesh_text; returns (mesh, values|None).
 
     A record with missing, extra or unparseable fields, an unknown tag, a
-    non-finite coordinate or a vertex index outside the `counts` header's
-    node range raises MeshError naming its line; so do node, triangle or
-    value records that do not match the `counts` header in number.  Other
-    records (the `sizes` of older files among them) are skipped.
+    non-finite coordinate or value, an index that differs from the
+    record's position among the records of its kind (`node i`, `tri i`
+    and `value i` count from 0 in file order) or a vertex index outside
+    the `counts` header's node range raises MeshError naming its line; so
+    do node, triangle or value records that do not match the `counts`
+    header in number.  Other records (the `sizes` of older files among
+    them) are skipped.
     """
     name_to_tag = {v: k for k, v in _TAG_NAMES.items()}
     widths = {"counts": 4, "node": 5, "tri": 5, "value": 3}  # name included
     nodes, tags, tris, tri_lines, values = [], [], [], [], []
+    records = {"node": nodes, "tri": tris, "value": values}
     counts = None
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -705,6 +709,8 @@ def load_mesh_text(path) -> tuple[Mesh, np.ndarray | None]:
             try:
                 if len(parts) != widths[parts[0]]:
                     raise ValueError(f"expected {widths[parts[0]]} fields, got {len(parts)}")
+                if parts[0] in records and int(parts[1]) != len(records[parts[0]]):
+                    raise ValueError(f"index {parts[1]}, expected {len(records[parts[0]])}")
                 if parts[0] == "counts":
                     counts = [int(v) for v in parts[1:]]
                 elif parts[0] == "node":
@@ -719,7 +725,10 @@ def load_mesh_text(path) -> tuple[Mesh, np.ndarray | None]:
                     tris.append((int(parts[2]), int(parts[3]), int(parts[4])))
                     tri_lines.append(lineno)
                 else:
-                    values.append(float(parts[2]))
+                    value = float(parts[2])
+                    if not math.isfinite(value):
+                        raise ValueError("non-finite value")
+                    values.append(value)
             except ValueError as exc:
                 raise MeshError(
                     f"{path}, line {lineno}: malformed {parts[0]} record ({exc})"

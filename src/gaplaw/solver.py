@@ -23,17 +23,24 @@ damped Newton with Armijo backtracking, seeded by continuation in p from
 the linear p = 2 solution (the energy Hessian degenerates where the
 gradient vanishes, so a good seed matters for p well above 2).
 
-The gradient and Hessian are assembled straight into the reduced
-unknowns: a node -> unknown map and a fixed CSC pattern are built once
-per solve, and each Newton step fills the pattern with one bincount.
-The reduced Hessian is symmetric positive definite.  Newton is inexact:
-a solve keeps its last SuperLU factor across steps and p-stages, and
-each step first runs a few conjugate-gradient iterations on the current
-Hessian preconditioned by that factor, stopped at the Eisenstat-Walker
-forcing term (SIAM J. Sci. Comput. 17(1), 1996, choice 2).  Only when CG
-misses it, meets negative curvature or gives no descent is the Hessian
-factored afresh, with SuperLU in symmetric mode, diagonal pivots and a
-minimum-degree ordering of A^T + A.
+The element kernels (gradients, energy, Hessian weights, stop scales)
+are per-column arithmetic on element arrays, g_x = sum_k B[:, 0, k]
+u[tri[:, k]] and so on, with no einsum; Newton's element set stores its
+arrays element index fastest, so each column is contiguous.  The
+gradient and Hessian are assembled straight into the reduced unknowns:
+a node -> unknown map and a fixed CSC pattern are built once per solve,
+and each Newton step fills the pattern with one bincount over the six
+distinct entries of each symmetric element matrix.  The reduced Hessian
+is symmetric positive definite.  Newton is inexact: a solve keeps its
+last SuperLU factor across steps and p-stages, and each step first runs
+a few conjugate-gradient iterations on the current Hessian
+preconditioned by that factor, stopped at the Eisenstat-Walker forcing
+term (SIAM J. Sci. Comput. 17(1), 1996, choice 2).  Only when CG misses
+it, meets negative curvature or gives no descent is the Hessian factored
+afresh, with SuperLU in symmetric mode, diagonal pivots, a minimum-degree
+ordering of A^T + A and the smallest supernode panels (relax = 1,
+panel_size = 1): the quarter Hessian of a 19.7k-node mesh factors in
+about 3/4 of the time of the default panels, with the same fill.
 
 The two-disk mesh is symmetric under y -> -y (`Mesh.mirror`) and under
 x -> -x (`Mesh.x_mirror`).  When the fixed data are exactly odd or even
@@ -54,7 +61,9 @@ mesh.
 Post-processing (flux reports, `grad_max`, the Q functional) reads the
 full mesh and the expanded field.
 
-Convergence is a property of the solution at the target exponent alone:
+The continuation ladder climbs from p = 2 in unit steps by default
+(`SolverConfig.p_step`).  Convergence is a property of the solution at
+the target exponent alone:
 there Newton stops on the true gradient at max|g| <= newton_tol * S, with
 S the largest nodal flux magnitude (or at the rounding floor of g), so a
 converged floating solve balances each particle's flux to newton_tol * S
@@ -128,15 +137,20 @@ class SolverConfig:
     Newton steps of each p-stage.  eps_scale sets the gradient
     regularization eps = eps_scale * (max U - min U) / R_domain; p_step
     is the increment of the continuation ladder from p = 2 up to the
-    target exponent.  A max_iter that is not an integer >= 1 (a bool
-    included), newton_tol outside (0, 1), eps_scale < 0 or infinite and
-    p_step <= 0 (or NaN) raise ValueError.
+    target exponent.  The unit step (2, 3, ..., p) was the fastest
+    ladder on a 19.7k-node mesh, over its floating and tied solves at
+    p = 3 and 6: 60 Newton steps and 17 factorizations, against 87 and 15
+    with step 0.5; 2, 4, 6 took 53 steps but 19 factorizations, since a
+    stale factor preconditions CG poorly after a large jump in p.  The
+    answer does not depend on the step (see `_newton`).  A max_iter that
+    is not an integer >= 1 (a bool included), newton_tol outside (0, 1),
+    eps_scale < 0 or infinite and p_step <= 0 (or NaN) raise ValueError.
     """
 
     newton_tol: float = 1e-12
     max_iter: int = 80
     eps_scale: float = 1e-8
-    p_step: float = 0.5
+    p_step: float = 1.0
 
     def __post_init__(self):
         if not (isinstance(self.max_iter, numbers.Integral)
@@ -187,10 +201,17 @@ class DiscreteSolution:
 # -----------------------------------------------------------------------------
 
 
+def _gradient_columns(mesh: Mesh, u: np.ndarray):
+    """(gx, gy): the two components of the constant P1 gradient on each
+    element, g_i = sum_k B[:, i, k] u[tri[:, k]]."""
+    B = mesh.grads
+    u0, u1, u2 = (u[mesh.triangles[:, k]] for k in range(3))
+    return tuple(B[:, i, 0] * u0 + B[:, i, 1] * u1 + B[:, i, 2] * u2 for i in range(2))
+
+
 def element_gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """(m, 2) array of the constant P1 gradient on each element."""
-    uloc = u[mesh.triangles]
-    return np.einsum("eik,ek->ei", mesh.grads, uloc)
+    return np.stack(_gradient_columns(mesh, u), axis=1)
 
 
 def energy(mesh: Mesh, u: np.ndarray, p: float, eps: float = 0.0) -> float:
@@ -201,8 +222,8 @@ def energy(mesh: Mesh, u: np.ndarray, p: float, eps: float = 0.0) -> float:
     with the mesh's `triangles`, `grads` and `areas`, as Newton's element
     set (`_Constraints.elements`) is.
     """
-    g = element_gradients(mesh, u)
-    s = eps * eps + np.einsum("ei,ei->e", g, g)
+    gx, gy = _gradient_columns(mesh, u)
+    s = eps * eps + (gx * gx + gy * gy)
     return float(np.sum(mesh.areas * s ** (0.5 * p)))
 
 
@@ -211,22 +232,28 @@ def _element_weights(mesh: Mesh, u: np.ndarray, p: float, eps: float):
 
     The element Hessian is w1 * B^T B + w2 * (B^T g)(B^T g)^T and the
     element gradient is w1 * B^T g, with s = eps^2 + |g|^2,
-    w1 = area p s^(p/2-1) and w2 = area p (p-2) s^(p/2-2).
+    w1 = area p s^(p/2-1) and w2 = area p (p-2) s^(p/2-2) = (p-2) w1 / s.
+    B^T g is returned as the transpose of a (3, m) array, so that each of
+    its columns is contiguous.
     """
-    g = element_gradients(mesh, u)
-    s = eps * eps + np.einsum("ei,ei->e", g, g)
+    gx, gy = _gradient_columns(mesh, u)
+    s = eps * eps + (gx * gx + gy * gy)
     w1 = mesh.areas * p * s ** (0.5 * p - 1.0)
     # where the gradient vanishes the rank-one term is zero anyway; guard
-    # the negative power so 0 * inf does not poison the assembly
-    s_safe = np.where(s > 0.0, s, 1.0)
-    w2 = mesh.areas * p * (p - 2.0) * s_safe ** (0.5 * p - 2.0)
-    bg = np.einsum("eik,ei->ek", mesh.grads, g)
-    return bg, w1, w2
+    # the division so 0 / 0 does not poison the assembly
+    w2 = (p - 2.0) * w1 / np.where(s > 0.0, s, 1.0)
+    B = mesh.grads
+    bg = np.empty((3, len(s)))
+    for k in range(3):
+        np.add(B[:, 0, k] * gx, B[:, 1, k] * gy, out=bg[k])
+    return bg.T, w1, w2
 
 
 def _grad_full(mesh: Mesh, u: np.ndarray, p: float, eps: float) -> np.ndarray:
     """Energy gradient with respect to every nodal value."""
     bg, w1, _ = _element_weights(mesh, u, p, eps)
+    # bg is column-major, and so is contrib: ravel copies it row by row, so
+    # each node sums its terms in element order, as np.add.at does
     contrib = w1[:, None] * bg
     return np.bincount(mesh.triangles.ravel(), contrib.ravel(), mesh.n_nodes)
 
@@ -247,16 +274,29 @@ class _ElementSet:
     areas: np.ndarray
 
 
+# the six distinct entries (k, l), k <= l, of a symmetric local 3 x 3 matrix:
+# the diagonal, then the three off the diagonal
+_K6 = np.array([0, 1, 2, 0, 0, 1])
+_L6 = np.array([0, 1, 2, 1, 2, 2])
+
+
 class _Constraints:
     """Reduction u = u_fix + P z from nodal values to free unknowns.
 
     `dof` maps each node to its free unknown, -1 on a fixed node; all
     nodes of a floating particle share one unknown.  The gradient and
     Hessian are assembled straight into the reduced unknowns, P^T g and
-    P^T H P, through a scatter map built here once and reused by every
-    Newton step and p-stage: each local entry (k, l) of each element whose
-    nodes are both free lands in a fixed slot of a CSC pattern, so one
-    `np.bincount` fills the matrix.
+    P^T H P, through scatter maps built here once and reused by every
+    Newton step and p-stage, each filled by one `np.bincount`.  Element
+    arrays are (3, m) or (6, m), one contiguous row per local node or
+    local entry, and a local entry that touches a fixed node goes to a
+    dummy slot past the last one, so no step gathers through a mask.  The
+    gradient slot of local node k is its unknown.  The Hessian is summed
+    from the six distinct local entries (k <= l) into one slot per
+    unordered pair of unknowns, an off-diagonal entry whose two nodes
+    share an unknown counted twice (it stands for (k, l) and (l, k)); the
+    CSC entries (a, b) and (b, a) then read the same slot, so the matrix
+    is symmetric bit for bit.
 
     `parity` holds the character of the fixed data under the mesh's two
     mirrors, (y -> -y, x -> -x), each -1, +1 or None when that mirror is
@@ -280,20 +320,31 @@ class _Constraints:
         self.elements = elements
         self._reflections = reflections
         grads = elements.grads
-        self._stiffness = np.einsum("eik,eil->ekl", grads, grads)  # B^T B without the area
+        # B^T B without the area, element index fastest: [:, k, l] is contiguous
+        self._stiffness = np.asfortranarray(np.einsum("eik,eil->ekl", grads, grads))
+        self._abs_b = np.abs(grads).transpose(1, 2, 0).copy()  # (2, 3, m)
         self._free = np.flatnonzero(dof >= 0)
         self._free_dof = dof[self._free]
-        edof = dof[elements.triangles]
-        self._g_mask = edof >= 0
-        self._g_dof = edof[self._g_mask]
-        rows = np.repeat(edof, 3, axis=1)  # local entry (k, l) at 3k + l
-        cols = np.tile(edof, (1, 3))
-        self._h_mask = (rows >= 0) & (cols >= 0)
-        # column-major keys give CSC directly, the format splu factors
-        key = cols[self._h_mask] * n_dof + rows[self._h_mask]
-        slots, self._h_slot = np.unique(key, return_inverse=True)
-        self._h_indices = slots % n_dof
-        self._h_indptr = np.searchsorted(slots // n_dof, np.arange(n_dof + 1))
+        edof = dof[elements.triangles].T  # (3, m)
+        self._g_slot = np.where(edof >= 0, edof, n_dof).ravel()
+        dk, dl = edof[_K6], edof[_L6]
+        fixed = (dk < 0) | (dl < 0)
+        lo, hi = np.minimum(dk, dl), np.maximum(dk, dl)
+        pairs, inverse = np.unique((lo * n_dof + hi)[~fixed], return_inverse=True)
+        slot = np.full(dk.shape, len(pairs))
+        slot[~fixed] = inverse
+        self._h_slot = slot.ravel()
+        self._h_mult = np.where(dk[3:] == dl[3:], 2.0, 1.0)  # the off-diagonal entries
+        # each pair (a, b), a <= b, is the CSC entry (a, b) and, off the
+        # diagonal, (b, a); sorted by column, then row
+        a, b = pairs // n_dof, pairs % n_dof
+        off = a != b
+        rows = np.concatenate([a, b[off]])
+        cols = np.concatenate([b, a[off]])
+        order = np.lexsort((rows, cols))
+        self._h_pair = np.concatenate([np.arange(len(pairs)), np.flatnonzero(off)])[order]
+        self._h_indices = rows[order]
+        self._h_indptr = np.searchsorted(cols[order], np.arange(n_dof + 1))
 
     def expand(self, z: np.ndarray) -> np.ndarray:
         u = self.u_fix.copy()
@@ -304,12 +355,15 @@ class _Constraints:
             u[nodes] = parity * u[images]
         return u
 
+    def _scatter(self, a: np.ndarray) -> np.ndarray:
+        """Sum a (3, m) array of local-node terms into the unknowns."""
+        return np.bincount(self._g_slot, a.ravel(), self.n_dof + 1)[:self.n_dof]
+
     def grad(self, weights) -> np.ndarray:
         """Reduced gradient of the energy at the nodal field u, from its
         `_element_weights(self.elements, u, p, eps)`."""
         bg, w1, _ = weights
-        contrib = w1[:, None] * bg
-        return np.bincount(self._g_dof, contrib[self._g_mask], self.n_dof)
+        return self._scatter(w1 * bg.T)
 
     def stop_scales(self, u: np.ndarray, weights) -> tuple[float, float]:
         """(S, rho) of the stop test at the nodal field u, from its
@@ -321,30 +375,32 @@ class _Constraints:
         unknown, and under a mirror reduction the scaled areas count a
         node's images too, as its gradient entry does."""
         bg, w1, _ = weights  # w1 > 0
-        flux = np.abs(bg)
-        flux *= w1[:, None]
-        abs_b = np.abs(self.elements.grads)
-        bound = np.einsum("eik,ei->ek", abs_b,
-                          np.einsum("eik,ek->ei", abs_b, np.abs(u)[self.elements.triangles]))
-        bound *= w1[:, None]
-        S, rho = (
-            float(np.max(np.bincount(self._g_dof, a[self._g_mask], self.n_dof), initial=0.0))
-            for a in (flux, bound)
-        )
-        return S, rho
+        flux = np.abs(bg.T)
+        flux *= w1
+        abs_b = self._abs_b
+        au = [np.abs(u[self.elements.triangles[:, k]]) for k in range(3)]
+        a0, a1 = (abs_b[i, 0] * au[0] + abs_b[i, 1] * au[1] + abs_b[i, 2] * au[2]
+                  for i in range(2))
+        bound = abs_b[0] * a0
+        bound += abs_b[1] * a1
+        bound *= w1
+        return tuple(float(np.max(self._scatter(a), initial=0.0)) for a in (flux, bound))
 
     def hess(self, weights) -> sp.csc_matrix:
         """Reduced Hessian of the energy at the nodal field u (symmetric,
-        CSC), from its element weights as for `grad`."""
+        CSC), from its element weights as for `grad`: entry (k, l) of an
+        element is w1 S_kl + w2 b_k b_l, with S = B^T B and b = B^T g."""
         bg, w1, w2 = weights
-        hloc = w1[:, None, None] * self._stiffness
-        hloc += w2[:, None, None] * np.einsum("ek,el->ekl", bg, bg)
-        data = np.bincount(
-            self._h_slot, hloc.reshape(-1, 9)[self._h_mask], len(self._h_indices)
-        )
-        return sp.csc_matrix(
-            (data, self._h_indices, self._h_indptr), shape=(self.n_dof, self.n_dof)
-        )
+        bg = bg.T
+        st = self._stiffness
+        h = np.empty((6, len(w1)))
+        for j, (k, l) in enumerate(zip(_K6, _L6)):
+            np.multiply(w1, st[:, k, l], out=h[j])
+        h += w2 * (bg[_K6] * bg[_L6])
+        h[3:] *= self._h_mult
+        data = np.bincount(self._h_slot, h.ravel())  # the dummy slot last, if any
+        return sp.csc_matrix((data[self._h_pair], self._h_indices, self._h_indptr),
+                             shape=(self.n_dof, self.n_dof))
 
 
 def _build_constraints(mesh: Mesh, kind: str, outer_vals: np.ndarray,
@@ -416,7 +472,9 @@ def _build_constraints(mesh: Mesh, kind: str, outer_vals: np.ndarray,
         kept = half
     elements = mesh
     if reflections:
-        elements = _ElementSet(triangles=mesh.triangles[kept], grads=mesh.grads[kept],
+        # element index fastest, so that each column the kernels read is contiguous
+        elements = _ElementSet(triangles=np.asfortranarray(mesh.triangles[kept]),
+                               grads=np.asfortranarray(mesh.grads[kept]),
                                areas=2.0 ** len(reflections) * mesh.areas[kept])
     free = dof >= 0
     unknowns, dof[free] = np.unique(dof[free], return_inverse=True)
@@ -470,7 +528,7 @@ def _newton_direction(H: sp.csc_matrix, g: np.ndarray):
             # swapped rows on a near-singular tied Hessian and gave a
             # poorer direction there (7 extra Newton steps at p = 4.5).
             lu = spla.splu(Hk, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
+                           relax=1, panel_size=1, options={"SymmetricMode": True})
         except RuntimeError:  # exactly singular factor
             continue
         dz = lu.solve(-g)

@@ -162,7 +162,7 @@ class SweepConfig:
     newton_tol: float = 1e-12
     max_iter: int = 80
     eps_scale: float = 1e-8
-    p_step: float = 0.5
+    p_step: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.R < math.inf:
@@ -539,11 +539,8 @@ def verify_barrier(
     C_slack = grad_max(solution, "away", neck)[0]
     pair = neck.pair
     xs, measured, slack = sample_neck_flux(solution, neck)
-    inside = 0
-    for x, m, s in zip(xs, measured, slack):
-        fb = barrier_flux_bound(float(x), solution.T1, solution.T2, pair, C_slack=C_slack)
-        if fb.lower - s <= m <= fb.upper + s:
-            inside += 1
+    fb = barrier_flux_bound(xs, solution.T1, solution.T2, pair, C_slack=C_slack)
+    inside = int(np.count_nonzero((fb.lower - slack <= measured) & (measured <= fb.upper + slack)))
     cov = inside / len(xs)
     return BarrierVerdict(
         n_samples=len(xs),

@@ -1,6 +1,7 @@
 import math
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,12 @@ from gaplaw.barriers import (
     radial_eval,
     radial_gradient,
 )
-from gaplaw.geometry import ParticlePair
+from gaplaw.geometry import (
+    BarrierValidityError,
+    ParticlePair,
+    lower_barrier_radii,
+    upper_barrier_radii,
+)
 
 
 @lru_cache(maxsize=64)
@@ -257,3 +263,32 @@ class TestBarrierFluxBound:
         fb = barrier_flux_bound(0.6, 0.0, 0.1, pair, C_slack=0.1)
         assert not fb.lower_barrier_valid
         assert fb.lower <= fb.upper
+
+    def test_array_matches_per_offset_oracle(self):
+        """One call over an array of offsets gives, offset by offset, the
+        bounds of the per-sample construction with its validity error."""
+        pair = ParticlePair(R=1.0, delta=0.01)
+        xs = np.linspace(-0.6, 0.6, 61)  # the lower window is |x| <= 0.4925
+        dT, C = 0.1, 0.3
+        fb = barrier_flux_bound(xs, -0.05, 0.05, pair, C_slack=C)
+        one = 1.0 + 2.0 * pair.delta
+        for i, x in enumerate(xs.tolist()):
+            _, r2 = upper_barrier_radii(x, pair.delta, pair)
+            gap_quad = pair.delta + x * x / pair.R
+            try:
+                gap_l = lower_barrier_radii(x, pair.delta, pair)[1] - pair.delta
+                valid = True
+            except BarrierValidityError:
+                gap_l, valid = gap_quad * one, False
+            assert fb.lower_barrier_valid[i] == valid
+            assert fb.upper[i] == dT / (r2 - pair.delta) * one + C
+            assert fb.lower[i] == dT / gap_l / one - C
+            assert fb.leading[i] == dT / gap_quad
+        assert 0 < np.count_nonzero(fb.lower_barrier_valid) < len(xs)
+        assert np.all(fb.contains(fb.leading))
+
+    def test_scalar_offset_gives_floats(self):
+        fb = barrier_flux_bound(0.6, 0.0, 0.1, ParticlePair(R=1.0, delta=0.01), C_slack=0.1)
+        assert type(fb.lower_barrier_valid) is bool
+        for name in ("lower", "upper", "leading", "gap_upper_barrier", "gap_lower_barrier"):
+            assert type(getattr(fb, name)) is float

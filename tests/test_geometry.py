@@ -13,6 +13,7 @@ from gaplaw.geometry import (
     NeckSpec,
     ParticlePair,
     gap_width,
+    lower_barrier_outer_radius,
     lower_barrier_radii,
     upper_barrier_radii,
 )
@@ -135,6 +136,18 @@ class TestLowerBarrier:
         with pytest.raises(BarrierValidityError):
             lower_barrier_radii(xmax * 1.01, 0.01, PAIR)
         lower_barrier_radii(xmax * 0.99, 0.01, PAIR)  # inside is fine
+
+    def test_mask_where_the_scalar_form_raises(self):
+        xs = np.linspace(-0.7, 0.7, 57)
+        rho2, valid = lower_barrier_outer_radius(xs, 0.01, PAIR)
+        for x, r, ok in zip(xs.tolist(), rho2, valid):
+            if ok:
+                assert lower_barrier_radii(x, 0.01, PAIR)[1] == r
+            else:
+                assert math.isnan(r)
+                with pytest.raises(BarrierValidityError):
+                    lower_barrier_radii(x, 0.01, PAIR)
+        assert 0 < np.count_nonzero(valid) < len(xs)
 
     def test_agrees_with_upper_at_axis(self):
         _, r2 = upper_barrier_radii(0.0, 0.02, PAIR)

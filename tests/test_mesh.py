@@ -514,6 +514,26 @@ class TestLoadValidation:
         with pytest.raises(MeshError, match="line 5: malformed node record .*non-finite"):
             load_mesh_text(path)
 
+    @pytest.mark.parametrize("record", ["node", "tri", "value"])
+    def test_index_differs_from_position(self, tmp_path, record):
+        """A record is not renumbered by its place in the file."""
+        path, lines = self.saved_lines(tmp_path)
+        k = self.first(lines, record)
+        lines[k] = lines[k].replace(f"{record} 0 ", f"{record} 1 ", 1)
+        path.write_text("".join(lines))
+        with pytest.raises(MeshError, match=f"line {k + 1}: malformed {record} record "
+                                            r"\(index 1, expected 0\)"):
+            load_mesh_text(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, value):
+        path, lines = self.saved_lines(tmp_path)
+        k = self.first(lines, "value")
+        lines[k] = f"value 0 {value}\n"
+        path.write_text("".join(lines))
+        with pytest.raises(MeshError, match=f"line {k + 1}: malformed value record .*non-finite"):
+            load_mesh_text(path)
+
     @pytest.mark.parametrize("record,damage", [
         ("tri", lambda line: line.rsplit(" ", 1)[0] + "\n"),  # one vertex short
         ("node", lambda line: line.replace("node 0 ", "node 0 x")),

@@ -484,7 +484,7 @@ class TestEvaluationCounts:
 
         monkeypatch.setattr(solver, "energy", counting_energy)
         monkeypatch.setattr(solver, "_element_weights", counting_weights)
-        sol = solve_floating(two_disk, p=3.0)
+        sol = solve_floating(two_disk, p=3.0, config=SolverConfig(p_step=0.5))
         monkeypatch.undo()
 
         newton_calls = len({t["p"] for t in sol.trace})
@@ -555,7 +555,8 @@ class TestInexactNewton:
 
         # negate the Hessian of the first step at p = 2.5, the first step
         # that has a factor to reuse
-        want = solve_floating(two_disk, p=3.0)
+        cfg = SolverConfig(p_step=0.5)
+        want = solve_floating(two_disk, p=3.0, config=cfg)
         real = solver._Constraints.hess
         calls = {"n": 0}
 
@@ -565,7 +566,7 @@ class TestInexactNewton:
             return -H if calls["n"] == 2 else H
 
         monkeypatch.setattr(solver._Constraints, "hess", hess)
-        sol = solve_floating(two_disk, p=3.0)
+        sol = solve_floating(two_disk, p=3.0, config=cfg)
         first = next(e for e in sol.trace if e["p"] == 2.5)
         assert first["iter"] == 0
         assert first["cg"] == 1 and first["refactor"] is True
@@ -710,6 +711,21 @@ class TestStopRule:
                 assert rtol >= min(solver.ETA_MAX, 0.5 * e["tol"] / g2)
                 floored += rtol == 0.5 * e["tol"] / g2
         assert floored > 0  # the floor, not the Eisenstat-Walker term, set some steps
+
+
+class TestContinuationInvariance:
+    """The default unit p-step and the half step reach the same target-p
+    solution: the stop test is applied at the target p alone."""
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("solve", [solve_floating, solve_tied])
+    def test_half_and_unit_steps_agree(self, two_disk, solve, p):
+        assert SolverConfig().p_step == SweepConfig().p_step == 1.0
+        half = solve(two_disk, p=p, config=SolverConfig(p_step=0.5))
+        unit = solve(two_disk, p=p)
+        assert len({e["p"] for e in half.trace}) > len({e["p"] for e in unit.trace})
+        for a, b in ((half.T1, unit.T1), (half.T2, unit.T2), (half.energy, unit.energy)):
+            assert b == pytest.approx(a, rel=1e-12, abs=0.0)
 
 
 class TestBincountScatter:
@@ -905,6 +921,23 @@ class TestReducedAssembly:
         assert mesh.mirror is not None
         outer = datum_values(datum, mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
         assert_assembly_matches_oracle(mesh, "prescribed", outer, (0.0, None), (None, None), p)
+
+    @pytest.mark.parametrize("kind", ["floating", "tied"])
+    def test_symmetric_for_any_vertex_order(self, two_disk, kind):
+        """H == H^T bit for bit however each element lists its vertices:
+        the sum into an entry and into its transpose do not depend on the
+        local positions its terms come from."""
+        shift = np.random.default_rng(5).integers(0, 3, two_disk.n_triangles)
+        rolled = np.take_along_axis(two_disk.triangles, (np.arange(3) + shift[:, None]) % 3, 1)
+        mesh = Mesh(two_disk.nodes, rolled, two_disk.node_tags)
+        at = mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)]
+        for datum, parity in ((two_disk.domain.boundary_datum, (-1, 1)),
+                              (lambda x, y: x + y, (None, None))):
+            con = solver._build_constraints(mesh, kind, datum_values(datum, at))
+            assert con.parity == parity
+            u = con.expand(np.random.default_rng(6).normal(size=con.n_dof))
+            H = con.hess(solver._element_weights(con.elements, u, 4.0, 1e-8))
+            assert abs(H - H.T).max() == 0.0
 
     def test_newton_direction_matches_spsolve(self, two_disk, monkeypatch):
         """The solver's first factor-and-solve against spsolve on the oracle."""
