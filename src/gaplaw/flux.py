@@ -113,26 +113,19 @@ def _summed_flux(w: np.ndarray, mesh: Mesh, curve: str, neck: NeckSpec | None = 
 
 
 def _neck_edges(mesh: Mesh, neck: NeckSpec):
-    """Boundary edges of particle 2 on the neck arc 's2', with their owning
-    elements."""
+    """Boundary edges of particle 2 on the neck arc 's2': the edges, their
+    owning elements, midpoints and unit normals out of the domain (into
+    particle 2).  A boundary edge is stored in the vertex order of its
+    counterclockwise owner, so its right-hand normal points outward."""
     edges, owners = mesh.boundary_edges[TAG_P2]
-    mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
-    sel = _neck_side("s2", neck, mids)
-    return edges[sel], owners[sel]
-
-
-def _edge_frame(mesh: Mesh, edges: np.ndarray, owners: np.ndarray):
-    """Midpoints and unit normals of boundary edges, the normals oriented
-    away from the owning element's centroid (out of the domain)."""
     a = mesh.nodes[edges[:, 0]]
     b = mesh.nodes[edges[:, 1]]
     mid = 0.5 * (a + b)
-    tang = b - a
+    sel = _neck_side("s2", neck, mid)
+    tang = b[sel] - a[sel]
     lengths = np.hypot(tang[:, 0], tang[:, 1])
     normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
-    flip = np.einsum("ei,ei->e", normals, mesh.centroids[owners] - mid) > 0
-    normals[flip] *= -1.0
-    return mid, normals
+    return edges[sel], owners[sel], mid[sel], normals
 
 
 def boundary_flux(
@@ -363,10 +356,9 @@ def sample_neck_flux(solution: DiscreteSolution, neck: NeckSpec):
     gradient, an observed discretization error proxy per sample.
     """
     mesh = solution.mesh
-    edges, owners = _neck_edges(mesh, neck)
+    edges, owners, mid, normals = _neck_edges(mesh, neck)
     if len(edges) == 0:
         raise FluxError("no boundary edges inside the neck window")
-    mid, normals = _edge_frame(mesh, edges, owners)  # into particle 2
     g_elem = element_gradients(mesh, solution.u)[owners]
     g_node = recovered_node_gradients(mesh, solution.u)
     g_rec = 0.5 * (g_node[edges[:, 0]] + g_node[edges[:, 1]])

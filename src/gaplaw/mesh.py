@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -87,6 +87,16 @@ QUALITY_FLOOR = 0.02  # smallest admissible element quality
 STRIP_ASPECT = 1.4  # width/height ratio of the structured strip cells
 
 
+def require_real(config, error=ValueError) -> None:
+    """Raise `error` naming the first `float` field of a dataclass config
+    that holds no real number (a bool is none), before a comparison fails
+    on it."""
+    for name in (f.name for f in fields(config) if f.type in (float, "float")):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise error(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MeshParams:
     """Resolution of the two-disk mesh.
@@ -107,6 +117,7 @@ class MeshParams:
                 and not isinstance(self.neck_layers, bool)
                 and self.neck_layers >= 4 and self.neck_layers % 2 == 0):
             raise MeshError(f"neck_layers must be an even integer >= 4, got {self.neck_layers!r}")
+        require_real(self, MeshError)
         if not 0.0 < self.h_far < math.inf:
             raise MeshError(f"h_far must be positive and finite, got {self.h_far}")
 
@@ -147,7 +158,6 @@ class Mesh:
         self.nodes = np.ascontiguousarray(self.nodes, dtype=float)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.node_tags = np.ascontiguousarray(self.node_tags, dtype=np.int8)
-        self._orient_ccw()
         self._build_geometry()
         self._build_boundary_edges()
         self.mirror = self._find_mirror(1, _MIRROR_TAG)
@@ -155,21 +165,20 @@ class Mesh:
 
     # -- construction helpers -------------------------------------------------
 
-    def _orient_ccw(self):
-        p = self.nodes[self.triangles]
-        det = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-            p[:, 2, 0] - p[:, 0, 0]
-        ) * (p[:, 1, 1] - p[:, 0, 1])
-        flip = det < 0
-        if np.any(flip):
-            self.triangles[flip] = self.triangles[flip][:, [0, 2, 1]]
-
     def _build_geometry(self):
+        """Orient the elements counterclockwise, then take their areas,
+        P1 gradients and centroids from the same determinant: swapping
+        two vertices negates it exactly."""
         p = self.nodes[self.triangles]
-        x, y = p[..., 0], p[..., 1]
+        x, y = p[..., 0], p[..., 1]  # views: they follow the swap below
         det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
             y[:, 1] - y[:, 0]
         )
+        flip = det < 0
+        if np.any(flip):
+            self.triangles[flip] = self.triangles[flip][:, [0, 2, 1]]
+            p[flip] = p[flip][:, [0, 2, 1]]
+            det[flip] = -det[flip]
         if np.any(det <= 0):
             raise MeshError("degenerate or inverted triangle in mesh")
         self.areas = 0.5 * det

@@ -85,7 +85,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import NECK_W_FRACTION, AnnulusSpec, DomainSpec, NeckSpec, datum_values
-from .mesh import TAG_INTERIOR, TAG_OUTER, TAG_P1, TAG_P2, Mesh, save_mesh_text
+from .mesh import TAG_INTERIOR, TAG_OUTER, TAG_P1, TAG_P2, Mesh, require_real, save_mesh_text
 
 __all__ = [
     "SolverConfig",
@@ -130,7 +130,9 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton / regularization parameters.
+    """Newton / regularization parameters, declared, defaulted and
+    checked here alone; a sweep solves with the defaults
+    (`SweepConfig.solver_config`).
 
     newton_tol is relative to the largest nodal flux magnitude of the
     solution at the target exponent (see `_newton`); max_iter bounds the
@@ -143,8 +145,10 @@ class SolverConfig:
     with step 0.5; 2, 4, 6 took 53 steps but 19 factorizations, since a
     stale factor preconditions CG poorly after a large jump in p.  The
     answer does not depend on the step (see `_newton`).  A max_iter that
-    is not an integer >= 1 (a bool included), newton_tol outside (0, 1),
-    eps_scale < 0 or infinite and p_step <= 0 (or NaN) raise ValueError.
+    is not an integer >= 1, a newton_tol, eps_scale or p_step that is not
+    a real number (a bool is neither), newton_tol outside (0, 1),
+    eps_scale < 0 or infinite and p_step <= 0 (or NaN) raise ValueError
+    naming the field.
     """
 
     newton_tol: float = 1e-12
@@ -156,6 +160,7 @@ class SolverConfig:
         if not (isinstance(self.max_iter, numbers.Integral)
                 and not isinstance(self.max_iter, bool) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        require_real(self)
         if not 0.0 < self.newton_tol < 1.0:
             raise ValueError(f"newton_tol must lie in (0, 1), got {self.newton_tol}")
         if not 0.0 <= self.eps_scale < math.inf:

@@ -54,7 +54,7 @@ from .flux import (
 )
 from .barriers import barrier_flux_bound
 from .geometry import NECK_W_FRACTION, DomainSpec, GeometryError, NeckSpec, ParticlePair
-from .mesh import MeshParams, build_mesh
+from .mesh import MeshParams, build_mesh, require_real
 from .solver import (
     DiscreteSolution,
     SolverConfig,
@@ -92,6 +92,7 @@ _CSV_CODEC = {name: (repr, float) for name in CSV_COLUMNS} | {"newton_iters": (s
 RATIO_BAND = (0.85, 1.15)  # criterion 6: the two smallest-delta ratios lie inside
 DEVIATION_SLACK = 0.02  # allowed growth of |ratio - 1| from one delta to the next
 BARRIER_COVERAGE = 0.95  # criterion 7: share of neck samples inside the sandwich
+CLEARANCE = 1.0  # least distance from the particles to the outer circle at every delta
 
 
 class SweepError(RuntimeError):
@@ -102,11 +103,13 @@ class SweepError(RuntimeError):
 
 def _datum_table_factory(entries):
     pts = []
-    for k, (t, v) in enumerate(entries):
-        t, v = float(t), float(v)
-        if not (math.isfinite(t) and math.isfinite(v)):
-            raise ValueError(f"datum table entry {k} must hold a finite angle and value, "
-                             f"got [{t}, {v}]")
+    for k, entry in enumerate(entries):
+        pair = isinstance(entry, (list, tuple)) and len(entry) == 2
+        if not (pair and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                             and math.isfinite(x) for x in entry)):
+            raise ValueError(f"datum table entry {k} must be a [theta, value] pair of finite "
+                             f"numbers, got {entry!r}")
+        t, v = float(entry[0]), float(entry[1])
         pts.append((t % (2.0 * math.pi), v))
     pts.sort()
     thetas = np.array([t for t, _ in pts])
@@ -121,7 +124,7 @@ def _datum_table_factory(entries):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Field-for-field mirror of the sweep JSON config.
+    """Field-for-field mirror of the sweep JSON config: the experiment only.
 
     The delta ladder is geometric: delta_start * delta_ratio^k for
     k = 0..delta_count-1.  `h_neck_fraction` is the target neck cell size
@@ -132,26 +135,24 @@ class SweepConfig:
     'quadratic', or a {'kind': 'table', 'entries': [[theta, value], ...]}
     dictionary.
 
-    `newton_tol`, `max_iter`, `eps_scale` and `p_step` make up the
-    SolverConfig; `newton_tol` is relative to the largest nodal flux
-    magnitude of the solution at the target p.
+    A sweep solves with the SolverConfig defaults (`solver_config`);
+    the Newton settings are set in SolverConfig alone.  The particles keep
+    a distance of CLEARANCE from the outer circle.
 
-    Construction validates the config before any mesh is built: an R
-    that is not positive and finite, an unknown datum, a table entry with
-    a non-finite angle or value, p < 2, delta_start <= 0, a delta_count
-    that is not an integer >= 1, a ladder whose smallest delta is not a
-    positive normal float, an h_far
-    that is not positive and finite, h_neck_fraction outside (0, 0.25],
-    the solver values SolverConfig rejects (max_iter < 1, newton_tol
-    outside (0, 1), eps_scale < 0, p_step <= 0), a non-finite R_out, a
-    clearance that is negative or not finite, or an R_out that leaves
-    less than `clearance` around the particles at delta_start (the widest
-    gap, so the whole ladder) raises ValueError.
+    Construction validates the config before any mesh is built: a
+    real-valued field that is not a real number (a bool included), an R
+    that is not positive and finite, an unknown datum, a table entry that
+    is not a [theta, value] pair of finite numbers, p < 2,
+    delta_start <= 0, a delta_count that is not an integer >= 1, a ladder
+    whose smallest delta is not a positive normal float, an h_far that is
+    not positive and finite, h_neck_fraction outside (0, 0.25], a
+    non-finite R_out, or an R_out that leaves less than CLEARANCE around
+    the particles at delta_start (the widest gap, so the whole ladder)
+    raises ValueError naming the field.
     """
 
     R: float = 1.0
     R_out: float = 4.0
-    clearance: float = 1.0
     p: float = 2.0
     datum: object = "linear-y"
     delta_start: float = 0.04
@@ -159,12 +160,9 @@ class SweepConfig:
     delta_count: int = 5
     h_far: float = 0.3
     h_neck_fraction: float = 0.25
-    newton_tol: float = 1e-12
-    max_iter: int = 80
-    eps_scale: float = 1e-8
-    p_step: float = 1.0
 
     def __post_init__(self):
+        require_real(self)
         if not 0.0 < self.R < math.inf:
             raise ValueError(f"R must be positive and finite, got {self.R}")
         if not 2.0 <= self.p < math.inf:
@@ -187,7 +185,6 @@ class SweepConfig:
                 f"h_neck_fraction must lie in (0, 0.25] to keep >= 4 layers across "
                 f"the gap, got {self.h_neck_fraction}"
             )
-        self.solver_config()  # rejects max_iter, newton_tol, eps_scale, p_step
         if not 0.0 < self.h_far < math.inf:
             raise ValueError(f"h_far must be positive and finite, got {self.h_far}")
         try:
@@ -223,7 +220,7 @@ class SweepConfig:
             pair=ParticlePair(R=self.R, delta=delta),
             R_out=self.R_out,
             boundary_datum=self.datum_callable(),
-            clearance=self.clearance,
+            clearance=CLEARANCE,
         )
 
     def mesh_params(self) -> MeshParams:
@@ -233,12 +230,8 @@ class SweepConfig:
         return MeshParams(h_far=self.h_far, neck_layers=layers)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            newton_tol=self.newton_tol,
-            max_iter=self.max_iter,
-            eps_scale=self.eps_scale,
-            p_step=self.p_step,
-        )
+        """The solver settings of every sweep: the SolverConfig defaults."""
+        return SolverConfig()
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

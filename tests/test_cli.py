@@ -67,6 +67,12 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
 
+    def test_wrong_typed_value_is_named(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"p": "3"}')
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert "error: p must be a real number, got '3'" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_floating_solve(self, tiny_config, tmp_path, capsys):

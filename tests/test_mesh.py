@@ -221,6 +221,21 @@ class TestBuildMesh:
             touched = counts[counts > 0]
             assert np.all(touched == 2)
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: build_mesh(two_disk_domain(0.02)), id="two-disk"),
+        pytest.param(lambda: build_annulus_mesh(AnnulusSpec(1.0, 2.0), 0.1), id="annulus"),
+    ])
+    def test_boundary_edge_normals_point_out(self, make):
+        # a boundary edge runs in the vertex order of its counterclockwise
+        # owner, so its right-hand normal (t_y, -t_x) points out of the
+        # domain; the neck-flux samples take their normals from this
+        mesh = make()
+        for tag, (edges, owners) in mesh.boundary_edges.items():
+            a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
+            normal = np.column_stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]])
+            inward = mesh.centroids[owners] - 0.5 * (a + b)
+            assert np.all(np.einsum("ei,ei->e", normal, inward) < 0.0), tag
+
     def test_finer_delta_meshes(self):
         m = build_mesh(two_disk_domain(0.0025))
         assert float(np.min(m.quality())) >= QUALITY_FLOOR
@@ -260,7 +275,7 @@ class TestBuildMesh:
             MeshParams(neck_layers=3)
         with pytest.raises(MeshError):
             MeshParams(neck_layers=2)
-        for bad in (0.0, -0.3, float("nan"), float("inf")):
+        for bad in (0.0, -0.3, float("nan"), float("inf"), "0.3", None, True):
             with pytest.raises(MeshError, match="h_far"):
                 MeshParams(h_far=bad)
         for bad in (8.0, True, "8"):

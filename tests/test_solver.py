@@ -720,7 +720,8 @@ class TestContinuationInvariance:
     @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
     @pytest.mark.parametrize("solve", [solve_floating, solve_tied])
     def test_half_and_unit_steps_agree(self, two_disk, solve, p):
-        assert SolverConfig().p_step == SweepConfig().p_step == 1.0
+        assert SweepConfig().solver_config() == SolverConfig()
+        assert SolverConfig().p_step == 1.0
         half = solve(two_disk, p=p, config=SolverConfig(p_step=0.5))
         unit = solve(two_disk, p=p)
         assert len({e["p"] for e in half.trace}) > len({e["p"] for e in unit.trace})

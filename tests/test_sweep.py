@@ -88,6 +88,21 @@ class TestSweepConfig:
         assert set(block) == {f.name for f in dataclasses.fields(SweepConfig)}
         assert SweepConfig.from_dict(block) == SweepConfig()
 
+    def test_no_field_shared_with_the_solver_config(self):
+        # the Newton settings are declared, defaulted and checked once
+        solver_fields = {f.name for f in dataclasses.fields(SolverConfig)}
+        assert solver_fields.isdisjoint(f.name for f in dataclasses.fields(SweepConfig))
+
+    @pytest.mark.parametrize("cfg", [
+        SweepConfig(),
+        SweepConfig(p=3.0, datum="quadratic"),
+        SweepConfig(datum={"kind": "table", "entries": [[0.0, 1.0], [math.pi, -1.0]]}),
+    ], ids=["default", "quadratic", "table"])
+    def test_report_config_rebuilds_the_config(self, cfg, tmp_path):
+        emit_report([], {}, {}, tmp_path, config=cfg)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert SweepConfig.from_dict(report["config"]) == cfg
+
     def test_table_datum_on_arrays(self):
         # unsorted entries, one of them given at a negative angle
         entries = [[4.0, 2.0], [1.0, 0.0], [-1.0, 3.0], [2.5, -1.0]]
@@ -115,6 +130,9 @@ class TestSweepConfig:
         assert table(1.0, 0.0) == pytest.approx(reference(1.0, 0.0), abs=1e-15)
 
 
+FORMER_KEYS = {"clearance", "eps_scale", "max_iter", "newton_tol", "p_step"}
+
+
 class TestSweepConfigValidation:
     """Bad configs are rejected before any mesh is built."""
 
@@ -135,7 +153,8 @@ class TestSweepConfigValidation:
         ({"R_out": 2.5}, "R_out"),
         ({"R_out": 2.0}, "R_out"),
         ({"delta_start": 0.9, "R_out": 3.4}, "R_out"),
-        # no continuation ladder with a step <= 0 (or NaN) reaches p
+        # former keys, refused by name whatever their value: the Newton
+        # settings are SolverConfig's alone, the clearance is CLEARANCE
         ({"p_step": 0.0, "p": 3.0}, "p_step"),
         ({"p_step": -0.5, "p": 3.0}, "p_step"),
         ({"p_step": float("nan")}, "p_step"),
@@ -145,6 +164,7 @@ class TestSweepConfigValidation:
         # values every ladder point would fail on, deep inside the mesher or solver
         ({"R_out": float("nan")}, "R_out"),
         ({"R_out": float("inf")}, "R_out"),
+        # former keys again
         ({"clearance": float("nan")}, "clearance"),
         ({"clearance": -1.0}, "clearance"),
         ({"delta_start": 0.0}, "delta_start"),
@@ -152,7 +172,7 @@ class TestSweepConfigValidation:
         ({"delta_start": float("nan")}, "delta_start"),
         pytest.param({"p": 1.5}, r"^p\b", id="p-below-2"),
         pytest.param({"p": float("nan")}, r"^p\b", id="p-nan"),
-        # solver values every solve would fail on, forwarded to SolverConfig
+        # former keys again
         ({"max_iter": 0}, "max_iter"),
         ({"max_iter": -3}, "max_iter"),
         ({"max_iter": 2.5}, "max_iter"),
@@ -169,9 +189,8 @@ class TestSweepConfigValidation:
         pytest.param({"R": -1.0}, r"^R\b", id="R-negative"),
         pytest.param({"R": 0.0}, r"^R\b", id="R-zero"),
         pytest.param({"R": float("nan")}, r"^R\b", id="R-nan"),
-        # an infinite exponent would make the continuation ladder endless,
-        # an infinite eps_scale every residual NaN; a bool is an Integral
-        # but no count
+        # an infinite exponent would make the continuation ladder endless;
+        # a bool is an Integral but no count (eps_scale and max_iter: former keys)
         pytest.param({"p": float("inf")}, r"^p\b", id="p-inf"),
         pytest.param({"eps_scale": float("inf")}, "eps_scale", id="eps_scale-inf"),
         pytest.param({"max_iter": True}, "max_iter", id="max_iter-bool"),
@@ -189,9 +208,32 @@ class TestSweepConfigValidation:
                      id="ladder-underflow"),
         pytest.param({"delta_start": 2.0**-5, "delta_count": 1019},
                      "delta_ratio=.* delta_count=1019", id="ladder-subnormal"),
+        # a wrong-typed value is named before any comparison fails on it;
+        # JSON's true is a bool, no length
+        pytest.param({"p": "3"}, r"^p\b", id="p-str"),
+        pytest.param({"p": True}, r"^p\b", id="p-bool"),
+        pytest.param({"R": True}, r"^R\b", id="R-bool"),
+        pytest.param({"R_out": "4"}, "R_out", id="R_out-str"),
+        pytest.param({"R_out": True}, "R_out", id="R_out-bool"),
+        pytest.param({"delta_start": None}, "delta_start", id="delta_start-none"),
+        pytest.param({"delta_start": True}, "delta_start", id="delta_start-bool"),
+        pytest.param({"delta_ratio": None}, "delta_ratio", id="delta_ratio-none"),
+        pytest.param({"h_far": True}, "h_far", id="h_far-bool"),
+        pytest.param({"h_neck_fraction": "0.25"}, "h_neck_fraction", id="h_neck_fraction-str"),
+        # a table entry that is no [theta, value] pair of numbers
+        pytest.param({"datum": {"kind": "table", "entries": [[0]]}}, "datum table entry 0",
+                     id="table-entry-short"),
+        pytest.param({"datum": {"kind": "table", "entries": [[0.0, 1.0], [1.0, 2.0, 3.0]]}},
+                     "datum table entry 1", id="table-entry-long"),
+        pytest.param({"datum": {"kind": "table", "entries": [[0.0, "1"]]}},
+                     "datum table entry 0", id="table-entry-str"),
+        pytest.param({"datum": {"kind": "table", "entries": [[True, 1.0]]}},
+                     "datum table entry 0", id="table-entry-bool"),
     ])
     def test_rejected_at_construction(self, kwargs, field):
-        with pytest.raises(ValueError, match=field):
+        # the dataclass constructor refuses a former key with a TypeError
+        error = TypeError if kwargs.keys() & FORMER_KEYS else ValueError
+        with pytest.raises(error, match=field):
             SweepConfig(**kwargs)
         with pytest.raises(ValueError, match=field):
             SweepConfig.from_dict({**SweepConfig().to_dict(), **kwargs})
@@ -212,6 +254,13 @@ class TestSweepConfigValidation:
         ({"eps_scale": float("nan")}, "eps_scale"),
         pytest.param({"eps_scale": float("inf")}, "eps_scale", id="eps_scale-inf"),
         pytest.param({"max_iter": True}, "max_iter", id="max_iter-bool"),
+        pytest.param({"max_iter": -3}, "max_iter", id="max_iter-negative"),
+        pytest.param({"newton_tol": 1.0}, "newton_tol", id="newton_tol-one"),
+        # a wrong-typed value is named before any comparison fails on it
+        pytest.param({"newton_tol": "x"}, "newton_tol", id="newton_tol-str"),
+        pytest.param({"eps_scale": None}, "eps_scale", id="eps_scale-none"),
+        pytest.param({"p_step": True}, "p_step", id="p_step-bool"),
+        pytest.param({"p_step": "1"}, "p_step", id="p_step-str"),
     ])
     def test_solver_config_rejects_unsolvable_values(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -219,7 +268,7 @@ class TestSweepConfigValidation:
 
     def test_solver_config_accepts_boundary_values(self):
         SolverConfig(max_iter=1, eps_scale=0.0, newton_tol=1e-15)
-        SweepConfig(delta_count=1, max_iter=1, eps_scale=0.0)
+        SweepConfig(delta_count=1)
 
     def test_smallest_normal_delta_accepted(self):
         # 2^-5 * 0.5^1017 = 2^-1022, the smallest normal float
@@ -232,11 +281,14 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError, match="out_dir"):
             SweepConfig.from_json('{"out_dir": "results"}')
         # the mesher draws no random numbers, so a mesh seed is no option;
-        # the verdict tolerances, the neck width and the strip aspect are
-        # module constants
+        # the verdict tolerances, the neck width, the strip aspect and the
+        # clearance are module constants, and the Newton settings are
+        # SolverConfig's alone
         for key, value in [("mesh_seed", 0), ("ratio_band", [0.995, 1.005]),
                            ("slope_tol", 0.1), ("deviation_slack", 0.02),
-                           ("neck_w", None), ("strip_aspect", 1.4)]:
+                           ("neck_w", None), ("strip_aspect", 1.4), ("clearance", 1.0),
+                           ("newton_tol", 1e-12), ("max_iter", 80), ("eps_scale", 1e-8),
+                           ("p_step", 1.0)]:
             with pytest.raises(ValueError, match=key):
                 SweepConfig.from_dict({**SweepConfig().to_dict(), key: value})
 
