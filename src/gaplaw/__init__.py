@@ -1,8 +1,8 @@
 """Numerical laboratory for the two-disk p-Laplace perfect-conductivity
 problem: how fast the electric field blows up as the gap closes.
 
-Submodules: geometry (disks, gaps, barrier circles), barriers (radial
-p-harmonic profiles and flux sandwiches), asymptotics (blow-up exponents
+Submodules: geometry (disks, gaps, barrier circles), barriers (neck flux
+sandwiches from barrier circles), asymptotics (blow-up exponents
 and limit constants), mesh / solver (graded FEM and the floating-/tied-
 potential energy minimizer), flux (boundary flux integrals and the
 linear-case functional), sweep (delta ladders, rate fits, verdicts, CLI
@@ -19,14 +19,7 @@ from .asymptotics import (
     table_consistency_report,
     wallis_product,
 )
-from .barriers import (
-    FluxBound,
-    RadialProfile,
-    barrier_flux_bound,
-    fit_two_point,
-    radial_eval,
-    radial_gradient,
-)
+from .barriers import FluxBound, barrier_flux_bound
 from .flux import (
     FluxReport,
     R0Estimate,
@@ -42,7 +35,6 @@ from .geometry import (
     NeckSpec,
     ParticlePair,
     gap_width,
-    lower_barrier_radii,
     upper_barrier_radii,
 )
 from .mesh import Mesh, MeshParams, build_annulus_mesh, build_mesh

@@ -145,6 +145,10 @@ def neck_integral(delta: float, w: float, R: float, p: float, d: int) -> float:
     Evaluated in closed form (module docstring): log1p/expm1 in d = 3,
     the complementary incomplete beta function at 1/(1+T^2) in d = 2, so
     nothing cancels for any delta > 0.
+
+    Only the tests read it, but it stays here: it is the object whose
+    blow-up exponent acceptance criterion 2 fits, and the one reader of
+    `scipy.special.betaincc`.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")

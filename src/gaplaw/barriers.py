@@ -1,23 +1,16 @@
-"""Radial p-harmonic profiles and neck flux bounds.
+"""Neck flux bounds from barrier circles.
 
-A radial profile
-
-    psi(r) = a * r^beta + b,   beta = (p - d)/(p - 1)      (power branch)
-    psi(r) = a * log(r) + b                                 (log branch, d = p)
-
-solves div(|grad psi|^(p-2) grad psi) = 0 away from its center, for any
-amplitude a and offset b.  Fitting such a profile through two radii gives
-the comparison functions used to sandwich the normal derivative on the
-neck arcs of two near-touching conductors: the potential gap T2 - T1
-divided by the barrier-circle separation bounds n.grad(u) up to a factor
-1 + O(delta) and an additive constant.
+The comparison functions of the paper are radial p-harmonic profiles
+fitted between two concentric barrier circles: the potential gap T2 - T1
+divided by the barrier-circle separation bounds n.grad(u) on the neck
+arcs of two near-touching conductors up to a factor 1 + O(delta) and an
+additive constant.  Only that bound is computed here; the profiles
+themselves are test oracles (`tests/radial.py`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -29,97 +22,11 @@ from .geometry import (
 )
 
 __all__ = [
-    "RadialProfile",
     "FluxBound",
-    "radial_eval",
-    "fit_two_point",
-    "radial_gradient",
     "barrier_flux_bound",
-    "beta_exponent",
 ]
 
-Branch = Literal["power", "log"]
-
 C_DELTA = 2.0  # first-order widening factor 1 +/- C_DELTA*delta of the flux bounds
-
-
-class RadialDomainError(ValueError):
-    """Raised for nonpositive radii or degenerate fit intervals."""
-
-
-def beta_exponent(p: float, d: int) -> float:
-    """Power-branch exponent (p - d)/(p - 1)."""
-    return (p - d) / (p - 1.0)
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Parameters of a radial p-harmonic solution centered at `center`.
-
-    The branch is `log` exactly when d == p, otherwise `power` with
-    exponent beta = (p - d)/(p - 1).
-    """
-
-    a: float
-    b: float
-    p: float
-    d: int
-    center: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        if self.p < 2.0:
-            raise RadialDomainError(f"exponent p={self.p} must be >= 2")
-        if self.d not in (2, 3):
-            raise RadialDomainError(f"dimension d={self.d} must be 2 or 3")
-
-    @property
-    def branch(self) -> Branch:
-        return "log" if self.d == self.p else "power"
-
-    @property
-    def beta(self) -> float:
-        return beta_exponent(self.p, self.d)
-
-
-def radial_eval(profile: RadialProfile, r: float) -> float:
-    """Evaluate the profile at radius r > 0."""
-    if r <= 0.0:
-        raise RadialDomainError(f"radius must be positive, got {r}")
-    if profile.branch == "log":
-        return profile.a * math.log(r) + profile.b
-    return profile.a * r**profile.beta + profile.b
-
-
-def radial_gradient(profile: RadialProfile, r: float) -> float:
-    """Radial derivative d(psi)/dr at radius r > 0 (increasing-r sign)."""
-    if r <= 0.0:
-        raise RadialDomainError(f"radius must be positive, got {r}")
-    if profile.branch == "log":
-        return profile.a / r
-    beta = profile.beta
-    return profile.a * beta * r ** (beta - 1.0)
-
-
-def fit_two_point(
-    r1: float, v1: float, r2: float, v2: float, p: float, d: int
-) -> RadialProfile:
-    """Radial profile taking the values v1 at r1 and v2 at r2.
-
-    In the power branch a = (v2 - v1)/(r2^beta - r1^beta); the log branch
-    replaces r^beta by log r.
-    """
-    if r1 <= 0.0 or r2 <= 0.0:
-        raise RadialDomainError(f"radii must be positive, got ({r1}, {r2})")
-    if r1 == r2:
-        raise RadialDomainError(f"degenerate fit interval r1 == r2 == {r1}")
-    if d == p:
-        f1, f2 = math.log(r1), math.log(r2)
-    else:
-        beta = beta_exponent(p, d)
-        f1, f2 = r1**beta, r2**beta
-    a = (v2 - v1) / (f2 - f1)
-    b = v1 - a * f1
-    return RadialProfile(a=a, b=b, p=p, d=d)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ __all__ = [
     "AnnulusSpec",
     "gap_width",
     "upper_barrier_radii",
-    "lower_barrier_radii",
     "lower_barrier_outer_radius",
     "datum_values",
 ]
@@ -46,13 +45,6 @@ GapMode = Literal["exact", "quadratic"]
 
 class GeometryError(ValueError):
     """Raised when an argument violates a geometric precondition."""
-
-
-class BarrierValidityError(GeometryError):
-    """Raised when the lower-barrier square root turns negative.
-
-    Callers fall back to the constant far-window bound in that regime.
-    """
 
 
 @dataclass(frozen=True)
@@ -133,8 +125,17 @@ def upper_barrier_radii(x, r1: float, pair: ParticlePair):
 
 def lower_barrier_outer_radius(x, rho1: float, pair: ParticlePair):
     """(rho2, valid) of the lower-barrier circle pair at offset x, a number
-    or an array of offsets (see `lower_barrier_radii`): `valid` is where
-    the construction exists, and rho2 is NaN elsewhere."""
+    or an array of offsets.  The inner circle of radius rho1 touches
+    particle 2 from inside, centered on the ray from the center of
+    particle 1 through the surface point above x; rho2 is the exact
+    distance from that center to the surface point:
+
+        rho2 = -R + (2R + delta) [ sqrt(1 - x^2/R^2)
+                                   - sqrt(((R - rho1)/(2R + delta))^2 - x^2/R^2) ]
+
+    (delta + rho1 at x = 0).  `valid` is where the second radicand is
+    nonnegative, |x| <= R (R - rho1) / (2R + delta); rho2 is NaN elsewhere.
+    """
     if not 0.0 < rho1 < pair.R:
         raise GeometryError(f"inner radius rho1={rho1} must lie in (0, R={pair.R})")
     R, delta = pair.R, pair.delta
@@ -146,32 +147,6 @@ def lower_barrier_outer_radius(x, rho1: float, pair: ParticlePair):
     with np.errstate(invalid="ignore"):
         rho2 = -R + s * (np.sqrt(rad1) - np.sqrt(rad2))
     return rho2, valid
-
-
-def lower_barrier_radii(x: float, rho1: float, pair: ParticlePair) -> tuple[float, float]:
-    """Radii (rho1, rho2) of the lower-barrier circle pair at offset x.
-
-    The inner circle of radius rho1 touches particle 2 from inside, with
-    its center on the ray from the center of particle 1 through the
-    surface point above x; rho2 is the exact distance from that center to
-    the surface point:
-
-        rho2 = -R + (2R + delta) [ sqrt(1 - x^2/R^2)
-                                   - sqrt(((R - rho1)/(2R + delta))^2 - x^2/R^2) ]
-
-    At x = 0 this collapses to rho2 = delta + rho1.  The construction is
-    only valid while the second radicand is nonnegative, i.e. for
-    |x| <= R (R - rho1) / (2R + delta); beyond that a
-    BarrierValidityError is raised (`lower_barrier_outer_radius` returns
-    a validity mask instead, for an array of offsets).
-    """
-    rho2, valid = lower_barrier_outer_radius(x, rho1, pair)
-    if not valid:
-        raise BarrierValidityError(
-            f"lower barrier undefined at |x|={abs(x)}; valid window is "
-            f"|x| <= {pair.R * (pair.R - rho1) / (2.0 * pair.R + pair.delta)}"
-        )
-    return rho1, float(rho2)
 
 
 @dataclass(frozen=True)

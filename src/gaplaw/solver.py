@@ -333,23 +333,26 @@ class _Constraints:
         edof = dof[elements.triangles].T  # (3, m)
         self._g_slot = np.where(edof >= 0, edof, n_dof).ravel()
         dk, dl = edof[_K6], edof[_L6]
-        fixed = (dk < 0) | (dl < 0)
         lo, hi = np.minimum(dk, dl), np.maximum(dk, dl)
-        pairs, inverse = np.unique((lo * n_dof + hi)[~fixed], return_inverse=True)
-        slot = np.full(dk.shape, len(pairs))
-        slot[~fixed] = inverse
+        # slot a holds the pair (a, a); the pairs (a, b), a < b, follow in key
+        # order, and the entries that touch a fixed node go to the slot after
+        diag = (lo == hi) & (lo >= 0)
+        off = (lo < hi) & (lo >= 0)
+        keys, inverse = np.unique(lo[off] * n_dof + hi[off], return_inverse=True)
+        slot = np.full(dk.shape, n_dof + len(keys))
+        slot[diag] = lo[diag]
+        slot[off] = n_dof + inverse
         self._h_slot = slot.ravel()
         self._h_mult = np.where(dk[3:] == dl[3:], 2.0, 1.0)  # the off-diagonal entries
-        # each pair (a, b), a <= b, is the CSC entry (a, b) and, off the
-        # diagonal, (b, a); sorted by column, then row
-        a, b = pairs // n_dof, pairs % n_dof
-        off = a != b
-        rows = np.concatenate([a, b[off]])
-        cols = np.concatenate([b, a[off]])
-        order = np.lexsort((rows, cols))
-        self._h_pair = np.concatenate([np.arange(len(pairs)), np.flatnonzero(off)])[order]
-        self._h_indices = rows[order]
-        self._h_indptr = np.searchsorted(cols[order], np.arange(n_dof + 1))
+        # the CSC entries (a, a), (a, b) and (b, a), each holding its slot
+        on_diag = np.zeros(n_dof, dtype=bool)
+        on_diag[lo[diag]] = True
+        d, a, b = np.flatnonzero(on_diag), keys // n_dof, keys % n_dof
+        pair = np.arange(n_dof, n_dof + len(keys))
+        pattern = sp.coo_matrix((np.concatenate([d, pair, pair]),
+                                 (np.concatenate([d, a, b]), np.concatenate([d, b, a]))),
+                                shape=(n_dof, n_dof)).tocsc()
+        self._h_pair, self._h_indices, self._h_indptr = pattern.data, pattern.indices, pattern.indptr
 
     def expand(self, z: np.ndarray) -> np.ndarray:
         u = self.u_fix.copy()
@@ -461,16 +464,19 @@ def _build_constraints(mesh: Mesh, kind: str, outer_vals: np.ndarray,
 
     parity, reflections = [], []
     kept = np.ones(mesh.n_triangles, dtype=bool)
+    tri = mesh.triangles
     for axis, mirror in ((1, mesh.mirror), (0, mesh.x_mirror)):
         dropped = mesh.nodes[:, axis] < 0.0
-        half = kept & ~np.any(dropped[mesh.triangles], axis=1)
+        half = kept & ~(dropped[tri[:, 0]] | dropped[tri[:, 1]] | dropped[tri[:, 2]])
         character = _parity(mirror, u_fix, np.count_nonzero(kept), np.count_nonzero(half))
         parity.append(character)
         if character is None:
             continue
         if character < 0:
             own = (dof >= 0) & (dof[mirror] == dof)
-            dof[np.isin(dof, dof[own])] = -1
+            odd = np.zeros(n_dof + 1, dtype=bool)  # the last entry stands for dof -1
+            odd[dof[own]] = True
+            dof[odd[dof]] = -1
         reflected = np.flatnonzero(dropped & (dof >= 0))
         reflections.append((reflected, mirror[reflected], character))
         dof[dropped] = -1
@@ -482,8 +488,10 @@ def _build_constraints(mesh: Mesh, kind: str, outer_vals: np.ndarray,
                                grads=np.asfortranarray(mesh.grads[kept]),
                                areas=2.0 ** len(reflections) * mesh.areas[kept])
     free = dof >= 0
-    unknowns, dof[free] = np.unique(dof[free], return_inverse=True)
-    return _Constraints(dof, len(unknowns), u_fix, elements, tuple(parity), reflections)
+    used = np.zeros(n_dof, dtype=bool)
+    used[dof[free]] = True
+    dof[free] = (np.cumsum(used) - 1)[dof[free]]  # renumbered 0, 1, ... in order
+    return _Constraints(dof, np.count_nonzero(used), u_fix, elements, tuple(parity), reflections)
 
 
 def _parity(mirror, u_fix: np.ndarray, n_elements: int, n_half: int) -> int | None:
@@ -525,10 +533,13 @@ def _newton_direction(H: sp.csc_matrix, g: np.ndarray):
         try:
             # rejected: MMD_AT_PLUS_A without SymmetricMode (1.74 s per
             # factorization) vs 0.07 s here on a 19.1k-dof Hessian.  The
-            # ordering is not where the time goes: NATURAL on the Hessian
-            # permuted by argsort(perm_c) reproduces this fill exactly
-            # (672,852 on a 17.8k-dof p = 6 Hessian) in the same time
-            # (49 ms vs 51 ms); permuting by perm_c itself gives 10.8M.
+            # ordering is about a third of a factorization: on the last
+            # 4.3k-dof quarter Hessian of the fine p = 6 floating solve
+            # (2-CPU host) this call takes 6.3-6.7 ms, while NATURAL on
+            # H[q][:, q], q = argsort(perm_c), takes 4.4-4.9 ms plus 0.5 ms
+            # to permute, at the same fill (104,330 nnz in L + U).  Reusing
+            # an order is not bitwise neutral: the p = 3 ladder's floating
+            # T1 at delta = 0.005 moves in its last bit.
             # Diagonal pivots suffice for SPD; the default threshold 1.0
             # swapped rows on a near-singular tied Hessian and gave a
             # poorer direction there (7 extra Newton steps at p = 4.5).

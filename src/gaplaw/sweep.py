@@ -54,7 +54,7 @@ from .flux import (
 )
 from .barriers import barrier_flux_bound
 from .geometry import NECK_W_FRACTION, DomainSpec, GeometryError, NeckSpec, ParticlePair
-from .mesh import MeshParams, build_mesh, require_real
+from .mesh import MeshError, MeshParams, build_mesh, require_real
 from .solver import (
     DiscreteSolution,
     SolverConfig,
@@ -102,11 +102,16 @@ class SweepError(RuntimeError):
 
 
 def _datum_table_factory(entries):
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"datum table entries must be a list of [theta, value] pairs, "
+                         f"got {entries!r}")
     pts = []
     for k, entry in enumerate(entries):
         pair = isinstance(entry, (list, tuple)) and len(entry) == 2
+        # abs(x) <= max and not math.isfinite(x), which overflows on an int
+        # beyond the float range
         if not (pair and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                             and math.isfinite(x) for x in entry)):
+                             and abs(x) <= sys.float_info.max for x in entry)):
             raise ValueError(f"datum table entry {k} must be a [theta, value] pair of finite "
                              f"numbers, got {entry!r}")
         t, v = float(entry[0]), float(entry[1])
@@ -141,8 +146,9 @@ class SweepConfig:
 
     Construction validates the config before any mesh is built: a
     real-valued field that is not a real number (a bool included), an R
-    that is not positive and finite, an unknown datum, a table entry that
-    is not a [theta, value] pair of finite numbers, p < 2,
+    that is not positive and finite, an unknown datum, table entries that
+    are not a list, a table entry that is not a [theta, value] pair of
+    finite numbers (an integer beyond the float range included), p < 2,
     delta_start <= 0, a delta_count that is not an integer >= 1, a ladder
     whose smallest delta is not a positive normal float, an h_far that is
     not positive and finite, h_neck_fraction outside (0, 0.25], a
@@ -185,8 +191,10 @@ class SweepConfig:
                 f"h_neck_fraction must lie in (0, 0.25] to keep >= 4 layers across "
                 f"the gap, got {self.h_neck_fraction}"
             )
-        if not 0.0 < self.h_far < math.inf:
-            raise ValueError(f"h_far must be positive and finite, got {self.h_far}")
+        try:
+            self.mesh_params()  # checks h_far
+        except MeshError as exc:
+            raise ValueError(str(exc)) from exc
         try:
             self.domain(self.delta_start)  # also rejects an unknown datum
         except GeometryError as exc:

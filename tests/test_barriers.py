@@ -6,20 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplaw.barriers import (
+from gaplaw.barriers import barrier_flux_bound
+from gaplaw.geometry import ParticlePair, upper_barrier_radii
+from radial import (
+    BarrierValidityError,
     RadialDomainError,
     RadialProfile,
-    barrier_flux_bound,
     beta_exponent,
     fit_two_point,
+    lower_barrier_radii,
     radial_eval,
     radial_gradient,
-)
-from gaplaw.geometry import (
-    BarrierValidityError,
-    ParticlePair,
-    lower_barrier_radii,
-    upper_barrier_radii,
 )
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaplaw.barriers import fit_two_point, radial_gradient
 from gaplaw.flux import (
     ExtrapolationUnreliableError,
     FluxError,
@@ -24,6 +23,7 @@ from gaplaw.solver import (
     solve_prescribed,
     solve_tied,
 )
+from radial import fit_two_point, radial_gradient
 
 
 @pytest.fixture(scope="module")

@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 
 from gaplaw.geometry import (
     AnnulusSpec,
-    BarrierValidityError,
     DomainSpec,
     GeometryError,
     NeckSpec,
     ParticlePair,
     gap_width,
     lower_barrier_outer_radius,
-    lower_barrier_radii,
     upper_barrier_radii,
 )
+from radial import BarrierValidityError, lower_barrier_radii
 
 PAIR = ParticlePair(R=1.0, delta=0.01)
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaplaw.mesh as mesh_module
-from gaplaw.geometry import AnnulusSpec, DomainSpec, ParticlePair
+import gaplaw.solver as solver
+from gaplaw.geometry import AnnulusSpec, DomainSpec, ParticlePair, datum_values
 from gaplaw.mesh import (
     TAG_INTERIOR,
     TAG_OUTER,
@@ -112,9 +113,112 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+class ConstraintsOracle(solver._Constraints):
+    """`_Constraints` with the Hessian pattern of the `np.unique` over every
+    pair key and the `lexsort` + `searchsorted` CSC order that the
+    constructor replaces."""
+
+    def __init__(self, dof, n_dof, u_fix, elements, parity, reflections):
+        super().__init__(dof, n_dof, u_fix, elements, parity, reflections)
+        edof = dof[elements.triangles].T
+        dk, dl = edof[solver._K6], edof[solver._L6]
+        fixed = (dk < 0) | (dl < 0)
+        lo, hi = np.minimum(dk, dl), np.maximum(dk, dl)
+        pairs, inverse = np.unique((lo * n_dof + hi)[~fixed], return_inverse=True)
+        slot = np.full(dk.shape, len(pairs))
+        slot[~fixed] = inverse
+        self._h_slot = slot.ravel()
+        a, b = pairs // n_dof, pairs % n_dof
+        off = a != b
+        rows = np.concatenate([a, b[off]])
+        cols = np.concatenate([b, a[off]])
+        order = np.lexsort((rows, cols))
+        self._h_pair = np.concatenate([np.arange(len(pairs)), np.flatnonzero(off)])[order]
+        self._h_indices = rows[order]
+        self._h_indptr = np.searchsorted(cols[order], np.arange(n_dof + 1))
+
+
+def constraints_oracle(mesh, kind, outer_vals, pinned=None):
+    """The whole-mesh `np.any`, `np.isin` and `np.unique` construction that
+    `_build_constraints` replaces: same arguments, a `ConstraintsOracle`."""
+    u_fix = np.zeros(mesh.n_nodes)
+    u_fix[mesh.nodes_with_tag(TAG_OUTER)] = outer_vals
+    p1, p2 = mesh.nodes_with_tag(TAG_P1), mesh.nodes_with_tag(TAG_P2)
+    interior = mesh.nodes_with_tag(TAG_INTERIOR)
+    dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    dof[interior] = np.arange(len(interior))
+    n_dof = len(interior)
+    if kind == "floating":
+        dof[p1], dof[p2] = n_dof, n_dof + 1
+        n_dof += 2
+    elif kind == "tied":
+        dof[p1] = dof[p2] = n_dof
+        n_dof += 1
+    else:
+        u_fix[p1], u_fix[p2] = pinned
+    parity, reflections = [], []
+    kept = np.ones(mesh.n_triangles, dtype=bool)
+    for axis, mirror in ((1, mesh.mirror), (0, mesh.x_mirror)):
+        dropped = mesh.nodes[:, axis] < 0.0
+        half = kept & ~np.any(dropped[mesh.triangles], axis=1)
+        character = solver._parity(mirror, u_fix, np.count_nonzero(kept), np.count_nonzero(half))
+        parity.append(character)
+        if character is None:
+            continue
+        if character < 0:
+            own = (dof >= 0) & (dof[mirror] == dof)
+            dof[np.isin(dof, dof[own])] = -1
+        reflected = np.flatnonzero(dropped & (dof >= 0))
+        reflections.append((reflected, mirror[reflected], character))
+        dof[dropped] = -1
+        kept = half
+    elements = mesh
+    if reflections:
+        elements = solver._ElementSet(triangles=np.asfortranarray(mesh.triangles[kept]),
+                                      grads=np.asfortranarray(mesh.grads[kept]),
+                                      areas=2.0 ** len(reflections) * mesh.areas[kept])
+    free = dof >= 0
+    unknowns, dof[free] = np.unique(dof[free], return_inverse=True)
+    return ConstraintsOracle(dof, len(unknowns), u_fix, elements, tuple(parity), reflections)
+
+
+def assert_constraints_match_oracle(mesh):
+    """`_build_constraints` against `constraints_oracle`, byte for byte: the
+    node -> unknown map, the reflections, the element set, and the reduced
+    gradient and Hessian (indptr, indices, data) at a random field, for the
+    floating, tied and prescribed kinds under data with both mirrors, the
+    x-mirror only and none."""
+    outer = mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)]
+    for kind, pinned, datum in (("floating", None, lambda x, y: y),
+                                ("tied", None, lambda x, y: y),
+                                ("prescribed", (1.0, 0.0), lambda x, y: 0.0),
+                                ("tied", None, lambda x, y: x + y)):
+        outer_vals = datum_values(datum, outer)
+        got = solver._build_constraints(mesh, kind, outer_vals, pinned)
+        want = constraints_oracle(mesh, kind, outer_vals, pinned)
+        assert got.n_dof == want.n_dof and got.parity == want.parity
+        for name in ("u_fix", "_free", "_free_dof", "_g_slot", "_h_mult"):
+            assert_same_bytes(getattr(got, name), getattr(want, name))
+        for name in ("triangles", "grads", "areas"):
+            assert_same_bytes(getattr(got.elements, name), getattr(want.elements, name))
+        assert len(got._reflections) == len(want._reflections)
+        for (nodes, images, parity), (ref_nodes, ref_images, ref_parity) in zip(
+                got._reflections, want._reflections):
+            assert_same_bytes(nodes, ref_nodes)
+            assert_same_bytes(images, ref_images)
+            assert parity == ref_parity
+        u = got.expand(np.random.default_rng(7).normal(size=got.n_dof))
+        weights = solver._element_weights(got.elements, u, 4.0, 1e-8)
+        assert_same_bytes(got.grad(weights), want.grad(weights))
+        H, H_ref = got.hess(weights), want.hess(weights)
+        for name in ("indptr", "indices", "data"):
+            assert_same_bytes(getattr(H, name), getattr(H_ref, name))
+
+
 def build_checked_against_oracles(domain, params=None):
     """build_mesh, with its merge and boundary edges checked byte for byte
-    against `merge_oracle` and `boundary_edges_oracle`.  Returns the mesh,
+    against `merge_oracle` and `boundary_edges_oracle`, and the constraint
+    maps of its solves against `constraints_oracle`.  Returns the mesh,
     the arguments `_merge_pieces` got and the quarter's Delaunay."""
     calls, triangulations = [], []
     merge, delaunay = mesh_module._merge_pieces, mesh_module.Delaunay
@@ -145,6 +249,7 @@ def build_checked_against_oracles(domain, params=None):
         for got, ref in zip(mesh.boundary_edges[tag], ref_edges[tag]):
             assert_same_bytes(got, ref)
     (tri,) = triangulations
+    assert_constraints_match_oracle(mesh)
     return mesh, args, tri
 
 
@@ -285,7 +390,8 @@ class TestBuildMesh:
 
 
 class TestMergeOracle:
-    """The array merge and edge keys reproduce the dict-and-loop mesher."""
+    """The array merge and edge keys reproduce the dict-and-loop mesher, and
+    the constraint map the whole-mesh construction."""
 
     @pytest.mark.parametrize("delta", SweepConfig().deltas)
     def test_default_ladder(self, delta):

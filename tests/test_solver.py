@@ -5,7 +5,6 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplaw.barriers import fit_two_point, radial_eval
 from gaplaw.flux import flux_report, r_delta
 from gaplaw.geometry import AnnulusSpec, DomainSpec, NeckSpec, ParticlePair, datum_values
 from gaplaw.mesh import (
@@ -35,6 +34,7 @@ from gaplaw.solver import (
 )
 from gaplaw.mesh import load_mesh_text, save_mesh_text
 from gaplaw.sweep import SweepConfig
+from radial import fit_two_point, radial_eval
 
 
 @pytest.fixture(scope="module")

@@ -229,6 +229,11 @@ class TestSweepConfigValidation:
                      "datum table entry 0", id="table-entry-str"),
         pytest.param({"datum": {"kind": "table", "entries": [[True, 1.0]]}},
                      "datum table entry 0", id="table-entry-bool"),
+        # entries that are no list, and an integer beyond the float range
+        pytest.param({"datum": {"kind": "table", "entries": 5}}, "datum table entries",
+                     id="table-entries-int"),
+        pytest.param({"datum": {"kind": "table", "entries": [[0, 10**400]]}},
+                     "datum table entry 0", id="table-entry-huge-int"),
     ])
     def test_rejected_at_construction(self, kwargs, field):
         # the dataclass constructor refuses a former key with a TypeError
