@@ -25,14 +25,20 @@ coordinate.  All points are numbered in order of first appearance under
 `np.unique` over the bytes of (x + 0.0, y + 0.0), so points with equal
 coordinates, the strip's right column shared by both parts and the sides
 on the axes, become one node, whose tag is the first boundary tag seen
-for it.  Boundary edges are found by integer keys a * n + b of their
-sorted ends.  Only the marching along the boundary curves and the walk
-around each boundary loop in `_validate` go node by node in Python.
+for it.  Boundary edges are found by one sort of the integer keys
+a * n + b of their sorted ends, formed straight from the vertex columns;
+the P1 gradients are written into one preallocated array and the
+quality's side lengths come from the coordinate columns, so none of the
+three builds a stacked copy of its inputs.  Only the marching along the
+boundary curves and the walk around each boundary loop in `_validate` go
+node by node in Python.
 
 So the whole mesh is symmetric under y -> -y and under x -> -x as a set
-of nodes and elements; `Mesh.mirror` and `Mesh.x_mirror` find those
-symmetries from the coordinates, and the solver uses them to solve on a
-half or a quarter of the unknowns under odd or even data.
+of nodes and elements; the merge knows both node permutations from its
+image map and hands them to `Mesh.mirror` and `Mesh.x_mirror`, which
+check them exactly (a mesh loaded from text searches for them in its
+coordinates instead), and the solver uses them to solve on a half or a
+quarter of the unknowns under odd or even data.
 Construction involves no random numbers: fixed inputs give a
 bitwise-identical mesh.
 
@@ -44,7 +50,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -132,20 +138,27 @@ class Mesh:
     computed once at construction.
 
     `mirror` is the node permutation under y -> -y, or None, and
-    `x_mirror` the one under x -> -x.  Each is read off the coordinates,
-    so a mesh loaded from text has them too, and is kept only when the
-    mesh is symmetric as a whole: the other coordinate equal and the
-    reflected one negated exactly, interior and outer tags mapped onto
-    themselves, particle 1 onto particle 2 under `mirror` and each
-    particle onto itself under `x_mirror`, and the elements onto the
-    element set (mirrored nodes under a different triangulation do not
-    give a symmetric energy).
+    `x_mirror` the one under x -> -x.  Each is kept only when the mesh is
+    symmetric as a whole: the other coordinate equal and the reflected
+    one negated exactly, interior and outer tags mapped onto themselves,
+    particle 1 onto particle 2 under `mirror` and each particle onto
+    itself under `x_mirror`, and the elements onto the element set
+    (mirrored nodes under a different triangulation do not give a
+    symmetric energy).
+
+    `build_mesh` hands both permutations over as `mirrors` (y first),
+    since its merge makes them, and `triangles` are then the four images
+    of one quarter in `_IMAGES` order; each is checked exactly in
+    O(n + m).  A mesh built without them (loaded from text, or made by
+    hand), or one whose hand-over fails that check, reads its mirrors off
+    the coordinates with a sorting search instead.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     node_tags: np.ndarray
     domain: object = None
+    mirrors: InitVar[tuple | None] = None
 
     areas: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
@@ -154,14 +167,18 @@ class Mesh:
     mirror: np.ndarray | None = field(init=False, repr=False)
     x_mirror: np.ndarray | None = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, mirrors):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=float)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.node_tags = np.ascontiguousarray(self.node_tags, dtype=np.int8)
         self._build_geometry()
         self._build_boundary_edges()
-        self.mirror = self._find_mirror(1, _MIRROR_TAG)
-        self.x_mirror = self._find_mirror(0, _SAME_TAG)
+        searched = {}  # the sorted element keys, shared by both searches
+        self.mirror, self.x_mirror = (
+            perm if perm is not None and self._is_image_map(perm, axis, image_tag)
+            else self._find_mirror(axis, image_tag, searched)
+            for perm, axis, image_tag in zip(mirrors or (None, None), (1, 0),
+                                             (_MIRROR_TAG, _SAME_TAG)))
 
     # -- construction helpers -------------------------------------------------
 
@@ -182,24 +199,43 @@ class Mesh:
         if np.any(det <= 0):
             raise MeshError("degenerate or inverted triangle in mesh")
         self.areas = 0.5 * det
-        # P1 basis gradients: grads[e, :, k] = grad of hat function at local node k
-        gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-        gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-        self.grads = np.stack([gx, gy], axis=1) / det[:, None, None]
+        # P1 basis gradients: grads[e, :, k] = grad of hat function at local
+        # node k, written column by column and scaled in place
+        grads = np.empty((len(det), 2, 3))
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            np.subtract(y[:, i], y[:, j], out=grads[:, 0, k])
+            np.subtract(x[:, j], x[:, i], out=grads[:, 1, k])
+        grads /= det[:, None, None]
+        self.grads = grads
         self.centroids = p.mean(axis=1)
 
     def _build_boundary_edges(self):
-        tris = self.triangles
-        edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        owner = np.tile(np.arange(len(tris)), 3)
-        # an edge is a boundary edge when no other element shares it; the
-        # key a * n + b of its sorted ends orders as the pair (a, b) does
-        lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
-        key = lo * self.n_nodes + hi
-        _, idx, counts = np.unique(key, return_index=True, return_counts=True)
-        bidx = idx[counts == 1]
-        bedges = edges[bidx]
-        bowner = owner[bidx]
+        """Boundary edges, in the order of their keys a * n + b (a < b the
+        sorted ends, so the key orders as the pair (a, b) does), each with
+        the element that owns it; an edge is a boundary edge when no other
+        element shares it."""
+        tris, n = self.triangles, self.n_nodes
+        m = len(tris)
+        # edge j of element e, (tris[e, j], tris[e, (j + 1) % 3]), has index j * m + e
+        key = np.empty(3 * m, dtype=np.int64)
+        for j in range(3):
+            a, b, part = tris[:, j], tris[:, (j + 1) % 3], key[j * m:(j + 1) * m]
+            np.minimum(a, b, out=part)
+            part *= n
+            part += np.maximum(a, b)
+        order = np.argsort(key)
+        key.sort()  # key[order], sorted in place
+        # a key that differs from both sorted neighbours occurs once
+        differs = key[1:] != key[:-1]
+        lone = np.ones(3 * m, dtype=bool)
+        lone[1:] &= differs
+        lone[:-1] &= differs
+        bidx = order[lone]
+        bowner, j = bidx % m, bidx // m
+        bedges = np.empty((len(bidx), 2), dtype=tris.dtype)
+        bedges[:, 0] = tris[bowner, j]
+        bedges[:, 1] = tris[bowner, (j + 1) % 3]
         out = {}
         t1 = self.node_tags[bedges[:, 0]]
         t2 = self.node_tags[bedges[:, 1]]
@@ -212,10 +248,33 @@ class Mesh:
             out[tag] = (bedges[sel], bowner[sel])
         self.boundary_edges = out
 
-    def _find_mirror(self, axis: int, image_tag: np.ndarray) -> np.ndarray | None:
+    def _is_image_map(self, perm, axis: int, image_tag: np.ndarray) -> bool:
+        """Whether `perm` is the node permutation under the reflection that
+        negates coordinate `axis` of a mesh whose triangles are the four
+        images of one quarter in `_IMAGES` order: an involution of the
+        node indices, the reflected coordinate negated and the other
+        equal, tags mapped by `image_tag`, and each image's triangles its
+        partner's under `perm` with vertex order (a, c, b)."""
+        n, m = self.n_nodes, self.n_triangles
+        if not (isinstance(perm, np.ndarray) and perm.dtype == np.intp and perm.shape == (n,)
+                and m % len(_IMAGES) == 0 and n > 0 and 0 <= perm.min() and perm.max() < n
+                and np.array_equal(perm[perm], np.arange(n))):
+            return False
+        c, other = self.nodes[:, axis], self.nodes[:, 1 - axis]
+        if not (np.array_equal(c[perm], -c) and np.array_equal(other[perm], other)
+                and np.array_equal(self.node_tags[perm], image_tag[self.node_tags])):
+            return False
+        images = self.triangles.reshape(len(_IMAGES), -1, 3)
+        flip = 1 << axis  # image b's partner is b ^ flip
+        return all(np.array_equal(perm[images[b]], images[b ^ flip][:, [0, 2, 1]])
+                   for b in range(len(_IMAGES)))
+
+    def _find_mirror(self, axis: int, image_tag: np.ndarray,
+                     searched: dict | None = None) -> np.ndarray | None:
         """The node permutation under the reflection that negates
         coordinate `axis`, with node tags mapped by `image_tag`; None when
-        the mesh is not symmetric under it."""
+        the mesh is not symmetric under it.  `searched` keeps the sorted
+        keys of the mesh's own elements for the next search."""
         c, other = self.nodes[:, axis], self.nodes[:, 1 - axis]
         # the k-th node in (other, c) order mirrors the k-th in (other, -c) order
         up, down = np.lexsort((c, other)), np.lexsort((-c, other))
@@ -235,7 +294,10 @@ class Mesh:
             lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
             return np.sort((lo * n + a + b + c - lo - hi) * n + hi)
 
-        if not np.array_equal(element_keys(mirror[self.triangles]), element_keys(self.triangles)):
+        searched = {} if searched is None else searched
+        if "keys" not in searched:
+            searched["keys"] = element_keys(self.triangles)
+        if not np.array_equal(element_keys(mirror[self.triangles]), searched["keys"]):
             return None
         return mirror
 
@@ -254,10 +316,14 @@ class Mesh:
 
     def quality(self) -> np.ndarray:
         """Per-element inradius/circumradius ratio (equilateral = 1/2)."""
-        p = self.nodes[self.triangles]
-        a = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
-        b = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
-        c = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
+        x, y = self.nodes[:, 0], self.nodes[:, 1]
+        t = self.triangles
+
+        def side(i, j):  # as np.linalg.norm takes it: sqrt(dx * dx + dy * dy)
+            dx, dy = x[t[:, i]] - x[t[:, j]], y[t[:, i]] - y[t[:, j]]
+            return np.sqrt(dx * dx + dy * dy)
+
+        a, b, c = side(1, 2), side(2, 0), side(0, 1)
         s = 0.5 * (a + b + c)
         inr = self.areas / s
         circ = a * b * c / (4.0 * self.areas)
@@ -525,14 +591,18 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
     quarter_tags = np.concatenate(
         [strip_tags, fixed_tags, np.full(len(interior), TAG_INTERIOR, np.int8)]
     )
-    nodes, triangles, tags = _merge_pieces(quarter_pts, quarter_tris, quarter_tags)
-    mesh = Mesh(nodes=nodes, triangles=triangles, node_tags=tags, domain=domain)
+    nodes, triangles, tags, mirrors = _merge_pieces(quarter_pts, quarter_tris, quarter_tags)
+    mesh = Mesh(nodes=nodes, triangles=triangles, node_tags=tags, domain=domain,
+                mirrors=mirrors)
     _validate(mesh)
     return mesh
 
 
 # the quarter's images: (sign of x, sign of y, vertex order of a triangle);
-# one reflection reverses a triangle's orientation, two restore it
+# one reflection reverses a triangle's orientation, two restore it.  Bit 0
+# of an image's index says x is negated, bit 1 that y is, so the partner
+# of image b under the reflection negating coordinate `axis` is
+# b ^ (1 << axis)
 _IMAGES = ((1.0, 1.0, [0, 1, 2]), (-1.0, 1.0, [0, 2, 1]),
            (1.0, -1.0, [0, 2, 1]), (-1.0, -1.0, [0, 1, 2]))
 
@@ -551,7 +621,8 @@ def _merge_pieces(quarter_pts, quarter_tris, quarter_tags):
     carries a boundary tag, which then replaces it.  A triangle of a
     single reflection takes the vertex order (a, c, b), and particle-2
     tags reflected in y become particle 1.  Returns (nodes, triangles,
-    tags).
+    tags, mirrors): `mirrors` are the node permutations under y -> -y
+    (images 0 <-> 2 and 1 <-> 3) and under x -> -x (0 <-> 1 and 2 <-> 3).
     """
     pts = np.concatenate([quarter_pts * [sx, sy] for sx, sy, _ in _IMAGES]) + 0.0
     y_image_tags = _MIRROR_TAG[quarter_tags]
@@ -569,11 +640,17 @@ def _merge_pieces(quarter_pts, quarter_tris, quarter_tags):
     node_tags[owner] = tags[tagged[pos]]
     # take, not a fancy column index: that would give Fortran-ordered
     # triangles, which Mesh then copies
+    images = gid.reshape(len(_IMAGES), -1)
     triangles = np.concatenate([
         image_gid[quarter_tris.take(vertex_order, axis=1)]
-        for image_gid, (_, _, vertex_order) in zip(gid.reshape(len(_IMAGES), -1), _IMAGES)
+        for image_gid, (_, _, vertex_order) in zip(images, _IMAGES)
     ])
-    return pts[first[order]], triangles, node_tags
+    mirrors = []
+    for axis in (1, 0):  # y -> -y, then x -> -x
+        perm = np.empty_like(order)
+        perm[images] = images[[b ^ (1 << axis) for b in range(len(_IMAGES))]]
+        mirrors.append(perm)
+    return pts[first[order]], triangles, node_tags, tuple(mirrors)
 
 
 def _polygon_area(loop_pts: np.ndarray) -> float:

@@ -151,7 +151,8 @@ class SweepConfig:
     finite numbers (an integer beyond the float range included), p < 2,
     delta_start <= 0, a delta_count that is not an integer >= 1, a ladder
     whose smallest delta is not a positive normal float, an h_far that is
-    not positive and finite, h_neck_fraction outside (0, 0.25], a
+    not positive and finite, an h_neck_fraction outside (0, 0.25] or below
+    the smallest normal float (its reciprocal, the layer count, overflows), a
     non-finite R_out, or an R_out that leaves less than CLEARANCE around
     the particles at delta_start (the widest gap, so the whole ladder)
     raises ValueError naming the field.
@@ -190,6 +191,11 @@ class SweepConfig:
             raise ValueError(
                 f"h_neck_fraction must lie in (0, 0.25] to keep >= 4 layers across "
                 f"the gap, got {self.h_neck_fraction}"
+            )
+        if self.h_neck_fraction < sys.float_info.min:
+            raise ValueError(
+                f"h_neck_fraction={self.h_neck_fraction!r} is below the smallest normal "
+                f"float, so its layer count 1/h_neck_fraction overflows"
             )
         try:
             self.mesh_params()  # checks h_far

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from gaplaw.mesh import (
     TAG_P2,
     MeshError,
     QUALITY_FLOOR,
+    _MIRROR_TAG,
+    _SAME_TAG,
     Mesh,
     MeshParams,
     _validate,
@@ -108,9 +112,97 @@ def boundary_edges_oracle(mesh):
     return {t: (bedges[tag == t], bowner[tag == t]) for t in (TAG_OUTER, TAG_P1, TAG_P2)}
 
 
+def boundary_key_oracle(mesh):
+    """The `_build_boundary_edges` of a (3m, 2) edge list, tiled owners and
+    `np.unique` counts over the keys that one sort of the keys replaces;
+    raises its two MeshErrors alike."""
+    tris = mesh.triangles
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    owner = np.tile(np.arange(len(tris)), 3)
+    lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
+    _, idx, counts = np.unique(lo * mesh.n_nodes + hi, return_index=True, return_counts=True)
+    bidx = idx[counts == 1]
+    bedges, bowner = edges[bidx], owner[bidx]
+    t1, t2 = mesh.node_tags[bedges[:, 0]], mesh.node_tags[bedges[:, 1]]
+    if np.any(t1 == TAG_INTERIOR) or np.any(t2 == TAG_INTERIOR):
+        raise MeshError("boundary edge with an untagged endpoint")
+    if np.any(t1 != t2):
+        raise MeshError("boundary edge straddling two boundary curves")
+    return {t: (bedges[t1 == t], bowner[t1 == t]) for t in (TAG_OUTER, TAG_P1, TAG_P2)}
+
+
+def geometry_oracle(nodes, triangles):
+    """The `_build_geometry` of whole-array stacks that the gradients
+    written in place replace: (triangles, areas, grads, centroids) of the
+    triangles as given, reoriented counterclockwise on a copy."""
+    triangles = triangles.copy()
+    p = nodes[triangles]
+    x, y = p[..., 0], p[..., 1]
+    det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
+        y[:, 1] - y[:, 0]
+    )
+    flip = det < 0
+    if np.any(flip):
+        triangles[flip] = triangles[flip][:, [0, 2, 1]]
+        p[flip] = p[flip][:, [0, 2, 1]]
+        det[flip] = -det[flip]
+    gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    return triangles, 0.5 * det, np.stack([gx, gy], axis=1) / det[:, None, None], p.mean(axis=1)
+
+
+def quality_oracle(mesh):
+    """The `Mesh.quality` of `np.linalg.norm` over an (m, 3, 2) copy of the
+    element coordinates that side lengths from the coordinate columns
+    replace."""
+    p = mesh.nodes[mesh.triangles]
+    a = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
+    b = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
+    c = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
+    s = 0.5 * (a + b + c)
+    inr = mesh.areas / s
+    circ = a * b * c / (4.0 * mesh.areas)
+    return inr / circ
+
+
 def assert_same_bytes(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def assert_matches_geometry_oracles(mesh, triangles=None):
+    """The mesh's triangles, areas, gradients and centroids against
+    `geometry_oracle` on the `triangles` it was built from (its own by
+    default), its boundary edges against `boundary_key_oracle` and its
+    quality against `quality_oracle`, byte for byte; and its mirrors
+    against a fresh `_find_mirror` search."""
+    want = geometry_oracle(mesh.nodes, mesh.triangles if triangles is None else triangles)
+    for got, ref in zip((mesh.triangles, mesh.areas, mesh.grads, mesh.centroids), want):
+        assert_same_bytes(got, ref)
+    ref_edges = boundary_key_oracle(mesh)
+    for tag in (TAG_OUTER, TAG_P1, TAG_P2):
+        for got, ref in zip(mesh.boundary_edges[tag], ref_edges[tag]):
+            assert_same_bytes(got, ref)
+    assert_same_bytes(mesh.quality(), quality_oracle(mesh))
+    for got, axis, image_tag in ((mesh.mirror, 1, _MIRROR_TAG), (mesh.x_mirror, 0, _SAME_TAG)):
+        ref = mesh._find_mirror(axis, image_tag)
+        if ref is None:
+            assert got is None
+        else:
+            assert_same_bytes(got, ref)
+
+
+def counting_find_mirror(monkeypatch):
+    """Count the calls of `Mesh._find_mirror` from here on."""
+    calls = []
+    find_mirror = Mesh._find_mirror
+
+    def counting(self, *args):
+        calls.append(args[0])
+        return find_mirror(self, *args)
+
+    monkeypatch.setattr(Mesh, "_find_mirror", counting)
+    return calls
 
 
 class ConstraintsOracle(solver._Constraints):
@@ -217,9 +309,12 @@ def assert_constraints_match_oracle(mesh):
 
 def build_checked_against_oracles(domain, params=None):
     """build_mesh, with its merge and boundary edges checked byte for byte
-    against `merge_oracle` and `boundary_edges_oracle`, and the constraint
-    maps of its solves against `constraints_oracle`.  Returns the mesh,
-    the arguments `_merge_pieces` got and the quarter's Delaunay."""
+    against `merge_oracle` and `boundary_edges_oracle`, its geometry,
+    boundary edges, quality and mirrors by
+    `assert_matches_geometry_oracles`, and the constraint maps of its
+    solves against `constraints_oracle`; the merge's mirrors must be taken
+    without a search.  Returns the mesh, the arguments `_merge_pieces` got
+    and the quarter's Delaunay."""
     calls, triangulations = [], []
     merge, delaunay = mesh_module._merge_pieces, mesh_module.Delaunay
 
@@ -235,10 +330,12 @@ def build_checked_against_oracles(domain, params=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mesh_module, "_merge_pieces", recording)
         mp.setattr(mesh_module, "Delaunay", recording_delaunay)
+        searches = counting_find_mirror(mp)
         mesh = build_mesh(domain, params)
+    assert searches == []
     ((args, out),) = calls
     want = merge_oracle(*args)
-    for got, ref in zip(out, want):
+    for got, ref in zip(out[:3], want):
         assert_same_bytes(got, ref)
     ref_mesh = Mesh(nodes=want[0], triangles=want[1], node_tags=want[2])
     assert_same_bytes(mesh.nodes, ref_mesh.nodes)
@@ -249,6 +346,7 @@ def build_checked_against_oracles(domain, params=None):
         for got, ref in zip(mesh.boundary_edges[tag], ref_edges[tag]):
             assert_same_bytes(got, ref)
     (tri,) = triangulations
+    assert_matches_geometry_oracles(mesh)
     assert_constraints_match_oracle(mesh)
     return mesh, args, tri
 
@@ -415,13 +513,110 @@ class TestMergeOracle:
                                  TAG_OUTER, TAG_INTERIOR, TAG_INTERIOR, TAG_P2], dtype=np.int8)
         quarter_tris = np.array([[0, 1, 3], [4, 5, 6], [4, 6, 8], [6, 7, 8]])
         args = (quarter_pts, quarter_tris, quarter_tags)
-        nodes, tris, tags = mesh_module._merge_pieces(*args)
+        nodes, tris, tags, (y_mirror, x_mirror) = mesh_module._merge_pieces(*args)
         for got, want in zip((nodes, tris, tags), merge_oracle(*args)):
             assert_same_bytes(got, want)
         assert not np.any(np.signbit(nodes[nodes == 0.0]))
         assert tags[1] == TAG_OUTER
         assert len(nodes) == 13
         assert len(tris) == 4 * 4
+        # the handed-over mirrors map each node onto its reflection, the
+        # repeated and signed-zero points included
+        assert np.array_equal(nodes[y_mirror], nodes * [1.0, -1.0])
+        assert np.array_equal(nodes[x_mirror], nodes * [-1.0, 1.0])
+        assert y_mirror.dtype == x_mirror.dtype == np.intp
+
+
+class TestGeometryOracles:
+    """The construction without full-size temporaries reproduces the
+    whole-array bodies it replaced, and the merge's mirrors stand in for
+    the search only when they check out."""
+
+    def test_annulus(self):
+        assert_matches_geometry_oracles(build_annulus_mesh(AnnulusSpec(1.0, 2.0), 0.1))
+
+    def test_loaded_from_text(self, mesh02, tmp_path, monkeypatch):
+        path = tmp_path / "mesh.txt"
+        save_mesh_text(mesh02, path)
+        searches = counting_find_mirror(monkeypatch)
+        loaded, _ = load_mesh_text(path)
+        assert searches == [1, 0]  # no hand-over: both mirrors are searched
+        assert_matches_geometry_oracles(loaded)
+        assert_same_bytes(loaded.mirror, mesh02.mirror)
+        assert_same_bytes(loaded.x_mirror, mesh02.x_mirror)
+
+    def test_flipped_diagonal(self, mesh02):
+        assert_matches_geometry_oracles(flip_one_lower_diagonal(mesh02))
+
+    def test_clockwise_elements_reoriented(self, mesh02):
+        raw = mesh02.triangles.copy()
+        raw[::3] = raw[::3, [0, 2, 1]]
+        mesh = Mesh(mesh02.nodes, raw.copy(), mesh02.node_tags)
+        assert_same_bytes(mesh.triangles, mesh02.triangles)
+        assert_matches_geometry_oracles(mesh, raw)
+
+    @pytest.mark.parametrize("tags,message", [
+        ([TAG_OUTER, TAG_OUTER, TAG_INTERIOR], "untagged endpoint"),
+        ([TAG_OUTER, TAG_OUTER, TAG_P1], "straddling two boundary curves"),
+    ])
+    def test_boundary_edge_errors(self, tags, message):
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        triangles = np.array([[0, 1, 2]])
+        with pytest.raises(MeshError, match=message):
+            Mesh(nodes, triangles, np.array(tags, dtype=np.int8))
+        mesh = Mesh(nodes, triangles, np.full(3, TAG_OUTER, dtype=np.int8))
+        mesh.node_tags = np.array(tags, dtype=np.int8)
+        with pytest.raises(MeshError, match=message):
+            boundary_key_oracle(mesh)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["mirror", "x_mirror"])
+    def test_corrupted_hand_over_falls_back_to_the_search(self, mesh02, monkeypatch, which):
+        handed = [mesh02.mirror, mesh02.x_mirror]
+        bad = handed[which].copy()
+        bad[[0, 1]] = bad[[1, 0]]  # one pair swapped
+        handed[which] = bad
+        searches = counting_find_mirror(monkeypatch)
+        mesh = Mesh(mesh02.nodes, mesh02.triangles.copy(), mesh02.node_tags,
+                    mirrors=tuple(handed))
+        assert searches == [1 - which]
+        assert_same_bytes(mesh.mirror, mesh02.mirror)
+        assert_same_bytes(mesh.x_mirror, mesh02.x_mirror)
+
+    def test_hand_over_needs_the_images_in_order(self, mesh02, monkeypatch):
+        """Elements that are not the four images in `_IMAGES` order fail
+        the image check, and the search still finds both mirrors."""
+        triangles = mesh02.triangles.copy()
+        triangles[[0, 1]] = triangles[[1, 0]]
+        searches = counting_find_mirror(monkeypatch)
+        mesh = Mesh(mesh02.nodes, triangles, mesh02.node_tags,
+                    mirrors=(mesh02.mirror, mesh02.x_mirror))
+        assert searches == [1, 0]
+        assert_same_bytes(mesh.mirror, mesh02.mirror)
+        assert_same_bytes(mesh.x_mirror, mesh02.x_mirror)
+
+    def test_build_memory_peak(self):
+        """The traced peak (tracemalloc) of building the fine-p6 mesh at
+        delta = 0.0025 stays below 2.25 times the arrays the mesh keeps.
+        The construction with full-size temporaries peaked at 3.50 times
+        (15.0 MB for 4.29 MB), this one at 1.73 times (7.45 MB), under
+        numpy 2.4; the bound leaves 30% above that."""
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            mesh = build_mesh(two_disk_domain(0.0025), MeshParams(h_far=0.075, neck_layers=16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        kept = [mesh.nodes, mesh.triangles, mesh.node_tags, mesh.areas, mesh.grads,
+                mesh.centroids, mesh.mirror, mesh.x_mirror,
+                *(a for edges in mesh.boundary_edges.values() for a in edges)]
+        retained = sum(a.nbytes for a in kept)
+        assert peak - base < 2.25 * retained, (peak - base, retained)
 
 
 class TestOrderLoop:

@@ -234,6 +234,11 @@ class TestSweepConfigValidation:
                      id="table-entries-int"),
         pytest.param({"datum": {"kind": "table", "entries": [[0, 10**400]]}},
                      "datum table entry 0", id="table-entry-huge-int"),
+        # a subnormal neck fraction, whose reciprocal overflows to inf
+        pytest.param({"h_neck_fraction": 5e-324}, "h_neck_fraction",
+                     id="h_neck_fraction-5e-324"),
+        pytest.param({"h_neck_fraction": 1e-310}, "h_neck_fraction",
+                     id="h_neck_fraction-1e-310"),
     ])
     def test_rejected_at_construction(self, kwargs, field):
         # the dataclass constructor refuses a former key with a TypeError
