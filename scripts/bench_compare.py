@@ -16,14 +16,17 @@ BENCHMARK.json, each side's median, quartiles and values and the pairs the
 change wins (strictly better in the metric's direction); each side's
 failed_frac (failed over attempted passes); the traced per-layer metrics;
 and, per side, the revision, `src_lines` (wc -l src/gaplaw/*.py), the
-python, numpy and scipy versions and nproc from the run records.  Nothing
-under perfbench/ and no bound in BENCHMARK.json is changed.
+options census (the field counts of `SweepConfig`, `MeshParams` and
+`SolverConfig`, imported from that side's tree), the python, numpy and
+scipy versions and nproc from the run records.  Nothing under perfbench/
+and no bound in BENCHMARK.json is changed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -51,6 +54,23 @@ def export(rev: str, dest: Path) -> None:
     shutil.rmtree(tree / "perfbench", ignore_errors=True)
     shutil.copytree(ROOT / "perfbench", tree / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__"))
+
+
+CENSUS = """
+import dataclasses, json
+from gaplaw.mesh import MeshParams
+from gaplaw.solver import SolverConfig
+from gaplaw.sweep import SweepConfig
+print(json.dumps({cls.__name__: len(dataclasses.fields(cls))
+                  for cls in (SweepConfig, MeshParams, SolverConfig)}))
+"""
+
+
+def options(tree: Path) -> dict:
+    """The field count of each config class in `tree`'s source."""
+    child = subprocess.run([sys.executable, "-c", CENSUS], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    return json.loads(child.stdout)
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -122,6 +142,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench-compare-") as tmp:
         export(args.parent, Path(tmp))
         trees = {"parent": Path(tmp) / "tree", "change": ROOT}
+        for side, tree in trees.items():
+            sides[side]["options"] = options(tree)
         for workload in args.workloads.split(","):
             entry, records = compare(trees, metrics, workload, args)
             out["workloads"][workload] = entry

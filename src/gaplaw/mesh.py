@@ -34,11 +34,12 @@ boundary curves and the walk around each boundary loop in `_validate` go
 node by node in Python.
 
 So the whole mesh is symmetric under y -> -y and under x -> -x as a set
-of nodes and elements; the merge knows both node permutations from its
-image map and hands them to `Mesh.mirror` and `Mesh.x_mirror`, which
-check them exactly (a mesh loaded from text searches for them in its
-coordinates instead), and the solver uses them to solve on a half or a
-quarter of the unknowns under odd or even data.
+of nodes and elements, and its triangles are the four images of the
+quarter's in order; `Mesh` reads both node permutations off that layout
+(`Mesh.mirror` and `Mesh.x_mirror`, checked exactly, so a mesh saved and
+loaded as text keeps them), and the solver uses them to solve on a half
+or a quarter of the unknowns under odd or even data.  A mesh whose
+triangles are laid out otherwise gets no mirrors and is solved whole.
 Construction involves no random numbers: fixed inputs give a
 bitwise-identical mesh.
 
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -138,27 +139,23 @@ class Mesh:
     computed once at construction.
 
     `mirror` is the node permutation under y -> -y, or None, and
-    `x_mirror` the one under x -> -x.  Each is kept only when the mesh is
-    symmetric as a whole: the other coordinate equal and the reflected
-    one negated exactly, interior and outer tags mapped onto themselves,
-    particle 1 onto particle 2 under `mirror` and each particle onto
-    itself under `x_mirror`, and the elements onto the element set
-    (mirrored nodes under a different triangulation do not give a
-    symmetric energy).
-
-    `build_mesh` hands both permutations over as `mirrors` (y first),
-    since its merge makes them, and `triangles` are then the four images
-    of one quarter in `_IMAGES` order; each is checked exactly in
-    O(n + m).  A mesh built without them (loaded from text, or made by
-    hand), or one whose hand-over fails that check, reads its mirrors off
-    the coordinates with a sorting search instead.
+    `x_mirror` the one under x -> -x.  Each is read off `triangles` laid
+    out as `build_mesh` makes them, the four images of one quarter in
+    `_IMAGES` order, and kept only when the mesh is symmetric as a whole:
+    the other coordinate equal and the reflected one negated exactly,
+    interior and outer tags mapped onto themselves, particle 1 onto
+    particle 2 under `mirror` and each particle onto itself under
+    `x_mirror`, and the elements onto the element set (mirrored nodes
+    under a different triangulation do not give a symmetric energy).
+    Triangles in any other layout (reordered, their vertices rotated,
+    or made by hand) get no mirrors, and the solver then works on the
+    whole mesh.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     node_tags: np.ndarray
     domain: object = None
-    mirrors: InitVar[tuple | None] = None
 
     areas: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
@@ -167,18 +164,14 @@ class Mesh:
     mirror: np.ndarray | None = field(init=False, repr=False)
     x_mirror: np.ndarray | None = field(init=False, repr=False)
 
-    def __post_init__(self, mirrors):
+    def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=float)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.node_tags = np.ascontiguousarray(self.node_tags, dtype=np.int8)
         self._build_geometry()
         self._build_boundary_edges()
-        searched = {}  # the sorted element keys, shared by both searches
-        self.mirror, self.x_mirror = (
-            perm if perm is not None and self._is_image_map(perm, axis, image_tag)
-            else self._find_mirror(axis, image_tag, searched)
-            for perm, axis, image_tag in zip(mirrors or (None, None), (1, 0),
-                                             (_MIRROR_TAG, _SAME_TAG)))
+        self.mirror = self._image_map(1, _MIRROR_TAG)
+        self.x_mirror = self._image_map(0, _SAME_TAG)
 
     # -- construction helpers -------------------------------------------------
 
@@ -192,8 +185,9 @@ class Mesh:
             y[:, 1] - y[:, 0]
         )
         flip = det < 0
-        if np.any(flip):
-            self.triangles[flip] = self.triangles[flip][:, [0, 2, 1]]
+        if np.any(flip):  # a new array: the caller's may be the same object
+            self.triangles = np.where(flip[:, None], self.triangles[:, [0, 2, 1]],
+                                      self.triangles)
             p[flip] = p[flip][:, [0, 2, 1]]
             det[flip] = -det[flip]
         if np.any(det <= 0):
@@ -248,58 +242,33 @@ class Mesh:
             out[tag] = (bedges[sel], bowner[sel])
         self.boundary_edges = out
 
-    def _is_image_map(self, perm, axis: int, image_tag: np.ndarray) -> bool:
-        """Whether `perm` is the node permutation under the reflection that
-        negates coordinate `axis` of a mesh whose triangles are the four
-        images of one quarter in `_IMAGES` order: an involution of the
-        node indices, the reflected coordinate negated and the other
-        equal, tags mapped by `image_tag`, and each image's triangles its
-        partner's under `perm` with vertex order (a, c, b)."""
+    def _image_map(self, axis: int, image_tag: np.ndarray) -> np.ndarray | None:
+        """The node permutation under the reflection that negates
+        coordinate `axis`, read off triangles that are the four images of
+        one quarter in `_IMAGES` order: image b's partner is
+        b ^ (1 << axis), and each of its triangles (a, b, c) is its
+        partner's (a, c, b).  None unless that map is an involution of
+        the node indices that negates the reflected coordinate, keeps the
+        other, maps the tags by `image_tag` and the images onto each
+        other."""
         n, m = self.n_nodes, self.n_triangles
-        if not (isinstance(perm, np.ndarray) and perm.dtype == np.intp and perm.shape == (n,)
-                and m % len(_IMAGES) == 0 and n > 0 and 0 <= perm.min() and perm.max() < n
-                and np.array_equal(perm[perm], np.arange(n))):
-            return False
+        if n == 0 or m % len(_IMAGES):
+            return None
+        images = self.triangles.reshape(len(_IMAGES), -1, 3)
+        flip = 1 << axis
+        perm = np.full(n, -1, dtype=np.intp)
+        for b in range(len(_IMAGES)):
+            perm[images[b]] = images[b ^ flip][:, [0, 2, 1]]
+        if not (0 <= perm.min() and np.array_equal(perm[perm], np.arange(n))):
+            return None
         c, other = self.nodes[:, axis], self.nodes[:, 1 - axis]
         if not (np.array_equal(c[perm], -c) and np.array_equal(other[perm], other)
                 and np.array_equal(self.node_tags[perm], image_tag[self.node_tags])):
-            return False
-        images = self.triangles.reshape(len(_IMAGES), -1, 3)
-        flip = 1 << axis  # image b's partner is b ^ flip
-        return all(np.array_equal(perm[images[b]], images[b ^ flip][:, [0, 2, 1]])
-                   for b in range(len(_IMAGES)))
-
-    def _find_mirror(self, axis: int, image_tag: np.ndarray,
-                     searched: dict | None = None) -> np.ndarray | None:
-        """The node permutation under the reflection that negates
-        coordinate `axis`, with node tags mapped by `image_tag`; None when
-        the mesh is not symmetric under it.  `searched` keeps the sorted
-        keys of the mesh's own elements for the next search."""
-        c, other = self.nodes[:, axis], self.nodes[:, 1 - axis]
-        # the k-th node in (other, c) order mirrors the k-th in (other, -c) order
-        up, down = np.lexsort((c, other)), np.lexsort((-c, other))
-        if not (np.array_equal(other[down], other[up]) and np.array_equal(c[down], -c[up])):
             return None
-        mirror = np.empty_like(up)
-        mirror[up] = down
-        if not np.array_equal(self.node_tags[mirror], image_tag[self.node_tags]):
+        if not all(np.array_equal(perm[images[b]], images[b ^ flip][:, [0, 2, 1]])
+                   for b in range(len(_IMAGES))):
             return None
-
-        n = self.n_nodes
-        if n >= 2**21:  # the element keys below would overflow int64
-            return None
-
-        def element_keys(tris):
-            a, b, c = tris.T
-            lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-            return np.sort((lo * n + a + b + c - lo - hi) * n + hi)
-
-        searched = {} if searched is None else searched
-        if "keys" not in searched:
-            searched["keys"] = element_keys(self.triangles)
-        if not np.array_equal(element_keys(mirror[self.triangles]), searched["keys"]):
-            return None
-        return mirror
+        return perm
 
     # -- queries --------------------------------------------------------------
 
@@ -591,9 +560,8 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
     quarter_tags = np.concatenate(
         [strip_tags, fixed_tags, np.full(len(interior), TAG_INTERIOR, np.int8)]
     )
-    nodes, triangles, tags, mirrors = _merge_pieces(quarter_pts, quarter_tris, quarter_tags)
-    mesh = Mesh(nodes=nodes, triangles=triangles, node_tags=tags, domain=domain,
-                mirrors=mirrors)
+    nodes, triangles, tags = _merge_pieces(quarter_pts, quarter_tris, quarter_tags)
+    mesh = Mesh(nodes=nodes, triangles=triangles, node_tags=tags, domain=domain)
     _validate(mesh)
     return mesh
 
@@ -621,8 +589,7 @@ def _merge_pieces(quarter_pts, quarter_tris, quarter_tags):
     carries a boundary tag, which then replaces it.  A triangle of a
     single reflection takes the vertex order (a, c, b), and particle-2
     tags reflected in y become particle 1.  Returns (nodes, triangles,
-    tags, mirrors): `mirrors` are the node permutations under y -> -y
-    (images 0 <-> 2 and 1 <-> 3) and under x -> -x (0 <-> 1 and 2 <-> 3).
+    tags).
     """
     pts = np.concatenate([quarter_pts * [sx, sy] for sx, sy, _ in _IMAGES]) + 0.0
     y_image_tags = _MIRROR_TAG[quarter_tags]
@@ -645,12 +612,7 @@ def _merge_pieces(quarter_pts, quarter_tris, quarter_tags):
         image_gid[quarter_tris.take(vertex_order, axis=1)]
         for image_gid, (_, _, vertex_order) in zip(images, _IMAGES)
     ])
-    mirrors = []
-    for axis in (1, 0):  # y -> -y, then x -> -x
-        perm = np.empty_like(order)
-        perm[images] = images[[b ^ (1 << axis) for b in range(len(_IMAGES))]]
-        mirrors.append(perm)
-    return pts[first[order]], triangles, node_tags, tuple(mirrors)
+    return pts[first[order]], triangles, node_tags
 
 
 def _polygon_area(loop_pts: np.ndarray) -> float:

@@ -252,6 +252,8 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"a SweepConfig must be a JSON object, got {type(d).__name__}")
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown SweepConfig keys {sorted(unknown)}")

@@ -73,6 +73,14 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert "error: p must be a real number, got '3'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,kind", [("null", "NoneType"), ('"p"', "str"),
+                                           ("[1, 2]", "list")])
+    def test_config_not_an_object(self, tmp_path, capsys, text, kind):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: a SweepConfig must be a JSON object, got {kind}" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_floating_solve(self, tiny_config, tmp_path, capsys):

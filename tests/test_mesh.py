@@ -98,6 +98,45 @@ def merge_oracle(quarter_pts, quarter_tris, quarter_tags):
     )
 
 
+def find_mirror_oracle(mesh, axis, image_tag):
+    """The coordinate search that reading the mirrors off the four-image
+    layout replaces: the node permutation under the reflection that
+    negates coordinate `axis`, with node tags mapped by `image_tag`, or
+    None when the mesh (in any triangle order) is not symmetric under
+    it."""
+    c, other = mesh.nodes[:, axis], mesh.nodes[:, 1 - axis]
+    # the k-th node in (other, c) order mirrors the k-th in (other, -c) order
+    up, down = np.lexsort((c, other)), np.lexsort((-c, other))
+    if not (np.array_equal(other[down], other[up]) and np.array_equal(c[down], -c[up])):
+        return None
+    mirror = np.empty_like(up)
+    mirror[up] = down
+    if not np.array_equal(mesh.node_tags[mirror], image_tag[mesh.node_tags]):
+        return None
+
+    n = mesh.n_nodes
+    if n >= 2**21:  # the element keys below would overflow int64
+        return None
+
+    def element_keys(tris):
+        a, b, c = tris.T
+        lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+        return np.sort((lo * n + a + b + c - lo - hi) * n + hi)
+
+    if not np.array_equal(element_keys(mirror[mesh.triangles]), element_keys(mesh.triangles)):
+        return None
+    return mirror
+
+
+def with_oracle_mirrors(mesh):
+    """`mesh` with both mirrors set by `find_mirror_oracle`: a mesh made
+    by hand, whose triangles are not the four images of a quarter, gets
+    none from `Mesh`."""
+    mesh.mirror = find_mirror_oracle(mesh, 1, _MIRROR_TAG)
+    mesh.x_mirror = find_mirror_oracle(mesh, 0, _SAME_TAG)
+    return mesh
+
+
 def boundary_edges_oracle(mesh):
     """Boundary edges and their owners by np.unique(axis=0) over sorted pairs."""
     tris = mesh.triangles
@@ -169,12 +208,12 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_matches_geometry_oracles(mesh, triangles=None):
+def assert_matches_geometry_oracles(mesh, triangles=None, mirrors=True):
     """The mesh's triangles, areas, gradients and centroids against
     `geometry_oracle` on the `triangles` it was built from (its own by
     default), its boundary edges against `boundary_key_oracle` and its
-    quality against `quality_oracle`, byte for byte; and its mirrors
-    against a fresh `_find_mirror` search."""
+    quality against `quality_oracle`, byte for byte; and, with `mirrors`,
+    its mirrors against `find_mirror_oracle`."""
     want = geometry_oracle(mesh.nodes, mesh.triangles if triangles is None else triangles)
     for got, ref in zip((mesh.triangles, mesh.areas, mesh.grads, mesh.centroids), want):
         assert_same_bytes(got, ref)
@@ -183,25 +222,14 @@ def assert_matches_geometry_oracles(mesh, triangles=None):
         for got, ref in zip(mesh.boundary_edges[tag], ref_edges[tag]):
             assert_same_bytes(got, ref)
     assert_same_bytes(mesh.quality(), quality_oracle(mesh))
+    if not mirrors:
+        return
     for got, axis, image_tag in ((mesh.mirror, 1, _MIRROR_TAG), (mesh.x_mirror, 0, _SAME_TAG)):
-        ref = mesh._find_mirror(axis, image_tag)
+        ref = find_mirror_oracle(mesh, axis, image_tag)
         if ref is None:
             assert got is None
         else:
             assert_same_bytes(got, ref)
-
-
-def counting_find_mirror(monkeypatch):
-    """Count the calls of `Mesh._find_mirror` from here on."""
-    calls = []
-    find_mirror = Mesh._find_mirror
-
-    def counting(self, *args):
-        calls.append(args[0])
-        return find_mirror(self, *args)
-
-    monkeypatch.setattr(Mesh, "_find_mirror", counting)
-    return calls
 
 
 class ConstraintsOracle(solver._Constraints):
@@ -311,9 +339,9 @@ def build_checked_against_oracles(domain, params=None):
     against `merge_oracle` and `boundary_edges_oracle`, its geometry,
     boundary edges, quality and mirrors by
     `assert_matches_geometry_oracles`, and the constraint maps of its
-    solves against `constraints_oracle`; the merge's mirrors must be taken
-    without a search.  Returns the mesh, the arguments `_merge_pieces` got
-    and the quarter's Delaunay."""
+    solves against `constraints_oracle`; both mirrors must be found.
+    Returns the mesh, the arguments `_merge_pieces` got and the quarter's
+    Delaunay."""
     calls, triangulations = [], []
     merge, delaunay = mesh_module._merge_pieces, mesh_module.Delaunay
 
@@ -329,12 +357,11 @@ def build_checked_against_oracles(domain, params=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mesh_module, "_merge_pieces", recording)
         mp.setattr(mesh_module, "Delaunay", recording_delaunay)
-        searches = counting_find_mirror(mp)
         mesh = build_mesh(domain, params)
-    assert searches == []
+    assert mesh.mirror is not None and mesh.x_mirror is not None
     ((args, out),) = calls
     want = merge_oracle(*args)
-    for got, ref in zip(out[:3], want):
+    for got, ref in zip(out, want):
         assert_same_bytes(got, ref)
     ref_mesh = Mesh(nodes=want[0], triangles=want[1], node_tags=want[2])
     assert_same_bytes(mesh.nodes, ref_mesh.nodes)
@@ -512,40 +539,48 @@ class TestMergeOracle:
                                  TAG_OUTER, TAG_INTERIOR, TAG_INTERIOR, TAG_P2], dtype=np.int8)
         quarter_tris = np.array([[0, 1, 3], [4, 5, 6], [4, 6, 8], [6, 7, 8]])
         args = (quarter_pts, quarter_tris, quarter_tags)
-        nodes, tris, tags, (y_mirror, x_mirror) = mesh_module._merge_pieces(*args)
+        nodes, tris, tags = mesh_module._merge_pieces(*args)
         for got, want in zip((nodes, tris, tags), merge_oracle(*args)):
             assert_same_bytes(got, want)
         assert not np.any(np.signbit(nodes[nodes == 0.0]))
         assert tags[1] == TAG_OUTER
         assert len(nodes) == 13
         assert len(tris) == 4 * 4
-        # the handed-over mirrors map each node onto its reflection, the
-        # repeated and signed-zero points included
-        assert np.array_equal(nodes[y_mirror], nodes * [1.0, -1.0])
-        assert np.array_equal(nodes[x_mirror], nodes * [-1.0, 1.0])
-        assert y_mirror.dtype == x_mirror.dtype == np.intp
+        # the mirrors read off the four images map each node onto its
+        # reflection, the repeated and signed-zero points included (every
+        # node tagged outer, so that the quarter's interior nodes on the
+        # boundary make a valid mesh)
+        mesh = Mesh(nodes, tris, np.full(len(nodes), TAG_OUTER, dtype=np.int8))
+        assert np.array_equal(nodes[mesh.mirror], nodes * [1.0, -1.0])
+        assert np.array_equal(nodes[mesh.x_mirror], nodes * [-1.0, 1.0])
+        assert mesh.mirror.dtype == mesh.x_mirror.dtype == np.intp
 
 
 class TestGeometryOracles:
     """The construction without full-size temporaries reproduces the
-    whole-array bodies it replaced, and the merge's mirrors stand in for
-    the search only when they check out."""
+    whole-array bodies it replaced, and the mirrors read off the
+    four-image layout those of the coordinate search; other layouts get
+    none."""
 
     def test_annulus(self):
         assert_matches_geometry_oracles(build_annulus_mesh(AnnulusSpec(1.0, 2.0), 0.1))
 
-    def test_loaded_from_text(self, mesh02, tmp_path, monkeypatch):
+    def test_loaded_from_text(self, mesh02, tmp_path):
         path = tmp_path / "mesh.txt"
         save_mesh_text(mesh02, path)
-        searches = counting_find_mirror(monkeypatch)
         loaded, _ = load_mesh_text(path)
-        assert searches == [1, 0]  # no hand-over: both mirrors are searched
         assert_matches_geometry_oracles(loaded)
         assert_same_bytes(loaded.mirror, mesh02.mirror)
         assert_same_bytes(loaded.x_mirror, mesh02.x_mirror)
 
     def test_flipped_diagonal(self, mesh02):
-        assert_matches_geometry_oracles(flip_one_lower_diagonal(mesh02))
+        """The flipped quad straddles x = 0 and is its own image, so the
+        search still finds x -> -x; but the triangles are no longer the
+        four images of a quarter, so the mesh reads no mirror off them."""
+        mesh = flip_one_lower_diagonal(mesh02)
+        assert mesh.mirror is None and mesh.x_mirror is None
+        assert find_mirror_oracle(mesh, 0, _SAME_TAG) is not None
+        assert_matches_geometry_oracles(mesh, mirrors=False)
 
     def test_clockwise_elements_reoriented(self, mesh02):
         raw = mesh02.triangles.copy()
@@ -563,30 +598,66 @@ class TestGeometryOracles:
             Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]),
                  np.array(tags, dtype=np.int8))
 
-    @pytest.mark.parametrize("which", [0, 1], ids=["mirror", "x_mirror"])
-    def test_corrupted_hand_over_falls_back_to_the_search(self, mesh02, monkeypatch, which):
-        handed = [mesh02.mirror, mesh02.x_mirror]
-        bad = handed[which].copy()
-        bad[[0, 1]] = bad[[1, 0]]  # one pair swapped
-        handed[which] = bad
-        searches = counting_find_mirror(monkeypatch)
-        mesh = Mesh(mesh02.nodes, mesh02.triangles.copy(), mesh02.node_tags,
-                    mirrors=tuple(handed))
-        assert searches == [1 - which]
-        assert_same_bytes(mesh.mirror, mesh02.mirror)
-        assert_same_bytes(mesh.x_mirror, mesh02.x_mirror)
+    def test_caller_triangles_left_alone(self):
+        """Reorienting a clockwise element builds a new array; the caller's
+        is not rewritten.  Counterclockwise int64 triangles are taken as
+        they are, without a copy."""
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        tags = np.full(3, TAG_OUTER, dtype=np.int8)
+        tris = np.array([[0, 2, 1]])
+        mesh = Mesh(nodes, tris, tags)
+        assert tris.tolist() == [[0, 2, 1]]
+        assert mesh.triangles is not tris
+        assert mesh.triangles.tolist() == [[0, 1, 2]]
+        ccw = np.array([[0, 1, 2]])
+        assert Mesh(nodes, ccw, tags).triangles is ccw
 
-    def test_hand_over_needs_the_images_in_order(self, mesh02, monkeypatch):
-        """Elements that are not the four images in `_IMAGES` order fail
-        the image check, and the search still finds both mirrors."""
+    @pytest.mark.parametrize("layout", ["reordered", "rotated"])
+    def test_other_layouts_get_no_mirrors(self, mesh02, layout):
+        """The same symmetric mesh with two triangles swapped, or with every
+        element's vertices rotated, is not the four images in `_IMAGES`
+        order: both mirrors are None, though the coordinate search still
+        finds them."""
+        if layout == "reordered":
+            triangles = mesh02.triangles.copy()
+            triangles[[0, 1]] = triangles[[1, 0]]
+        else:
+            triangles = np.roll(mesh02.triangles, 1, axis=1)
+        mesh = Mesh(mesh02.nodes, triangles, mesh02.node_tags)
+        assert mesh.mirror is None and mesh.x_mirror is None
+        assert_same_bytes(find_mirror_oracle(mesh, 1, _MIRROR_TAG), mesh02.mirror)
+        assert_same_bytes(find_mirror_oracle(mesh, 0, _SAME_TAG), mesh02.x_mirror)
+
+    def test_one_ulp_breaks_the_x_mirror(self, mesh02):
+        """A node on y = 0 moved by one ulp in x breaks x -> -x only: the
+        node is its own image under y -> -y."""
+        nodes = mesh02.nodes.copy()
+        k = np.flatnonzero((nodes[:, 1] == 0.0) & (nodes[:, 0] > 0.0))[0]
+        nodes[k, 0] = np.nextafter(nodes[k, 0], np.inf)
+        mesh = Mesh(nodes, mesh02.triangles, mesh02.node_tags)
+        assert mesh.x_mirror is None
+        assert find_mirror_oracle(mesh, 0, _SAME_TAG) is None
+        assert_same_bytes(mesh.mirror, mesh02.mirror)
+
+    def test_reordered_mesh_solves_whole_to_rounding(self, mesh02):
+        """The reordered mesh has no mirrors, so the floating p = 3 solve
+        runs on the whole mesh; it agrees with the quarter solve to
+        rounding.  Measured on this mesh: T1, T2 and the gap within 7.3e-16
+        relative, the energy equal, and max |u - u_reduced| at 1.7e-14 of
+        max |u| (7.6e-16 and 8.9e-15 for T1 and T2 on the delta = 0.01
+        mesh); the bound 1e-12 leaves a factor of about 60 over the
+        largest."""
         triangles = mesh02.triangles.copy()
         triangles[[0, 1]] = triangles[[1, 0]]
-        searches = counting_find_mirror(monkeypatch)
-        mesh = Mesh(mesh02.nodes, triangles, mesh02.node_tags,
-                    mirrors=(mesh02.mirror, mesh02.x_mirror))
-        assert searches == [1, 0]
-        assert_same_bytes(mesh.mirror, mesh02.mirror)
-        assert_same_bytes(mesh.x_mirror, mesh02.x_mirror)
+        whole = solver.solve_floating(Mesh(mesh02.nodes, triangles, mesh02.node_tags,
+                                           mesh02.domain), p=3.0)
+        reduced = solver.solve_floating(mesh02, p=3.0)
+        assert (whole.parity, reduced.parity) == ((None, None), (-1, 1))
+        for a, b in ((whole.T1, reduced.T1), (whole.T2, reduced.T2),
+                     (whole.gap, reduced.gap), (whole.energy, reduced.energy)):
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+        scale = np.max(np.abs(reduced.u))
+        assert np.max(np.abs(whole.u - reduced.u)) <= 1e-12 * scale
 
     def test_build_memory_peak(self):
         """The traced peak (tracemalloc) of building the fine-p6 mesh at

@@ -35,6 +35,7 @@ from gaplaw.solver import (
 from gaplaw.mesh import load_mesh_text, save_mesh_text
 from gaplaw.sweep import SweepConfig
 from radial import fit_two_point, radial_eval
+from test_mesh import with_oracle_mirrors
 
 
 @pytest.fixture(scope="module")
@@ -853,7 +854,8 @@ def box_mesh(columns=7):
     elements at its centre on the axis; the left and right ones hold a
     node pair (x, +-1/2), so a mirror pair meets inside one element across
     the axis, which no two-disk mesh has (its axis is a row of element
-    edges); such a mesh is not reduced."""
+    edges); such a mesh is not reduced.  Its triangles are not four
+    images of a quarter, so its mirrors come from `find_mirror_oracle`."""
     xs = np.linspace(-1.0, 1.0, columns)
     nodes, tags = [], []
 
@@ -871,7 +873,7 @@ def box_mesh(columns=7):
                      [at[i, 0.5 * s], at[i + 1, s], at[i, s]]]
         tris += [[at[i, 0.5], at[i + 1, 0.5], centre], [at[i, -0.5], at[i + 1, -0.5], centre],
                  [at[i, 0.5], at[i, -0.5], centre], [at[i + 1, 0.5], at[i + 1, -0.5], centre]]
-    return Mesh(np.array(nodes), np.array(tris), np.array(tags))
+    return with_oracle_mirrors(Mesh(np.array(nodes), np.array(tris), np.array(tags)))
 
 
 def assert_assembly_matches_oracle(mesh, kind, outer, pinned, parity, p):
@@ -930,7 +932,7 @@ class TestReducedAssembly:
         local positions its terms come from."""
         shift = np.random.default_rng(5).integers(0, 3, two_disk.n_triangles)
         rolled = np.take_along_axis(two_disk.triangles, (np.arange(3) + shift[:, None]) % 3, 1)
-        mesh = Mesh(two_disk.nodes, rolled, two_disk.node_tags)
+        mesh = with_oracle_mirrors(Mesh(two_disk.nodes, rolled, two_disk.node_tags))
         at = mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)]
         for datum, parity in ((two_disk.domain.boundary_datum, (-1, 1)),
                               (lambda x, y: x + y, (None, None))):
@@ -1038,7 +1040,8 @@ class TestOrbitSums:
         # an element crossing the axis and its image
         y = np.array([-0.39, -0.09, 0.48])
         nodes = np.column_stack([np.tile([0.0, 1.0, 0.5], 2), np.concatenate([y, -y])])
-        mesh = Mesh(nodes, np.array([[0, 1, 2], [3, 4, 5]]), np.full(6, TAG_OUTER))
+        mesh = with_oracle_mirrors(
+            Mesh(nodes, np.array([[0, 1, 2], [3, 4, 5]]), np.full(6, TAG_OUTER)))
         assert mesh.mirror is not None
         outer = datum_values(lambda x, y: y, mesh.nodes)
         con = solver._build_constraints(mesh, "prescribed", outer, (0.0, None))

@@ -302,6 +302,12 @@ class TestSweepConfigValidation:
             with pytest.raises(ValueError, match=key):
                 SweepConfig.from_dict({**SweepConfig().to_dict(), key: value})
 
+    @pytest.mark.parametrize("text,kind", [("null", "NoneType"), ('"p"', "str"),
+                                           ("[1, 2]", "list"), ("3", "int")])
+    def test_config_must_be_an_object(self, text, kind):
+        with pytest.raises(ValueError, match=f"must be a JSON object, got {kind}"):
+            SweepConfig.from_json(text)
+
     def test_clearance_checked_at_the_widest_gap(self):
         # margin R_out - (2R + delta/2): 0.995 at delta_start = 0.04, but
         # above the clearance 1 from delta = 0.02 down the ladder
