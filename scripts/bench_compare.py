@@ -3,11 +3,14 @@
 
     python3 scripts/bench_compare.py --parent HEAD~1 --pairs 10 --seconds 30 --out BENCH.json
 
-The parent revision is exported with `git archive` into a temporary
-directory, and this tree's perfbench/ is copied over the export's, so one
-harness measures both sides.  For each workload, `perfbench/run.py --trace 0`
-then runs in alternating pairs: pair k runs both sides with the fresh seed
-`--seed` + k, and the side that goes first alternates from pair to pair.
+Both sides run from fresh copies in one temporary directory: the parent
+revision exported with `git archive`, and beside it the working tree's
+tracked files (`git ls-files`) as they are on disk, so uncommitted edits
+count and untracked files, `__pycache__` and `.perfbench-work` do not.
+HEAD's perfbench/ is put over both copies, so one harness measures both
+sides.  For each workload, `perfbench/run.py --trace 0` then runs in
+alternating pairs: pair k runs both sides with the fresh seed `--seed` + k,
+and the side that goes first alternates from pair to pair.
 After the pairs, one traced run (`--trace 1`, seed `--seed`) per side gives
 the per-layer metrics of one seed.
 
@@ -43,17 +46,32 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def export(rev: str, dest: Path) -> None:
-    """`rev`'s committed files in `dest`, with this tree's perfbench/."""
-    archive = dest / "export.tar"
-    git("archive", "--format=tar", "-o", str(archive), rev)
-    tree = dest / "tree"
-    tree.mkdir()
-    subprocess.run(["tar", "-xf", str(archive), "-C", str(tree)], check=True)
+def export(rev: str, dest: Path, *paths: str) -> None:
+    """`rev`'s committed files (under `paths`, if given) in `dest`."""
+    dest.mkdir(parents=True, exist_ok=True)
+    archive = dest.parent / f"{dest.name}.tar"
+    git("archive", "--format=tar", "-o", str(archive), rev, *paths)
+    subprocess.run(["tar", "-xf", str(archive), "-C", str(dest)], check=True)
     archive.unlink()
-    shutil.rmtree(tree / "perfbench", ignore_errors=True)
-    shutil.copytree(ROOT / "perfbench", tree / "perfbench",
-                    ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def copy_tracked(dest: Path) -> None:
+    """The working tree's tracked files, as they are on disk, in `dest`."""
+    for name in git("ls-files", "-z").split("\0"):
+        if name and (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+
+
+def fresh_trees(parent: str, tmp: Path) -> dict:
+    """Both sides copied under `tmp`, each with HEAD's perfbench/."""
+    trees = {"parent": tmp / "parent", "change": tmp / "change"}
+    export(parent, trees["parent"])
+    copy_tracked(trees["change"])
+    for tree in trees.values():
+        shutil.rmtree(tree / "perfbench", ignore_errors=True)
+        export("HEAD", tree, "perfbench")
+    return trees
 
 
 CENSUS = """
@@ -140,8 +158,7 @@ def main() -> int:
     out = {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
            "sides": sides, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-compare-") as tmp:
-        export(args.parent, Path(tmp))
-        trees = {"parent": Path(tmp) / "tree", "change": ROOT}
+        trees = fresh_trees(args.parent, Path(tmp))
         for side, tree in trees.items():
             sides[side]["options"] = options(tree)
         for workload in args.workloads.split(","):

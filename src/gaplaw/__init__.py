@@ -23,7 +23,6 @@ from .barriers import FluxBound, barrier_flux_bound
 from .flux import (
     FluxReport,
     R0Estimate,
-    boundary_flux,
     estimate_r0,
     flux_report,
     q_functional,

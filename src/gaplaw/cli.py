@@ -34,7 +34,7 @@ import sys
 from pathlib import Path
 
 from . import asymptotics
-from .flux import flux_report, r_delta
+from .flux import flux_report
 from .geometry import DIM, NeckSpec
 from .mesh import build_mesh
 from .solver import save_solution_text, solve_floating, solve_prescribed, solve_tied
@@ -116,7 +116,7 @@ def _cmd_solve(args) -> int:
         "combined_defect_rel": rep.combined_defect_rel,
     }
     if sol.kind == "tied":
-        flux_doc["r_delta"] = r_delta(sol)
+        flux_doc["r_delta"] = rep.flux_p2
     (outdir / "flux.json").write_text(
         json.dumps(flux_doc, sort_keys=True, indent=2) + "\n"
     )

@@ -46,7 +46,6 @@ __all__ = [
     "R0Estimate",
     "FluxError",
     "ExtrapolationUnreliableError",
-    "boundary_flux",
     "flux_report",
     "r_delta",
     "estimate_r0",
@@ -55,8 +54,6 @@ __all__ = [
     "sample_neck_flux",
 ]
 
-_CURVE_TAGS = {"outer": TAG_OUTER, "particle1": TAG_P1, "particle2": TAG_P2}
-_SUB_ARCS = ("s2", "particle2_away")  # pieces of particle 2 split by the neck window
 _R0_ABS_FLOOR = 1e-9  # R_delta misfits below this are solver roundoff, not noise
 R0_NOISE_TOL = 0.25  # largest R_delta misfit accepted, as a fraction of the data range
 
@@ -79,41 +76,15 @@ def _node_flux_weights(solution: DiscreteSolution) -> np.ndarray:
     return _grad_full(solution.mesh, solution.u, solution.p, solution.eps) / solution.p
 
 
-def _curve_sign(curve: str) -> float:
-    # particle normals flip from domain-outward to particle-outward
-    return 1.0 if curve == "outer" else -1.0
-
-
-def _neck_side(curve: str, neck: NeckSpec | None, pts: np.ndarray) -> np.ndarray:
-    """Mask of the points of particle 2 on sub-arc `curve`: the gap side
-    within the neck window for 's2', the rest for 'particle2_away'."""
-    if neck is None:
-        raise FluxError(f"curve {curve!r} needs a neck window")
+def _neck_side(neck: NeckSpec, pts: np.ndarray) -> np.ndarray:
+    """Mask of the points of particle 2 on the neck arc: the gap side
+    within the neck window."""
     # gap side of the particle only: |x| <= w excludes the far side
-    inside = (np.abs(pts[:, 0]) <= neck.w) & (pts[:, 1] < neck.pair.center2[1])
-    return inside if curve == "s2" else ~inside
-
-
-def _curve_nodes(mesh: Mesh, curve: str, neck: NeckSpec | None = None) -> np.ndarray:
-    if curve in _CURVE_TAGS:
-        idx = mesh.nodes_with_tag(_CURVE_TAGS[curve])
-        if len(idx) == 0:
-            raise FluxError(f"mesh has no nodes on curve {curve!r}")
-        return idx
-    if curve in _SUB_ARCS:
-        idx = mesh.nodes_with_tag(TAG_P2)
-        return idx[_neck_side(curve, neck, mesh.nodes[idx])]
-    raise FluxError(f"unknown curve {curve!r}")
-
-
-def _summed_flux(w: np.ndarray, mesh: Mesh, curve: str, neck: NeckSpec | None = None) -> float:
-    """Variational flux through `curve` from the node weights w of
-    `_node_flux_weights`, in the module's normal convention."""
-    return _curve_sign(curve) * float(np.sum(w[_curve_nodes(mesh, curve, neck)]))
+    return (np.abs(pts[:, 0]) <= neck.w) & (pts[:, 1] < neck.pair.center2[1])
 
 
 def _neck_edges(mesh: Mesh, neck: NeckSpec):
-    """Boundary edges of particle 2 on the neck arc 's2': the edges, their
+    """Boundary edges of particle 2 on the neck arc: the edges, their
     owning elements, midpoints and unit normals out of the domain (into
     particle 2).  A boundary edge is stored in the vertex order of its
     counterclockwise owner, so its right-hand normal points outward."""
@@ -121,25 +92,11 @@ def _neck_edges(mesh: Mesh, neck: NeckSpec):
     a = mesh.nodes[edges[:, 0]]
     b = mesh.nodes[edges[:, 1]]
     mid = 0.5 * (a + b)
-    sel = _neck_side("s2", neck, mid)
+    sel = _neck_side(neck, mid)
     tang = b[sel] - a[sel]
     lengths = np.hypot(tang[:, 0], tang[:, 1])
     normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
     return edges[sel], owners[sel], mid[sel], normals
-
-
-def boundary_flux(
-    solution: DiscreteSolution,
-    curve: str,
-    neck: NeckSpec | None = None,
-) -> float:
-    """Flux through a tagged curve or neck sub-arc.
-
-    curve: 'outer' | 'particle1' | 'particle2' | 's2' | 'particle2_away'.
-    Normals follow the module convention (outer: out of the domain,
-    particles: out of the particle).
-    """
-    return _summed_flux(_node_flux_weights(solution), solution.mesh, curve, neck)
 
 
 @dataclass(frozen=True)
@@ -191,17 +148,29 @@ class FluxReport:
 
 
 def flux_report(solution: DiscreteSolution, neck: NeckSpec | None = None) -> FluxReport:
-    """Assemble the per-curve flux table for one converged solve."""
+    """Assemble the per-curve flux table for one converged solve.
+
+    This is where every boundary flux is summed: each curve's flux is the
+    sum of the `_node_flux_weights` over its nodes, with the sign flipped
+    on the particles (their normals point out of the particle).  Given a
+    neck, particle 2 is also split into the neck arc and the rest.
+    """
     mesh = solution.mesh
     w = _node_flux_weights(solution)
-    have_p2 = len(mesh.nodes_with_tag(TAG_P2)) > 0
-    f_out = _summed_flux(w, mesh, "outer")
-    f_p1 = _summed_flux(w, mesh, "particle1")
-    f_p2 = _summed_flux(w, mesh, "particle2") if have_p2 else 0.0
+    outer = mesh.nodes_with_tag(TAG_OUTER)
+    p1 = mesh.nodes_with_tag(TAG_P1)
+    p2 = mesh.nodes_with_tag(TAG_P2)
+    for curve, idx in (("outer", outer), ("particle1", p1)):
+        if len(idx) == 0:
+            raise FluxError(f"mesh has no nodes on curve {curve!r}")
+    f_out = float(np.sum(w[outer]))
+    f_p1 = -float(np.sum(w[p1]))
+    f_p2 = -float(np.sum(w[p2])) if len(p2) > 0 else 0.0
     f_s2 = f_away = None
-    if neck is not None and have_p2:
-        f_s2 = _summed_flux(w, mesh, "s2", neck)
-        f_away = _summed_flux(w, mesh, "particle2_away", neck)
+    if neck is not None and len(p2) > 0:
+        arc = _neck_side(neck, mesh.nodes[p2])
+        f_s2 = -float(np.sum(w[p2[arc]]))
+        f_away = -float(np.sum(w[p2[~arc]]))
     pieces = [f_out, f_p1, f_p2] + [v for v in (f_s2, f_away) if v is not None]
     scale = max(abs(v) for v in pieces)
     return FluxReport(
@@ -222,7 +191,7 @@ def r_delta(solution: DiscreteSolution) -> float:
     """Net flux through particle 2 of a tied solve (particle-outward)."""
     if solution.kind != "tied":
         raise FluxError(f"r_delta is defined for tied solves, got {solution.kind!r}")
-    return boundary_flux(solution, "particle2")
+    return flux_report(solution).flux_p2
 
 
 @dataclass(frozen=True)
@@ -323,13 +292,9 @@ def q_functional(v1: DiscreteSolution, v2: DiscreteSolution,
         if (sol.T1, sol.T2) != pinned:
             raise FluxError(f"q_functional: {name} has particle potentials "
                             f"{(sol.T1, sol.T2)}, expected {pinned}")
-    a = np.empty((2, 3))
-    b = np.empty(3)
-    for j, sol in enumerate((v1, v2, v3)):
-        w = _node_flux_weights(sol)
-        a[0, j] = _summed_flux(w, mesh, "particle1")
-        a[1, j] = _summed_flux(w, mesh, "particle2")
-        b[j] = _summed_flux(w, mesh, "outer")
+    reps = [flux_report(sol) for sol in (v1, v2, v3)]
+    a = np.array([[r.flux_p1 for r in reps], [r.flux_p2 for r in reps]])
+    b = np.array([r.flux_outer for r in reps])
     Q = a[0, 2] * b[1] - a[1, 2] * b[0]
     denom = a[0, 0] + a[0, 1] + a[1, 0] + a[1, 1]
     T = -(a[0, 2] + a[1, 2]) / denom

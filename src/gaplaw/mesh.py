@@ -741,8 +741,8 @@ def load_mesh_text(path) -> tuple[Mesh, np.ndarray | None]:
     and `value i` count from 0 in file order) or a vertex index outside
     the `counts` header's node range raises MeshError naming its line; so
     do node, triangle or value records that do not match the `counts`
-    header in number.  Other records (the `sizes` of older files among
-    them) are skipped.
+    header in number, and so does a header that counts no triangles.
+    Other records (the `sizes` of older files among them) are skipped.
     """
     name_to_tag = {v: k for k, v in _TAG_NAMES.items()}
     widths = {"counts": 4, "node": 5, "tri": 5, "value": 3}  # name included
@@ -789,6 +789,9 @@ def load_mesh_text(path) -> tuple[Mesh, np.ndarray | None]:
         if len(got) != want:
             raise MeshError(f"{path}: {len(got)} {name} records, the counts header "
                             f"{n_nodes} {n_tris} {has_values} asks for {want}")
+    if n_tris == 0:
+        raise MeshError(f"{path}: the counts header {n_nodes} {n_tris} {has_values} "
+                        "describes a mesh with no triangles")
     triangles = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
     outside = np.flatnonzero(np.any((triangles < 0) | (triangles >= n_nodes), axis=1))
     if len(outside):

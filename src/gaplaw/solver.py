@@ -107,9 +107,13 @@ ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the backtracking line search
 ARMIJO_SHRINK = 0.5  # step factor per backtrack
 ARMIJO_MAX_BACKTRACKS = 50
 # Inexact Newton: the forcing-term bounds and the CG budget before a
-# refactor.  A CG step costs a few ms against ~80 ms per factorization of a
-# 20k-dof Hessian, so the forcing term is kept loose (ETA_MAX 1e-2); a
-# tight one (1e-8) spent the saved factorizations on CG steps instead.
+# refactor.  On the 4.3k-dof quarter Hessian of the fine p = 6 floating
+# solve (19.7k nodes, 2-CPU host) a preconditioner solve takes 0.2-0.4 ms
+# against 4.6-7.6 ms per factorization, so the forcing term is kept loose
+# (ETA_MAX 1e-2); a tight one (1e-8) spent the saved factorizations on CG
+# steps instead.  The floating and tied solves at p = 3 and 6 on that mesh
+# took 0.43, 0.41-0.45, 0.39, 0.40-0.42 and 0.43-0.45 s with 26, 20-21,
+# 17, 13 and 13 factorizations at CG_MAX_ITER 4, 6, 8, 12 and 16.
 ETA_MAX = 1e-2
 ETA_MIN = 1e-6
 CG_MAX_ITER = 8

@@ -101,6 +101,7 @@ class TestSolveCommand:
         assert rc == 0
         flux = json.loads((out / "flux.json").read_text())
         assert flux["r_delta"] > 0.0
+        assert flux["r_delta"] == flux["flux_particle2"]
 
 
 class TestFitAndReport:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gaplaw.flux import (
     ExtrapolationUnreliableError,
     FluxError,
-    boundary_flux,
     estimate_r0,
     flux_report,
     q_functional,
@@ -50,8 +49,9 @@ def tied(two_disk):
 class TestBoundaryFlux:
     def test_constant_solution_zero(self, two_disk):
         sol = solve_floating(two_disk, p=2.0, datum=lambda x, y: 1.0)
-        for curve in ("outer", "particle1", "particle2"):
-            assert abs(boundary_flux(sol, curve)) <= 1e-10
+        rep = flux_report(sol)
+        for flux in (rep.flux_outer, rep.flux_p1, rep.flux_p2):
+            assert abs(flux) <= 1e-10
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_annulus_radial_flux(self, p):
@@ -61,20 +61,17 @@ class TestBoundaryFlux:
         prof = fit_two_point(1.0, 0.0, 2.0, 1.0, p=p, d=2)
         gr = radial_gradient(prof, 1.3)
         exact = 2 * math.pi * 1.3 * abs(gr) ** (p - 2) * gr
-        inner = boundary_flux(sol, "particle1")
-        outer = boundary_flux(sol, "outer")
+        rep = flux_report(sol)
+        inner, outer = rep.flux_p1, rep.flux_outer
         # both equal the exact radial flux; conservation ties them together
         assert inner == pytest.approx(exact, rel=2e-4)
         assert outer == pytest.approx(exact, rel=2e-4)
         assert abs(inner - outer) <= 1e-10 * abs(exact)
 
-    def test_unknown_curve(self, floating):
-        with pytest.raises(FluxError):
-            boundary_flux(floating, "everything")
-
     def test_floating_per_particle_zero(self, floating):
-        assert abs(boundary_flux(floating, "particle1")) <= 1e-10
-        assert abs(boundary_flux(floating, "particle2")) <= 1e-10
+        rep = flux_report(floating)
+        assert abs(rep.flux_p1) <= 1e-10
+        assert abs(rep.flux_p2) <= 1e-10
 
 
 class TestFluxConservation:
@@ -136,7 +133,7 @@ class TestFluxReport:
 class TestRDelta:
     def test_positive_under_canonical_datum(self, tied, neck):
         assert r_delta(tied) > 0.0
-        assert boundary_flux(tied, "particle2_away", neck) > 0.0
+        assert flux_report(tied, neck).flux_p2_away > 0.0
 
     def test_kind_guard(self, floating):
         with pytest.raises(FluxError):
@@ -147,8 +144,8 @@ class TestRDelta:
         # near-window flux density times the arc shift
         n1 = NeckSpec(two_disk.domain.pair, 0.125)
         n2 = NeckSpec(two_disk.domain.pair, 0.25)
-        a = boundary_flux(tied, "particle2_away", n1)
-        b = boundary_flux(tied, "particle2_away", n2)
+        a = flux_report(tied, n1).flux_p2_away
+        b = flux_report(tied, n2).flux_p2_away
         assert abs(a - b) <= 2.0 * abs(0.25 - 0.125)
 
     def test_constant_datum_zero(self, two_disk):
@@ -163,7 +160,7 @@ class TestRDelta:
         gm = grad_max(tied, "all")[0]
         for w in (0.125, 0.25):
             neck_w = NeckSpec(two_disk.domain.pair, w)
-            diff = abs(r_delta(tied) - boundary_flux(tied, "particle2_away", neck_w))
+            diff = abs(r_delta(tied) - flux_report(tied, neck_w).flux_p2_away)
             R = neck_w.pair.R
             arc_length = 2.0 * R * math.asin(w / R)
             assert diff <= 2.0 * gm ** (tied.p - 1.0) * arc_length
@@ -250,6 +247,13 @@ class TestQFunctional:
         # superposed tied solution matches the genuine tied solve
         assert rep.R_delta == pytest.approx(r_delta(tied), rel=1e-10)
         assert rep.T_tied == pytest.approx(tied.T1, abs=1e-10)
+
+    def test_fluxes_are_the_auxiliaries_reports(self, aux):
+        # one summing path: a and b are the fields of each auxiliary's report
+        rep = q_functional(*aux)
+        reports = [flux_report(v) for v in aux]
+        assert rep.a == (tuple(r.flux_p1 for r in reports), tuple(r.flux_p2 for r in reports))
+        assert rep.b == (reports[0].flux_outer, reports[1].flux_outer)
 
     def test_mesh_mismatch_rejected(self, two_disk, aux):
         other = build_mesh(DomainSpec(pair=ParticlePair(R=1.0, delta=0.02), R_out=4.0))

@@ -871,6 +871,17 @@ class TestLoadValidation:
         with pytest.raises(MeshError, match=f"line {k + 1}: .*unknown tag 'particle9'"):
             load_mesh_text(path)
 
+    @pytest.mark.parametrize("records", [
+        "counts 0 0 0\n",
+        "counts 3 0 0\nnode 0 0.0 0.0 outer\nnode 1 1.0 0.0 outer\nnode 2 0.0 1.0 outer\n",
+    ], ids=["no-nodes", "no-triangles"])
+    def test_empty_mesh(self, tmp_path, records):
+        path = tmp_path / "empty.txt"
+        path.write_text("# gaplaw mesh/text v1\n" + records)
+        with pytest.raises(MeshError, match="describes a mesh with no triangles") as exc:
+            load_mesh_text(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
     @staticmethod
     def triangle_file(tmp_path, node2="node 2 0.0 1.0 outer", tri="tri 0 0 1 2"):
         path = tmp_path / "triangle.txt"
