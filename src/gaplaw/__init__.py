@@ -14,7 +14,6 @@ from .asymptotics import (
     c_o_quadrature,
     c_o_table,
     gamma_exponent,
-    neck_integral,
     predict,
     table_consistency_report,
     wallis_product,

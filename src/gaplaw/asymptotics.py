@@ -11,25 +11,15 @@ any window width w, with
     gamma = p - 3/2   (d = 2),      gamma = p - 2   (d = 3, p > 2),
 
 while (p, d) = (2, 3) degenerates to a logarithm: J ~ pi*R*log(1/delta).
-
-J itself has closed forms.  With x = sqrt(R*delta) t and T^2 = w^2/(R*delta),
-
-    d = 3:  J = pi*R*delta^(2-p) * (1 - (1+T^2)^(2-p)) / (p-2)
-              (pi*R*log(1+T^2) at p = 2),
-    d = 2:  J = sqrt(R*delta)*delta^(1-p) * B(1/2, p-3/2)
-              * I_{1/(1+T^2)}^c(p-3/2, 1/2),
-
-the second by s = t^2/(1+t^2), with B the beta function and I^c the
-complement of the regularized incomplete beta function.  As delta -> 0,
-T -> infinity, the last factor tends to 1 in d = 2 and (1+T^2)^(2-p) to 0
-in d = 3, so the limit constant is (`c_o_quadrature`)
+The limit constant is (`c_o_quadrature`)
 
     d = 2:  C_o = sqrt(R) * B(1/2, p - 3/2),
     d = 3:  C_o = pi * R / (p - 2),
 
-whatever the window width.  The test-suite checks the gamma above against
-the slope of J down a delta ladder, and C_o against delta^gamma * J at a
-tiny delta.
+whatever the window width, with B the beta function.  A run needs only
+gamma and C_o, never J itself.  The closed forms of J are the test oracle
+`tests/neck.py`: the tests check gamma against the slope of J down a
+delta ladder, and C_o against delta^gamma * J at a tiny delta.
 
 For integer p the limit constant has closed forms (`c_o_table`).  In
 d = 2 the table and the limit agree:
@@ -47,8 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import beta, betaincc
-
 __all__ = [
     "LogCaseError",
     "UnsupportedRegimeError",
@@ -58,7 +46,6 @@ __all__ = [
     "is_log_case",
     "wallis_product",
     "c_o_table",
-    "neck_integral",
     "c_o_quadrature",
     "predict",
     "table_consistency_report",
@@ -80,12 +67,19 @@ def is_log_case(p: float, d: int) -> bool:
 def _check_pd(p: float, d: int) -> None:
     if d not in (2, 3):
         raise ValueError(f"dimension d={d} must be 2 or 3")
+    if not math.isfinite(p):
+        raise ValueError(f"exponent p={p} must be finite")
     if p < 2.0:
         raise ValueError(f"exponent p={p} must be >= 2")
     if d > p and not is_log_case(p, d):
         raise UnsupportedRegimeError(
             f"(p, d)=({p}, {d}) with d > p is outside the supported blow-up regime"
         )
+
+
+def _check_R(R: float) -> None:
+    if not (math.isfinite(R) and R > 0.0):
+        raise ValueError(f"radius R={R} must be positive and finite")
 
 
 def gamma_exponent(p: float, d: int) -> float:
@@ -123,12 +117,11 @@ def c_o_table(p: int, d: int, R: float) -> float:
     p = 3, 4 entries; see `table_consistency_report` for how it compares
     against the direct disk-integral limit.
     """
+    _check_pd(p, d)
     if int(p) != p:
         raise ValueError(f"c_o_table needs integer p (got {p}); use c_o_quadrature")
     p = int(p)
-    _check_pd(p, d)
-    if R <= 0.0:
-        raise ValueError(f"R must be positive, got {R}")
+    _check_R(R)
     if d == 2:
         return math.pi * math.sqrt(R) * wallis_product(p)
     if is_log_case(p, d):
@@ -136,58 +129,29 @@ def c_o_table(p: int, d: int, R: float) -> float:
     return math.pi * R / (2.0 ** (p - 2) * (p - 2))
 
 
-def neck_integral(delta: float, w: float, R: float, p: float, d: int) -> float:
-    """Neck conductance integral at gap delta and window half-width w.
-
-    d = 2: integral_{-w}^{w} (delta + x^2/R)^(1-p) dx.
-    d = 3: 2*pi * integral_0^w r (delta + r^2/R)^(1-p) dr.
-
-    Evaluated in closed form (module docstring): log1p/expm1 in d = 3,
-    the complementary incomplete beta function at 1/(1+T^2) in d = 2, so
-    nothing cancels for any delta > 0.
-
-    Only the tests read it, but it stays here: it is the object whose
-    blow-up exponent acceptance criterion 2 fits, and the one reader of
-    `scipy.special.betaincc`.
-    """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if not 0.0 < w:
-        raise ValueError(f"window half-width must be positive, got {w}")
-    if R <= 0.0:
-        raise ValueError(f"R must be positive, got {R}")
-    if p < 2.0:
-        raise ValueError(f"p must be >= 2, got {p}")
-    if d not in (2, 3):
-        raise ValueError(f"d must be 2 or 3, got {d}")
-
-    T2 = w * w / (R * delta)
-    if d == 2:
-        a = p - 1.5
-        return float(math.sqrt(R * delta) * delta ** (1.0 - p)
-                     * beta(0.5, a) * betaincc(a, 0.5, 1.0 / (1.0 + T2)))
-    L = math.log1p(T2)
-    if p == 2.0:
-        return math.pi * R * L
-    return math.pi * R * delta ** (2.0 - p) * -math.expm1((2.0 - p) * L) / (p - 2.0)
-
-
 def c_o_quadrature(p: float, d: int, R: float) -> float:
-    """Limit constant C_o = lim_{delta -> 0} delta^gamma * neck_integral.
+    """Limit constant C_o = lim_{delta -> 0} delta^gamma * J(delta).
 
-    The limit of the closed form of J (module docstring), the same for
-    every window width: sqrt(R) * B(1/2, p - 3/2) in d = 2 and
-    pi * R / (p - 2) in d = 3.
+    The same for every window width: sqrt(R) * B(1/2, p - 3/2) in d = 2,
+    with B(1/2, a) = Gamma(1/2) Gamma(a) / Gamma(a + 1/2), and
+    pi * R / (p - 2) in d = 3.  Raises ValueError where Gamma(p - 1)
+    overflows (p above about 172).
     """
     _check_pd(p, d)
     if is_log_case(p, d):
         raise LogCaseError(
             "(p, d) = (2, 3) grows like log(1/delta); no power-law constant"
         )
-    if R <= 0.0:
-        raise ValueError(f"R must be positive, got {R}")
+    _check_R(R)
     if d == 2:
-        return float(math.sqrt(R) * beta(0.5, p - 1.5))
+        a = p - 1.5
+        try:
+            B = math.sqrt(math.pi) * math.gamma(a) / math.gamma(a + 0.5)
+        except OverflowError:
+            raise ValueError(
+                f"exponent p={p} is too large: Gamma(p - 1) overflows a float"
+            ) from None
+        return math.sqrt(R) * B
     return math.pi * R / (p - 2.0)
 
 
@@ -227,8 +191,11 @@ def predict(p: float, d: int, R: float, R0: float, delta: float,
     pi*R of J ~ pi*R*log(1/delta).
     """
     _check_pd(p, d)
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _check_R(R)
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta={delta} must be positive and finite")
+    if not math.isfinite(R0):
+        raise ValueError(f"flux constant R0={R0} must be finite")
     if R0 < 0.0:
         raise ValueError(
             f"R0={R0} < 0: swap the particle labels so the flux constant is positive"
@@ -236,6 +203,8 @@ def predict(p: float, d: int, R: float, R0: float, delta: float,
     log_case = is_log_case(p, d)
     if C_o is None:
         C_o = math.pi * R if log_case else c_o_quadrature(p, d, R)
+    elif not (math.isfinite(C_o) and C_o > 0.0):
+        raise ValueError(f"limit constant C_o={C_o} must be positive and finite")
     pm1 = p - 1.0
     if log_case:
         gamma = None
@@ -298,6 +267,7 @@ def table_consistency_report(p: float, d: int, R: float) -> ConstantsReport:
     limit value is reported.
     """
     _check_pd(p, d)
+    _check_R(R)
     if is_log_case(p, d):
         return ConstantsReport(
             p=p, d=d, R=R, gamma=None,

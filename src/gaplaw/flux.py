@@ -214,12 +214,16 @@ class R0Estimate:
 def estimate_r0(pairs) -> R0Estimate:
     """Extrapolate R_delta -> R0 from (delta, R_delta) pairs.
 
-    The deltas must be strictly decreasing, at least 3 of them.  Raises
+    The pairs must be finite and the deltas strictly decreasing, at least
+    3 of them.  Raises
     ExtrapolationUnreliableError (carrying the ladder) when the
     linear-in-delta fit misfits by more than R0_NOISE_TOL of the data range
     and by more than solver roundoff.
     """
     pairs = [(float(d), float(v)) for d, v in pairs]
+    bad = [pair for pair in pairs if not np.isfinite(pair).all()]
+    if bad:
+        raise ValueError(f"(delta, R_delta) pairs must be finite, got {bad}")
     if any(b >= a for (a, _), (b, _) in zip(pairs, pairs[1:])):
         raise ValueError("delta ladder must be strictly decreasing")
     if len(pairs) < 3:

@@ -713,10 +713,14 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, cfg: SolverConfig,
     if p < 2.0:
         raise SolverError(f"exponent p={p} must be >= 2")
     outer_vals = datum_values(datum, mesh.nodes[mesh.nodes_with_tag(TAG_OUTER)])
+    fixed = {f"T{k}": v for k, v in enumerate(pinned or (), 1) if v is not None}
+    bad = [f"{name}={v}" for name, v in fixed.items() if not math.isfinite(v)]
+    if not np.isfinite(outer_vals).all():
+        bad.append("the datum on the outer boundary")
+    if bad:
+        raise SolverError(f"fixed values must be finite: {', '.join(bad)}")
     con = _build_constraints(mesh, kind, outer_vals, pinned)
-    vals = outer_vals
-    if kind == "prescribed" and pinned is not None:
-        vals = np.concatenate([outer_vals, [v for v in pinned if v is not None]])
+    vals = np.concatenate([outer_vals, list(fixed.values())])
     span = float(np.max(vals) - np.min(vals)) if len(vals) else 0.0
     eps = cfg.eps_scale * span / _domain_scale(mesh)
 

@@ -287,14 +287,12 @@ class SweepRecord:
     q_report: QReport | None = field(default=None, repr=False)
     floating_reports: FluxReport | None = field(default=None, repr=False)
     tied_reports: FluxReport | None = field(default=None, repr=False)
-    floating_solution: DiscreteSolution | None = field(default=None, repr=False)
-    tied_solution: DiscreteSolution | None = field(default=None, repr=False)
 
     def csv_row(self) -> str:
         return ",".join(fmt(getattr(self, name)) for name, (fmt, _) in _CSV_CODEC.items())
 
 
-def run_sweep(config: SweepConfig, keep_solutions: bool = False) -> list[SweepRecord]:
+def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """One record per ladder delta, floating + tied solves throughout.
 
     At p = 2 each record also carries the Q functional (`q_report`) of
@@ -343,9 +341,6 @@ def run_sweep(config: SweepConfig, keep_solutions: bool = False) -> list[SweepRe
                       else solve_linear_aux(mesh, "v2", config=scfg))
                 v3 = tsol if tsol.parity[0] == -1 else solve_linear_aux(mesh, "v3", config=scfg)
                 rec.q_report = q_functional(v1, v2, v3)
-            if keep_solutions:
-                rec.floating_solution = fsol
-                rec.tied_solution = tsol
         except Exception as exc:  # noqa: BLE001 - per-point fault isolation
             rec.error = f"{type(exc).__name__}: {exc}"
             failures.append((delta, rec.error))
@@ -583,17 +578,28 @@ def records_to_csv(records: list[SweepRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[SweepRecord]:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].split(",") != list(CSV_COLUMNS):
+    """The records of a sweep.csv text.  Raises ValueError naming the line
+    and the column of a value that does not parse or is not finite
+    (`records_to_csv` writes neither: it skips the failed deltas)."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1].split(",") != list(CSV_COLUMNS):
         raise ValueError("not a sweep.csv file (unexpected header)")
     records = []
-    for ln in lines[1:]:
+    for k, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(CSV_COLUMNS):
-            raise ValueError(f"sweep.csv row has {len(parts)} fields, expected {len(CSV_COLUMNS)}")
-        records.append(SweepRecord(**{
-            name: parse(v) for (name, (_, parse)), v in zip(_CSV_CODEC.items(), parts)
-        }))
+            raise ValueError(f"sweep.csv line {k} has {len(parts)} fields, "
+                             f"expected {len(CSV_COLUMNS)}")
+        values = {}
+        for (name, (_, parse)), v in zip(_CSV_CODEC.items(), parts):
+            try:
+                values[name] = parse(v)
+            except ValueError:
+                raise ValueError(f"sweep.csv line {k}, column {name}: "
+                                 f"{v!r} does not parse") from None
+            if not math.isfinite(values[name]):
+                raise ValueError(f"sweep.csv line {k}, column {name}: {v!r} is not finite")
+        records.append(SweepRecord(**values))
     return records
 
 

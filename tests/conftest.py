@@ -7,7 +7,7 @@ from gaplaw.sweep import SweepConfig, run_sweep
 def run_benchmark(p: float):
     """Full pipeline on the default five-point ladder 0.04 -> 0.0025."""
     cfg = SweepConfig(p=p)
-    records = run_sweep(cfg, keep_solutions=True)
+    records = run_sweep(cfg)
     r0, pred, fits, verdicts = analyze(records, cfg.p, cfg.R)
     return {
         "config": cfg,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,11 +11,11 @@ from gaplaw.asymptotics import (
     c_o_table,
     gamma_exponent,
     is_log_case,
-    neck_integral,
     predict,
     table_consistency_report,
     wallis_product,
 )
+from neck import neck_integral
 
 
 class TestGammaExponent:
@@ -178,6 +179,65 @@ class TestCOQuadrature:
     def test_log_case_refused(self):
         with pytest.raises(LogCaseError):
             c_o_quadrature(2, 3, 1.0)
+
+    @pytest.mark.parametrize("p", [2, 2.25, 2.5, 3, 3.5, 4, 5, 6, 8, 10, 14, 20])
+    def test_accuracy_against_mpmath(self, p):
+        # B(1/2, p - 3/2) at 50 digits; p is exact in binary, so the
+        # reference has no rounding of its own
+        with mpmath.workdps(50):
+            exact = mpmath.beta(mpmath.mpf(1) / 2, mpmath.mpf(p) - mpmath.mpf(3) / 2)
+            err = abs(mpmath.mpf(c_o_quadrature(p, 2, 1.0)) - exact)
+            assert err <= 4 * math.ulp(float(exact)), (p, float(err / math.ulp(float(exact))))
+
+    def test_p3_is_half_pi(self):
+        assert abs(c_o_quadrature(3, 2, 1.0) - math.pi / 2) <= math.ulp(math.pi / 2)
+
+    def test_gamma_overflow_names_p(self):
+        assert math.isfinite(c_o_quadrature(172.5, 2, 1.0))
+        with pytest.raises(ValueError, match="p=200"):
+            c_o_quadrature(200, 2, 1.0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("p", NON_FINITE)
+    @pytest.mark.parametrize("call", [
+        lambda p: gamma_exponent(p, 2),
+        lambda p: c_o_table(p, 2, 1.0),
+        lambda p: c_o_quadrature(p, 2, 1.0),
+        lambda p: predict(p, 2, 1.0, 1.0, 1e-3),
+        lambda p: predict(p, 2, 1.0, 1.0, 1e-3, C_o=1.0),
+        lambda p: table_consistency_report(p, 2, 1.0),
+    ], ids=["gamma", "table", "limit", "predict", "predict-C_o", "report"])
+    def test_p_named(self, call, p):
+        with pytest.raises(ValueError, match=f"exponent p={p} must be finite"):
+            call(p)
+
+    @pytest.mark.parametrize("R", NON_FINITE)
+    @pytest.mark.parametrize("call", [
+        lambda R: c_o_table(3, 2, R),
+        lambda R: c_o_quadrature(3, 2, R),
+        lambda R: c_o_quadrature(3, 3, R),
+        lambda R: predict(3, 2, R, 1.0, 1e-3),
+        lambda R: predict(3, 2, R, 1.0, 1e-3, C_o=1.0),
+        lambda R: predict(2, 3, R, 1.0, 1e-3),
+        lambda R: table_consistency_report(2, 3, R),
+    ], ids=["table", "limit-d2", "limit-d3", "predict", "predict-C_o", "predict-log",
+            "report-log"])
+    def test_R_named(self, call, R):
+        with pytest.raises(ValueError, match=f"radius R={R} must be positive and finite"):
+            call(R)
+
+    @pytest.mark.parametrize("R0,delta,C_o,named", [
+        (math.nan, 1e-3, 1.0, "R0=nan"), (1.0, math.nan, 1.0, "delta=nan"),
+        (1.0, math.inf, 1.0, "delta=inf"), (1.0, 1e-3, math.nan, "C_o=nan"),
+        (1.0, 1e-3, 0.0, "C_o=0.0"), (1.0, 1e-3, -1.0, "C_o=-1.0"),
+    ])
+    def test_predict_R0_delta_and_C_o_named(self, R0, delta, C_o, named):
+        with pytest.raises(ValueError, match=named):
+            predict(3, 2, 1.0, R0, delta, C_o=C_o)
 
 
 class TestPredict:

@@ -9,7 +9,7 @@ import pytest
 
 import gaplaw
 from gaplaw.cli import main
-from gaplaw.sweep import SweepConfig
+from gaplaw.sweep import CSV_COLUMNS, SweepConfig, records_to_csv, run_sweep
 
 
 @pytest.fixture()
@@ -51,6 +51,16 @@ class TestConstants:
 
     def test_error_exit_code(self, capsys):
         assert main(["constants", "--p", "1.5", "--d", "2"]) == 1
+
+    @pytest.mark.parametrize("argv,named", [
+        (["--p", "nan", "--d", "2"], "p=nan"), (["--p", "inf", "--d", "2"], "p=inf"),
+        (["--p", "3", "--d", "2", "--R", "nan"], "R=nan"),
+        (["--p", "2", "--d", "3", "--R", "inf"], "R=inf"),
+        (["--p", "200", "--d", "2"], "p=200"),
+    ])
+    def test_bad_value_named(self, capsys, argv, named):
+        assert main(["constants", *argv]) == 1
+        assert named in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -104,7 +114,37 @@ class TestSolveCommand:
         assert flux["r_delta"] == flux["flux_particle2"]
 
 
+@pytest.fixture(scope="module")
+def tiny_csv(tmp_path_factory):
+    cfg = SweepConfig(p=2.0, delta_start=0.04, delta_ratio=0.5, delta_count=3, h_far=0.45)
+    path = tmp_path_factory.mktemp("tiny-sweep") / "sweep.csv"
+    path.write_text(records_to_csv(run_sweep(cfg)))
+    return path
+
+
 class TestFitAndReport:
+    @pytest.mark.parametrize("command", ["report", "fit"])
+    @pytest.mark.parametrize("flag,value", [("--p", "nan"), ("--p", "inf"), ("--R", "nan")])
+    def test_non_finite_p_or_R_named(self, tiny_csv, tmp_path, capsys, command, flag, value):
+        options = {"--p": "2", "--R": "1", flag: value}
+        argv = [command, "--records", str(tiny_csv), *sum(options.items(), ())]
+        if command == "report":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert f"{flag[2:]}={value}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_non_finite_record_named(self, tiny_csv, tmp_path, capsys):
+        header, first, *rest = tiny_csv.read_text().splitlines()
+        parts = first.split(",")
+        parts[CSV_COLUMNS.index("r_delta")] = "nan"
+        bad = tmp_path / "sweep.csv"
+        bad.write_text("\n".join([header, ",".join(parts), *rest]) + "\n")
+        out = tmp_path / "out"
+        assert main(["report", "--records", str(bad), "--p", "2", "--out", str(out)]) == 1
+        assert "line 2, column r_delta: 'nan' is not finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_fit_from_csv(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "out"
         main(["sweep", "--config", str(tiny_config), "--out", str(out)])
@@ -145,7 +185,25 @@ SRC = Path(gaplaw.__file__).resolve().parent
 class TestNoRuntimeSympy:
     """sympy is the tests' exactness oracle, not a runtime dependency; the
     neck integrals are closed forms, so scipy.integrate and scipy.optimize
-    are not runtime dependencies either."""
+    are not runtime dependencies either, and the limit constant takes its
+    beta function from math.gamma, so scipy.special is not one."""
+
+    def test_import_surface(self):
+        imported = {}
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    if name.split(".")[0] not in sys.stdlib_module_names:
+                        imported.setdefault(name, []).append(path.name)
+        assert sorted(imported) == ["numpy", "scipy.sparse", "scipy.sparse.linalg",
+                                    "scipy.spatial"], imported
+        assert all("asymptotics.py" not in files for files in imported.values()), imported
 
     def test_no_module_imports_sympy(self):
         offenders = []

@@ -211,6 +211,11 @@ class TestEstimateR0:
         with pytest.raises(ValueError, match="at least 3"):
             estimate_r0([(0.08, 1.0), (0.04, 1.1)])
 
+    @pytest.mark.parametrize("pair", [(0.02, math.nan), (0.02, math.inf), (math.nan, 7.8)])
+    def test_non_finite_pair_rejected(self, pair):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_r0([(0.04, 8.0), pair, (0.01, 7.5)])
+
     def test_noisy_ladder_rejected(self):
         pairs = [(0.08, 1.0), (0.04, 5.0), (0.02, 1.2), (0.01, 4.8)]
         with pytest.raises(ExtrapolationUnreliableError) as exc:

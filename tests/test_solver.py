@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -1161,6 +1163,25 @@ class TestMirrorReduction:
                         assert a == pytest.approx(b, rel=1e-10, abs=0.0)
                     else:
                         assert abs(a - b) <= 1e-10 * scale
+
+
+class TestFixedValueValidation:
+    @pytest.mark.parametrize("T1,T2,datum,named", [
+        (math.nan, 0.0, None, "T1=nan"),
+        (0.0, -math.inf, None, "T2=-inf"),
+        (0.0, 0.0, lambda x, y: np.where(x > 0.0, math.nan, y), "outer boundary"),
+    ])
+    def test_rejected_before_assembly(self, two_disk, T1, T2, datum, named, monkeypatch):
+        def no_constraints(*args):
+            raise AssertionError("the constraints were built")
+
+        monkeypatch.setattr(solver, "_build_constraints", no_constraints)
+        with pytest.raises(SolverError, match=f"must be finite: .*{named}"):
+            solve_prescribed(two_disk, T1=T1, T2=T2, datum=datum)
+
+    def test_datum_of_a_floating_solve(self, two_disk):
+        with pytest.raises(SolverError, match="outer boundary"):
+            solve_floating(two_disk, datum=lambda x, y: math.inf)
 
 
 class TestExponentValidation:

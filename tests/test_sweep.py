@@ -10,10 +10,10 @@ import pytest
 
 import gaplaw.sweep as sweep
 from gaplaw import asymptotics
-from gaplaw.flux import R0Estimate, q_functional
+from gaplaw.flux import R0Estimate, q_functional, r_delta
 from gaplaw.geometry import NeckSpec
 from gaplaw.mesh import build_mesh
-from gaplaw.solver import SolverConfig, solve_floating, solve_linear_aux
+from gaplaw.solver import SolverConfig, solve_floating, solve_linear_aux, solve_tied
 from gaplaw.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -357,13 +357,16 @@ class TestRunSweep:
             return solve_linear_aux(mesh, which, **kwargs)
 
         monkeypatch.setattr(sweep, "solve_linear_aux", counted)
-        records = run_sweep(cfg, keep_solutions=True)
+        records = run_sweep(cfg)
         assert calls == (["v1"] if parity == -1 else ["v1", "v3"]) * len(cfg.deltas)
         scfg = cfg.solver_config()
         for rec in records:
             assert rec.error is None
-            assert rec.tied_solution.parity == (parity, 1)
+            # the record's tied solve again, on the same deterministic mesh
             mesh = build_mesh(cfg.domain(rec.delta), cfg.mesh_params())
+            tsol = solve_tied(mesh, p=2.0, config=scfg)
+            assert r_delta(tsol) == rec.r_delta
+            assert tsol.parity == (parity, 1)
             want = q_functional(*(solve_linear_aux(mesh, which, config=scfg)
                                   for which in ("v1", "v2", "v3")))
             got = rec.q_report
@@ -372,7 +375,7 @@ class TestRunSweep:
                 assert a == pytest.approx(b, rel=1e-12, abs=0.0)
             # T_tied vanishes under the odd datum: measured against the
             # datum amplitude, the bound of every potential
-            amp = np.max(np.abs(rec.tied_solution.u))
+            amp = np.max(np.abs(tsol.u))
             assert got.T_tied == pytest.approx(want.T_tied, rel=1e-12, abs=1e-12 * amp)
 
     def test_determinism(self, tiny_records):
@@ -497,11 +500,14 @@ class TestPersistence:
             assert a.newton_iters == b.newton_iters
 
     def test_csv_round_trip_exact(self):
+        # the extremes of the finite floats; a non-finite value is refused
+        # on reading (test_bad_value_named)
         records = [
             SweepRecord(delta=0.04, T1=-0.125, T2=0.1 + 0.2, gap=1e-300, gradmax_all=3.5,
-                        gradmax_neck=2.0, gradmax_away=math.inf, r_delta=0.75,
-                        flux_defect=math.nan, energy=-1.5, newton_iters=7, wall_ms=12.25),
-            SweepRecord(delta=0.01, newton_iters=0),
+                        gradmax_neck=2.0, gradmax_away=sys.float_info.max, r_delta=0.75,
+                        flux_defect=5e-324, energy=-1.5, newton_iters=7, wall_ms=12.25),
+            SweepRecord(delta=0.01, newton_iters=0,
+                        **{name: -0.0 for name in CSV_COLUMNS[1:-2]}),
         ]
         text = records_to_csv(records)
         back = records_from_csv(text)
@@ -510,7 +516,7 @@ class TestPersistence:
             for name in CSV_COLUMNS:
                 va, vb = getattr(a, name), getattr(b, name)
                 assert type(va) is type(vb), name
-                assert va == vb or (math.isnan(va) and math.isnan(vb)), name
+                assert va == vb and math.copysign(1, va) == math.copysign(1, vb), name
         assert records[0].csv_row().split(",")[CSV_COLUMNS.index("newton_iters")] == "7"
         assert records_to_csv(back) == text
 
@@ -521,6 +527,22 @@ class TestPersistence:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             records_from_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize("column,value,problem", [
+        ("r_delta", "nan", "is not finite"), ("gap", "inf", "is not finite"),
+        ("delta", "-inf", "is not finite"), ("T1", "1.0.0", "does not parse"),
+        ("newton_iters", "7.5", "does not parse"), ("wall_ms", "", "does not parse"),
+    ])
+    def test_bad_value_named(self, column, value, problem):
+        rec = SweepRecord(delta=0.01, T1=-0.5, T2=0.5, gap=1.0, gradmax_all=3.0,
+                          gradmax_neck=3.0, gradmax_away=1.0, r_delta=6.0,
+                          flux_defect=0.0, energy=1.0, newton_iters=7, wall_ms=1.0)
+        lines = records_to_csv([rec]).splitlines()
+        parts = lines[1].split(",")
+        parts[CSV_COLUMNS.index(column)] = value
+        text = "\n".join([lines[0], "", ",".join(parts)]) + "\n"
+        with pytest.raises(ValueError, match=f"line 3, column {column}: '{re.escape(value)}' {problem}"):
+            records_from_csv(text)
 
     def test_emit_report_files(self, tiny_records, tmp_path):
         cfg = SweepConfig(p=2.0, **TINY)
