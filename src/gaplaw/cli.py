@@ -9,11 +9,11 @@ Subcommands:
     solve --config FILE [--out DIR] [--kind KIND] [--delta D]
         one solve from a sweep config; writes solution.txt and flux.json
     sweep --config FILE --out DIR
-        full ladder run: sweep.csv, report.json, plot scripts
+        full ladder run: sweep.csv, fluxes.csv, report.json, plots.gp
     fit --records FILE [--p P]
         power-law fits of a previous sweep.csv
     report --records FILE --p P --out DIR
-        regenerate report.json and plots from a sweep.csv
+        regenerate report.json and plots.gp from a sweep.csv
 
 Exit codes: 0 when all verdicts pass (or none apply), 2 when a verdict
 fails, 1 on execution errors.
@@ -137,7 +137,7 @@ def analyze(records, p: float, R: float = 1.0):
     """
     r0 = r0_from_records(records)
     C_o = asymptotics.c_o_quadrature(p, DIM, R)
-    smallest = min(r.delta for r in records if r.error is None)
+    smallest = r0.ladder[-1][0]
     pred = asymptotics.predict(p, DIM, R, r0.R0, smallest, C_o=C_o)
     fits = {q: fit_power_law(records, q, pred) for q in QUANTITIES}
     verdicts = {

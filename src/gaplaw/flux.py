@@ -104,7 +104,9 @@ class FluxReport:
     """All boundary fluxes of one solve plus their balance defects.
 
     Defects are relative to `scale`, the largest flux piece magnitude
-    (the neck sub-arc typically dominates).
+    (the neck sub-arc typically dominates), and 0 when `scale` is 0:
+    |outer - particle 1 - particle 2|, (|particle 1|, |particle 2|) and
+    |particle 1 + particle 2|.
     """
 
     kind: str
@@ -114,23 +116,9 @@ class FluxReport:
     flux_s2: float | None
     flux_p2_away: float | None
     scale: float
-    balance_defect: float
-    particle_defects: tuple[float, ...]
-    combined_defect: float
-
-    @property
-    def balance_defect_rel(self) -> float:
-        return self.balance_defect / self.scale if self.scale > 0 else 0.0
-
-    @property
-    def particle_defects_rel(self) -> tuple[float, ...]:
-        if self.scale <= 0:
-            return tuple(0.0 for _ in self.particle_defects)
-        return tuple(d / self.scale for d in self.particle_defects)
-
-    @property
-    def combined_defect_rel(self) -> float:
-        return self.combined_defect / self.scale if self.scale > 0 else 0.0
+    balance_defect_rel: float
+    particle_defects_rel: tuple[float, float]
+    combined_defect_rel: float
 
     def csv_rows(self, delta: float) -> list[str]:
         """One `delta,kind,curve,flux` row per reported curve."""
@@ -173,6 +161,8 @@ def flux_report(solution: DiscreteSolution, neck: NeckSpec | None = None) -> Flu
         f_away = -float(np.sum(w[p2[~arc]]))
     pieces = [f_out, f_p1, f_p2] + [v for v in (f_s2, f_away) if v is not None]
     scale = max(abs(v) for v in pieces)
+    defects = (abs(f_out - f_p1 - f_p2), abs(f_p1), abs(f_p2), abs(f_p1 + f_p2))
+    balance, d_p1, d_p2, combined = (d / scale if scale > 0 else 0.0 for d in defects)
     return FluxReport(
         kind=solution.kind,
         flux_outer=f_out,
@@ -181,9 +171,9 @@ def flux_report(solution: DiscreteSolution, neck: NeckSpec | None = None) -> Flu
         flux_s2=f_s2,
         flux_p2_away=f_away,
         scale=scale,
-        balance_defect=abs(f_out - f_p1 - f_p2),
-        particle_defects=(abs(f_p1), abs(f_p2)),
-        combined_defect=abs(f_p1 + f_p2),
+        balance_defect_rel=balance,
+        particle_defects_rel=(d_p1, d_p2),
+        combined_defect_rel=combined,
     )
 
 

@@ -200,32 +200,23 @@ class DomainSpec:
 
     The outer boundary is the circle of radius R_out centered at the
     origin; `boundary_datum` is the applied potential on it, a callable
-    taking coordinate arrays x, y.  `clearance`
-    is the required minimum distance between the outer boundary and the
-    particles.
+    taking coordinate arrays x, y.  The particles must fit inside the
+    outer disk (a positive `boundary_margin`); the larger distance a sweep
+    keeps is checked by `SweepConfig.domain`.
     """
 
     pair: ParticlePair
     R_out: float
     boundary_datum: Callable = _linear_y
-    clearance: float = 0.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.R_out):
             raise GeometryError(f"outer radius R_out must be finite, got {self.R_out}")
-        if not 0.0 <= self.clearance < math.inf:
-            raise GeometryError(
-                f"clearance must be nonnegative and finite, got {self.clearance}"
-            )
         margin = self.boundary_margin
         if margin <= 0.0:
             raise GeometryError(
                 f"particles do not fit inside the outer disk of radius {self.R_out} "
                 f"(margin {margin:.6g})"
-            )
-        if margin < self.clearance:
-            raise GeometryError(
-                f"outer-boundary clearance {margin:.6g} below required {self.clearance:.6g}"
             )
 
     @property

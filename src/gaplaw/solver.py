@@ -36,11 +36,12 @@ last SuperLU factor across steps and p-stages, and each step first runs
 a few conjugate-gradient iterations on the current Hessian
 preconditioned by that factor, stopped at the Eisenstat-Walker forcing
 term (SIAM J. Sci. Comput. 17(1), 1996, choice 2).  Only when CG misses
-it, meets negative curvature or gives no descent is the Hessian factored
-afresh, with SuperLU in symmetric mode, diagonal pivots, a minimum-degree
-ordering of A^T + A and the smallest supernode panels (relax = 1,
-panel_size = 1): the quarter Hessian of a 19.7k-node mesh factors in
-about 3/4 of the time of the default panels, with the same fill.
+it, meets negative curvature, gives no descent or gives a step that the
+line search cannot take is the Hessian factored afresh, with SuperLU in
+symmetric mode, diagonal pivots, a minimum-degree ordering of A^T + A
+and the smallest supernode panels (relax = 1, panel_size = 1): the
+quarter Hessian of a 19.7k-node mesh factors in about 3/4 of the time of
+the default panels, with the same fill.
 
 The two-disk mesh is symmetric under y -> -y (`Mesh.mirror`) and under
 x -> -x (`Mesh.x_mirror`).  When the fixed data are exactly odd or even
@@ -84,7 +85,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import NECK_W_FRACTION, AnnulusSpec, DomainSpec, NeckSpec, datum_values
+from .geometry import AnnulusSpec, DomainSpec, NeckSpec, datum_values
 from .mesh import TAG_INTERIOR, TAG_OUTER, TAG_P1, TAG_P2, Mesh, require_real, save_mesh_text
 
 __all__ = [
@@ -589,6 +590,22 @@ def _pcg(H: sp.csc_matrix, g: np.ndarray, lu, rtol: float):
     return None, CG_MAX_ITER
 
 
+def _line_search(con: _Constraints, p, eps, z, E, g, dz):
+    """Armijo backtracking from z along the descent direction dz: (t, z, u,
+    E) at the accepted step, None when ARMIJO_MAX_BACKTRACKS halvings find
+    no decrease (a trial energy within rounding of E is accepted)."""
+    slope = float(g @ dz)
+    t = 1.0
+    for _ in range(ARMIJO_MAX_BACKTRACKS):
+        z_try = z + t * dz
+        u_try = con.expand(z_try)
+        E_try = energy(con.elements, u_try, p, eps)
+        if E_try <= E + ARMIJO_C1 * t * slope or E_try <= E * (1 + 1e-15):
+            return t, z_try, u_try, E_try
+        t *= ARMIJO_SHRINK
+    return None
+
+
 def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
             stage_rtol: float = 0.0):
     """Damped Newton from z0 at one exponent; returns (z, trace).
@@ -615,16 +632,19 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
     (eta_0 = ETA_MAX).  When CG misses, or no factor is held yet, the old
     factor is released and `_newton_direction` factors H afresh; the new
     factor replaces it in `factor`, which is the only reference the solve
-    keeps, so two factors are never held at once.
+    keeps, so two factors are never held at once.  So is a CG step whose
+    line search fails (at large p a stale factor can give one along which
+    no halving lowers the energy beyond its rounding); only a failed search
+    on the fresh direction raises.
 
     Each trace entry holds the residual, the energy and `tol`, the
     threshold of the stop test, at the start of the iteration, then the
     accepted step length `t` (0 when no step was taken), the Hessian shift
     `lam` of this step's factorization (0 when CG gave the step), `cg`, the
-    CG iterations spent (a missed attempt included), `refactor`, true when
-    the step factored the Hessian afresh, and `fallback`, true when no
-    shift gave a descent direction and the step went along the negative
-    gradient.
+    CG iterations spent (a missed or dropped attempt included), `refactor`,
+    true when the step factored the Hessian afresh, and `fallback`, true
+    when no shift gave a descent direction and the step went along the
+    negative gradient.
     """
     elements = con.elements
     z = z0.copy()
@@ -651,32 +671,25 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
         if g2_prev is not None:
             eta = min(ETA_MAX, max(ETA_MIN, 0.9 * (g2 / g2_prev) ** 2, 0.5 * tol / g2))
         g2_prev = g2
-        dz = None
+        step = None
         if factor[0] is not None:
             dz, entry["cg"] = _pcg(H, g, factor[0], eta)
-        if dz is None:
+            if dz is not None:
+                step = _line_search(con, p, eps, z, E, g, dz)
+        if step is None:
             factor[0] = None  # release the old factor before making a new one
             dz, entry["lam"], factor[0] = _newton_direction(H, g)
             entry["refactor"] = True
-        if dz is None:
-            entry["fallback"] = True
-            dz = -g  # steepest descent fallback
-        slope = float(g @ dz)
-        t = 1.0
-        for _ in range(ARMIJO_MAX_BACKTRACKS):
-            z_try = z + t * dz
-            u_try = con.expand(z_try)
-            E_try = energy(elements, u_try, p, eps)
-            if E_try <= E + ARMIJO_C1 * t * slope or E_try <= E * (1 + 1e-15):
-                break
-            t *= ARMIJO_SHRINK
-        else:
+            if dz is None:
+                entry["fallback"] = True
+                dz = -g  # steepest descent fallback
+            step = _line_search(con, p, eps, z, E, g, dz)
+        if step is None:
             raise SolverError(
                 f"line search failed at iter {it} (p={p}, residual {gnorm:.3e})",
                 trace,
             )
-        entry["t"] = t
-        z, u, E = z_try, u_try, E_try
+        entry["t"], z, u, E = step
         w = _element_weights(elements, u, p, eps)
         g = con.grad(w)
     gnorm = float(np.max(np.abs(g)))
@@ -848,22 +861,19 @@ def grad_max(solution: DiscreteSolution, region: str = "all",
     """Maximum |grad u| over a region and the attaining element centroid.
 
     region is one of 'all', 'neck', 'away' (anything else raises
-    ValueError); the latter two need the neck window, by default the one
-    of half-width NECK_W_FRACTION * R on the mesh's two-particle domain.
+    ValueError); the latter two need the neck window `neck`, and raise
+    ValueError without it.
     """
     if region not in ("all", "neck", "away"):
         raise ValueError(f"unknown region {region!r}: expected 'all', 'neck' or 'away'")
+    if region != "all" and neck is None:
+        raise ValueError(f"region {region!r} needs the neck window: pass neck=")
     mesh = solution.mesh
     g = element_gradients(mesh, solution.u)
     mag = np.hypot(g[:, 0], g[:, 1])
     if region == "all":
         mask = np.ones(len(mag), dtype=bool)
     else:
-        if neck is None:
-            dom = mesh.domain
-            if not isinstance(dom, DomainSpec):
-                raise ValueError("neck/away regions need a two-particle domain")
-            neck = NeckSpec(pair=dom.pair, w=NECK_W_FRACTION * dom.pair.R)
         inside = neck.contains(mesh.centroids[:, 0], mesh.centroids[:, 1])
         mask = inside if region == "neck" else ~inside
         if not np.any(mask):

@@ -22,8 +22,9 @@ slope tolerance is `cli.SLOPE_TOL`), so every command that judges a
 ladder judges it the same way.
 
 Outputs: `sweep.csv` (fixed column schema), `report.json` (fits,
-verdicts, extrapolation, and at p = 2 the Q report of each delta), and
-plain plot scripts.  Physics content is byte-deterministic for a fixed
+verdicts, extrapolation, and at p = 2 the Q report of each delta),
+`fluxes.csv` (every boundary flux of every solve) and the gnuplot script
+`plots.gp`.  Physics content is byte-deterministic for a fixed
 config; the wall_ms timing column is the one intrinsically
 nondeterministic field.
 """
@@ -38,6 +39,7 @@ import numbers
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -230,12 +232,17 @@ class SweepConfig:
         raise ValueError(f"unknown datum {self.datum!r}")
 
     def domain(self, delta: float) -> DomainSpec:
-        return DomainSpec(
+        """The domain at gap delta; raises GeometryError when the particles
+        come closer than CLEARANCE to the outer circle."""
+        dom = DomainSpec(
             pair=ParticlePair(R=self.R, delta=delta),
             R_out=self.R_out,
             boundary_datum=self.datum_callable(),
-            clearance=CLEARANCE,
         )
+        if dom.boundary_margin < CLEARANCE:
+            raise GeometryError(f"outer-boundary clearance {dom.boundary_margin:.6g} "
+                                f"below required {CLEARANCE:.6g}")
+        return dom
 
     def mesh_params(self) -> MeshParams:
         layers = max(4, int(math.ceil(1.0 / self.h_neck_fraction)))
@@ -351,6 +358,12 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     return records
 
 
+def _succeeded(records: list[SweepRecord]) -> list[SweepRecord]:
+    """The records without an error, in decreasing delta: the ladder points
+    every fit, verdict and output reads."""
+    return sorted((r for r in records if r.error is None), key=lambda r: -r.delta)
+
+
 # -----------------------------------------------------------------------------
 # fits and verdicts
 # -----------------------------------------------------------------------------
@@ -414,7 +427,7 @@ def fit_power_law(
     if quantity not in _QUANTITY_GETTERS:
         raise ValueError(f"unknown quantity {quantity!r}")
     get = _QUANTITY_GETTERS[quantity]
-    ok = [r for r in records if r.error is None]
+    ok = _succeeded(records)
     bad = [r.delta for r in ok if not (get(r) > 0.0)]
     if bad:
         raise ValueError(f"non-positive {quantity} at delta in {bad}")
@@ -480,7 +493,7 @@ def verify_theorem(
         )
     if prediction.log_case or prediction.gamma is None:
         raise ValueError("theorem verdict covers the power-law case only")
-    ok = sorted((r for r in records if r.error is None), key=lambda r: -r.delta)
+    ok = _succeeded(records)
     if len(ok) < 2:
         raise ValueError("need at least two successful ladder points")
     gamma, C_o = prediction.gamma, prediction.C_o
@@ -558,8 +571,7 @@ def verify_barrier(
 
 def r0_from_records(records: list[SweepRecord]) -> R0Estimate:
     """R0 extrapolation reusing the tied fluxes already in the records."""
-    ok = sorted((r for r in records if r.error is None), key=lambda r: -r.delta)
-    return estimate_r0([(r.delta, r.r_delta) for r in ok])
+    return estimate_r0([(r.delta, r.r_delta) for r in _succeeded(records)])
 
 
 # -----------------------------------------------------------------------------
@@ -570,9 +582,7 @@ def r0_from_records(records: list[SweepRecord]) -> R0Estimate:
 def records_to_csv(records: list[SweepRecord]) -> str:
     out = io.StringIO()
     out.write(",".join(CSV_COLUMNS) + "\n")
-    for rec in sorted(records, key=lambda r: -r.delta):
-        if rec.error is not None:
-            continue
+    for rec in _succeeded(records):
         out.write(rec.csv_row() + "\n")
     return out.getvalue()
 
@@ -620,30 +630,6 @@ plot 'sweep.csv' using 1:5 with points pt 7 title 'measured gradmax', \\
      {gm_a} * x**{gm_s} with lines title 'fit slope {gm_s}'{gm_pred}
 """
 
-_PYPLOT_TEMPLATE = """\
-#!/usr/bin/env python3
-# log-log blow-up curves; run: python3 plots.py (expects sweep.csv alongside)
-import csv
-import matplotlib.pyplot as plt
-
-rows = list(csv.DictReader(open('sweep.csv')))
-delta = [float(r['delta']) for r in rows]
-for col, fname, fit_a, fit_s, pred_a, pred_s in [
-    ('gap', 'gap.png', {gap_a}, {gap_s}, {gap_pa}, {gap_ps}),
-    ('gradmax_all', 'gradmax.png', {gm_a}, {gm_s}, {gm_pa}, {gm_ps}),
-]:
-    y = [float(r[col]) for r in rows]
-    plt.figure()
-    plt.loglog(delta, y, 'o', label=col)
-    plt.loglog(delta, [fit_a * d**fit_s for d in delta], '-',
-               label=f'fit slope {{fit_s:.4g}}')
-    if pred_a is not None and pred_s is not None:
-        plt.loglog(delta, [pred_a * d**pred_s for d in delta], '--',
-                   label=f'predicted slope {{pred_s:.4g}}')
-    plt.xlabel('delta'); plt.ylabel(col); plt.legend(); plt.grid(True, which='both')
-    plt.savefig(fname, dpi=150)
-"""
-
 
 def emit_report(
     records: list[SweepRecord],
@@ -653,26 +639,20 @@ def emit_report(
     config: SweepConfig | None = None,
     r0: R0Estimate | None = None,
     prediction: AsymptoticPrediction | None = None,
-) -> dict:
-    """Write sweep.csv, report.json, and the plot scripts into outdir.
+) -> None:
+    """Write sweep.csv, report.json, fluxes.csv (when some record carries
+    flux reports) and, given both fits, plots.gp into outdir.
 
     report.json has a `q_functional` key (`QReport` fields by `repr(delta)`)
-    only when some record carries a Q report.  Returns the written paths.
-    All content except the timing column is reproducible byte-for-byte
-    from the same inputs.
+    only when some record carries a Q report.  All content except the
+    timing column is reproducible byte-for-byte from the same inputs.
     """
-    from pathlib import Path
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-
-    csv_text = records_to_csv(records)
-    (outdir / "sweep.csv").write_text(csv_text)
-    paths["csv"] = outdir / "sweep.csv"
+    (outdir / "sweep.csv").write_text(records_to_csv(records))
 
     flux_rows = []
-    for rec in sorted(records, key=lambda r: -r.delta):
+    for rec in _succeeded(records):
         for rep in (rec.floating_reports, rec.tied_reports):
             if rep is not None:
                 flux_rows.extend(rep.csv_rows(rec.delta))
@@ -680,7 +660,6 @@ def emit_report(
         (outdir / "fluxes.csv").write_text(
             "delta,kind,curve,flux\n" + "\n".join(flux_rows) + "\n"
         )
-        paths["fluxes"] = outdir / "fluxes.csv"
 
     report = {
         "config": config.to_dict() if config else None,
@@ -712,7 +691,6 @@ def emit_report(
     (outdir / "report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n"
     )
-    paths["report"] = outdir / "report.json"
 
     gap_fit = fits.get("gap")
     gm_fit = fits.get("gradMax")
@@ -731,12 +709,3 @@ def emit_report(
             gap_pred=pred_line(gap_fit), gm_pred=pred_line(gm_fit),
         )
         (outdir / "plots.gp").write_text(gp)
-        py = _PYPLOT_TEMPLATE.format(
-            gap_a=repr(gap_fit.prefactor), gap_s=repr(gap_fit.slope),
-            gm_a=repr(gm_fit.prefactor), gm_s=repr(gm_fit.slope),
-            gap_pa=repr(gap_fit.predicted_prefactor), gap_ps=repr(gap_fit.predicted_slope),
-            gm_pa=repr(gm_fit.predicted_prefactor), gm_ps=repr(gm_fit.predicted_slope),
-        )
-        (outdir / "plots.py").write_text(py)
-        paths["plots"] = outdir / "plots.gp"
-    return paths

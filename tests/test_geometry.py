@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -199,19 +200,17 @@ class TestNeckRegion:
 
 
 class TestDomainSpec:
-    def test_clearance_enforced(self):
-        with pytest.raises(GeometryError):
+    def test_particles_must_fit(self):
+        # the clearance a sweep keeps is SweepConfig.domain's check
+        with pytest.raises(GeometryError, match="do not fit"):
             DomainSpec(pair=ParticlePair(R=1.0, delta=0.1), R_out=2.0)
-        with pytest.raises(GeometryError):
-            DomainSpec(pair=PAIR, R_out=4.0, clearance=3.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(GeometryError, match="R_out"):
                 DomainSpec(pair=PAIR, R_out=bad)
-        for bad in (math.nan, math.inf, -1.0):
-            with pytest.raises(GeometryError, match="clearance"):
-                DomainSpec(pair=PAIR, R_out=4.0, clearance=bad)
-        dom = DomainSpec(pair=PAIR, R_out=4.0, clearance=1.0)
-        assert dom.boundary_margin == pytest.approx(4.0 - 2.005)
+        dom = DomainSpec(pair=PAIR, R_out=2.5)
+        assert dom.boundary_margin == pytest.approx(2.5 - 2.005)
+        assert [f.name for f in dataclasses.fields(DomainSpec)] == [
+            "pair", "R_out", "boundary_datum"]
 
     def test_datum_values_on_arrays(self):
         pts = np.array([[4.0, 0.0], [0.0, 4.0], [-2.0, -3.0]])

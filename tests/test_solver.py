@@ -317,11 +317,14 @@ class TestGradMax:
         assert np.array_equal(mask, expected)
         assert all(type(neck.contains(float(x), float(y))) is bool for x, y in zip(cx, cy))
 
-    def test_region_validation(self):
+    def test_region_validation(self, floating_p2):
         mesh = build_annulus_mesh(AnnulusSpec(1.0, 2.0), 0.2)
         sol = solve_prescribed(mesh, T1=0.0, p=2.0, datum=lambda x, y: 1.0)
-        with pytest.raises(ValueError):
-            grad_max(sol, "neck")
+        # the window is the caller's, on a two-particle mesh too
+        for solution in (sol, floating_p2):
+            for region in ("neck", "away"):
+                with pytest.raises(ValueError, match="neck="):
+                    grad_max(solution, region)
 
     @pytest.mark.parametrize("region", ["nekc", "Neck"])
     def test_unknown_region(self, floating_p2, region):
