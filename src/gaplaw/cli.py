@@ -86,13 +86,12 @@ def _cmd_solve(args) -> int:
     delta = args.delta if args.delta is not None else cfg.deltas[0]
     dom = cfg.domain(delta)
     mesh = build_mesh(dom, cfg.mesh_params())
-    scfg = cfg.solver_config()
     if args.kind == "floating":
-        sol = solve_floating(mesh, p=cfg.p, config=scfg)
+        sol = solve_floating(mesh, p=cfg.p)
     elif args.kind == "tied":
-        sol = solve_tied(mesh, p=cfg.p, config=scfg)
+        sol = solve_tied(mesh, p=cfg.p)
     elif args.kind == "prescribed":
-        sol = solve_prescribed(mesh, T1=args.T1, T2=args.T2, p=cfg.p, config=scfg)
+        sol = solve_prescribed(mesh, T1=args.T1, T2=args.T2, p=cfg.p)
     else:
         raise ValueError(f"unknown kind {args.kind!r}")
     neck = NeckSpec(dom.pair, cfg.w)

@@ -743,6 +743,9 @@ def load_mesh_text(path) -> tuple[Mesh, np.ndarray | None]:
     do node, triangle or value records that do not match the `counts`
     header in number, and so does a header that counts no triangles.
     Other records (the `sizes` of older files among them) are skipped.
+    The mesh then passes the checks of `build_mesh` (`_validate`): its
+    elements tile the region inside its boundary loops exactly and meet
+    the quality floor, else MeshError.
     """
     name_to_tag = {v: k for k, v in _TAG_NAMES.items()}
     widths = {"counts": 4, "node": 5, "tri": 5, "value": 3}  # name included
@@ -799,4 +802,5 @@ def load_mesh_text(path) -> tuple[Mesh, np.ndarray | None]:
                         f"outside [0, {n_nodes})")
     mesh = Mesh(nodes=np.asarray(nodes), triangles=triangles,
                 node_tags=np.asarray(tags, dtype=np.int8))
+    _validate(mesh)
     return mesh, (np.asarray(values) if values else None)

@@ -62,12 +62,13 @@ mesh.
 Post-processing (flux reports, `grad_max`, the Q functional) reads the
 full mesh and the expanded field.
 
-The continuation ladder climbs from p = 2 in unit steps by default
-(`SolverConfig.p_step`).  Convergence is a property of the solution at
-the target exponent alone:
-there Newton stops on the true gradient at max|g| <= newton_tol * S, with
+The Newton settings are module constants (NEWTON_TOL, MAX_ITER,
+EPS_SCALE, P_STEP and those of the line search and of CG); no caller sets
+them.  The continuation ladder climbs from p = 2 in steps of P_STEP = 1.
+Convergence is a property of the solution at the target exponent alone:
+there Newton stops on the true gradient at max|g| <= NEWTON_TOL * S, with
 S the largest nodal flux magnitude (or at the rounding floor of g), so a
-converged floating solve balances each particle's flux to newton_tol * S
+converged floating solve balances each particle's flux to NEWTON_TOL * S
 whatever path the continuation took.  An intermediate p-stage only seeds
 the next one and stops once max|g| has fallen by STAGE_RTOL.  The forcing
 term is floored at half the stop threshold over ||g||_2, so no step solves
@@ -78,7 +79,6 @@ Methods for Linear and Nonlinear Equations, SIAM 1995, 6.3).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,7 +86,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import AnnulusSpec, DomainSpec, NeckSpec, datum_values
-from .mesh import TAG_INTERIOR, TAG_OUTER, TAG_P1, TAG_P2, Mesh, require_real, save_mesh_text
+from .mesh import TAG_INTERIOR, TAG_OUTER, TAG_P1, TAG_P2, Mesh, save_mesh_text
 
 __all__ = [
     "SolverConfig",
@@ -104,6 +104,20 @@ __all__ = [
     "save_solution_text",
 ]
 
+# At the target exponent Newton stops at max|g| <= NEWTON_TOL * S, S the
+# largest nodal flux magnitude (see `_newton`); MAX_ITER bounds the steps
+# of each p-stage.
+NEWTON_TOL = 1e-12
+MAX_ITER = 80
+# the gradient regularization eps = EPS_SCALE * (max U - min U) / R_domain
+EPS_SCALE = 1e-8
+# The continuation ladder 2, 2 + P_STEP, ..., p.  The unit step was the
+# fastest on a 19.7k-node mesh, over its floating and tied solves at p = 3
+# and 6: 60 Newton steps and 17 factorizations, against 87 and 15 with
+# step 0.5; 2, 4, 6 took 53 steps but 19 factorizations, since a stale
+# factor preconditions CG poorly after a large jump in p.  The answer does
+# not depend on the step (see `_newton`).
+P_STEP = 1.0
 ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the backtracking line search
 ARMIJO_SHRINK = 0.5  # step factor per backtrack
 ARMIJO_MAX_BACKTRACKS = 50
@@ -135,43 +149,13 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton / regularization parameters, declared, defaulted and
-    checked here alone; a sweep solves with the defaults
-    (`SweepConfig.solver_config`).
+    """No settings: the Newton settings are the module constants
+    NEWTON_TOL, MAX_ITER, EPS_SCALE and P_STEP.
 
-    newton_tol is relative to the largest nodal flux magnitude of the
-    solution at the target exponent (see `_newton`); max_iter bounds the
-    Newton steps of each p-stage.  eps_scale sets the gradient
-    regularization eps = eps_scale * (max U - min U) / R_domain; p_step
-    is the increment of the continuation ladder from p = 2 up to the
-    target exponent.  The unit step (2, 3, ..., p) was the fastest
-    ladder on a 19.7k-node mesh, over its floating and tied solves at
-    p = 3 and 6: 60 Newton steps and 17 factorizations, against 87 and 15
-    with step 0.5; 2, 4, 6 took 53 steps but 19 factorizations, since a
-    stale factor preconditions CG poorly after a large jump in p.  The
-    answer does not depend on the step (see `_newton`).  A max_iter that
-    is not an integer >= 1, a newton_tol, eps_scale or p_step that is not
-    a real number (a bool is neither), newton_tol outside (0, 1),
-    eps_scale < 0 or infinite and p_step <= 0 (or NaN) raise ValueError
-    naming the field.
+    The class and the `config=` argument of the solve functions, which
+    they ignore, remain because existing callers still pass one: the
+    benchmark's workloads pass `SweepConfig.solver_config()`.
     """
-
-    newton_tol: float = 1e-12
-    max_iter: int = 80
-    eps_scale: float = 1e-8
-    p_step: float = 1.0
-
-    def __post_init__(self):
-        if not (isinstance(self.max_iter, numbers.Integral)
-                and not isinstance(self.max_iter, bool) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        require_real(self)
-        if not 0.0 < self.newton_tol < 1.0:
-            raise ValueError(f"newton_tol must lie in (0, 1), got {self.newton_tol}")
-        if not 0.0 <= self.eps_scale < math.inf:
-            raise ValueError(f"eps_scale must be finite and >= 0, got {self.eps_scale}")
-        if not self.p_step > 0.0:
-            raise ValueError(f"p_step must be positive, got {self.p_step}")
 
 
 @dataclass
@@ -196,8 +180,12 @@ class DiscreteSolution:
     T1: float | None = None
     T2: float | None = None
     trace: list = field(default_factory=list)
-    newton_iters: int = 0
     parity: tuple = (None, None)
+
+    @property
+    def newton_iters(self) -> int:
+        """Trace entries of the solve, over all its p-stages (0 for `mirrored`)."""
+        return len(self.trace)
 
     @property
     def gap(self) -> float:
@@ -593,25 +581,27 @@ def _pcg(H: sp.csc_matrix, g: np.ndarray, lu, rtol: float):
 def _line_search(con: _Constraints, p, eps, z, E, g, dz):
     """Armijo backtracking from z along the descent direction dz: (t, z, u,
     E) at the accepted step, None when ARMIJO_MAX_BACKTRACKS halvings find
-    no decrease (a trial energy within rounding of E is accepted)."""
+    no decrease (a trial energy within rounding of E is accepted).  A
+    trial energy that overflows (a huge step at large p) is inf, fails
+    the test and is backtracked from."""
     slope = float(g @ dz)
     t = 1.0
     for _ in range(ARMIJO_MAX_BACKTRACKS):
         z_try = z + t * dz
         u_try = con.expand(z_try)
-        E_try = energy(con.elements, u_try, p, eps)
+        with np.errstate(over="ignore"):
+            E_try = energy(con.elements, u_try, p, eps)
         if E_try <= E + ARMIJO_C1 * t * slope or E_try <= E * (1 + 1e-15):
             return t, z_try, u_try, E_try
         t *= ARMIJO_SHRINK
     return None
 
 
-def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
-            stage_rtol: float = 0.0):
+def _newton(con: _Constraints, p, eps, z0, factor: list, stage_rtol: float = 0.0):
     """Damped Newton from z0 at one exponent; returns (z, trace).
 
     The stop test is max|g| <= tol with tol = max(stage_rtol * r0,
-    cfg.newton_tol * S, 64 eps_mach * rho), where r0 is max|g| at z0 and
+    NEWTON_TOL * S, 64 eps_mach * rho), where r0 is max|g| at z0 and
     S and rho are `_Constraints.stop_scales`, the nodal flux magnitude and
     the rounding bound of g.  At the target p (stage_rtol = 0) they are
     taken at every iterate, which makes the answer a property of that p
@@ -642,9 +632,10 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
     accepted step length `t` (0 when no step was taken), the Hessian shift
     `lam` of this step's factorization (0 when CG gave the step), `cg`, the
     CG iterations spent (a missed or dropped attempt included), `refactor`,
-    true when the step factored the Hessian afresh, and `fallback`, true
-    when no shift gave a descent direction and the step went along the
-    negative gradient.
+    true when the step factored the Hessian afresh, `dropped`, true when
+    CG gave a step whose line search failed (so the step factored afresh
+    too), and `fallback`, true when no shift gave a descent direction and
+    the step went along the negative gradient.
     """
     elements = con.elements
     z = z0.copy()
@@ -654,14 +645,14 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
     w = _element_weights(elements, u, p, eps)
     g = con.grad(w)
     g2_prev = None
-    for it in range(cfg.max_iter):
+    for it in range(MAX_ITER):
         gnorm = float(np.max(np.abs(g)))
         if it == 0 or not stage_rtol:
             S, rho = con.stop_scales(u, w)
-            tol = max(stage_rtol * gnorm, cfg.newton_tol * S,
+            tol = max(stage_rtol * gnorm, NEWTON_TOL * S,
                       64.0 * float(np.finfo(float).eps) * rho)
         entry = {"iter": it, "residual": gnorm, "energy": E, "tol": tol, "t": 0.0,
-                 "lam": 0.0, "cg": 0, "refactor": False, "fallback": False}
+                 "lam": 0.0, "cg": 0, "refactor": False, "dropped": False, "fallback": False}
         trace.append(entry)
         if gnorm <= tol:
             return z, trace
@@ -676,6 +667,7 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
             dz, entry["cg"] = _pcg(H, g, factor[0], eta)
             if dz is not None:
                 step = _line_search(con, p, eps, z, E, g, dz)
+                entry["dropped"] = step is None
         if step is None:
             factor[0] = None  # release the old factor before making a new one
             dz, entry["lam"], factor[0] = _newton_direction(H, g)
@@ -694,7 +686,7 @@ def _newton(con: _Constraints, p, eps, z0, cfg: SolverConfig, factor: list,
         g = con.grad(w)
     gnorm = float(np.max(np.abs(g)))
     raise SolverError(
-        f"Newton did not converge in {cfg.max_iter} iterations "
+        f"Newton did not converge in {MAX_ITER} iterations "
         f"(p={p}, residual {gnorm:.3e} vs tol {tol:.3e})",
         trace,
     )
@@ -709,18 +701,17 @@ def _domain_scale(mesh: Mesh) -> float:
     return 1.0
 
 
-def _p_ladder(p: float, cfg: SolverConfig) -> list[float]:
+def _p_ladder(p: float) -> list[float]:
     if p <= 2.0:
         return [p]
     ladder = [2.0]
-    while ladder[-1] + cfg.p_step < p - 1e-12:
-        ladder.append(ladder[-1] + cfg.p_step)
+    while ladder[-1] + P_STEP < p - 1e-12:
+        ladder.append(ladder[-1] + P_STEP)
     ladder.append(p)
     return ladder
 
 
-def _solve(mesh: Mesh, kind: str, datum, p: float, cfg: SolverConfig,
-           pinned=None) -> DiscreteSolution:
+def _solve(mesh: Mesh, kind: str, datum, p: float, pinned=None) -> DiscreteSolution:
     if not math.isfinite(p):
         raise SolverError(f"exponent p={p} must be finite")
     if p < 2.0:
@@ -735,15 +726,15 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, cfg: SolverConfig,
     con = _build_constraints(mesh, kind, outer_vals, pinned)
     vals = np.concatenate([outer_vals, list(fixed.values())])
     span = float(np.max(vals) - np.min(vals)) if len(vals) else 0.0
-    eps = cfg.eps_scale * span / _domain_scale(mesh)
+    eps = EPS_SCALE * span / _domain_scale(mesh)
 
     z = np.zeros(con.n_dof)
     trace_all = []
     factor = [None]  # the last factor, kept across p-stages as the CG preconditioner
-    ladder = _p_ladder(p, cfg)
+    ladder = _p_ladder(p)
     for pk in ladder:
         rtol = 0.0 if pk == ladder[-1] else STAGE_RTOL
-        z, trace = _newton(con, pk, eps, z, cfg, factor, rtol)
+        z, trace = _newton(con, pk, eps, z, factor, rtol)
         trace_all.extend([{**t, "p": pk} for t in trace])
     u = con.expand(z)
     sol = DiscreteSolution(
@@ -754,7 +745,6 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, cfg: SolverConfig,
         eps=eps,
         energy=trace_all[-1]["energy"],  # at the converged z; the last stage is at p
         trace=trace_all,
-        newton_iters=len(trace_all),
         parity=con.parity,
     )
     p1, p2 = mesh.nodes_with_tag(TAG_P1), mesh.nodes_with_tag(TAG_P2)
@@ -785,25 +775,23 @@ def solve_floating(mesh: Mesh, p: float = 2.0, config: SolverConfig | None = Non
     Each particle's net flux vanishes as the natural condition of
     minimizing over its constant; both floating values obey the discrete
     maximum principle (they are convex combinations of the datum range).
+    `config` is ignored (see `SolverConfig`), as in every solve function.
     """
-    cfg = config or SolverConfig()
-    return _solve(mesh, "floating", _datum(mesh, datum, "floating"), p, cfg)
+    return _solve(mesh, "floating", _datum(mesh, datum, "floating"), p)
 
 
 def solve_tied(mesh: Mesh, p: float = 2.0, config: SolverConfig | None = None,
                datum=None) -> DiscreteSolution:
     """Minimizer with a single constant shared by both particles."""
-    cfg = config or SolverConfig()
-    return _solve(mesh, "tied", _datum(mesh, datum, "tied"), p, cfg)
+    return _solve(mesh, "tied", _datum(mesh, datum, "tied"), p)
 
 
 def solve_prescribed(mesh: Mesh, T1: float, T2: float | None = None,
                      p: float = 2.0, config: SolverConfig | None = None,
                      datum=None) -> DiscreteSolution:
     """Minimizer with pinned particle potentials (no flux conditions)."""
-    cfg = config or SolverConfig()
     datum = _datum(mesh, datum, "prescribed")
-    return _solve(mesh, "prescribed", datum, p, cfg, pinned=(T1, T2))
+    return _solve(mesh, "prescribed", datum, p, pinned=(T1, T2))
 
 
 def _zero_datum(x, y):
@@ -829,7 +817,7 @@ def solve_linear_aux(mesh: Mesh, which: str, config: SolverConfig | None = None,
     if which not in _LINEAR_AUX:
         raise SolverError(f"unknown auxiliary problem {which!r}")
     T1, T2, fixed = _LINEAR_AUX[which]
-    return solve_prescribed(mesh, T1, T2, p=2.0, config=config, datum=fixed or datum)
+    return solve_prescribed(mesh, T1, T2, p=2.0, datum=fixed or datum)
 
 
 def mirrored(solution: DiscreteSolution) -> DiscreteSolution:
@@ -838,7 +826,7 @@ def mirrored(solution: DiscreteSolution) -> DiscreteSolution:
     The mirror swaps the particles, so the image of v1 is v2: the problem
     with the particle potentials swapped and the mirrored datum (zero for
     both).  The image keeps `p`, `eps`, `energy` and `parity`;
-    its trace is empty and `newton_iters` 0, since no Newton ran.  Raises
+    its trace is empty, since no Newton ran.  Raises
     SolverError when the mesh has no mirror.
     """
     mirror = solution.mesh.mirror

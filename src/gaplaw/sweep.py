@@ -134,17 +134,15 @@ class SweepConfig:
     """Field-for-field mirror of the sweep JSON config: the experiment only.
 
     The delta ladder is geometric: delta_start * delta_ratio^k for
-    k = 0..delta_count-1.  `h_neck_fraction` is the target neck cell size
-    as a fraction of delta (the mesher keeps at least 4 layers across the
-    gap).  `h_far` and `h_neck_fraction` make up the MeshParams; the
-    mesher draws no random numbers, so there is no mesh seed.  The neck
-    window half-width is NECK_W_FRACTION * R.  `datum` is 'linear-y',
-    'quadratic', or a {'kind': 'table', 'entries': [[theta, value], ...]}
-    dictionary.
+    k = 0..delta_count-1.  `h_far` and `neck_layers`, the element layers
+    across the gap at x = 0, are the MeshParams; the mesher draws no random
+    numbers, so there is no mesh seed.  The neck window half-width is
+    NECK_W_FRACTION * R.  `datum` is 'linear-y', 'quadratic', or a
+    {'kind': 'table', 'entries': [[theta, value], ...]} dictionary.
 
-    A sweep solves with the SolverConfig defaults (`solver_config`);
-    the Newton settings are set in SolverConfig alone.  The particles keep
-    a distance of CLEARANCE from the outer circle.
+    A sweep solves with the solver's constant Newton settings (see
+    `gaplaw.solver.SolverConfig`).  The particles keep a distance of
+    CLEARANCE from the outer circle.
 
     Construction validates the config before any mesh is built: a
     real-valued field that is not a real number (a bool included), an R
@@ -153,11 +151,10 @@ class SweepConfig:
     finite numbers (an integer beyond the float range included), p < 2,
     delta_start <= 0, a delta_count that is not an integer >= 1, a ladder
     whose smallest delta is not a positive normal float, an h_far that is
-    not positive and finite, an h_neck_fraction outside (0, 0.25] or below
-    the smallest normal float (its reciprocal, the layer count, overflows), a
-    non-finite R_out, or an R_out that leaves less than CLEARANCE around
-    the particles at delta_start (the widest gap, so the whole ladder)
-    raises ValueError naming the field.
+    not positive and finite, a neck_layers that is not an even integer
+    >= 4 (the MeshParams checks), a non-finite R_out, or an R_out that
+    leaves less than CLEARANCE around the particles at delta_start (the
+    widest gap, so the whole ladder) raises ValueError naming the field.
     """
 
     R: float = 1.0
@@ -168,7 +165,7 @@ class SweepConfig:
     delta_ratio: float = 0.5
     delta_count: int = 5
     h_far: float = 0.3
-    h_neck_fraction: float = 0.25
+    neck_layers: int = 4
 
     def __post_init__(self):
         require_real(self)
@@ -189,18 +186,8 @@ class SweepConfig:
                 f"delta_ratio={self.delta_ratio} and delta_count={self.delta_count} take the "
                 f"smallest delta to {smallest!r}, below the smallest normal float"
             )
-        if not 0.0 < self.h_neck_fraction <= 0.25 + 1e-12:
-            raise ValueError(
-                f"h_neck_fraction must lie in (0, 0.25] to keep >= 4 layers across "
-                f"the gap, got {self.h_neck_fraction}"
-            )
-        if self.h_neck_fraction < sys.float_info.min:
-            raise ValueError(
-                f"h_neck_fraction={self.h_neck_fraction!r} is below the smallest normal "
-                f"float, so its layer count 1/h_neck_fraction overflows"
-            )
         try:
-            self.mesh_params()  # checks h_far
+            self.mesh_params()  # checks h_far and neck_layers
         except MeshError as exc:
             raise ValueError(str(exc)) from exc
         try:
@@ -245,13 +232,11 @@ class SweepConfig:
         return dom
 
     def mesh_params(self) -> MeshParams:
-        layers = max(4, int(math.ceil(1.0 / self.h_neck_fraction)))
-        if layers % 2:
-            layers += 1
-        return MeshParams(h_far=self.h_far, neck_layers=layers)
+        return MeshParams(h_far=self.h_far, neck_layers=self.neck_layers)
 
     def solver_config(self) -> SolverConfig:
-        """The solver settings of every sweep: the SolverConfig defaults."""
+        """A `SolverConfig`, which holds no settings; kept for callers that
+        pass one to the solve functions."""
         return SolverConfig()
 
     def to_dict(self) -> dict:
@@ -313,7 +298,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """
     records: list[SweepRecord] = []
     params = config.mesh_params()
-    scfg = config.solver_config()
     failures = []
     for delta in config.deltas:
         rec = SweepRecord(delta=delta)
@@ -322,8 +306,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
             dom = config.domain(delta)
             neck = NeckSpec(dom.pair, config.w)
             mesh = build_mesh(dom, params)
-            fsol = solve_floating(mesh, p=config.p, config=scfg)
-            tsol = solve_tied(mesh, p=config.p, config=scfg)
+            fsol = solve_floating(mesh, p=config.p)
+            tsol = solve_tied(mesh, p=config.p)
             frep = flux_report(fsol, neck)
             trep = flux_report(tsol, neck)
             rec.T1, rec.T2 = fsol.T1, fsol.T2
@@ -343,10 +327,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
             rec.floating_reports = frep
             rec.tied_reports = trep
             if config.p == 2.0:
-                v1 = solve_linear_aux(mesh, "v1", config=scfg)
-                v2 = (mirrored(v1) if mesh.mirror is not None
-                      else solve_linear_aux(mesh, "v2", config=scfg))
-                v3 = tsol if tsol.parity[0] == -1 else solve_linear_aux(mesh, "v3", config=scfg)
+                v1 = solve_linear_aux(mesh, "v1")
+                v2 = mirrored(v1) if mesh.mirror is not None else solve_linear_aux(mesh, "v2")
+                v3 = tsol if tsol.parity[0] == -1 else solve_linear_aux(mesh, "v3")
                 rec.q_report = q_functional(v1, v2, v3)
         except Exception as exc:  # noqa: BLE001 - per-point fault isolation
             rec.error = f"{type(exc).__name__}: {exc}"

@@ -896,6 +896,20 @@ class TestLoadValidation:
         mesh, values = load_mesh_text(path)
         assert (mesh.n_nodes, mesh.n_triangles, values) == (3, 1, None)
 
+    def test_duplicated_element(self, tmp_path):
+        """An element given twice, the counts header bumped to match, covers
+        its area twice; it once loaded and solved with no error."""
+        path, lines = self.saved_lines(tmp_path)
+        tris = [i for i, line in enumerate(lines) if line.startswith("tri ")]
+        k = tris[len(tris) // 2]  # an element of the middle ring, off the boundary
+        c = self.first(lines, "counts")
+        n_nodes, n_tris, has_values = lines[c].split()[1:]
+        lines[c] = f"counts {n_nodes} {int(n_tris) + 1} {has_values}\n"
+        lines.insert(tris[-1] + 1, f"tri {n_tris} {lines[k].split(maxsplit=2)[2]}")
+        path.write_text("".join(lines))
+        with pytest.raises(MeshError, match="mesh does not tile the domain"):
+            load_mesh_text(path)
+
     @pytest.mark.parametrize("vertex", [7, 3, -1])
     def test_vertex_outside_node_range(self, tmp_path, vertex):
         path = self.triangle_file(tmp_path, tri=f"tri 0 0 1 {vertex}")

@@ -64,7 +64,7 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(delta_ratio=1.5)
         with pytest.raises(ValueError):
-            SweepConfig(h_neck_fraction=0.5)
+            SweepConfig(neck_layers=3)
 
     def test_datum_presets(self):
         lin = SweepConfig(datum="linear-y").datum_callable()
@@ -89,9 +89,8 @@ class TestSweepConfig:
         assert SweepConfig.from_dict(block) == SweepConfig()
 
     def test_no_field_shared_with_the_solver_config(self):
-        # the Newton settings are declared, defaulted and checked once
-        solver_fields = {f.name for f in dataclasses.fields(SolverConfig)}
-        assert solver_fields.isdisjoint(f.name for f in dataclasses.fields(SweepConfig))
+        # the Newton settings are constants of gaplaw.solver, set by no config
+        assert dataclasses.fields(SolverConfig) == ()
 
     @pytest.mark.parametrize("cfg", [
         SweepConfig(),
@@ -130,7 +129,7 @@ class TestSweepConfig:
         assert table(1.0, 0.0) == pytest.approx(reference(1.0, 0.0), abs=1e-15)
 
 
-FORMER_KEYS = {"clearance", "eps_scale", "max_iter", "newton_tol", "p_step"}
+FORMER_KEYS = {"clearance", "eps_scale", "h_neck_fraction", "max_iter", "newton_tol", "p_step"}
 
 
 class TestSweepConfigValidation:
@@ -154,11 +153,11 @@ class TestSweepConfigValidation:
         ({"R_out": 2.0}, "R_out"),
         ({"delta_start": 0.9, "R_out": 3.4}, "R_out"),
         # former keys, refused by name whatever their value: the Newton
-        # settings are SolverConfig's alone, the clearance is CLEARANCE
+        # settings are constants of gaplaw.solver, the clearance is
+        # CLEARANCE and the neck resolution is given as neck_layers
         ({"p_step": 0.0, "p": 3.0}, "p_step"),
         ({"p_step": -0.5, "p": 3.0}, "p_step"),
         ({"p_step": float("nan")}, "p_step"),
-        # the neck cell size must be a positive fraction of delta
         ({"h_neck_fraction": 0.0}, "h_neck_fraction"),
         ({"h_neck_fraction": -0.1}, "h_neck_fraction"),
         # values every ladder point would fail on, deep inside the mesher or solver
@@ -234,11 +233,14 @@ class TestSweepConfigValidation:
                      id="table-entries-int"),
         pytest.param({"datum": {"kind": "table", "entries": [[0, 10**400]]}},
                      "datum table entry 0", id="table-entry-huge-int"),
-        # a subnormal neck fraction, whose reciprocal overflows to inf
+        # the former key h_neck_fraction again, at values that once overflowed
         pytest.param({"h_neck_fraction": 5e-324}, "h_neck_fraction",
                      id="h_neck_fraction-5e-324"),
         pytest.param({"h_neck_fraction": 1e-310}, "h_neck_fraction",
                      id="h_neck_fraction-1e-310"),
+        # the layers across the gap: an even integer >= 4, checked by MeshParams
+        *(pytest.param({"neck_layers": bad}, "neck_layers", id=f"neck_layers-{bad!r}")
+          for bad in (0, 2, 5, -4, 4.0, "4", True, None)),
     ])
     def test_rejected_at_construction(self, kwargs, field):
         # the dataclass constructor refuses a former key with a TypeError
@@ -248,9 +250,11 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError, match=field):
             SweepConfig.from_dict({**SweepConfig().to_dict(), **kwargs})
 
+    # SolverConfig has no fields: a former Newton setting is refused by
+    # name whatever its value, as a former SweepConfig key is
     @pytest.mark.parametrize("p_step", [0.0, -0.5, float("nan")])
     def test_solver_config_rejects_nonpositive_p_step(self, p_step):
-        with pytest.raises(ValueError, match="p_step"):
+        with pytest.raises(TypeError, match="p_step"):
             SolverConfig(p_step=p_step)
 
     @pytest.mark.parametrize("kwargs,field", [
@@ -273,12 +277,12 @@ class TestSweepConfigValidation:
         pytest.param({"p_step": "1"}, "p_step", id="p_step-str"),
     ])
     def test_solver_config_rejects_unsolvable_values(self, kwargs, field):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(TypeError, match=field):
             SolverConfig(**kwargs)
 
     def test_solver_config_accepts_boundary_values(self):
-        SolverConfig(max_iter=1, eps_scale=0.0, newton_tol=1e-15)
-        SweepConfig(delta_count=1)
+        SolverConfig()
+        SweepConfig(delta_count=1, neck_layers=4)
 
     def test_smallest_normal_delta_accepted(self):
         # 2^-5 * 0.5^1017 = 2^-1022, the smallest normal float
@@ -291,14 +295,14 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError, match="out_dir"):
             SweepConfig.from_json('{"out_dir": "results"}')
         # the mesher draws no random numbers, so a mesh seed is no option;
-        # the verdict tolerances, the neck width, the strip aspect and the
-        # clearance are module constants, and the Newton settings are
-        # SolverConfig's alone
+        # the verdict tolerances, the neck width, the strip aspect, the
+        # clearance and the Newton settings are module constants, and the
+        # neck resolution is given in layers
         for key, value in [("mesh_seed", 0), ("ratio_band", [0.995, 1.005]),
                            ("slope_tol", 0.1), ("deviation_slack", 0.02),
                            ("neck_w", None), ("strip_aspect", 1.4), ("clearance", 1.0),
                            ("newton_tol", 1e-12), ("max_iter", 80), ("eps_scale", 1e-8),
-                           ("p_step", 1.0)]:
+                           ("p_step", 1.0), ("h_neck_fraction", 0.25)]:
             with pytest.raises(ValueError, match=key):
                 SweepConfig.from_dict({**SweepConfig().to_dict(), key: value})
 
