@@ -21,6 +21,10 @@ gamma and C_o, never J itself.  The closed forms of J are the test oracle
 `tests/neck.py`: the tests check gamma against the slope of J down a
 delta ladder, and C_o against delta^gamma * J at a tiny delta.
 
+`predict` states the gap law gap ~ (R0/C_o)^(1/(p-1)) delta^(gamma/(p-1))
+by its exponents and coefficient, the `prediction` block of `report.json`;
+it evaluates the law at no particular delta.
+
 For integer p the limit constant has closed forms (`c_o_table`).  In
 d = 2 the table and the limit agree:
 
@@ -157,12 +161,13 @@ def c_o_quadrature(p: float, d: int, R: float) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticPrediction:
-    """Predicted potential-gap and gradient-maximum scalings.
+    """The predicted blow-up law, as `report.json` writes it.
 
-    Power case: gap = (R0 delta^gamma / C_o)^(1/(p-1)) and
-    grad_max = gap/delta, so grad_max*delta == gap holds identically.
-    Log case ((p, d) = (2, 3)): gap = (R0/(C_o log(1/delta)))^(1/(p-1)),
-    grad_max = (R0/C_o)^(1/(p-1)) (log(1/delta))^(1/(p-1)) / delta.
+    Power case: gap ~ gap_coefficient * delta^gap_exponent and
+    grad_max ~ gap/delta, so grad_exponent = gap_exponent - 1, with
+    gap_coefficient = (R0/C_o)^(1/(p-1)) and gap_exponent = gamma/(p-1).
+    Log case ((p, d) = (2, 3)): gap ~ gap_coefficient (log(1/delta))^(-1/(p-1));
+    gamma and both exponents are None.
     """
 
     p: float
@@ -172,28 +177,23 @@ class AsymptoticPrediction:
     C_o: float
     gamma: float | None
     log_case: bool
-    delta: float
-    gap: float
-    grad_max: float
     gap_exponent: float | None
     grad_exponent: float | None
     gap_coefficient: float
-    degenerate: bool = False
 
 
-def predict(p: float, d: int, R: float, R0: float, delta: float,
+def predict(p: float, d: int, R: float, R0: float, *,
             C_o: float | None = None) -> AsymptoticPrediction:
-    """Concrete gap and gradient-maximum predictions at a given delta.
+    """The gap law (T2 - T1)^(p-1) delta^(-gamma) -> R0/C_o as exponents and
+    a coefficient.
 
-    R0 must be positive (swap the particle labels if the measured value
-    is negative); R0 = 0 returns a degenerate all-zero prediction.  C_o
+    R0 must be finite and not negative (swap the particle labels if the
+    measured value is negative); R0 = 0 gives a zero coefficient.  C_o
     defaults to `c_o_quadrature`, and in the log case to the coefficient
     pi*R of J ~ pi*R*log(1/delta).
     """
     _check_pd(p, d)
     _check_R(R)
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta={delta} must be positive and finite")
     if not math.isfinite(R0):
         raise ValueError(f"flux constant R0={R0} must be finite")
     if R0 < 0.0:
@@ -205,26 +205,15 @@ def predict(p: float, d: int, R: float, R0: float, delta: float,
         C_o = math.pi * R if log_case else c_o_quadrature(p, d, R)
     elif not (math.isfinite(C_o) and C_o > 0.0):
         raise ValueError(f"limit constant C_o={C_o} must be positive and finite")
-    pm1 = p - 1.0
-    if log_case:
-        gamma = None
-        gap_exp = grad_exp = None
-        coeff = (R0 / C_o) ** (1.0 / pm1) if R0 > 0 else 0.0
-        L = math.log(1.0 / delta)
-        gap = coeff / L ** (1.0 / pm1)
-        grad_max = coeff * L ** (1.0 / pm1) / delta
-    else:
+    gamma = gap_exp = grad_exp = None
+    if not log_case:
         gamma = gamma_exponent(p, d)
-        coeff = (R0 / C_o) ** (1.0 / pm1) if R0 > 0 else 0.0
-        gap_exp = gamma / pm1
-        grad_exp = gamma / pm1 - 1.0
-        gap = coeff * delta**gap_exp
-        grad_max = gap / delta
+        gap_exp = gamma / (p - 1.0)
+        grad_exp = gap_exp - 1.0
     return AsymptoticPrediction(
         p=p, d=d, R=R, R0=R0, C_o=C_o, gamma=gamma, log_case=log_case,
-        delta=delta, gap=gap, grad_max=grad_max,
         gap_exponent=gap_exp, grad_exponent=grad_exp,
-        gap_coefficient=coeff, degenerate=(R0 == 0.0),
+        gap_coefficient=(R0 / C_o) ** (1.0 / (p - 1.0)),
     )
 
 

@@ -129,15 +129,14 @@ def analyze(records, p: float, R: float = 1.0):
     """Sweep records -> (r0, prediction, fits, verdicts).
 
     R0 is extrapolated from the tied fluxes of the successful records,
-    C_o and the prediction come from `asymptotics` at the smallest
-    successful delta, and the verdicts apply the fixed tolerances
+    C_o and the predicted law (exponents and coefficient) come from
+    `asymptotics`, and the verdicts apply the fixed tolerances
     (`sweep.RATIO_BAND`, `sweep.DEVIATION_SLACK` and SLOPE_TOL), so a
     ladder gets the same verdicts from every command.
     """
     r0 = r0_from_records(records)
     C_o = asymptotics.c_o_quadrature(p, DIM, R)
-    smallest = r0.ladder[-1][0]
-    pred = asymptotics.predict(p, DIM, R, r0.R0, smallest, C_o=C_o)
+    pred = asymptotics.predict(p, DIM, R, r0.R0, C_o=C_o)
     fits = {q: fit_power_law(records, q, pred) for q in QUANTITIES}
     verdicts = {
         "theorem_ratio": verify_theorem(records, r0, pred),

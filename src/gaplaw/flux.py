@@ -207,8 +207,8 @@ def estimate_r0(pairs) -> R0Estimate:
     The pairs must be finite and the deltas strictly decreasing, at least
     3 of them.  Raises
     ExtrapolationUnreliableError (carrying the ladder) when the
-    linear-in-delta fit misfits by more than R0_NOISE_TOL of the data range
-    and by more than solver roundoff.
+    linear-in-delta fit misfits by more than R0_NOISE_TOL of the larger of
+    the data range and |R0|, and by more than solver roundoff.
     """
     pairs = [(float(d), float(v)) for d, v in pairs]
     bad = [pair for pair in pairs if not np.isfinite(pair).all()]
@@ -224,9 +224,8 @@ def estimate_r0(pairs) -> R0Estimate:
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     fit = A @ coef
     resid = np.abs(fit - y)
-    span = max(float(np.max(y) - np.min(y)), abs(coef[0]) * 1e-12, 1e-300)
     misfit = float(np.max(resid))
-    if misfit > R0_NOISE_TOL * max(span, abs(coef[0])) and misfit > _R0_ABS_FLOOR:
+    if misfit > R0_NOISE_TOL * max(np.ptp(y), abs(coef[0])) and misfit > _R0_ABS_FLOOR:
         raise ExtrapolationUnreliableError(
             f"R_delta ladder misfits linear extrapolation by {misfit:.3e}",
             pairs,
@@ -236,7 +235,7 @@ def estimate_r0(pairs) -> R0Estimate:
         R0=float(coef[0]),
         slope=float(coef[1]),
         residual=float(resid[-1]),
-        max_fit_residual=float(np.max(resid)),
+        max_fit_residual=misfit,
     )
 
 

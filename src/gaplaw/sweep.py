@@ -146,8 +146,8 @@ class SweepConfig:
 
     Construction validates the config before any mesh is built: a
     real-valued field that is not a real number (a bool included), an R
-    that is not positive and finite, an unknown datum, table entries that
-    are not a list, a table entry that is not a [theta, value] pair of
+    that is not positive and finite, an unknown datum, a table datum with
+    a key other than kind and entries, table entries that are not a list, a table entry that is not a [theta, value] pair of
     finite numbers (an integer beyond the float range included), p < 2,
     delta_start <= 0, a delta_count that is not an integer >= 1, a ladder
     whose smallest delta is not a positive normal float, an h_far that is
@@ -215,6 +215,9 @@ class SweepConfig:
             return lambda x, y: y + 0.5 * y * y / self.R_out
         if (isinstance(self.datum, dict) and self.datum.get("kind") == "table"
                 and self.datum.get("entries")):
+            unknown = set(self.datum) - {"kind", "entries"}
+            if unknown:
+                raise ValueError(f"unknown datum table keys {sorted(unknown, key=str)}")
             return _datum_table_factory(self.datum["entries"])
         raise ValueError(f"unknown datum {self.datum!r}")
 
@@ -311,7 +314,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
             frep = flux_report(fsol, neck)
             trep = flux_report(tsol, neck)
             rec.T1, rec.T2 = fsol.T1, fsol.T2
-            rec.gap = fsol.T2 - fsol.T1
+            rec.gap = fsol.gap
             rec.gradmax_all = grad_max(fsol, "all", neck)[0]
             rec.gradmax_neck = grad_max(fsol, "neck", neck)[0]
             rec.gradmax_away = grad_max(fsol, "away", neck)[0]
@@ -354,7 +357,8 @@ def _succeeded(records: list[SweepRecord]) -> list[SweepRecord]:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Least-squares power law y = prefactor * delta^slope in log-log."""
+    """Least-squares power law y = prefactor * delta^slope in log-log, and
+    its deviations from the predicted slope and prefactor, if any."""
 
     quantity: str
     slope: float
@@ -363,31 +367,8 @@ class FitResult:
     n_points: int
     predicted_slope: float | None = None
     predicted_prefactor: float | None = None
-
-    @property
-    def slope_deviation(self) -> float | None:
-        if self.predicted_slope is None:
-            return None
-        return self.slope - self.predicted_slope
-
-    @property
-    def prefactor_deviation_rel(self) -> float | None:
-        if not self.predicted_prefactor:
-            return None
-        return self.prefactor / self.predicted_prefactor - 1.0
-
-    def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "slope": self.slope,
-            "prefactor": self.prefactor,
-            "residual": self.residual,
-            "n_points": self.n_points,
-            "predicted_slope": self.predicted_slope,
-            "predicted_prefactor": self.predicted_prefactor,
-            "slope_deviation": self.slope_deviation,
-            "prefactor_deviation_rel": self.prefactor_deviation_rel,
-        }
+    slope_deviation: float | None = None
+    prefactor_deviation_rel: float | None = None
 
 
 _QUANTITY_GETTERS = {
@@ -420,20 +401,21 @@ def fit_power_law(
     y = np.log([get(r) for r in ok])
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.max(np.abs(y - (slope * x + intercept))))
+    slope, prefactor = float(slope), float(np.exp(intercept))
     pred_s = pred_a = None
     if prediction is not None and not prediction.log_case:
-        pred_s = (
-            prediction.gap_exponent if quantity == "gap" else prediction.grad_exponent
-        )
+        pred_s = prediction.gap_exponent if quantity == "gap" else prediction.grad_exponent
         pred_a = prediction.gap_coefficient
     return FitResult(
         quantity=quantity,
-        slope=float(slope),
-        prefactor=float(np.exp(intercept)),
+        slope=slope,
+        prefactor=prefactor,
         residual=resid,
         n_points=len(ok),
         predicted_slope=pred_s,
         predicted_prefactor=pred_a,
+        slope_deviation=None if pred_s is None else slope - pred_s,
+        prefactor_deviation_rel=prefactor / pred_a - 1.0 if pred_a else None,
     )
 
 
@@ -455,9 +437,6 @@ class TheoremVerdict:
     R0: float
     C_o: float
     gamma: float
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def verify_theorem(
@@ -514,9 +493,6 @@ class BarrierVerdict:
     required: float
     passed: bool
     C_slack: float
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def verify_barrier(
@@ -646,25 +622,13 @@ def emit_report(
 
     report = {
         "config": config.to_dict() if config else None,
-        "fits": {k: f.to_dict() for k, f in fits.items()},
+        "fits": {k: dataclasses.asdict(f) for k, f in fits.items()},
         "verdicts": {
-            k: (v.to_dict() if hasattr(v, "to_dict") else v) for k, v in verdicts.items()
+            k: dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v
+            for k, v in verdicts.items()
         },
         "r0": None if r0 is None else dataclasses.asdict(r0),
-        "prediction": None
-        if prediction is None
-        else {
-            "p": prediction.p,
-            "d": prediction.d,
-            "R": prediction.R,
-            "R0": prediction.R0,
-            "C_o": prediction.C_o,
-            "gamma": prediction.gamma,
-            "log_case": prediction.log_case,
-            "gap_exponent": prediction.gap_exponent,
-            "grad_exponent": prediction.grad_exponent,
-            "gap_coefficient": prediction.gap_coefficient,
-        },
+        "prediction": None if prediction is None else dataclasses.asdict(prediction),
         "errors": {repr(r.delta): r.error for r in records if r.error is not None},
     }
     q_reports = {repr(r.delta): dataclasses.asdict(r.q_report)

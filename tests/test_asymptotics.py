@@ -207,8 +207,8 @@ class TestNonFiniteInput:
         lambda p: gamma_exponent(p, 2),
         lambda p: c_o_table(p, 2, 1.0),
         lambda p: c_o_quadrature(p, 2, 1.0),
-        lambda p: predict(p, 2, 1.0, 1.0, 1e-3),
-        lambda p: predict(p, 2, 1.0, 1.0, 1e-3, C_o=1.0),
+        lambda p: predict(p, 2, 1.0, 1.0),
+        lambda p: predict(p, 2, 1.0, 1.0, C_o=1.0),
         lambda p: table_consistency_report(p, 2, 1.0),
     ], ids=["gamma", "table", "limit", "predict", "predict-C_o", "report"])
     def test_p_named(self, call, p):
@@ -220,9 +220,9 @@ class TestNonFiniteInput:
         lambda R: c_o_table(3, 2, R),
         lambda R: c_o_quadrature(3, 2, R),
         lambda R: c_o_quadrature(3, 3, R),
-        lambda R: predict(3, 2, R, 1.0, 1e-3),
-        lambda R: predict(3, 2, R, 1.0, 1e-3, C_o=1.0),
-        lambda R: predict(2, 3, R, 1.0, 1e-3),
+        lambda R: predict(3, 2, R, 1.0),
+        lambda R: predict(3, 2, R, 1.0, C_o=1.0),
+        lambda R: predict(2, 3, R, 1.0),
         lambda R: table_consistency_report(2, 3, R),
     ], ids=["table", "limit-d2", "limit-d3", "predict", "predict-C_o", "predict-log",
             "report-log"])
@@ -230,57 +230,61 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match=f"radius R={R} must be positive and finite"):
             call(R)
 
-    @pytest.mark.parametrize("R0,delta,C_o,named", [
-        (math.nan, 1e-3, 1.0, "R0=nan"), (1.0, math.nan, 1.0, "delta=nan"),
-        (1.0, math.inf, 1.0, "delta=inf"), (1.0, 1e-3, math.nan, "C_o=nan"),
-        (1.0, 1e-3, 0.0, "C_o=0.0"), (1.0, 1e-3, -1.0, "C_o=-1.0"),
+    @pytest.mark.parametrize("R0,C_o,named", [
+        (math.nan, 1.0, "R0=nan"), (1.0, math.nan, "C_o=nan"),
+        (1.0, 0.0, "C_o=0.0"), (1.0, -1.0, "C_o=-1.0"),
     ])
-    def test_predict_R0_delta_and_C_o_named(self, R0, delta, C_o, named):
+    def test_predict_R0_and_C_o_named(self, R0, C_o, named):
         with pytest.raises(ValueError, match=named):
-            predict(3, 2, 1.0, R0, delta, C_o=C_o)
+            predict(3, 2, 1.0, R0, C_o=C_o)
 
 
 class TestPredict:
     def test_degenerate_zero_load(self):
-        pred = predict(3, 2, 1.0, 0.0, 1e-3, C_o=math.pi / 2)
-        assert pred.gap == 0.0
-        assert pred.grad_max == 0.0
-        assert pred.degenerate
+        pred = predict(3, 2, 1.0, 0.0, C_o=math.pi / 2)
+        assert pred.gap_coefficient == 0.0
 
     def test_negative_load_rejected(self):
         with pytest.raises(ValueError):
-            predict(3, 2, 1.0, -1.0, 1e-3, C_o=1.0)
+            predict(3, 2, 1.0, -1.0, C_o=1.0)
+
+    def test_delta_passed_fifth_refused(self):
+        # C_o is keyword-only: a delta in its old fifth place is no C_o
+        with pytest.raises(TypeError):
+            predict(3, 2, 1.0, 1.0, 1e-3)
 
     def test_p2_blowup_exponent(self):
-        pred = predict(2, 2, 1.0, 1.0, 1e-4, C_o=math.pi)
+        pred = predict(2, 2, 1.0, 1.0, C_o=math.pi)
         assert pred.grad_exponent == pytest.approx(-0.5)
-        # halving delta grows the gradient like delta^(-1/2)
-        pred2 = predict(2, 2, 1.0, 1.0, 0.25e-4, C_o=math.pi)
-        assert pred2.grad_max / pred.grad_max == pytest.approx(2.0)
+        assert pred.gap_coefficient == pytest.approx(1.0 / math.pi)
 
     def test_worked_example_p3(self):
-        pred = predict(3, 2, 1.0, math.pi / 2, 1e-4, C_o=math.pi / 2)
-        assert pred.gap == pytest.approx(1e-3)
+        pred = predict(3, 2, 1.0, math.pi / 2, C_o=math.pi / 2)
+        assert pred.gap_exponent == pytest.approx(0.75)
+        assert pred.gap_coefficient * 1e-4**pred.gap_exponent == pytest.approx(1e-3)
 
     def test_gap_gradient_identity(self):
-        # the two laws are one algebraic statement: grad_max * delta == gap
+        # the two laws are one algebraic statement, grad_max ~ gap/delta,
+        # so their exponents differ by exactly 1
         for p, d in [(2, 2), (3, 2), (4, 3)]:
-            pred = predict(p, d, 1.0, 2.0, 3.7e-3, C_o=1.3)
-            assert pred.grad_max * pred.delta == pred.gap
+            pred = predict(p, d, 1.0, 2.0, C_o=1.3)
+            assert pred.grad_exponent == pred.gap_exponent - 1.0
+            assert pred.gap_exponent == pred.gamma / (p - 1.0)
 
     @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
     def test_log_case_default_coefficient(self, R):
         # J ~ pi R log(1/delta), so the default C_o is the log coefficient pi R
-        pred = predict(2, 3, R, 1.0, 1e-3)
+        pred = predict(2, 3, R, 1.0)
         assert pred.C_o == math.pi * R
-        assert math.isfinite(pred.gap) and pred.gap > 0.0
+        assert pred.gap_coefficient == pytest.approx(1.0 / (math.pi * R))
 
     def test_log_case_scalings(self):
-        pred = predict(2, 3, 1.0, 1.0, 1e-3, C_o=math.pi)
-        L = math.log(1e3)
+        # gap ~ (R0/C_o)^(1/(p-1)) / log(1/delta)^(1/(p-1)): no power law
+        pred = predict(2, 3, 1.0, 1.0, C_o=math.pi)
         assert pred.log_case
-        assert pred.gap == pytest.approx((1.0 / (math.pi * L)))
-        assert pred.grad_max == pytest.approx((1.0 / math.pi) * L / 1e-3)
+        assert pred.gamma is None
+        assert pred.gap_exponent is None and pred.grad_exponent is None
+        assert pred.gap_coefficient == pytest.approx(1.0 / math.pi)
 
 
 class TestTableConsistencyReport:

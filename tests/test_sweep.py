@@ -231,6 +231,9 @@ class TestSweepConfigValidation:
         # entries that are no list, and an integer beyond the float range
         pytest.param({"datum": {"kind": "table", "entries": 5}}, "datum table entries",
                      id="table-entries-int"),
+        # a key the table datum does not read, which was silently ignored
+        pytest.param({"datum": {"kind": "table", "entries": [[0, 1.0], [3.0, -1.0]],
+                                "interp": "cubic"}}, "interp", id="table-unknown-key"),
         pytest.param({"datum": {"kind": "table", "entries": [[0, 10**400]]}},
                      "datum table entry 0", id="table-entry-huge-int"),
         # the former key h_neck_fraction again, at values that once overflowed
@@ -414,8 +417,7 @@ class TestRunSweep:
     def test_refinement_moves_slopes_toward_prediction(self):
         # halving the far-field mesh size moves each fitted slope toward
         # its predicted value (or leaves it within a hair of it)
-        pred = asymptotics.predict(2.0, 2, 1.0, 1.0, 0.01,
-                                   C_o=asymptotics.c_o_table(2, 2, 1.0))
+        pred = asymptotics.predict(2.0, 2, 1.0, 1.0, C_o=asymptotics.c_o_table(2, 2, 1.0))
         devs = {}
         for h in (0.6, 0.3):
             recs = run_sweep(SweepConfig(p=2.0, delta_start=0.04, delta_ratio=0.5,
@@ -443,7 +445,7 @@ class TestFitPowerLaw:
 
     def test_prediction_attachment(self):
         recs = synthetic_records(A=1.0, s=0.75)
-        pred = asymptotics.predict(3.0, 2, 1.0, math.pi / 2, 0.005, C_o=math.pi / 2)
+        pred = asymptotics.predict(3.0, 2, 1.0, math.pi / 2, C_o=math.pi / 2)
         fit = fit_power_law(recs, "gap", pred)
         assert fit.predicted_slope == pytest.approx(0.75)
         assert fit.slope_deviation == pytest.approx(0.0, abs=1e-12)
@@ -464,7 +466,7 @@ class TestFitPowerLaw:
 class TestVerifyTheorem:
     def _prediction(self, p=2.0, R0=2.0):
         C_o = asymptotics.c_o_table(int(p), 2, 1.0)
-        return asymptotics.predict(p, 2, 1.0, R0, 0.005, C_o=C_o)
+        return asymptotics.predict(p, 2, 1.0, R0, C_o=C_o)
 
     def test_manufactured_records_ratio_one(self):
         # records generated exactly from the prediction have ratio 1
@@ -566,8 +568,7 @@ class TestPersistence:
     def test_emit_report_files(self, tiny_records, tmp_path):
         cfg = SweepConfig(p=2.0, **TINY)
         r0 = r0_from_records(tiny_records)
-        pred = asymptotics.predict(2.0, 2, 1.0, r0.R0, 0.01,
-                                   C_o=asymptotics.c_o_table(2, 2, 1.0))
+        pred = asymptotics.predict(2.0, 2, 1.0, r0.R0, C_o=asymptotics.c_o_table(2, 2, 1.0))
         fits = {
             "gap": fit_power_law(tiny_records, "gap", pred),
             "gradMax": fit_power_law(tiny_records, "gradMax", pred),
@@ -581,6 +582,21 @@ class TestPersistence:
         assert report["fits"]["gap"]["slope"] == fits["gap"].slope
         assert report["verdicts"]["theorem_ratio"]["passed"] is True
         assert report["r0"]["R0"] == r0.R0
+        # the blocks written straight from their dataclasses, key for key
+        fit_keys = {"quantity", "slope", "prefactor", "residual", "n_points",
+                    "predicted_slope", "predicted_prefactor", "slope_deviation",
+                    "prefactor_deviation_rel"}
+        assert set(report["fits"]["gap"]) == fit_keys
+        assert set(report["fits"]["gradMax"]) == fit_keys
+        assert set(report["verdicts"]["theorem_ratio"]) == {
+            "deltas", "ratios", "band", "in_band", "deviations_decreasing", "passed",
+            "R0", "C_o", "gamma"}
+        assert set(report["prediction"]) == {
+            "p", "d", "R", "R0", "C_o", "gamma", "log_case", "gap_exponent",
+            "grad_exponent", "gap_coefficient"}
+        assert set(report["r0"]) == {"ladder", "R0", "slope", "residual",
+                                     "max_fit_residual"}
+        assert report["fits"]["gap"]["slope_deviation"] == fits["gap"].slope_deviation
         # the p = 2 Q report of every delta, keyed like "errors"
         q = report["q_functional"]
         assert set(q) == {repr(r.delta) for r in tiny_records}
