@@ -1,11 +1,11 @@
 """Numerical laboratory for the two-disk p-Laplace perfect-conductivity
 problem: how fast the electric field blows up as the gap closes.
 
-Submodules: geometry (disks, gaps, barrier circles), barriers (neck flux
-sandwiches from barrier circles), asymptotics (blow-up exponents
-and limit constants), mesh / solver (graded FEM and the floating-/tied-
-potential energy minimizer), flux (boundary flux integrals and the
-linear-case functional), sweep (delta ladders, rate fits, verdicts, CLI
+Submodules: geometry (disks, gaps, barrier circles and the neck flux
+sandwich they give), asymptotics (blow-up exponents and limit
+constants), mesh / solver (graded FEM and the floating-/tied-potential
+energy minimizer), flux (boundary flux integrals and the linear-case
+functional), sweep (delta ladders, rate fits, verdicts, CLI
 persistence).
 """
 
@@ -18,7 +18,6 @@ from .asymptotics import (
     table_consistency_report,
     wallis_product,
 )
-from .barriers import FluxBound, barrier_flux_bound
 from .flux import (
     FluxReport,
     R0Estimate,
@@ -32,6 +31,7 @@ from .geometry import (
     DomainSpec,
     NeckSpec,
     ParticlePair,
+    barrier_flux_bound,
     gap_width,
     upper_barrier_radii,
 )

@@ -14,8 +14,10 @@ circles used to sandwich the normal derivative in the neck: an inner
 circle of radius r1 tangent to particle 1 from inside, together with the
 concentric circle of radius r2 tangent to particle 2 (upper barrier), and
 the analogous exact construction from inside particle 2 (lower barrier).
+`barrier_flux_bound` turns the two separations into the sandwich.
 All functions are pure and scale-covariant: scaling every input length by
-a factor lam scales every returned length by lam.
+a factor lam scales every returned length by lam, and the flux bounds, as
+gradients, are unchanged when the potentials scale by lam as well.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ __all__ = [
     "gap_width",
     "upper_barrier_radii",
     "lower_barrier_outer_radius",
+    "barrier_flux_bound",
     "datum_values",
 ]
 
 DIM = 2  # the disks, their meshes and every solve live in the plane
 NECK_W_FRACTION = 0.25  # neck-window half-width, as a fraction of R
+C_DELTA = 2.0  # first-order widening factor 1 +/- C_DELTA*delta/R of the flux bounds
 
 GapMode = Literal["exact", "quadratic"]
 
@@ -147,6 +151,34 @@ def lower_barrier_outer_radius(x, rho1: float, pair: ParticlePair):
     with np.errstate(invalid="ignore"):
         rho2 = -R + s * (np.sqrt(rad1) - np.sqrt(rad2))
     return rho2, valid
+
+
+def barrier_flux_bound(x, T1: float, T2: float, pair: ParticlePair, C_slack: float):
+    """(lower, upper) bounds for n.grad(u) at the neck-arc point above x,
+    a number or an array of offsets; the normal points from the gap into
+    particle 2.
+
+    The upper bound divides the potential gap by the upper-barrier
+    separation (inner radius r1 = delta), the lower bound by the exact
+    lower-barrier separation (rho1 = delta); both are then widened by the
+    first-order factor (1 +/- C_DELTA*delta/R) and the additive slack
+    C_slack.  Outside the lower construction's validity window the
+    quadratic gap delta + x^2/R inflated by (1 + C_DELTA*delta/R) is used
+    instead.  The bounds depend on neither p nor the dimension.
+    """
+    if T2 < T1:
+        raise ValueError(
+            f"need T2 >= T1 (swap particle labels otherwise), got T1={T1}, T2={T2}"
+        )
+    if pair.delta <= 0.0:
+        raise ValueError("barrier bounds require a positive surface gap")
+    delta = pair.delta
+    one = 1.0 + C_DELTA * delta / pair.R
+    _, r2 = upper_barrier_radii(x, delta, pair)
+    rho2, valid = lower_barrier_outer_radius(x, delta, pair)
+    gap_l = np.where(valid, rho2 - delta, gap_width(x, pair, "quadratic") * one)
+    dT = T2 - T1
+    return dT / gap_l / one - C_slack, dT / (r2 - delta) * one + C_slack
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,14 @@ from .flux import (
     r_delta,
     sample_neck_flux,
 )
-from .barriers import barrier_flux_bound
-from .geometry import NECK_W_FRACTION, DomainSpec, GeometryError, NeckSpec, ParticlePair
+from .geometry import (
+    NECK_W_FRACTION,
+    DomainSpec,
+    GeometryError,
+    NeckSpec,
+    ParticlePair,
+    barrier_flux_bound,
+)
 from .mesh import MeshError, MeshParams, build_mesh, require_real
 from .solver import (
     DiscreteSolution,
@@ -506,17 +512,20 @@ def verify_barrier(
 
     The additive constant of the bounds is the measured far-field
     gradient maximum, the quantity it stands in for.  `p` must be the
-    solution's exponent; a different value raises ValueError.
+    solution's exponent and, on a mesh of a `DomainSpec`, `neck.pair` its
+    particle pair; a different value raises ValueError.
     """
     if solution.kind != "floating":
         raise ValueError("barrier verdict applies to floating solves")
     if p != solution.p:
         raise ValueError(f"p={p} differs from the solution's p={solution.p}")
+    dom = solution.mesh.domain
+    if isinstance(dom, DomainSpec) and dom.pair != neck.pair:
+        raise ValueError(f"neck pair {neck.pair} differs from the solution's pair {dom.pair}")
     C_slack = grad_max(solution, "away", neck)[0]
-    pair = neck.pair
     xs, measured, slack = sample_neck_flux(solution, neck)
-    fb = barrier_flux_bound(xs, solution.T1, solution.T2, pair, C_slack=C_slack)
-    inside = int(np.count_nonzero((fb.lower - slack <= measured) & (measured <= fb.upper + slack)))
+    lower, upper = barrier_flux_bound(xs, solution.T1, solution.T2, neck.pair, C_slack)
+    inside = int(np.count_nonzero((lower - slack <= measured) & (measured <= upper + slack)))
     cov = inside / len(xs)
     return BarrierVerdict(
         n_samples=len(xs),

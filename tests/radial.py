@@ -9,7 +9,7 @@ solves div(|grad psi|^(p-2) grad psi) = 0 away from its center, for any
 amplitude a and offset b.  Fitted through two radii it is the exact
 solution of the prescribed problem on an annulus (criterion 4), and the
 comparison function behind the neck flux sandwich of
-`gaplaw.barriers.barrier_flux_bound`.
+`gaplaw.geometry.barrier_flux_bound`.
 
 `lower_barrier_radii` is the scalar form of
 `gaplaw.geometry.lower_barrier_outer_radius`: it raises where the lower

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplaw.barriers import barrier_flux_bound
-from gaplaw.geometry import ParticlePair, upper_barrier_radii
+from gaplaw.geometry import ParticlePair, barrier_flux_bound, upper_barrier_radii
 from radial import (
     BarrierValidityError,
     RadialDomainError,
@@ -211,22 +210,29 @@ class TestMeanValueSandwich:
 PAIR = ParticlePair(R=1.0, delta=1e-3)
 
 
+def leading(x, dT, pair):
+    """The leading-order neck flux (T2 - T1)/(delta + x^2/R) the bounds sandwich."""
+    return dT / (pair.delta + x * x / pair.R)
+
+
 class TestBarrierFluxBound:
     def test_no_gap(self):
-        fb = barrier_flux_bound(0.1, 0.5, 0.5, PAIR, C_slack=0.7)
-        assert fb.leading == 0.0
-        assert fb.upper == pytest.approx(0.7)
-        assert fb.lower == pytest.approx(-0.7)
+        lower, upper = barrier_flux_bound(0.1, 0.5, 0.5, PAIR, C_slack=0.7)
+        assert upper == pytest.approx(0.7)
+        assert lower == pytest.approx(-0.7)
 
     def test_leading_at_axis(self):
         pair = ParticlePair(R=1.0, delta=0.01)
-        fb = barrier_flux_bound(0.0, 0.0, 0.1, pair, C_slack=0.0)
-        assert fb.leading == pytest.approx(10.0)
+        lower, upper = barrier_flux_bound(0.0, 0.0, 0.1, pair, C_slack=0.0)
+        assert leading(0.0, 0.1, pair) == pytest.approx(10.0)
+        assert upper == pytest.approx(10.0 * 1.02)
+        assert lower == pytest.approx(10.0 / 1.02)
 
     def test_leading_off_axis(self):
-        fb = barrier_flux_bound(0.05, 0.0, 0.1, PAIR, C_slack=0.2)
-        assert fb.leading == pytest.approx(28.571, abs=1e-2)
-        assert fb.lower <= fb.leading <= fb.upper
+        lower, upper = barrier_flux_bound(0.05, 0.0, 0.1, PAIR, C_slack=0.2)
+        lead = leading(0.05, 0.1, PAIR)
+        assert lead == pytest.approx(28.571, abs=1e-2)
+        assert lower <= lead <= upper
 
     def test_swap_labels_error(self):
         with pytest.raises(ValueError):
@@ -241,9 +247,28 @@ class TestBarrierFluxBound:
     @settings(max_examples=100)
     def test_sandwich_order(self, x, delta, dT, C):
         pair = ParticlePair(R=1.0, delta=delta)
-        fb = barrier_flux_bound(x, 0.0, dT, pair, C_slack=C)
-        assert fb.lower <= fb.upper
-        assert fb.lower <= fb.leading * (1.0 + 2.0 * delta)
+        lower, upper = barrier_flux_bound(x, 0.0, dT, pair, C_slack=C)
+        assert lower <= upper
+        assert lower <= leading(x, dT, pair) * (1.0 + 2.0 * delta)
+
+    @given(
+        x_over_R=st.floats(-0.9, 0.9),
+        R=st.floats(0.1, 10.0),
+        delta_over_R=st.floats(1e-5, 0.05),
+        dT=st.floats(1e-4, 1.0),
+        C=st.floats(0.0, 2.0),
+    )
+    @settings(max_examples=100)
+    def test_scale_invariant(self, x_over_R, R, delta_over_R, dT, C):
+        # lengths and potentials scaled together leave gradients unchanged;
+        # lam = 4 is a power of two, so the scaling is exact in floating point
+        lam = 4.0
+        x, delta = x_over_R * R, delta_over_R * R
+        base = barrier_flux_bound(x, 0.0, dT, ParticlePair(R=R, delta=delta), C_slack=C)
+        scaled = barrier_flux_bound(
+            lam * x, 0.0, lam * dT, ParticlePair(R=lam * R, delta=lam * delta), C_slack=C
+        )
+        assert scaled == base
 
     def test_bounds_tighten_to_leading_at_axis(self):
         # with x = 0 both barrier separations equal delta, so the ratio of
@@ -251,15 +276,19 @@ class TestBarrierFluxBound:
         dT, C = 0.3, 0.05
         for delta in (1e-3, 1e-4, 1e-5):
             pair = ParticlePair(R=1.0, delta=delta)
-            fb = barrier_flux_bound(0.0, 0.0, dT, pair, C_slack=C)
-            for v in (fb.lower, fb.upper):
-                assert abs(v / fb.leading - 1.0) <= 2.0 * 2.0 * delta + C / fb.leading
+            lead = leading(0.0, dT, pair)
+            for v in barrier_flux_bound(0.0, 0.0, dT, pair, C_slack=C):
+                assert abs(v / lead - 1.0) <= 2.0 * 2.0 * delta + C / lead
 
     def test_out_of_validity_falls_back(self):
         pair = ParticlePair(R=1.0, delta=0.01)
-        fb = barrier_flux_bound(0.6, 0.0, 0.1, pair, C_slack=0.1)
-        assert not fb.lower_barrier_valid
-        assert fb.lower <= fb.upper
+        lower, upper = barrier_flux_bound(0.6, 0.0, 0.1, pair, C_slack=0.1)
+        with pytest.raises(BarrierValidityError):
+            lower_barrier_radii(0.6, pair.delta, pair)
+        one = 1.0 + 2.0 * pair.delta
+        gap_quad = pair.delta + 0.6 * 0.6 / pair.R
+        assert lower == 0.1 / (gap_quad * one) / one - 0.1
+        assert lower <= upper
 
     def test_array_matches_per_offset_oracle(self):
         """One call over an array of offsets gives, offset by offset, the
@@ -267,25 +296,18 @@ class TestBarrierFluxBound:
         pair = ParticlePair(R=1.0, delta=0.01)
         xs = np.linspace(-0.6, 0.6, 61)  # the lower window is |x| <= 0.4925
         dT, C = 0.1, 0.3
-        fb = barrier_flux_bound(xs, -0.05, 0.05, pair, C_slack=C)
-        one = 1.0 + 2.0 * pair.delta
+        lower, upper = barrier_flux_bound(xs, -0.05, 0.05, pair, C_slack=C)
+        one = 1.0 + 2.0 * pair.delta / pair.R
+        n_valid = 0
         for i, x in enumerate(xs.tolist()):
             _, r2 = upper_barrier_radii(x, pair.delta, pair)
-            gap_quad = pair.delta + x * x / pair.R
             try:
                 gap_l = lower_barrier_radii(x, pair.delta, pair)[1] - pair.delta
-                valid = True
+                n_valid += 1
             except BarrierValidityError:
-                gap_l, valid = gap_quad * one, False
-            assert fb.lower_barrier_valid[i] == valid
-            assert fb.upper[i] == dT / (r2 - pair.delta) * one + C
-            assert fb.lower[i] == dT / gap_l / one - C
-            assert fb.leading[i] == dT / gap_quad
-        assert 0 < np.count_nonzero(fb.lower_barrier_valid) < len(xs)
-        assert np.all(fb.contains(fb.leading))
-
-    def test_scalar_offset_gives_floats(self):
-        fb = barrier_flux_bound(0.6, 0.0, 0.1, ParticlePair(R=1.0, delta=0.01), C_slack=0.1)
-        assert type(fb.lower_barrier_valid) is bool
-        for name in ("lower", "upper", "leading", "gap_upper_barrier", "gap_lower_barrier"):
-            assert type(getattr(fb, name)) is float
+                gap_l = (pair.delta + x * x / pair.R) * one
+            assert upper[i] == dT / (r2 - pair.delta) * one + C
+            assert lower[i] == dT / gap_l / one - C
+        assert 0 < n_valid < len(xs)
+        lead = leading(xs, dT, pair)
+        assert np.all((lower <= lead) & (lead <= upper))

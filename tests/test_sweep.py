@@ -11,7 +11,7 @@ import pytest
 import gaplaw.sweep as sweep
 from gaplaw import asymptotics
 from gaplaw.flux import R0Estimate, q_functional, r_delta
-from gaplaw.geometry import GeometryError, NeckSpec
+from gaplaw.geometry import GeometryError, NeckSpec, ParticlePair
 from gaplaw.mesh import build_mesh
 from gaplaw.solver import SolverConfig, solve_floating, solve_linear_aux, solve_tied
 from gaplaw.sweep import (
@@ -498,15 +498,26 @@ class TestVerifyTheorem:
 
 
 class TestVerifyBarrier:
-    def test_rejects_another_p(self):
+    @pytest.fixture(scope="class")
+    def solved(self):
         cfg = SweepConfig(p=2.0, **TINY)
         dom = cfg.domain(cfg.delta_start)
         sol = solve_floating(build_mesh(dom, cfg.mesh_params()), p=2.0,
                              config=cfg.solver_config())
-        neck = NeckSpec(dom.pair, cfg.w)
+        return sol, NeckSpec(dom.pair, cfg.w)
+
+    def test_rejects_another_p(self, solved):
+        sol, neck = solved
         assert verify_barrier(sol, neck, p=2.0).n_samples > 0
         with pytest.raises(ValueError, match="p=3.0"):
             verify_barrier(sol, neck, p=3.0)
+
+    def test_rejects_a_neck_of_another_gap(self, solved):
+        sol, neck = solved
+        other = ParticlePair(R=neck.pair.R, delta=neck.pair.delta / 4.0)
+        with pytest.raises(ValueError) as err:
+            verify_barrier(sol, NeckSpec(other, neck.w), p=2.0)
+        assert repr(other) in str(err.value) and repr(neck.pair) in str(err.value)
 
 
 class TestPersistence:
