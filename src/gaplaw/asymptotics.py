@@ -23,7 +23,8 @@ delta ladder, and C_o against delta^gamma * J at a tiny delta.
 
 `predict` states the gap law gap ~ (R0/C_o)^(1/(p-1)) delta^(gamma/(p-1))
 by its exponents and coefficient, the `prediction` block of `report.json`;
-it evaluates the law at no particular delta.
+it evaluates the law at no particular delta, and refuses the log pair,
+which has none; only `table_consistency_report` reports that pair.
 
 For integer p the limit constant has closed forms (`c_o_table`).  In
 d = 2 the table and the limit agree:
@@ -136,38 +137,32 @@ def c_o_table(p: int, d: int, R: float) -> float:
 def c_o_quadrature(p: float, d: int, R: float) -> float:
     """Limit constant C_o = lim_{delta -> 0} delta^gamma * J(delta).
 
-    The same for every window width: sqrt(R) * B(1/2, p - 3/2) in d = 2,
+    The same for every window width: sqrt(R) * B(1/2, gamma) in d = 2,
     with B(1/2, a) = Gamma(1/2) Gamma(a) / Gamma(a + 1/2), and
-    pi * R / (p - 2) in d = 3.  Raises ValueError where Gamma(p - 1)
+    pi * R / gamma in d = 3, with gamma = `gamma_exponent(p, d)`, so the
+    log pair raises LogCaseError.  Raises ValueError where Gamma(p - 1)
     overflows (p above about 172).
     """
-    _check_pd(p, d)
-    if is_log_case(p, d):
-        raise LogCaseError(
-            "(p, d) = (2, 3) grows like log(1/delta); no power-law constant"
-        )
+    gamma = gamma_exponent(p, d)
     _check_R(R)
     if d == 2:
-        a = p - 1.5
         try:
-            B = math.sqrt(math.pi) * math.gamma(a) / math.gamma(a + 0.5)
+            B = math.sqrt(math.pi) * math.gamma(gamma) / math.gamma(gamma + 0.5)
         except OverflowError:
             raise ValueError(
                 f"exponent p={p} is too large: Gamma(p - 1) overflows a float"
             ) from None
         return math.sqrt(R) * B
-    return math.pi * R / (p - 2.0)
+    return math.pi * R / gamma
 
 
 @dataclass(frozen=True)
 class AsymptoticPrediction:
-    """The predicted blow-up law, as `report.json` writes it.
+    """The predicted power law, as `report.json` writes it.
 
-    Power case: gap ~ gap_coefficient * delta^gap_exponent and
-    grad_max ~ gap/delta, so grad_exponent = gap_exponent - 1, with
-    gap_coefficient = (R0/C_o)^(1/(p-1)) and gap_exponent = gamma/(p-1).
-    Log case ((p, d) = (2, 3)): gap ~ gap_coefficient (log(1/delta))^(-1/(p-1));
-    gamma and both exponents are None.
+    gap ~ gap_coefficient * delta^gap_exponent and grad_max ~ gap/delta,
+    so grad_exponent = gap_exponent - 1, with gap_coefficient =
+    (R0/C_o)^(1/(p-1)) and gap_exponent = gamma/(p-1).
     """
 
     p: float
@@ -175,10 +170,9 @@ class AsymptoticPrediction:
     R: float
     R0: float
     C_o: float
-    gamma: float | None
-    log_case: bool
-    gap_exponent: float | None
-    grad_exponent: float | None
+    gamma: float
+    gap_exponent: float
+    grad_exponent: float
     gap_coefficient: float
 
 
@@ -187,32 +181,27 @@ def predict(p: float, d: int, R: float, R0: float, *,
     """The gap law (T2 - T1)^(p-1) delta^(-gamma) -> R0/C_o as exponents and
     a coefficient.
 
-    R0 must be finite and not negative (swap the particle labels if the
-    measured value is negative); R0 = 0 gives a zero coefficient.  C_o
-    defaults to `c_o_quadrature`, and in the log case to the coefficient
-    pi*R of J ~ pi*R*log(1/delta).
+    The log pair (p, d) = (2, 3) has no power law and raises LogCaseError,
+    as `gamma_exponent` does.  R0 must be finite and not negative (swap
+    the particle labels if the measured value is negative); R0 = 0 gives a
+    zero coefficient.  C_o defaults to `c_o_quadrature`.
     """
-    _check_pd(p, d)
     _check_R(R)
+    gamma = gamma_exponent(p, d)
     if not math.isfinite(R0):
         raise ValueError(f"flux constant R0={R0} must be finite")
     if R0 < 0.0:
         raise ValueError(
             f"R0={R0} < 0: swap the particle labels so the flux constant is positive"
         )
-    log_case = is_log_case(p, d)
     if C_o is None:
-        C_o = math.pi * R if log_case else c_o_quadrature(p, d, R)
+        C_o = c_o_quadrature(p, d, R)
     elif not (math.isfinite(C_o) and C_o > 0.0):
         raise ValueError(f"limit constant C_o={C_o} must be positive and finite")
-    gamma = gap_exp = grad_exp = None
-    if not log_case:
-        gamma = gamma_exponent(p, d)
-        gap_exp = gamma / (p - 1.0)
-        grad_exp = gap_exp - 1.0
+    gap_exp = gamma / (p - 1.0)
     return AsymptoticPrediction(
-        p=p, d=d, R=R, R0=R0, C_o=C_o, gamma=gamma, log_case=log_case,
-        gap_exponent=gap_exp, grad_exponent=grad_exp,
+        p=p, d=d, R=R, R0=R0, C_o=C_o, gamma=gamma,
+        gap_exponent=gap_exp, grad_exponent=gap_exp - 1.0,
         gap_coefficient=(R0 / C_o) ** (1.0 / (p - 1.0)),
     )
 
@@ -221,13 +210,13 @@ def predict(p: float, d: int, R: float, R0: float, *,
 class ConstantsReport:
     """Side-by-side table and limit constants for one (p, d, R).
 
-    `quadrature_value` is the limit constant C_o of `c_o_quadrature`, the
-    closed-form delta -> 0 limit of delta^gamma * J (no quadrature is
-    computed; the name is kept for its callers), and `table_value` the
+    `limit_value` is the limit constant C_o of `c_o_quadrature`, the
+    closed-form delta -> 0 limit of delta^gamma * J, and `table_value` the
     integer-p table entry.  For d = 3 the limit is pi*R/(p-2) while the
     table pattern is smaller by 2^(p-2); `mismatch` flags any relative
-    difference above `tol`, and for the log pair (2, 3) the tabulated
-    value pi*R*log(R) is recorded next to the limit log-coefficient pi*R.
+    difference above TABLE_MISMATCH_RTOL, and for the log pair (2, 3),
+    which has no power law, the tabulated value pi*R*log(R) is recorded
+    next to the limit log-coefficient pi*R.
     """
 
     p: float
@@ -235,7 +224,7 @@ class ConstantsReport:
     R: float
     gamma: float | None
     table_value: float | None
-    quadrature_value: float | None
+    limit_value: float | None
     log_coefficient: float | None = None
     table_log_value: float | None = None
     mismatch: bool = False
@@ -260,7 +249,7 @@ def table_consistency_report(p: float, d: int, R: float) -> ConstantsReport:
     if is_log_case(p, d):
         return ConstantsReport(
             p=p, d=d, R=R, gamma=None,
-            table_value=None, quadrature_value=None,
+            table_value=None, limit_value=None,
             log_coefficient=math.pi * R,
             table_log_value=math.pi * R * math.log(R),
             mismatch=True,
@@ -291,11 +280,11 @@ def table_consistency_report(p: float, d: int, R: float) -> ConstantsReport:
             )
         return ConstantsReport(
             p=p, d=d, R=R, gamma=gamma, table_value=table,
-            quadrature_value=quad, mismatch=mismatch, ratio=ratio,
+            limit_value=quad, mismatch=mismatch, ratio=ratio,
             table_general_row=general_row, note=note,
         )
     return ConstantsReport(
-        p=p, d=d, R=R, gamma=gamma, table_value=None, quadrature_value=quad,
+        p=p, d=d, R=R, gamma=gamma, table_value=None, limit_value=quad,
         mismatch=False, ratio=None,
         note="non-integer p: limit value only",
     )

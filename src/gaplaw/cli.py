@@ -65,11 +65,10 @@ def _cmd_constants(args) -> int:
         print(f"tabulated closed form: {rep.table_log_value!r}")
     else:
         print(f"gamma: {rep.gamma!r}")
-        quad = rep.quadrature_value
-        print(f"limit constant (closed form, delta -> 0): {quad!r}")
+        print(f"limit constant (closed form, delta -> 0): {rep.limit_value!r}")
         if rep.table_value is not None:
             print(f"table constant (integer p): {rep.table_value!r}")
-            print(f"difference: {quad - rep.table_value!r}")
+            print(f"difference: {rep.limit_value - rep.table_value!r}")
             if rep.ratio is not None:
                 print(f"ratio limit/table: {rep.ratio!r}")
             if rep.table_general_row is not None:

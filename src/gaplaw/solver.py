@@ -578,12 +578,13 @@ def _pcg(H: sp.csc_matrix, g: np.ndarray, lu, rtol: float):
     return None, CG_MAX_ITER
 
 
-def _line_search(con: _Constraints, p, eps, z, E, g, dz):
+def _line_search(con: _Constraints, p, eps, z, E, g, dz, fresh):
     """Armijo backtracking from z along the descent direction dz: (t, z, u,
     E) at the accepted step, None when ARMIJO_MAX_BACKTRACKS halvings find
-    no decrease (a trial energy within rounding of E is accepted).  A
-    trial energy that overflows (a huge step at large p) is inf, fails
-    the test and is backtracked from."""
+    no decrease (a trial energy within rounding of E is accepted).  The
+    energy is convex along the line and finite at z, so only the full step
+    can overflow (a huge step at large p).  A `fresh` (factored) direction
+    backtracks from that inf; a CG direction is given up at once."""
     slope = float(g @ dz)
     t = 1.0
     for _ in range(ARMIJO_MAX_BACKTRACKS):
@@ -593,6 +594,8 @@ def _line_search(con: _Constraints, p, eps, z, E, g, dz):
             E_try = energy(con.elements, u_try, p, eps)
         if E_try <= E + ARMIJO_C1 * t * slope or E_try <= E * (1 + 1e-15):
             return t, z_try, u_try, E_try
+        if not (fresh or math.isfinite(E_try)):
+            return None
         t *= ARMIJO_SHRINK
     return None
 
@@ -624,8 +627,8 @@ def _newton(con: _Constraints, p, eps, z0, factor: list, stage_rtol: float = 0.0
     factor replaces it in `factor`, which is the only reference the solve
     keeps, so two factors are never held at once.  So is a CG step whose
     line search fails (at large p a stale factor can give one along which
-    no halving lowers the energy beyond its rounding); only a failed search
-    on the fresh direction raises.
+    no halving lowers the energy beyond its rounding, or one whose full
+    step overflows it); only a failed search on the fresh one raises.
 
     Each trace entry holds the residual, the energy and `tol`, the
     threshold of the stop test, at the start of the iteration, then the
@@ -666,7 +669,7 @@ def _newton(con: _Constraints, p, eps, z0, factor: list, stage_rtol: float = 0.0
         if factor[0] is not None:
             dz, entry["cg"] = _pcg(H, g, factor[0], eta)
             if dz is not None:
-                step = _line_search(con, p, eps, z, E, g, dz)
+                step = _line_search(con, p, eps, z, E, g, dz, fresh=False)
                 entry["dropped"] = step is None
         if step is None:
             factor[0] = None  # release the old factor before making a new one
@@ -675,7 +678,7 @@ def _newton(con: _Constraints, p, eps, z0, factor: list, stage_rtol: float = 0.0
             if dz is None:
                 entry["fallback"] = True
                 dz = -g  # steepest descent fallback
-            step = _line_search(con, p, eps, z, E, g, dz)
+            step = _line_search(con, p, eps, z, E, g, dz, fresh=True)
         if step is None:
             raise SolverError(
                 f"line search failed at iter {it} (p={p}, residual {gnorm:.3e})",

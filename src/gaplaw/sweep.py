@@ -409,7 +409,7 @@ def fit_power_law(
     resid = float(np.max(np.abs(y - (slope * x + intercept))))
     slope, prefactor = float(slope), float(np.exp(intercept))
     pred_s = pred_a = None
-    if prediction is not None and not prediction.log_case:
+    if prediction is not None:
         pred_s = prediction.gap_exponent if quantity == "gap" else prediction.grad_exponent
         pred_a = prediction.gap_coefficient
     return FitResult(
@@ -440,9 +440,6 @@ class TheoremVerdict:
     in_band: tuple[bool, ...]
     deviations_decreasing: bool
     passed: bool
-    R0: float
-    C_o: float
-    gamma: float
 
 
 def verify_theorem(
@@ -452,20 +449,18 @@ def verify_theorem(
 ) -> TheoremVerdict:
     """Check the gap law at finite delta against the extrapolated R0.
 
-    Ratios use gamma and C_o from the prediction (asymptotics module);
-    R0 <= 0 raises, directing the caller to swap particle labels.
+    Ratios use R0 from `r0` and gamma and C_o from the prediction, and
+    store none of them; R0 <= 0 raises, directing the caller to swap
+    particle labels.
     """
     if r0.R0 <= 0.0:
         raise ValueError(
             f"extrapolated R0={r0.R0} <= 0: swap particle labels (or flip the datum)"
         )
-    if prediction.log_case or prediction.gamma is None:
-        raise ValueError("theorem verdict covers the power-law case only")
     ok = _succeeded(records)
     if len(ok) < 2:
         raise ValueError("need at least two successful ladder points")
-    gamma, C_o = prediction.gamma, prediction.C_o
-    p = prediction.p
+    p, gamma, C_o = prediction.p, prediction.gamma, prediction.C_o
     ratios = tuple(
         (r.gap ** (p - 1.0)) * r.delta ** (-gamma) * C_o / r0.R0 for r in ok
     )
@@ -483,9 +478,6 @@ def verify_theorem(
         in_band=in_band,
         deviations_decreasing=decreasing,
         passed=passed,
-        R0=r0.R0,
-        C_o=C_o,
-        gamma=gamma,
     )
 
 
@@ -557,8 +549,9 @@ def records_to_csv(records: list[SweepRecord]) -> str:
 
 def records_from_csv(text: str) -> list[SweepRecord]:
     """The records of a sweep.csv text.  Raises ValueError naming the line
-    and the column of a value that does not parse or is not finite
-    (`records_to_csv` writes neither: it skips the failed deltas)."""
+    and the column of a value that does not parse or is not finite, or of
+    a delta that is not positive (`records_to_csv` writes none of these:
+    it skips the failed deltas)."""
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1].split(",") != list(CSV_COLUMNS):
         raise ValueError("not a sweep.csv file (unexpected header)")
@@ -577,6 +570,8 @@ def records_from_csv(text: str) -> list[SweepRecord]:
                                  f"{v!r} does not parse") from None
             if not math.isfinite(values[name]):
                 raise ValueError(f"sweep.csv line {k}, column {name}: {v!r} is not finite")
+            if name == "delta" and not values[name] > 0.0:
+                raise ValueError(f"sweep.csv line {k}, column delta: {v!r} is not positive")
         records.append(SweepRecord(**values))
     return records
 

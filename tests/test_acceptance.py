@@ -60,15 +60,15 @@ class TestCriterion3D3Discrepancy:
     def test_oracle_value_and_flag(self, p):
         R = 1.0
         rep = asymptotics.table_consistency_report(p, 3, R)
-        oracle_ok = abs(rep.quadrature_value - math.pi * R / (p - 2)) <= 1e-4 * (
+        oracle_ok = abs(rep.limit_value - math.pi * R / (p - 2)) <= 1e-4 * (
             math.pi * R / (p - 2)
         )
         ratio_ok = abs(rep.ratio - 2.0 ** (p - 2)) <= 1e-3 * 2.0 ** (p - 2)
-        both_emitted = rep.table_value is not None and rep.quadrature_value is not None
+        both_emitted = rep.table_value is not None and rep.limit_value is not None
         report(
             3,
             oracle_ok and ratio_ok and both_emitted and rep.mismatch,
-            f"d=3 p={p}: oracle {rep.quadrature_value:.6f} vs table {rep.table_value:.6f}, "
+            f"d=3 p={p}: oracle {rep.limit_value:.6f} vs table {rep.table_value:.6f}, "
             f"ratio {rep.ratio:.3f} = 2^(p-2), mismatch flagged={rep.mismatch}",
         )
 
@@ -110,7 +110,7 @@ class TestCriterion6TheoremRatio:
         ok = v.passed and all(0.85 <= r <= 1.15 for r in last_two)
         report(6, ok,
                f"{which}: ratios at two smallest deltas {[round(r, 4) for r in last_two]} "
-               f"in [0.85, 1.15], R0 {v.R0:.4f} from tied ladder")
+               f"in [0.85, 1.15], R0 {bench['r0'].R0:.4f} from tied ladder")
 
 
 class TestCriterion7BarrierSandwich:

@@ -272,19 +272,11 @@ class TestPredict:
             assert pred.gap_exponent == pred.gamma / (p - 1.0)
 
     @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
-    def test_log_case_default_coefficient(self, R):
-        # J ~ pi R log(1/delta), so the default C_o is the log coefficient pi R
-        pred = predict(2, 3, R, 1.0)
-        assert pred.C_o == math.pi * R
-        assert pred.gap_coefficient == pytest.approx(1.0 / (math.pi * R))
-
-    def test_log_case_scalings(self):
-        # gap ~ (R0/C_o)^(1/(p-1)) / log(1/delta)^(1/(p-1)): no power law
-        pred = predict(2, 3, 1.0, 1.0, C_o=math.pi)
-        assert pred.log_case
-        assert pred.gamma is None
-        assert pred.gap_exponent is None and pred.grad_exponent is None
-        assert pred.gap_coefficient == pytest.approx(1.0 / math.pi)
+    @pytest.mark.parametrize("kwargs", [{}, {"C_o": math.pi}], ids=["default-C_o", "C_o"])
+    def test_log_case_refused(self, R, kwargs):
+        # J ~ pi R log(1/delta) at (p, d) = (2, 3): there is no power law to state
+        with pytest.raises(LogCaseError):
+            predict(2, 3, R, 1.0, **kwargs)
 
 
 class TestTableConsistencyReport:
@@ -296,7 +288,7 @@ class TestTableConsistencyReport:
     def test_d3_flags_mismatch(self):
         rep = table_consistency_report(3, 3, 2.0)
         assert rep.mismatch
-        assert rep.quadrature_value == pytest.approx(2.0 * math.pi, rel=1e-4)
+        assert rep.limit_value == pytest.approx(2.0 * math.pi, rel=1e-4)
         assert rep.table_value == pytest.approx(math.pi, rel=1e-12)
         assert rep.ratio == pytest.approx(2.0, rel=1e-4)
         assert "2^(p-2)" in rep.note

@@ -456,11 +456,11 @@ class TestNewtonTrace:
             cg_steps.append(dz)
             return dz, iters
 
-        def line_search(con, p, eps, z, E, g, dz):
+        def line_search(con, p, eps, z, E, g, dz, fresh):
             if not failed and cg_steps and dz is cg_steps[-1]:
                 failed.append(p)  # the first search along a CG direction
                 return None
-            return real_search(con, p, eps, z, E, g, dz)
+            return real_search(con, p, eps, z, E, g, dz, fresh)
 
         monkeypatch.setattr(solver, "_pcg", pcg)
         monkeypatch.setattr(solver, "_line_search", line_search)
@@ -470,6 +470,39 @@ class TestNewtonTrace:
         entry = dropped[0]
         assert entry["p"] == failed[0]
         assert entry["cg"] > 0 and entry["refactor"] is True and entry["t"] > 0.0
+        assert sol.T1 == pytest.approx(want.T1, abs=1e-10)
+
+    def test_overflowing_cg_step_costs_one_energy(self, two_disk, monkeypatch):
+        """A CG step whose full step overflows the energy is dropped on that
+        one evaluation, not after ARMIJO_MAX_BACKTRACKS futile halvings."""
+        want = solve_floating(two_disk, p=3.0)
+        real_pcg, real_direction = solver._pcg, solver._newton_direction
+        real_energy = solver.energy
+        calls, spent = [], []  # energy calls so far: at the long step, at the refactor
+
+        def energy(*args):
+            calls.append(None)
+            return real_energy(*args)
+
+        def pcg(*args):
+            dz, iters = real_pcg(*args)
+            if dz is not None and not spent:
+                spent.append(len(calls))
+                dz = 1e200 * dz  # still a descent direction; its |grad u|^3 overflows
+            return dz, iters
+
+        def newton_direction(*args):
+            if len(spent) == 1:
+                spent.append(len(calls))
+            return real_direction(*args)
+
+        monkeypatch.setattr(solver, "energy", energy)
+        monkeypatch.setattr(solver, "_pcg", pcg)
+        monkeypatch.setattr(solver, "_newton_direction", newton_direction)
+        sol = solve_floating(two_disk, p=3.0)
+        assert len(spent) == 2 and spent[1] - spent[0] == 1
+        dropped = [entry for entry in sol.trace if entry["dropped"]]
+        assert len(dropped) == 1 and dropped[0]["refactor"] is True
         assert sol.T1 == pytest.approx(want.T1, abs=1e-10)
 
 

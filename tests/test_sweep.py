@@ -562,7 +562,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("column,value,problem", [
         ("r_delta", "nan", "is not finite"), ("gap", "inf", "is not finite"),
-        ("delta", "-inf", "is not finite"), ("T1", "1.0.0", "does not parse"),
+        ("delta", "-inf", "is not finite"), ("delta", "0.0", "is not positive"),
+        ("delta", "-0.0025", "is not positive"), ("T1", "1.0.0", "does not parse"),
         ("newton_iters", "7.5", "does not parse"), ("wall_ms", "", "does not parse"),
     ])
     def test_bad_value_named(self, column, value, problem):
@@ -600,11 +601,10 @@ class TestPersistence:
         assert set(report["fits"]["gap"]) == fit_keys
         assert set(report["fits"]["gradMax"]) == fit_keys
         assert set(report["verdicts"]["theorem_ratio"]) == {
-            "deltas", "ratios", "band", "in_band", "deviations_decreasing", "passed",
-            "R0", "C_o", "gamma"}
+            "deltas", "ratios", "band", "in_band", "deviations_decreasing", "passed"}
         assert set(report["prediction"]) == {
-            "p", "d", "R", "R0", "C_o", "gamma", "log_case", "gap_exponent",
-            "grad_exponent", "gap_coefficient"}
+            "p", "d", "R", "R0", "C_o", "gamma", "gap_exponent", "grad_exponent",
+            "gap_coefficient"}
         assert set(report["r0"]) == {"ladder", "R0", "slope", "residual",
                                      "max_fit_residual"}
         assert report["fits"]["gap"]["slope_deviation"] == fits["gap"].slope_deviation
