@@ -9,7 +9,7 @@ Subcommands:
     solve --config FILE [--out DIR] [--kind KIND] [--delta D]
         one solve from a sweep config; writes solution.txt and flux.json
     sweep --config FILE --out DIR
-        full ladder run: sweep.csv, fluxes.csv, report.json, plots.gp
+        full ladder run of >= 3 delta: sweep.csv, fluxes.csv, report.json, plots.gp
     fit --records FILE [--p P]
         power-law fits of a previous sweep.csv
     report --records FILE --p P --out DIR
@@ -34,7 +34,7 @@ import sys
 from pathlib import Path
 
 from . import asymptotics
-from .flux import flux_report
+from .flux import MIN_LADDER_POINTS, flux_report
 from .geometry import DIM, NeckSpec
 from .mesh import build_mesh
 from .solver import save_solution_text, solve_floating, solve_prescribed, solve_tied
@@ -105,10 +105,8 @@ def _cmd_solve(args) -> int:
         "T1": sol.T1,
         "T2": sol.T2,
         "energy": sol.energy,
-        "flux_outer": rep.flux_outer,
-        "flux_particle1": rep.flux_p1,
-        "flux_particle2": rep.flux_p2,
-        "flux_neck_arc": rep.flux_s2,
+        **{f"flux_{curve}": val for curve, val in rep.curves().items()},
+        "scale": rep.scale,
         "balance_defect_rel": rep.balance_defect_rel,
         "particle_defects_rel": list(rep.particle_defects_rel),
         "combined_defect_rel": rep.combined_defect_rel,
@@ -154,12 +152,15 @@ def _verdicts_pass(verdicts) -> bool:
 
 def _cmd_sweep(args) -> int:
     cfg = SweepConfig.from_json(Path(args.config).read_text())
+    if cfg.delta_count < MIN_LADDER_POINTS:
+        raise ValueError(f"a sweep needs delta_count >= {MIN_LADDER_POINTS} to fit its ladder, "
+                         f"got {cfg.delta_count}")
     records = run_sweep(cfg)
-    r0, pred, fits, verdicts = analyze(records, cfg.p, cfg.R)
-    emit_report(records, fits, verdicts, args.out, config=cfg, r0=r0, prediction=pred)
     for rec in records:
         status = rec.error or "ok"
         print(f"delta={rec.delta:g}: gap={rec.gap:.6g} gradmax={rec.gradmax_all:.6g} [{status}]")
+    r0, pred, fits, verdicts = analyze(records, cfg.p, cfg.R)
+    emit_report(records, fits, verdicts, args.out, config=cfg, r0=r0, prediction=pred)
     tv = verdicts["theorem_ratio"]
     print(f"R0 = {r0.R0!r}, C_o = {pred.C_o!r}, gamma = {pred.gamma!r}")
     print(f"ratios: {[round(x, 4) for x in tv.ratios]}")

@@ -56,6 +56,7 @@ __all__ = [
 
 _R0_ABS_FLOOR = 1e-9  # R_delta misfits below this are solver roundoff, not noise
 R0_NOISE_TOL = 0.25  # largest R_delta misfit accepted, as a fraction of the data range
+MIN_LADDER_POINTS = 3  # fewest deltas a line through R_delta, or a power-law fit, takes
 
 
 class FluxError(ValueError):
@@ -120,19 +121,16 @@ class FluxReport:
     particle_defects_rel: tuple[float, float]
     combined_defect_rel: float
 
+    def curves(self) -> dict[str, float]:
+        """Flux per curve name (the names of `fluxes.csv`); the neck split
+        is left out when the report has none."""
+        named = {"outer": self.flux_outer, "particle1": self.flux_p1, "particle2": self.flux_p2,
+                 "neck_arc": self.flux_s2, "particle2_away": self.flux_p2_away}
+        return {curve: val for curve, val in named.items() if val is not None}
+
     def csv_rows(self, delta: float) -> list[str]:
         """One `delta,kind,curve,flux` row per reported curve."""
-        rows = []
-        for curve, val in (
-            ("outer", self.flux_outer),
-            ("particle1", self.flux_p1),
-            ("particle2", self.flux_p2),
-            ("neck_arc", self.flux_s2),
-            ("particle2_away", self.flux_p2_away),
-        ):
-            if val is not None:
-                rows.append(f"{delta!r},{self.kind},{curve},{float(val)!r}")
-        return rows
+        return [f"{delta!r},{self.kind},{curve},{val!r}" for curve, val in self.curves().items()]
 
 
 def flux_report(solution: DiscreteSolution, neck: NeckSpec | None = None) -> FluxReport:
@@ -205,7 +203,7 @@ def estimate_r0(pairs) -> R0Estimate:
     """Extrapolate R_delta -> R0 from (delta, R_delta) pairs.
 
     The pairs must be finite and the deltas strictly decreasing, at least
-    3 of them.  Raises
+    MIN_LADDER_POINTS of them.  Raises
     ExtrapolationUnreliableError (carrying the ladder) when the
     linear-in-delta fit misfits by more than R0_NOISE_TOL of the larger of
     the data range and |R0|, and by more than solver roundoff.
@@ -216,8 +214,8 @@ def estimate_r0(pairs) -> R0Estimate:
         raise ValueError(f"(delta, R_delta) pairs must be finite, got {bad}")
     if any(b >= a for (a, _), (b, _) in zip(pairs, pairs[1:])):
         raise ValueError("delta ladder must be strictly decreasing")
-    if len(pairs) < 3:
-        raise ValueError("R0 extrapolation needs at least 3 ladder points")
+    if len(pairs) < MIN_LADDER_POINTS:
+        raise ValueError(f"R0 extrapolation needs at least {MIN_LADDER_POINTS} ladder points")
     x = np.array([p[0] for p in pairs])
     y = np.array([p[1] for p in pairs])
     A = np.column_stack([np.ones_like(x), x])

@@ -45,6 +45,7 @@ import numpy as np
 
 from .asymptotics import AsymptoticPrediction
 from .flux import (
+    MIN_LADDER_POINTS,
     FluxReport,
     QReport,
     R0Estimate,
@@ -390,7 +391,7 @@ def fit_power_law(
 ) -> FitResult:
     """Fit y = A delta^s through the records for the chosen quantity.
 
-    Needs >= 3 records with positive values; raises listing the offending
+    Needs >= MIN_LADDER_POINTS records with positive values; raises listing the offending
     deltas otherwise.  With a prediction attached, the expected slope is
     gamma/(p-1) for the gap and gamma/(p-1) - 1 for the gradient maximum.
     """
@@ -401,8 +402,8 @@ def fit_power_law(
     bad = [r.delta for r in ok if not (get(r) > 0.0)]
     if bad:
         raise ValueError(f"non-positive {quantity} at delta in {bad}")
-    if len(ok) < 3:
-        raise ValueError(f"power-law fit needs >= 3 records, got {len(ok)}")
+    if len(ok) < MIN_LADDER_POINTS:
+        raise ValueError(f"power-law fit needs >= {MIN_LADDER_POINTS} records, got {len(ok)}")
     x = np.log([r.delta for r in ok])
     y = np.log([get(r) for r in ok])
     slope, intercept = np.polyfit(x, y, 1)

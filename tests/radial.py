@@ -11,9 +11,10 @@ solution of the prescribed problem on an annulus (criterion 4), and the
 comparison function behind the neck flux sandwich of
 `gaplaw.geometry.barrier_flux_bound`.
 
-`lower_barrier_radii` is the scalar form of
-`gaplaw.geometry.lower_barrier_outer_radius`: it raises where the lower
-barrier does not exist instead of returning a validity mask.
+`lower_barrier_radii` evaluates the lower-barrier formula of
+`gaplaw.geometry.lower_barrier_outer_radius` again, one offset at a time
+with `math.sqrt`: it raises where the lower barrier does not exist
+instead of returning a validity mask.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from gaplaw.geometry import GeometryError, ParticlePair, lower_barrier_outer_radius
+from gaplaw.geometry import GeometryError, ParticlePair
 
 Branch = Literal["power", "log"]
 
@@ -115,13 +116,22 @@ class BarrierValidityError(GeometryError):
 
 def lower_barrier_radii(x: float, rho1: float, pair: ParticlePair) -> tuple[float, float]:
     """Radii (rho1, rho2) of the lower-barrier circle pair at the offset x,
-    a number (`lower_barrier_outer_radius` has the construction).  Outside
-    its window |x| <= R (R - rho1) / (2R + delta) a BarrierValidityError
-    is raised."""
-    rho2, valid = lower_barrier_outer_radius(x, rho1, pair)
-    if not valid:
+    a number:
+
+        rho2 = -R + (2R + delta) [ sqrt(1 - x^2/R^2)
+                                   - sqrt(((R - rho1)/(2R + delta))^2 - x^2/R^2) ]
+
+    Outside its window |x| <= R (R - rho1) / (2R + delta), where the second
+    radicand is negative, a BarrierValidityError is raised."""
+    R, delta = pair.R, pair.delta
+    if not 0.0 < rho1 < R:
+        raise GeometryError(f"inner radius rho1={rho1} must lie in (0, R={R})")
+    s = 2.0 * R + delta
+    u = x * x / (R * R)
+    rad2 = ((R - rho1) / s) ** 2 - u
+    if rad2 < 0.0:
         raise BarrierValidityError(
             f"lower barrier undefined at |x|={abs(x)}; valid window is "
-            f"|x| <= {pair.R * (pair.R - rho1) / (2.0 * pair.R + pair.delta)}"
+            f"|x| <= {R * (R - rho1) / s}"
         )
-    return rho1, float(rho2)
+    return rho1, -R + s * (math.sqrt(1.0 - u) - math.sqrt(rad2))

@@ -83,6 +83,34 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert "error: p must be a real number, got '3'" in capsys.readouterr().err
 
+    def test_short_ladder_refused_before_meshing(self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        def build_mesh(*args, **kwargs):
+            built.append(args)
+            raise AssertionError("a mesh was built for a ladder too short to fit")
+
+        monkeypatch.setattr("gaplaw.sweep.build_mesh", build_mesh)
+        config = tmp_path / "config.json"
+        config.write_text('{"delta_count": 2, "h_far": 0.45}')
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert "delta_count" in capsys.readouterr().err
+        assert built == []
+        assert not (tmp_path / "out").exists()
+
+    def test_status_printed_before_the_analysis(self, tiny_config, tmp_path, capsys, monkeypatch):
+        def analyze(*args, **kwargs):
+            raise ValueError("analysis refused")
+
+        monkeypatch.setattr("gaplaw.cli.analyze", analyze)
+        assert main(["sweep", "--config", str(tiny_config), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line.partition(":")[0] for line in lines] == ["delta=0.04", "delta=0.02",
+                                                              "delta=0.01"]
+        assert all(line.endswith("[ok]") for line in lines), lines
+        assert "error: analysis refused" in captured.err
+
     @pytest.mark.parametrize("text,kind", [("null", "NoneType"), ('"p"', "str"),
                                            ("[1, 2]", "list")])
     def test_config_not_an_object(self, tmp_path, capsys, text, kind):
@@ -112,6 +140,18 @@ class TestSolveCommand:
         flux = json.loads((out / "flux.json").read_text())
         assert flux["r_delta"] > 0.0
         assert flux["r_delta"] == flux["flux_particle2"]
+
+    def test_flux_json_names_every_curve(self, tiny_config, tmp_path):
+        out = tmp_path / "tied_out"
+        assert main(["solve", "--config", str(tiny_config), "--out", str(out),
+                     "--kind", "tied"]) == 0
+        flux = json.loads((out / "flux.json").read_text())
+        curves = [f"flux_{c}" for c in ("outer", "particle1", "particle2", "neck_arc",
+                                        "particle2_away")]
+        assert set(curves) | {"scale"} <= set(flux), sorted(flux)
+        assert flux["scale"] == max(abs(flux[key]) for key in curves)
+        split = flux["flux_neck_arc"] + flux["flux_particle2_away"] - flux["flux_particle2"]
+        assert abs(split) <= 1e-12 * flux["scale"]
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +226,9 @@ class TestNoRuntimeSympy:
     """sympy is the tests' exactness oracle, not a runtime dependency; the
     neck integrals are closed forms, so scipy.integrate and scipy.optimize
     are not runtime dependencies either, and the limit constant takes its
-    beta function from math.gamma, so scipy.special is not one."""
+    beta function from math.gamma, so scipy.special is not one.  The
+    package imports none of its modules, so the standard-library
+    asymptotics loads without numpy or scipy."""
 
     def test_import_surface(self):
         imported = {}
@@ -218,6 +260,14 @@ class TestNoRuntimeSympy:
                 offenders += [f"{path.name}:{node.lineno}" for n in names
                               if n.split(".")[0] == "sympy"]
         assert offenders == []
+
+    def test_asymptotics_loads_without_numpy(self):
+        code = "import sys, gaplaw.asymptotics\nprint(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_runs_with_sympy_blocked(self):
         code = (

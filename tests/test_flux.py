@@ -115,6 +115,16 @@ class TestFluxReport:
         assert abs(rep.flux_p2) > 1.0
         assert rep.flux_p2 == r_delta(tied)
 
+    def test_csv_rows_are_the_curves(self, floating, tied, neck):
+        for sol in (floating, tied):
+            rep = flux_report(sol, neck)
+            assert list(rep.curves()) == ["outer", "particle1", "particle2", "neck_arc",
+                                          "particle2_away"]
+            assert rep.curves()["neck_arc"] == rep.flux_s2
+            assert rep.csv_rows(0.04) == [f"0.04,{sol.kind},{curve},{flux!r}"
+                                          for curve, flux in rep.curves().items()]
+        assert list(flux_report(tied).curves()) == ["outer", "particle1", "particle2"]
+
     def test_r_delta_only_for_tied(self, floating, neck):
         assert flux_report(floating, neck).kind == "floating"
         with pytest.raises(FluxError):

@@ -114,28 +114,54 @@ class TestUpperBarrier:
         assert r2 >= r2w - 1e-15
 
 
+def _tangency_defect(x: float, rho1: float, rho2: float, pair: ParticlePair) -> float:
+    """|X - c2| - (R - rho1) for the point X at distance rho2 beyond the
+    surface point of particle 1 above x, on the ray from its center c1:
+    zero when the circle of radius rho1 about X touches particle 2 from
+    inside, which is what defines rho2."""
+    R = pair.R
+    (a1, b1), (a2, b2) = pair.center1, pair.center2
+    ex = x / R
+    ey = math.sqrt(1.0 - ex * ex)
+    return math.hypot(a1 + (R + rho2) * ex - a2, b1 + (R + rho2) * ey - b2) - (R - rho1)
+
+
 class TestLowerBarrier:
     def test_collapses_to_delta_at_axis(self):
-        rho1, rho2 = lower_barrier_radii(0.0, 0.01, PAIR)
-        assert rho2 - rho1 == pytest.approx(0.01, abs=1e-12)
+        rho2, valid = lower_barrier_outer_radius(0.0, 0.01, PAIR)
+        assert valid
+        assert rho2 - 0.01 == pytest.approx(0.01, abs=1e-12)
 
     def test_exact_value_and_gap_bound(self):
-        rho1, rho2 = lower_barrier_radii(0.05, 0.01, PAIR)
-        # independent evaluation of the displayed formula
-        s = 2.0 + 0.01
-        expected = -1.0 + s * (
-            math.sqrt(1 - 0.05**2) - math.sqrt((0.99 / s) ** 2 - 0.05**2)
-        )
-        assert rho2 == pytest.approx(expected, rel=1e-14)
+        rho2, valid = lower_barrier_outer_radius(0.05, 0.01, PAIR)
+        assert valid
+        # the defining tangency, independent of the closed form
+        assert abs(_tangency_defect(0.05, 0.01, float(rho2), PAIR)) <= 16 * math.ulp(PAIR.R)
         gap = PAIR.delta + 0.05**2 / PAIR.R
-        assert rho2 - rho1 <= gap * (1.0 + 2.0 * PAIR.delta)
+        assert rho2 - 0.01 <= gap * (1.0 + 2.0 * PAIR.delta)
+
+    @given(
+        R=st.floats(0.1, 10.0),
+        delta_rel=st.floats(1e-6, 0.2),
+        rho1_rel=st.floats(1e-4, 0.9),
+        x_rel=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200)
+    def test_inner_circle_touches_particle2(self, R, delta_rel, rho1_rel, x_rel):
+        pair = ParticlePair(R=R, delta=delta_rel * R)
+        rho1 = rho1_rel * R
+        x = x_rel * R * (R - rho1) / (2.0 * R + pair.delta)  # inside the window
+        rho2, valid = lower_barrier_outer_radius(x, rho1, pair)
+        assert valid
+        assert abs(_tangency_defect(x, rho1, float(rho2), pair)) <= 16 * math.ulp(R)
 
     def test_out_of_validity(self):
         # validity window is |x| <= R (R - rho1)/(2R + delta)
         xmax = 1.0 * (1.0 - 0.01) / (2.0 + 0.01)
-        with pytest.raises(BarrierValidityError):
-            lower_barrier_radii(xmax * 1.01, 0.01, PAIR)
-        lower_barrier_radii(xmax * 0.99, 0.01, PAIR)  # inside is fine
+        rho2, valid = lower_barrier_outer_radius(xmax * 1.01, 0.01, PAIR)
+        assert not valid and math.isnan(rho2)
+        rho2, valid = lower_barrier_outer_radius(xmax * 0.99, 0.01, PAIR)
+        assert valid and math.isfinite(rho2)
 
     def test_mask_where_the_scalar_form_raises(self):
         xs = np.linspace(-0.7, 0.7, 57)
@@ -149,17 +175,39 @@ class TestLowerBarrier:
                     lower_barrier_radii(x, 0.01, PAIR)
         assert 0 < np.count_nonzero(valid) < len(xs)
 
+    @given(
+        R=st.floats(0.1, 10.0),
+        delta_rel=st.floats(1e-6, 0.2),
+        rho1_rel=st.floats(1e-4, 0.9),
+        x_rel=st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=200)
+    def test_oracle_gives_the_library_bits(self, R, delta_rel, rho1_rel, x_rel):
+        """The scalar oracle of tests/radial.py returns the library's bits
+        where the barrier exists and raises exactly where it does not."""
+        pair = ParticlePair(R=R, delta=delta_rel * R)
+        rho1, x = rho1_rel * R, x_rel * R
+        rho2, valid = lower_barrier_outer_radius(x, rho1, pair)
+        if valid:
+            assert lower_barrier_radii(x, rho1, pair)[1].hex() == float(rho2).hex()
+        else:
+            assert math.isnan(rho2)
+            with pytest.raises(BarrierValidityError):
+                lower_barrier_radii(x, rho1, pair)
+
     def test_agrees_with_upper_at_axis(self):
         _, r2 = upper_barrier_radii(0.0, 0.02, PAIR)
-        _, rho2 = lower_barrier_radii(0.0, 0.02, PAIR)
+        rho2, _ = lower_barrier_outer_radius(0.0, 0.02, PAIR)
         assert r2 == pytest.approx(rho2, abs=1e-12)
 
     def test_lower_gap_dominates_upper_gap_in_window(self):
         pair = ParticlePair(R=1.0, delta=1e-3)
-        for x in np.linspace(0.0, 0.3, 31):
+        xs = np.linspace(0.0, 0.3, 31)
+        rho2, valid = lower_barrier_outer_radius(xs, pair.delta, pair)
+        assert valid.all()
+        for x, r in zip(xs, rho2):
             _, r2 = upper_barrier_radii(x, pair.delta, pair)
-            _, rho2 = lower_barrier_radii(x, pair.delta, pair)
-            assert rho2 >= r2 - 1e-15
+            assert r >= r2 - 1e-15
 
 
 class TestScaleCovariance:
@@ -182,8 +230,8 @@ class TestScaleCovariance:
         assert r2s == pytest.approx(lam * r2, rel=1e-10)
         # the lower-barrier validity window scales too; stay inside it
         if abs(x) < 0.95 * (1.0 - r1) / (2.0 + delta):
-            _, rho2 = lower_barrier_radii(x, r1, pair)
-            _, rho2s = lower_barrier_radii(lam * x, lam * r1, scaled)
+            rho2, _ = lower_barrier_outer_radius(x, r1, pair)
+            rho2s, _ = lower_barrier_outer_radius(lam * x, lam * r1, scaled)
             assert rho2s == pytest.approx(lam * rho2, rel=1e-9)
 
 
