@@ -9,7 +9,8 @@ Subcommands:
     solve --config FILE [--out DIR] [--kind KIND] [--delta D]
         one solve from a sweep config; writes solution.txt and flux.json
     sweep --config FILE --out DIR
-        full ladder run of >= 3 delta: sweep.csv, fluxes.csv, report.json, plots.gp
+        full ladder run of >= 3 delta: sweep.csv, fluxes.csv, report.json, plots.gp;
+        when the analysis fails, all but plots.gp, with no fits or verdicts
     fit --records FILE [--p P]
         power-law fits of a previous sweep.csv
     report --records FILE --p P --out DIR
@@ -159,7 +160,11 @@ def _cmd_sweep(args) -> int:
     for rec in records:
         status = rec.error or "ok"
         print(f"delta={rec.delta:g}: gap={rec.gap:.6g} gradmax={rec.gradmax_all:.6g} [{status}]")
-    r0, pred, fits, verdicts = analyze(records, cfg.p, cfg.R)
+    try:
+        r0, pred, fits, verdicts = analyze(records, cfg.p, cfg.R)
+    except Exception:
+        emit_report(records, {}, {}, args.out, config=cfg)
+        raise
     emit_report(records, fits, verdicts, args.out, config=cfg, r0=r0, prediction=pred)
     tv = verdicts["theorem_ratio"]
     print(f"R0 = {r0.R0!r}, C_o = {pred.C_o!r}, gamma = {pred.gamma!r}")

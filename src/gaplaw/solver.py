@@ -628,7 +628,9 @@ def _newton(con: _Constraints, p, eps, z0, factor: list, stage_rtol: float = 0.0
     keeps, so two factors are never held at once.  So is a CG step whose
     line search fails (at large p a stale factor can give one along which
     no halving lowers the energy beyond its rounding, or one whose full
-    step overflows it); only a failed search on the fresh one raises.
+    step overflows it).  SolverError, with the trace, is raised only when
+    the search along a fresh factor fails, or when the iterate reached by
+    the MAX_ITER-th step, tested like every other, fails the stop test.
 
     Each trace entry holds the residual, the energy and `tol`, the
     threshold of the stop test, at the start of the iteration, then the
@@ -648,7 +650,7 @@ def _newton(con: _Constraints, p, eps, z0, factor: list, stage_rtol: float = 0.0
     w = _element_weights(elements, u, p, eps)
     g = con.grad(w)
     g2_prev = None
-    for it in range(MAX_ITER):
+    for it in range(MAX_ITER + 1):
         gnorm = float(np.max(np.abs(g)))
         if it == 0 or not stage_rtol:
             S, rho = con.stop_scales(u, w)
@@ -659,6 +661,12 @@ def _newton(con: _Constraints, p, eps, z0, factor: list, stage_rtol: float = 0.0
         trace.append(entry)
         if gnorm <= tol:
             return z, trace
+        if it == MAX_ITER:
+            raise SolverError(
+                f"Newton did not converge in {MAX_ITER} iterations "
+                f"(p={p}, residual {gnorm:.3e} vs tol {tol:.3e})",
+                trace,
+            )
         H = con.hess(w)
         g2 = float(np.linalg.norm(g))
         eta = ETA_MAX
@@ -687,12 +695,6 @@ def _newton(con: _Constraints, p, eps, z0, factor: list, stage_rtol: float = 0.0
         entry["t"], z, u, E = step
         w = _element_weights(elements, u, p, eps)
         g = con.grad(w)
-    gnorm = float(np.max(np.abs(g)))
-    raise SolverError(
-        f"Newton did not converge in {MAX_ITER} iterations "
-        f"(p={p}, residual {gnorm:.3e} vs tol {tol:.3e})",
-        trace,
-    )
 
 
 def _domain_scale(mesh: Mesh) -> float:

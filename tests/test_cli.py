@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gaplaw
+import gaplaw.sweep as sweep
 from gaplaw.cli import main
 from gaplaw.sweep import CSV_COLUMNS, SweepConfig, records_to_csv, run_sweep
 
@@ -110,6 +111,55 @@ class TestSweepCommand:
                                                               "delta=0.01"]
         assert all(line.endswith("[ok]") for line in lines), lines
         assert "error: analysis refused" in captured.err
+        # the ladder is written without a judgement
+        out = tmp_path / "out"
+        assert sorted(f.name for f in out.iterdir()) == ["fluxes.csv", "report.json",
+                                                          "sweep.csv"]
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["fits"] == {} and report["verdicts"] == {}
+        assert report["r0"] is None and report["prediction"] is None
+        assert report["errors"] == {}
+
+    def test_failed_delta_kept_in_the_report(self, tmp_path, capsys, monkeypatch):
+        real = sweep.build_mesh
+
+        def build_mesh(dom, params):
+            if dom.pair.delta == 0.02:
+                raise RuntimeError("no mesh at the second delta")
+            return real(dom, params)
+
+        monkeypatch.setattr(sweep, "build_mesh", build_mesh)
+        config = tmp_path / "config.json"
+        config.write_text(SweepConfig(delta_count=4, h_far=0.45).to_json())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) in (0, 2)
+        assert "delta=0.02: gap=nan gradmax=nan [RuntimeError: no mesh at the second delta]" \
+            in capsys.readouterr().out.splitlines()
+        report = json.loads((out / "report.json").read_text())
+        assert report["errors"] == {"0.02": "RuntimeError: no mesh at the second delta"}
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.04, 0.01, 0.005]
+        assert report["fits"]["gap"]["n_points"] == 3
+
+    def test_every_delta_failing_is_reported(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("gaplaw.solver.MAX_ITER", 1)
+        config = tmp_path / "config.json"
+        config.write_text(SweepConfig(p=3.0, delta_count=3, h_far=0.45).to_json())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 3, lines
+        assert all("[SolverError: Newton did not converge in 1 iterations" in line
+                   for line in lines), lines
+        assert captured.err.startswith("error: ")
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(report["errors"]) == sorted(repr(d) for d in (0.04, 0.02, 0.01))
+        assert all(e.startswith("SolverError: ") for e in report["errors"].values())
+        assert report["fits"] == {} and report["r0"] is None
+        assert (out / "sweep.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
+        assert not (out / "fluxes.csv").exists()
 
     @pytest.mark.parametrize("text,kind", [("null", "NoneType"), ('"p"', "str"),
                                            ("[1, 2]", "list")])
@@ -140,6 +190,15 @@ class TestSolveCommand:
         flux = json.loads((out / "flux.json").read_text())
         assert flux["r_delta"] > 0.0
         assert flux["r_delta"] == flux["flux_particle2"]
+
+    def test_prescribed_solve(self, tiny_config, tmp_path):
+        out = tmp_path / "prescribed_out"
+        assert main(["solve", "--config", str(tiny_config), "--out", str(out),
+                     "--kind", "prescribed", "--T1", "-0.5", "--T2", "0.5"]) == 0
+        flux = json.loads((out / "flux.json").read_text())
+        assert flux["kind"] == "prescribed"
+        assert (flux["T1"], flux["T2"]) == (-0.5, 0.5)
+        assert "r_delta" not in flux
 
     def test_flux_json_names_every_curve(self, tiny_config, tmp_path):
         out = tmp_path / "tied_out"
@@ -194,6 +253,12 @@ class TestFitAndReport:
         stdout = capsys.readouterr().out
         assert "gap: slope" in stdout
         assert "predicted slope" in stdout
+
+    def test_fit_without_p(self, tiny_csv, capsys):
+        assert main(["fit", "--records", str(tiny_csv)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.partition(":")[0] for line in lines] == ["gap", "gradMax"]
+        assert all(": slope " in line and "(predicted slope" not in line for line in lines)
 
     def test_report_regenerates(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -504,6 +505,38 @@ class TestNewtonTrace:
         dropped = [entry for entry in sol.trace if entry["dropped"]]
         assert len(dropped) == 1 and dropped[0]["refactor"] is True
         assert sol.T1 == pytest.approx(want.T1, abs=1e-10)
+
+
+class TestNewtonRaises:
+    """`_newton` raises when the MAX_ITER-th step leaves the stop test
+    unmet, or when a line search along a fresh factor fails."""
+
+    @pytest.fixture(scope="class")
+    def coarse(self):
+        dom = DomainSpec(pair=ParticlePair(R=1.0, delta=0.04), R_out=4.0)
+        return build_mesh(dom, MeshParams(h_far=0.45))
+
+    def test_converges_on_its_last_step(self, coarse, monkeypatch):
+        want = solve_floating(coarse, p=2.0)
+        assert len(want.trace) == 2  # one step, then the stop test passes
+        monkeypatch.setattr(solver, "MAX_ITER", 1)
+        sol = solve_floating(coarse, p=2.0)
+        assert (sol.T1, sol.T2) == (want.T1, want.T2)
+        assert len(sol.trace) == 2
+
+    def test_unconverged_stage_names_residual_and_tol(self, coarse, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ITER", 1)
+        with pytest.raises(SolverError, match=r"did not converge in 1 iterations \(p=3\.0") as info:
+            solve_floating(coarse, p=3.0)
+        residual, tol = (float(x) for x in re.search(r"residual (\S+) vs tol (\S+)\)",
+                                                     str(info.value)).groups())
+        assert residual > tol
+        assert len(info.value.trace) == 2  # the start and the iterate of the one step
+
+    def test_failed_line_search(self, coarse, monkeypatch):
+        monkeypatch.setattr(solver, "_line_search", lambda *args, **kwargs: None)
+        with pytest.raises(SolverError, match="line search failed at iter 0"):
+            solve_floating(coarse, p=2.0)
 
 
 class TestNewtonDirection:

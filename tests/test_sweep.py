@@ -349,6 +349,16 @@ class TestRunSweep:
         recs = run_sweep(SweepConfig(p=14.0, delta_count=8))
         assert [r.error for r in recs] == [None] * 8
 
+    def test_every_delta_failing_keeps_its_record(self, monkeypatch):
+        def build_mesh(*args, **kwargs):
+            raise RuntimeError("no mesh")
+
+        monkeypatch.setattr("gaplaw.sweep.build_mesh", build_mesh)
+        cfg = SweepConfig(p=2.0, **TINY)
+        recs = run_sweep(cfg)
+        assert [r.delta for r in recs] == list(cfg.deltas)
+        assert all(r.error == "RuntimeError: no mesh" for r in recs), recs
+
     def test_canonical_monotonicity(self, tiny_records):
         gaps = [r.gap for r in tiny_records]
         gms = [r.gradmax_all for r in tiny_records]
