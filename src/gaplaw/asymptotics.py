@@ -176,15 +176,14 @@ class AsymptoticPrediction:
     gap_coefficient: float
 
 
-def predict(p: float, d: int, R: float, R0: float, *,
-            C_o: float | None = None) -> AsymptoticPrediction:
+def predict(p: float, d: int, R: float, R0: float, *, C_o: float) -> AsymptoticPrediction:
     """The gap law (T2 - T1)^(p-1) delta^(-gamma) -> R0/C_o as exponents and
     a coefficient.
 
     The log pair (p, d) = (2, 3) has no power law and raises LogCaseError,
     as `gamma_exponent` does.  R0 must be finite and not negative (swap
     the particle labels if the measured value is negative); R0 = 0 gives a
-    zero coefficient.  C_o defaults to `c_o_quadrature`.
+    zero coefficient.  C_o, the limit constant, must be positive and finite.
     """
     _check_R(R)
     gamma = gamma_exponent(p, d)
@@ -194,9 +193,7 @@ def predict(p: float, d: int, R: float, R0: float, *,
         raise ValueError(
             f"R0={R0} < 0: swap the particle labels so the flux constant is positive"
         )
-    if C_o is None:
-        C_o = c_o_quadrature(p, d, R)
-    elif not (math.isfinite(C_o) and C_o > 0.0):
+    if not (math.isfinite(C_o) and C_o > 0.0):
         raise ValueError(f"limit constant C_o={C_o} must be positive and finite")
     gap_exp = gamma / (p - 1.0)
     return AsymptoticPrediction(

@@ -90,10 +90,8 @@ def _cmd_solve(args) -> int:
         sol = solve_floating(mesh, p=cfg.p)
     elif args.kind == "tied":
         sol = solve_tied(mesh, p=cfg.p)
-    elif args.kind == "prescribed":
-        sol = solve_prescribed(mesh, T1=args.T1, T2=args.T2, p=cfg.p)
     else:
-        raise ValueError(f"unknown kind {args.kind!r}")
+        sol = solve_prescribed(mesh, T1=args.T1, T2=args.T2, p=cfg.p)
     neck = NeckSpec(dom.pair, cfg.w)
     rep = flux_report(sol, neck)
     outdir = Path(args.out)

@@ -4,17 +4,16 @@ Everything lives in a local frame with the gap centered at the origin:
 particle 2 is the disk of radius R centered at (0, +(R + delta/2)) and
 particle 1 its mirror image below the x-axis, so the surfaces are a
 distance delta apart at x = 0.  The vertical width of the gap at
-horizontal offset x is
+horizontal offset x is 2R + delta - 2*sqrt(R^2 - x^2) (`gap_width`), at
+least its leading-order parabola delta + x^2/R.
 
-    exact:      2R + delta - 2*sqrt(R^2 - x^2)
-    quadratic:  delta + x^2/R          (leading order, exact >= quadratic)
-
-The barrier-radius helpers construct the pairs of concentric tangent
-circles used to sandwich the normal derivative in the neck: an inner
-circle of radius r1 tangent to particle 1 from inside, together with the
-concentric circle of radius r2 tangent to particle 2 (upper barrier), and
-the analogous exact construction from inside particle 2 (lower barrier).
-`barrier_flux_bound` turns the two separations into the sandwich.
+The two barrier radii are the outer radii of the pairs of concentric
+tangent circles that sandwich the normal derivative in the neck: for an
+inner circle of radius r1 tangent to particle 1 from inside, the
+concentric circle tangent to particle 2 (upper barrier), and the
+analogous exact construction from inside particle 2 (lower barrier),
+valid on a window of offsets.  `barrier_flux_bound` turns the two
+separations into the sandwich.
 All functions are pure and scale-covariant: scaling every input length by
 a factor lam scales every returned length by lam, and the flux bounds, as
 gradients, are unchanged when the potentials scale by lam as well.
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +33,7 @@ __all__ = [
     "DomainSpec",
     "AnnulusSpec",
     "gap_width",
-    "upper_barrier_radii",
+    "upper_barrier_outer_radius",
     "lower_barrier_outer_radius",
     "barrier_flux_bound",
     "datum_values",
@@ -43,8 +42,6 @@ __all__ = [
 DIM = 2  # the disks, their meshes and every solve live in the plane
 NECK_W_FRACTION = 0.25  # neck-window half-width, as a fraction of R
 C_DELTA = 2.0  # first-order widening factor 1 +/- C_DELTA*delta/R of the flux bounds
-
-GapMode = Literal["exact", "quadratic"]
 
 
 class GeometryError(ValueError):
@@ -89,26 +86,18 @@ class ParticlePair:
         return (self.R + 0.5 * self.delta) - np.sqrt(r2)
 
 
-def gap_width(x, pair: ParticlePair, mode: GapMode = "exact"):
-    """Vertical distance between the two particle surfaces at offset x, a
-    number or an array of offsets.
-
-    exact mode evaluates the circle geometry, quadratic mode the
-    leading-order parabola delta + x^2/R.  For all admissible x,
-    exact >= quadratic >= delta.
-    """
+def gap_width(x, pair: ParticlePair):
+    """Vertical distance 2R + delta - 2 sqrt(R^2 - x^2) between the particle
+    surfaces at offset x, a number or an array of offsets |x| < R; it is at
+    least the leading-order parabola delta + x^2/R, itself at least delta."""
     if np.any(np.abs(x) >= pair.R):
         raise GeometryError(f"|x|={np.max(np.abs(x))} must be < R={pair.R}")
-    if mode == "exact":
-        return 2.0 * pair.R + pair.delta - 2.0 * np.sqrt(pair.R**2 - x * x)
-    if mode == "quadratic":
-        return pair.delta + x * x / pair.R
-    raise GeometryError(f"unknown gap mode {mode!r}")
+    return 2.0 * pair.R + pair.delta - 2.0 * np.sqrt(pair.R**2 - x * x)
 
 
-def upper_barrier_radii(x, r1: float, pair: ParticlePair):
-    """Radii (r1, r2) of the upper-barrier circle pair at contact offset x,
-    a number or an array of offsets.
+def upper_barrier_outer_radius(x, r1: float, pair: ParticlePair):
+    """Outer radius r2 of the upper-barrier circle pair at contact offset
+    x, a number or an array of offsets.
 
     The inner circle of radius r1 touches particle 1 from inside at the
     surface point above x; r2 is the radius of the concentric circle
@@ -123,8 +112,7 @@ def upper_barrier_radii(x, r1: float, pair: ParticlePair):
     if np.any(np.abs(x) >= pair.R):
         raise GeometryError(f"|x|={np.max(np.abs(x))} must be < R={pair.R}")
     R, delta = pair.R, pair.delta
-    r2 = delta + r1 + 0.5 * (1.0 - r1 / R) * (2.0 - r1 / R) * x * x / R
-    return r1, r2
+    return delta + r1 + 0.5 * (1.0 - r1 / R) * (2.0 - r1 / R) * x * x / R
 
 
 def lower_barrier_outer_radius(x, rho1: float, pair: ParticlePair):
@@ -137,19 +125,20 @@ def lower_barrier_outer_radius(x, rho1: float, pair: ParticlePair):
         rho2 = -R + (2R + delta) [ sqrt(1 - x^2/R^2)
                                    - sqrt(((R - rho1)/(2R + delta))^2 - x^2/R^2) ]
 
-    (delta + rho1 at x = 0).  `valid` is where the second radicand is
-    nonnegative, |x| <= R (R - rho1) / (2R + delta); rho2 is NaN elsewhere.
+    (delta + rho1 at x = 0).  `valid` is the window |x| <= R (R - rho1) /
+    (2R + delta), where the second radicand is nonnegative; inside it a
+    radicand that rounding leaves below 0 counts as 0, and outside it
+    rho2 is NaN.
     """
     if not 0.0 < rho1 < pair.R:
         raise GeometryError(f"inner radius rho1={rho1} must lie in (0, R={pair.R})")
     R, delta = pair.R, pair.delta
     s = 2.0 * R + delta
     u = x * x / (R * R)
-    rad1 = 1.0 - u
-    rad2 = ((R - rho1) / s) ** 2 - u
-    valid = (rad1 >= 0.0) & (rad2 >= 0.0)
+    valid = np.abs(x) <= R * (R - rho1) / s
+    rad2 = np.where(valid, np.maximum(((R - rho1) / s) ** 2 - u, 0.0), np.nan)
     with np.errstate(invalid="ignore"):
-        rho2 = -R + s * (np.sqrt(rad1) - np.sqrt(rad2))
+        rho2 = -R + s * (np.sqrt(1.0 - u) - np.sqrt(rad2))
     return rho2, valid
 
 
@@ -174,9 +163,9 @@ def barrier_flux_bound(x, T1: float, T2: float, pair: ParticlePair, C_slack: flo
         raise ValueError("barrier bounds require a positive surface gap")
     delta = pair.delta
     one = 1.0 + C_DELTA * delta / pair.R
-    _, r2 = upper_barrier_radii(x, delta, pair)
+    r2 = upper_barrier_outer_radius(x, delta, pair)
     rho2, valid = lower_barrier_outer_radius(x, delta, pair)
-    gap_l = np.where(valid, rho2 - delta, gap_width(x, pair, "quadratic") * one)
+    gap_l = np.where(valid, rho2 - delta, (delta + x * x / pair.R) * one)
     dT = T2 - T1
     return dT / gap_l / one - C_slack, dT / (r2 - delta) * one + C_slack
 
@@ -198,16 +187,12 @@ class NeckSpec:
             raise GeometryError(f"neck width w={self.w} must lie in (0, R={self.pair.R})")
 
     def contains(self, x, y):
-        """Membership test for the open neck region.
-
-        Scalar x, y give a bool; arrays give a boolean array of their
-        broadcast shape.
-        """
+        """Membership test for the open neck region: a boolean array of
+        the broadcast shape of the coordinate arrays x, y."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         in_window = np.abs(x) < self.w
         xw = np.where(in_window, x, 0.0)  # keep the arc square roots real
-        inside = in_window & (self.pair.lower_arc_y(xw) < y) & (y < self.pair.upper_arc_y(xw))
-        return bool(inside) if inside.ndim == 0 else inside
+        return in_window & (self.pair.lower_arc_y(xw) < y) & (y < self.pair.upper_arc_y(xw))
 
 
 def _linear_y(x, y):

@@ -310,15 +310,8 @@ class Mesh:
                 TAG_P2: (*dom.pair.center2, R),
             }.items():
                 idx = self.nodes_with_tag(tag)
-                if len(idx) == 0:
-                    continue
                 d = np.hypot(self.nodes[idx, 0] - cx, self.nodes[idx, 1] - cy)
                 worst = max(worst, float(np.max(np.abs(d - rr))) / R)
-        elif isinstance(dom, AnnulusSpec):
-            for tag, rr in {TAG_P1: dom.r_inner, TAG_OUTER: dom.r_outer}.items():
-                idx = self.nodes_with_tag(tag)
-                d = np.hypot(self.nodes[idx, 0], self.nodes[idx, 1])
-                worst = max(worst, float(np.max(np.abs(d - rr))) / dom.r_outer)
         return worst
 
 
@@ -341,8 +334,6 @@ def _march_interval(a: float, b: float, step) -> np.ndarray:
         if guard > 2_000_000:
             raise MeshError("marching failed to terminate")
     ts = np.asarray(ts)
-    if len(ts) < 2:
-        return np.array([a, b])
     ts = a + (ts - a) * ((b - a) / (ts[-1] - a))
     ts[0], ts[-1] = a, b
     return ts
@@ -421,9 +412,6 @@ class _UpperRegion:
         """Target cell size at distance `dist` from the strip box."""
         return np.minimum(self.h_far, self.h_ifc + GRADING * dist)
 
-    def sizing(self, pts: np.ndarray) -> np.ndarray:
-        return self.sizing_xy(pts[:, 0], pts[:, 1])
-
     def sizing_xy(self, x, y):
         """Target cell size at coordinates x, y: arrays, or the scalars of
         one point (the boundary marching), through the same ufuncs."""
@@ -464,7 +452,7 @@ class _UpperRegion:
             rings.append(self._offset_curve(d, s[s <= half]))
             d += h
         pts = np.vstack(rings)
-        return pts[self.signed_distance(pts) < -0.5 * self.sizing(pts)]
+        return pts[self.signed_distance(pts) < -0.5 * self.sizing_xy(pts[:, 0], pts[:, 1])]
 
 
 def _arc_points(center, radius, phi_a, phi_b, step_fn, endpoint_a, endpoint_b):

@@ -108,7 +108,7 @@ def fit_two_point(
 
 
 class BarrierValidityError(GeometryError):
-    """Raised when the lower-barrier square root turns negative.
+    """Raised when the offset lies outside the lower barrier's window.
 
     Callers fall back to the constant far-window bound in that regime.
     """
@@ -122,16 +122,17 @@ def lower_barrier_radii(x: float, rho1: float, pair: ParticlePair) -> tuple[floa
                                    - sqrt(((R - rho1)/(2R + delta))^2 - x^2/R^2) ]
 
     Outside its window |x| <= R (R - rho1) / (2R + delta), where the second
-    radicand is negative, a BarrierValidityError is raised."""
+    radicand is negative, a BarrierValidityError is raised; inside it a
+    radicand that rounding leaves below 0 counts as 0."""
     R, delta = pair.R, pair.delta
     if not 0.0 < rho1 < R:
         raise GeometryError(f"inner radius rho1={rho1} must lie in (0, R={R})")
     s = 2.0 * R + delta
-    u = x * x / (R * R)
-    rad2 = ((R - rho1) / s) ** 2 - u
-    if rad2 < 0.0:
+    if abs(x) > R * (R - rho1) / s:
         raise BarrierValidityError(
             f"lower barrier undefined at |x|={abs(x)}; valid window is "
             f"|x| <= {R * (R - rho1) / s}"
         )
+    u = x * x / (R * R)
+    rad2 = max(((R - rho1) / s) ** 2 - u, 0.0)
     return rho1, -R + s * (math.sqrt(1.0 - u) - math.sqrt(rad2))

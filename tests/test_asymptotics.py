@@ -207,10 +207,9 @@ class TestNonFiniteInput:
         lambda p: gamma_exponent(p, 2),
         lambda p: c_o_table(p, 2, 1.0),
         lambda p: c_o_quadrature(p, 2, 1.0),
-        lambda p: predict(p, 2, 1.0, 1.0),
         lambda p: predict(p, 2, 1.0, 1.0, C_o=1.0),
         lambda p: table_consistency_report(p, 2, 1.0),
-    ], ids=["gamma", "table", "limit", "predict", "predict-C_o", "report"])
+    ], ids=["gamma", "table", "limit", "predict-C_o", "report"])
     def test_p_named(self, call, p):
         with pytest.raises(ValueError, match=f"exponent p={p} must be finite"):
             call(p)
@@ -220,12 +219,10 @@ class TestNonFiniteInput:
         lambda R: c_o_table(3, 2, R),
         lambda R: c_o_quadrature(3, 2, R),
         lambda R: c_o_quadrature(3, 3, R),
-        lambda R: predict(3, 2, R, 1.0),
         lambda R: predict(3, 2, R, 1.0, C_o=1.0),
-        lambda R: predict(2, 3, R, 1.0),
+        lambda R: predict(2, 3, R, 1.0, C_o=1.0),
         lambda R: table_consistency_report(2, 3, R),
-    ], ids=["table", "limit-d2", "limit-d3", "predict", "predict-C_o", "predict-log",
-            "report-log"])
+    ], ids=["table", "limit-d2", "limit-d3", "predict-C_o", "predict-log", "report-log"])
     def test_R_named(self, call, R):
         with pytest.raises(ValueError, match=f"radius R={R} must be positive and finite"):
             call(R)
@@ -253,6 +250,10 @@ class TestPredict:
         with pytest.raises(TypeError):
             predict(3, 2, 1.0, 1.0, 1e-3)
 
+    def test_C_o_required(self):
+        with pytest.raises(TypeError):
+            predict(3, 2, 1.0, 1.0)
+
     def test_p2_blowup_exponent(self):
         pred = predict(2, 2, 1.0, 1.0, C_o=math.pi)
         assert pred.grad_exponent == pytest.approx(-0.5)
@@ -272,11 +273,11 @@ class TestPredict:
             assert pred.gap_exponent == pred.gamma / (p - 1.0)
 
     @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("kwargs", [{}, {"C_o": math.pi}], ids=["default-C_o", "C_o"])
-    def test_log_case_refused(self, R, kwargs):
+    @pytest.mark.parametrize("C_o", [math.pi], ids=["C_o"])
+    def test_log_case_refused(self, R, C_o):
         # J ~ pi R log(1/delta) at (p, d) = (2, 3): there is no power law to state
         with pytest.raises(LogCaseError):
-            predict(2, 3, R, 1.0, **kwargs)
+            predict(2, 3, R, 1.0, C_o=C_o)
 
 
 class TestTableConsistencyReport:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplaw.geometry import ParticlePair, barrier_flux_bound, upper_barrier_radii
+from gaplaw.geometry import ParticlePair, barrier_flux_bound, upper_barrier_outer_radius
 from radial import (
     BarrierValidityError,
     RadialDomainError,
@@ -300,7 +300,7 @@ class TestBarrierFluxBound:
         one = 1.0 + 2.0 * pair.delta / pair.R
         n_valid = 0
         for i, x in enumerate(xs.tolist()):
-            _, r2 = upper_barrier_radii(x, pair.delta, pair)
+            r2 = upper_barrier_outer_radius(x, pair.delta, pair)
             try:
                 gap_l = lower_barrier_radii(x, pair.delta, pair)[1] - pair.delta
                 n_valid += 1

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaplaw.geometry import (
@@ -14,11 +14,16 @@ from gaplaw.geometry import (
     ParticlePair,
     gap_width,
     lower_barrier_outer_radius,
-    upper_barrier_radii,
+    upper_barrier_outer_radius,
 )
 from radial import BarrierValidityError, lower_barrier_radii
 
 PAIR = ParticlePair(R=1.0, delta=0.01)
+
+
+def parabola(x, pair: ParticlePair):
+    """The leading-order gap width delta + x^2/R."""
+    return pair.delta + x * x / pair.R
 
 
 class TestParticlePair:
@@ -47,16 +52,12 @@ class TestGapWidth:
     def test_touching_axis_value(self):
         for delta in (0.0, 0.01, 0.3):
             pair = ParticlePair(R=2.0, delta=delta)
-            assert gap_width(0.0, pair, "exact") == pytest.approx(delta, abs=1e-15)
-            assert gap_width(0.0, pair, "quadratic") == delta
-
-    def test_quadratic_substitution(self):
-        assert gap_width(0.1, PAIR, "quadratic") == pytest.approx(0.02)
+            assert gap_width(0.0, pair) == pytest.approx(delta, abs=1e-15)
 
     def test_exact_circle_value(self):
         # 2.01 - 2 sqrt(0.99), evaluated independently
         expected = 2.01 - 2.0 * math.sqrt(0.99)
-        assert gap_width(0.1, PAIR, "exact") == pytest.approx(expected, rel=1e-15)
+        assert gap_width(0.1, PAIR) == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(0.0200251, abs=5e-8)
 
     def test_domain_error(self):
@@ -71,46 +72,46 @@ class TestGapWidth:
     )
     def test_exact_dominates_quadratic(self, x, delta):
         pair = ParticlePair(R=1.0, delta=delta)
-        exact = gap_width(x, pair, "exact")
-        quad = gap_width(x, pair, "quadratic")
+        exact = gap_width(x, pair)
+        quad = parabola(x, pair)
         assert exact >= quad - 1e-14
         assert quad >= delta
 
     def test_quartic_remainder_bounded(self):
         # (exact - quadratic) / x^4 stays below 0.5 out to |x| = 0.3 for R = 1
         for x in np.linspace(1e-3, 0.3, 50):
-            rem = gap_width(x, PAIR, "exact") - gap_width(x, PAIR, "quadratic")
+            rem = gap_width(x, PAIR) - parabola(x, PAIR)
             assert 0.0 <= rem <= 0.5 * x**4
 
 
 class TestUpperBarrier:
     def test_collapses_to_delta_at_axis(self):
-        r1, r2 = upper_barrier_radii(0.0, 0.01, PAIR)
-        assert r2 - r1 == pytest.approx(0.01, abs=1e-16)
+        r2 = upper_barrier_outer_radius(0.0, 0.01, PAIR)
+        assert r2 - 0.01 == pytest.approx(0.01, abs=1e-16)
 
     def test_quadratic_term(self):
-        _, r2 = upper_barrier_radii(0.1, 0.01, PAIR)
+        r2 = upper_barrier_outer_radius(0.1, 0.01, PAIR)
         assert r2 == pytest.approx(0.02 + 0.5 * 0.99 * 1.99 * 0.01, rel=1e-14)
         assert r2 == pytest.approx(0.0298505, abs=1e-7)
 
     def test_prefactor_vanishes_at_r1_eq_R(self):
         # at the boundary of validity the quadratic term has a zero prefactor
         r1 = 1.0 - 1e-12
-        _, r2 = upper_barrier_radii(0.5, r1, PAIR)
+        r2 = upper_barrier_outer_radius(0.5, r1, PAIR)
         assert r2 == pytest.approx(PAIR.delta + r1, abs=1e-10)
 
     def test_domain_error(self):
         with pytest.raises(GeometryError):
-            upper_barrier_radii(0.1, 0.0, PAIR)
+            upper_barrier_outer_radius(0.1, 0.0, PAIR)
         with pytest.raises(GeometryError):
-            upper_barrier_radii(0.1, 1.5, PAIR)
+            upper_barrier_outer_radius(0.1, 1.5, PAIR)
 
     @given(x=st.floats(-0.9, 0.9), r1=st.floats(1e-6, 0.99))
     def test_even_and_monotone_in_x(self, x, r1):
-        _, r2 = upper_barrier_radii(x, r1, PAIR)
-        _, r2m = upper_barrier_radii(-x, r1, PAIR)
+        r2 = upper_barrier_outer_radius(x, r1, PAIR)
+        r2m = upper_barrier_outer_radius(-x, r1, PAIR)
         assert r2 == r2m
-        _, r2w = upper_barrier_radii(x * 0.5, r1, PAIR)
+        r2w = upper_barrier_outer_radius(x * 0.5, r1, PAIR)
         assert r2 >= r2w - 1e-15
 
 
@@ -147,6 +148,7 @@ class TestLowerBarrier:
         x_rel=st.floats(0.0, 1.0),
     )
     @settings(max_examples=200)
+    @example(R=0.75, delta_rel=0.125, rho1_rel=0.5, x_rel=1.0)  # a radicand of -6.9e-18 at the edge
     def test_inner_circle_touches_particle2(self, R, delta_rel, rho1_rel, x_rel):
         pair = ParticlePair(R=R, delta=delta_rel * R)
         rho1 = rho1_rel * R
@@ -196,7 +198,7 @@ class TestLowerBarrier:
                 lower_barrier_radii(x, rho1, pair)
 
     def test_agrees_with_upper_at_axis(self):
-        _, r2 = upper_barrier_radii(0.0, 0.02, PAIR)
+        r2 = upper_barrier_outer_radius(0.0, 0.02, PAIR)
         rho2, _ = lower_barrier_outer_radius(0.0, 0.02, PAIR)
         assert r2 == pytest.approx(rho2, abs=1e-12)
 
@@ -206,7 +208,7 @@ class TestLowerBarrier:
         rho2, valid = lower_barrier_outer_radius(xs, pair.delta, pair)
         assert valid.all()
         for x, r in zip(xs, rho2):
-            _, r2 = upper_barrier_radii(x, pair.delta, pair)
+            r2 = upper_barrier_outer_radius(x, pair.delta, pair)
             assert r >= r2 - 1e-15
 
 
@@ -221,12 +223,12 @@ class TestScaleCovariance:
     def test_all_lengths_scale(self, lam, x, delta, r1):
         pair = ParticlePair(R=1.0, delta=delta)
         scaled = ParticlePair(R=lam, delta=lam * delta)
-        for mode in ("exact", "quadratic"):
-            a = gap_width(x, pair, mode)
-            b = gap_width(lam * x, scaled, mode)
+        for width in (gap_width, parabola):
+            a = width(x, pair)
+            b = width(lam * x, scaled)
             assert b == pytest.approx(lam * a, rel=1e-10, abs=1e-14 * lam)
-        _, r2 = upper_barrier_radii(x, r1, pair)
-        _, r2s = upper_barrier_radii(lam * x, lam * r1, scaled)
+        r2 = upper_barrier_outer_radius(x, r1, pair)
+        r2s = upper_barrier_outer_radius(lam * x, lam * r1, scaled)
         assert r2s == pytest.approx(lam * r2, rel=1e-10)
         # the lower-barrier validity window scales too; stay inside it
         if abs(x) < 0.95 * (1.0 - r1) / (2.0 + delta):

@@ -413,6 +413,14 @@ class TestBuildMesh:
     def test_boundary_nodes_on_curves(self, mesh02):
         assert mesh02.boundary_node_residuals() <= 1e-12
 
+    def test_node_off_its_curve_rejected(self):
+        mesh = build_mesh(two_disk_domain(0.04), MeshParams(h_far=0.45))
+        nodes = mesh.nodes.copy()
+        nodes[mesh.nodes_with_tag(TAG_P2)[0]] *= 1.0 + 1e-9
+        moved = Mesh(nodes, mesh.triangles, mesh.node_tags, mesh.domain)
+        with pytest.raises(MeshError, match="boundary node off its curve"):
+            _validate(moved)
+
     def test_quality_floor(self, mesh02):
         assert float(np.min(mesh02.quality())) >= QUALITY_FLOOR
 
@@ -497,7 +505,7 @@ class TestBuildMesh:
         build_mesh(two_disk_domain(delta))
         ((region, pts),) = seen
         assert len(pts) > 50
-        assert np.all(region.signed_distance(pts) <= -0.5 * region.sizing(pts))
+        assert np.all(region.signed_distance(pts) <= -0.5 * region.sizing_xy(pts[:, 0], pts[:, 1]))
 
     def test_bad_params_rejected(self):
         with pytest.raises(MeshError):
@@ -888,6 +896,25 @@ class TestLoadValidation:
         path.write_text("# gaplaw mesh/text v1\ncounts 3 1 0\nnode 0 0.0 0.0 outer\n"
                         f"node 1 1.0 0.0 outer\n{node2}\n{tri}\n")
         return path
+
+    def test_collinear_triangle(self, tmp_path):
+        path = self.triangle_file(tmp_path, node2="node 2 2.0 0.0 outer")
+        with pytest.raises(MeshError, match="degenerate or inverted triangle"):
+            load_mesh_text(path)
+
+    def test_sliver_below_quality_floor(self, tmp_path):
+        """The unit square fanned about an interior node 0.001 above its
+        bottom side tiles the square, but with a sliver."""
+        corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        path = tmp_path / "sliver.txt"
+        path.write_text(
+            "# gaplaw mesh/text v1\ncounts 5 4 0\n"
+            + "".join(f"node {i} {x} {y} outer\n" for i, (x, y) in enumerate(corners))
+            + "node 4 0.5 0.001 interior\n"
+            + "".join(f"tri {i} {i} {(i + 1) % 4} 4\n" for i in range(4))
+        )
+        with pytest.raises(MeshError, match="element quality .* below floor"):
+            load_mesh_text(path)
 
     def test_older_file_with_sizes_record_loads(self, tmp_path):
         path = self.triangle_file(tmp_path)
