@@ -20,10 +20,13 @@ Curve fluxes are variational: they sum the unconstrained energy-gradient
 residuals over the curve's nodes, which is the flux the discrete
 optimality conditions control.  Per-particle fluxes of floating solves
 and the combined flux of tied solves vanish to solver tolerance by
-construction, and global conservation holds to the same tolerance.  The
-pointwise neck-flux samples checked against the barrier bounds use
-one-sided element gradients at the boundary-edge midpoints instead
-(`sample_neck_flux`).
+construction, and global conservation holds to the same tolerance.
+When every fixed value is the same constant (the outer datum, and for a
+prescribed solve both pinned potentials too), the minimizer is that
+constant and every flux is 0: the sums are rounding alone, so the
+relative defects are reported as 0.  The pointwise neck-flux samples
+checked against the barrier bounds are one-sided element gradients at
+the boundary-edge midpoints instead (`sample_neck_flux`).
 """
 
 from __future__ import annotations
@@ -34,12 +37,7 @@ import numpy as np
 
 from .geometry import NeckSpec
 from .mesh import TAG_OUTER, TAG_P1, TAG_P2, Mesh
-from .solver import (
-    DiscreteSolution,
-    _grad_full,
-    element_gradients,
-    recovered_node_gradients,
-)
+from .solver import DiscreteSolution, _grad_full, element_gradients
 
 __all__ = [
     "FluxReport",
@@ -85,8 +83,8 @@ def _neck_side(neck: NeckSpec, pts: np.ndarray) -> np.ndarray:
 
 
 def _neck_edges(mesh: Mesh, neck: NeckSpec):
-    """Boundary edges of particle 2 on the neck arc: the edges, their
-    owning elements, midpoints and unit normals out of the domain (into
+    """Boundary edges of particle 2 on the neck arc: their owning
+    elements, midpoints and unit normals out of the domain (into
     particle 2).  A boundary edge is stored in the vertex order of its
     counterclockwise owner, so its right-hand normal points outward."""
     edges, owners = mesh.boundary_edges[TAG_P2]
@@ -97,7 +95,7 @@ def _neck_edges(mesh: Mesh, neck: NeckSpec):
     tang = b[sel] - a[sel]
     lengths = np.hypot(tang[:, 0], tang[:, 1])
     normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
-    return edges[sel], owners[sel], mid[sel], normals
+    return owners[sel], mid[sel], normals
 
 
 @dataclass(frozen=True)
@@ -105,9 +103,10 @@ class FluxReport:
     """All boundary fluxes of one solve plus their balance defects.
 
     Defects are relative to `scale`, the largest flux piece magnitude
-    (the neck sub-arc typically dominates), and 0 when `scale` is 0:
-    |outer - particle 1 - particle 2|, (|particle 1|, |particle 2|) and
-    |particle 1 + particle 2|.
+    (the neck sub-arc typically dominates): |outer - particle 1 -
+    particle 2|, (|particle 1|, |particle 2|) and |particle 1 +
+    particle 2|.  They are 0 when `scale` is 0, and when the fixed values
+    are all equal (a field with no flux, whose sums are rounding alone).
     """
 
     kind: str
@@ -159,8 +158,11 @@ def flux_report(solution: DiscreteSolution, neck: NeckSpec | None = None) -> Flu
         f_away = -float(np.sum(w[p2[~arc]]))
     pieces = [f_out, f_p1, f_p2] + [v for v in (f_s2, f_away) if v is not None]
     scale = max(abs(v) for v in pieces)
+    # equal fixed values make the minimizer that constant, with no flux
+    fixed = outer if solution.kind != "prescribed" else np.concatenate([outer, p1, p2])
+    no_flux = scale == 0.0 or np.ptp(solution.u[fixed]) == 0.0
     defects = (abs(f_out - f_p1 - f_p2), abs(f_p1), abs(f_p2), abs(f_p1 + f_p2))
-    balance, d_p1, d_p2, combined = (d / scale if scale > 0 else 0.0 for d in defects)
+    balance, d_p1, d_p2, combined = (0.0 if no_flux else d / scale for d in defects)
     return FluxReport(
         kind=solution.kind,
         flux_outer=f_out,
@@ -307,18 +309,14 @@ def sample_neck_flux(solution: DiscreteSolution, neck: NeckSpec):
     of particle 2, with n pointing from the gap into the particle (the
     orientation that makes the values positive when T2 > T1).
 
-    Returns (x_mid, measured, slack): `measured` uses the one-sided
-    element gradient, `slack` is its deviation from the patch-recovered
-    gradient, an observed discretization error proxy per sample.
+    Returns (x_mid, measured) in increasing x_mid: `measured` is the
+    one-sided gradient of the element that owns each edge, unsmoothed.
     """
     mesh = solution.mesh
-    edges, owners, mid, normals = _neck_edges(mesh, neck)
-    if len(edges) == 0:
+    owners, mid, normals = _neck_edges(mesh, neck)
+    if len(owners) == 0:
         raise FluxError("no boundary edges inside the neck window")
     g_elem = element_gradients(mesh, solution.u)[owners]
-    g_node = recovered_node_gradients(mesh, solution.u)
-    g_rec = 0.5 * (g_node[edges[:, 0]] + g_node[edges[:, 1]])
     measured = np.einsum("ei,ei->e", g_elem, normals)
-    recovered = np.einsum("ei,ei->e", g_rec, normals)
     order = np.argsort(mid[:, 0])
-    return mid[order, 0], measured[order], np.abs(measured - recovered)[order]
+    return mid[order, 0], measured[order]

@@ -100,7 +100,6 @@ __all__ = [
     "mirrored",
     "grad_max",
     "element_gradients",
-    "recovered_node_gradients",
     "save_solution_text",
 ]
 
@@ -873,20 +872,6 @@ def grad_max(solution: DiscreteSolution, region: str = "all",
             return 0.0, (math.nan, math.nan)
     k = int(np.argmax(np.where(mask, mag, -1.0)))
     return float(mag[k]), (float(mesh.centroids[k, 0]), float(mesh.centroids[k, 1]))
-
-
-def recovered_node_gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """Area-weighted nodal average of element gradients (patch recovery)."""
-    g = element_gradients(mesh, u)
-    w = mesh.areas
-    # corner 0 of every element, then corner 1, then corner 2
-    idx = mesh.triangles.T.ravel()
-    n = mesh.n_nodes
-    acc = np.stack(
-        [np.bincount(idx, np.tile(w * g[:, i], 3), n) for i in range(2)], axis=1
-    )
-    wacc = np.bincount(idx, np.tile(w, 3), n)
-    return acc / wacc[:, None]
 
 
 def save_solution_text(solution: DiscreteSolution, path) -> None:

@@ -421,8 +421,9 @@ class TheoremVerdict:
     """Per-delta ratios gap^(p-1) delta^(-gamma) C_o / R0 and the verdict.
 
     PASS requires the two smallest-delta ratios inside RATIO_BAND and
-    the deviation-from-1 sequence nonincreasing along the ladder (up to
-    DEVIATION_SLACK).
+    the deviation-from-1 sequence nonincreasing along the ladder: each
+    deviation |ratio - 1| exceeds the one before by at most
+    DEVIATION_SLACK, and the last one does not exceed the first.
     """
 
     deltas: tuple[float, ...]
@@ -442,7 +443,8 @@ def verify_theorem(
 
     Ratios use R0 from `r0` and gamma and C_o from the prediction, and
     store none of them; R0 <= 0 raises, directing the caller to swap
-    particle labels.
+    particle labels.  The last deviation may not exceed the first
+    (devs[-1] <= devs[0] + 1e-12).
     """
     if r0.R0 <= 0.0:
         raise ValueError(
@@ -474,12 +476,14 @@ def verify_theorem(
 
 @dataclass(frozen=True)
 class BarrierVerdict:
-    """Coverage of measured neck fluxes by the barrier sandwich."""
+    """Coverage of measured neck fluxes by the barrier sandwich: of the
+    `n_samples` neck-arc samples, `n_inside` lie between the bounds of
+    `barrier_flux_bound`, whose additive constant is `C_slack`; PASS at a
+    coverage of at least BARRIER_COVERAGE."""
 
     n_samples: int
     n_inside: int
     coverage: float
-    required: float
     passed: bool
     C_slack: float
 
@@ -489,9 +493,9 @@ def verify_barrier(
     neck: NeckSpec,
     p: float,
 ) -> BarrierVerdict:
-    """Fraction of neck-arc flux samples inside the sandwich bounds,
-    inflated per sample by the observed discretization slack; PASS at a
-    coverage of at least BARRIER_COVERAGE.
+    """Fraction of neck-arc flux samples inside the sandwich bounds: a
+    sample counts when lower <= measured <= upper, with no allowance for
+    the discretization; PASS at a coverage of at least BARRIER_COVERAGE.
 
     The additive constant of the bounds is the measured far-field
     gradient maximum, the quantity it stands in for.  `p` must be the
@@ -506,15 +510,14 @@ def verify_barrier(
     if isinstance(dom, DomainSpec) and dom.pair != neck.pair:
         raise ValueError(f"neck pair {neck.pair} differs from the solution's pair {dom.pair}")
     C_slack = grad_max(solution, "away", neck)[0]
-    xs, measured, slack = sample_neck_flux(solution, neck)
+    xs, measured = sample_neck_flux(solution, neck)
     lower, upper = barrier_flux_bound(xs, solution.T1, solution.T2, neck.pair, C_slack)
-    inside = int(np.count_nonzero((lower - slack <= measured) & (measured <= upper + slack)))
+    inside = int(np.count_nonzero((lower <= measured) & (measured <= upper)))
     cov = inside / len(xs)
     return BarrierVerdict(
         n_samples=len(xs),
         n_inside=inside,
         coverage=cov,
-        required=BARRIER_COVERAGE,
         passed=cov >= BARRIER_COVERAGE,
         C_slack=float(C_slack),
     )

@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplaw.geometry import ParticlePair, barrier_flux_bound, upper_barrier_outer_radius
+from gaplaw.flux import sample_neck_flux
+from gaplaw.geometry import (
+    DomainSpec,
+    NeckSpec,
+    ParticlePair,
+    barrier_flux_bound,
+    upper_barrier_outer_radius,
+)
+from gaplaw.mesh import MeshParams, build_mesh
+from gaplaw.solver import grad_max, solve_floating
+from gaplaw.sweep import verify_barrier
 from radial import (
     BarrierValidityError,
     RadialDomainError,
@@ -311,3 +321,26 @@ class TestBarrierFluxBound:
         assert 0 < n_valid < len(xs)
         lead = leading(xs, dT, pair)
         assert np.all((lower <= lead) & (lead <= upper))
+
+
+class TestSandwichOfFloatingSolves:
+    @given(
+        R=st.floats(0.5, 2.0),
+        delta_over_R=st.floats(0.005, 0.05),
+        R_out_over_R=st.floats(2.5, 5.0),
+        p=st.floats(2.0, 6.0),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_every_sample_well_inside(self, R, delta_over_R, R_out_over_R, p):
+        """The neck field of a floating solve lies inside the sandwich at
+        every sample, and at least 0.3 of the sandwich width from either
+        bound (the least measured is 0.41), across geometries and p."""
+        pair = ParticlePair(R=R, delta=delta_over_R * R)
+        mesh = build_mesh(DomainSpec(pair=pair, R_out=R_out_over_R * R), MeshParams(h_far=0.5 * R))
+        neck = NeckSpec(pair, 0.25 * R)
+        sol = solve_floating(mesh, p=p)
+        assert verify_barrier(sol, neck, p=p).coverage == 1.0
+        xs, measured = sample_neck_flux(sol, neck)
+        lower, upper = barrier_flux_bound(xs, sol.T1, sol.T2, pair, grad_max(sol, "away", neck)[0])
+        position = (measured - lower) / (upper - lower)
+        assert np.all((0.3 <= position) & (position <= 0.7)), (position.min(), position.max())

@@ -27,7 +27,6 @@ from gaplaw.solver import (
     energy,
     grad_max,
     mirrored,
-    recovered_node_gradients,
     save_solution_text,
     solve_floating,
     solve_linear_aux,
@@ -836,17 +835,6 @@ class TestBincountScatter:
         want = np.zeros(mesh.n_nodes)
         np.add.at(want, mesh.triangles, w1[:, None] * bg)
         assert np.array_equal(solver._grad_full(mesh, u, 3.0, 1e-8), want)
-
-    def test_recovered_node_gradients_matches_add_at(self, floating_p2):
-        mesh, u = floating_p2.mesh, floating_p2.u
-        g = element_gradients(mesh, u)
-        acc = np.zeros((mesh.n_nodes, 2))
-        wacc = np.zeros(mesh.n_nodes)
-        w = mesh.areas
-        for k in range(3):
-            np.add.at(acc, mesh.triangles[:, k], w[:, None] * g)
-            np.add.at(wacc, mesh.triangles[:, k], w)
-        assert np.array_equal(recovered_node_gradients(mesh, u), acc / wacc[:, None])
 
 
 def grad_full_oracle(mesh, u, p, eps):

@@ -522,6 +522,27 @@ class TestVerifyBarrier:
         with pytest.raises(ValueError, match="p=3.0"):
             verify_barrier(sol, neck, p=3.0)
 
+    @pytest.mark.parametrize("side, factor", [("lower", 1.0), ("lower", 1.0 + 1e-6),
+                                              ("upper", 1.0), ("upper", 1.0 - 1e-6)])
+    def test_a_sample_is_inside_exactly_between_its_bounds(self, solved, monkeypatch,
+                                                           side, factor):
+        # one sample's bound moved onto its measured value, or just past it:
+        # on the bound it counts, past it by a relative 1e-6 it does not
+        sol, neck = solved
+        xs, measured = sweep.sample_neck_flux(sol, neck)
+        k = len(xs) // 2
+        bound = sweep.barrier_flux_bound
+
+        def moved(*args):
+            lower, upper = bound(*args)
+            (lower if side == "lower" else upper)[k] = measured[k] * factor
+            return lower, upper
+
+        monkeypatch.setattr(sweep, "barrier_flux_bound", moved)
+        bv = verify_barrier(sol, neck, p=2.0)
+        assert bv.n_samples == len(xs)
+        assert bv.n_inside == bv.n_samples - (factor != 1.0)
+
     def test_rejects_a_neck_of_another_gap(self, solved):
         sol, neck = solved
         other = ParticlePair(R=neck.pair.R, delta=neck.pair.delta / 4.0)
