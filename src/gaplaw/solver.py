@@ -5,7 +5,9 @@ All problem kinds minimize the regularized p-Dirichlet energy
     E(u) = sum_elements area * (eps^2 + |grad u|^2)^(p/2)
 
 over piecewise-linear fields with the applied datum pinned on the outer
-boundary; they differ only in how the inclusion potentials enter:
+boundary, eps = EPS_SCALE * span / width read off the fixed values and the
+nodes alone (so a mesh solves alike whether built or loaded from text);
+they differ only in how the inclusion potentials enter:
 
   floating    one free constant per particle (zero net flux through each
               particle boundary becomes the natural optimality condition)
@@ -85,7 +87,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import AnnulusSpec, DomainSpec, NeckSpec, datum_values
+from .geometry import DomainSpec, NeckSpec, datum_values
 from .mesh import TAG_INTERIOR, TAG_OUTER, TAG_P1, TAG_P2, Mesh, save_mesh_text
 
 __all__ = [
@@ -108,8 +110,9 @@ __all__ = [
 # of each p-stage.
 NEWTON_TOL = 1e-12
 MAX_ITER = 80
-# the gradient regularization eps = EPS_SCALE * (max U - min U) / R_domain
-EPS_SCALE = 1e-8
+# eps is 8e-8 of the mean applied field span/width: span the range of the
+# fixed values, width the mesh's extent in x (2 R_out on a two-disk mesh)
+EPS_SCALE = 8e-8
 # The continuation ladder 2, 2 + P_STEP, ..., p.  The unit step was the
 # fastest on a 19.7k-node mesh, over its floating and tied solves at p = 3
 # and 6: 60 Newton steps and 17 factorizations, against 87 and 15 with
@@ -161,6 +164,8 @@ class SolverConfig:
 class DiscreteSolution:
     """A converged nodal field with its constraint metadata.
 
+    `eps` is the energy's EPS_SCALE * span / width; each `trace` entry (one
+    per Newton iteration, see `_newton`) ends with its p-stage's `"p"`.
     `parity` is the character of the fixed data under the mesh's mirrors
     (y -> -y, x -> -x): for each, -1 or +1 when the solve used that mirror
     to drop half of the unknowns (odd or even fixed data, see
@@ -599,8 +604,9 @@ def _line_search(con: _Constraints, p, eps, z, E, g, dz, fresh):
     return None
 
 
-def _newton(con: _Constraints, p, eps, z0, factor: list, stage_rtol: float = 0.0):
-    """Damped Newton from z0 at one exponent; returns (z, trace).
+def _newton(con: _Constraints, p, eps, z0, factor: list, trace: list, stage_rtol=0.0):
+    """Damped Newton from z0 at one exponent; returns z, and appends an
+    entry per iteration to `trace`, the solve's trace over all p-stages.
 
     The stop test is max|g| <= tol with tol = max(stage_rtol * r0,
     NEWTON_TOL * S, 64 eps_mach * rho), where r0 is max|g| at z0 and
@@ -627,9 +633,9 @@ def _newton(con: _Constraints, p, eps, z0, factor: list, stage_rtol: float = 0.0
     keeps, so two factors are never held at once.  So is a CG step whose
     line search fails (at large p a stale factor can give one along which
     no halving lowers the energy beyond its rounding, or one whose full
-    step overflows it).  SolverError, with the trace, is raised only when
-    the search along a fresh factor fails, or when the iterate reached by
-    the MAX_ITER-th step, tested like every other, fails the stop test.
+    step overflows it).  SolverError, with the whole trace so far, is
+    raised only when the search along a fresh factor fails, or when the
+    iterate reached by the MAX_ITER-th step fails the stop test.
 
     Each trace entry holds the residual, the energy and `tol`, the
     threshold of the stop test, at the start of the iteration, then the
@@ -638,12 +644,11 @@ def _newton(con: _Constraints, p, eps, z0, factor: list, stage_rtol: float = 0.0
     CG iterations spent (a missed or dropped attempt included), `refactor`,
     true when the step factored the Hessian afresh, `dropped`, true when
     CG gave a step whose line search failed (so the step factored afresh
-    too), and `fallback`, true when no shift gave a descent direction and
-    the step went along the negative gradient.
+    too), `fallback`, true when no shift gave a descent direction and the
+    step went along the negative gradient, and last the stage's `p`.
     """
     elements = con.elements
     z = z0.copy()
-    trace = []
     u = con.expand(z)
     E = energy(elements, u, p, eps)
     w = _element_weights(elements, u, p, eps)
@@ -655,11 +660,11 @@ def _newton(con: _Constraints, p, eps, z0, factor: list, stage_rtol: float = 0.0
             S, rho = con.stop_scales(u, w)
             tol = max(stage_rtol * gnorm, NEWTON_TOL * S,
                       64.0 * float(np.finfo(float).eps) * rho)
-        entry = {"iter": it, "residual": gnorm, "energy": E, "tol": tol, "t": 0.0,
-                 "lam": 0.0, "cg": 0, "refactor": False, "dropped": False, "fallback": False}
+        entry = {"iter": it, "residual": gnorm, "energy": E, "tol": tol, "t": 0.0, "lam": 0.0,
+                 "cg": 0, "refactor": False, "dropped": False, "fallback": False, "p": p}
         trace.append(entry)
         if gnorm <= tol:
-            return z, trace
+            return z
         if it == MAX_ITER:
             raise SolverError(
                 f"Newton did not converge in {MAX_ITER} iterations "
@@ -696,15 +701,6 @@ def _newton(con: _Constraints, p, eps, z0, factor: list, stage_rtol: float = 0.0
         g = con.grad(w)
 
 
-def _domain_scale(mesh: Mesh) -> float:
-    dom = mesh.domain
-    if isinstance(dom, DomainSpec):
-        return dom.pair.R
-    if isinstance(dom, AnnulusSpec):
-        return dom.r_outer - dom.r_inner
-    return 1.0
-
-
 def _p_ladder(p: float) -> list[float]:
     if p <= 2.0:
         return [p]
@@ -730,16 +726,15 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, pinned=None) -> DiscreteSolut
     con = _build_constraints(mesh, kind, outer_vals, pinned)
     vals = np.concatenate([outer_vals, list(fixed.values())])
     span = float(np.max(vals) - np.min(vals)) if len(vals) else 0.0
-    eps = EPS_SCALE * span / _domain_scale(mesh)
+    eps = EPS_SCALE * span / float(np.ptp(mesh.nodes[:, 0]))
 
     z = np.zeros(con.n_dof)
-    trace_all = []
+    trace = []
     factor = [None]  # the last factor, kept across p-stages as the CG preconditioner
     ladder = _p_ladder(p)
     for pk in ladder:
         rtol = 0.0 if pk == ladder[-1] else STAGE_RTOL
-        z, trace = _newton(con, pk, eps, z, factor, rtol)
-        trace_all.extend([{**t, "p": pk} for t in trace])
+        z = _newton(con, pk, eps, z, factor, trace, rtol)
     u = con.expand(z)
     sol = DiscreteSolution(
         mesh=mesh,
@@ -747,8 +742,8 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, pinned=None) -> DiscreteSolut
         kind=kind,
         p=p,
         eps=eps,
-        energy=trace_all[-1]["energy"],  # at the converged z; the last stage is at p
-        trace=trace_all,
+        energy=trace[-1]["energy"],  # at the converged z; the last stage is at p
+        trace=trace,
         parity=con.parity,
     )
     p1, p2 = mesh.nodes_with_tag(TAG_P1), mesh.nodes_with_tag(TAG_P2)
@@ -780,6 +775,8 @@ def solve_floating(mesh: Mesh, p: float = 2.0, config: SolverConfig | None = Non
     minimizing over its constant; both floating values obey the discrete
     maximum principle (they are convex combinations of the datum range).
     `config` is ignored (see `SolverConfig`), as in every solve function.
+    `datum` is the caller's, else the domain's; given it, a loaded mesh
+    solves bit for bit like the saved one.  SolverError carries the trace.
     """
     return _solve(mesh, "floating", _datum(mesh, datum, "floating"), p)
 

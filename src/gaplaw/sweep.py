@@ -4,10 +4,10 @@ A sweep runs, for each gap delta on a geometric ladder, a floating solve
 (potential gap, gradient maxima, flux balance) and a tied solve (the flux
 constant R_delta).  When p = 2 it also forms the three linear auxiliaries
 of the Q functional, solving only what symmetry cannot give: v1 is always
-solved; v2 is v1's mirror image when the mesh has a mirror, and v3 is the
-tied solve itself when that ran under odd fixed data (its tied constant
-is then pinned at 0, v3's value on both particles).  Either is solved as
-a prescribed problem otherwise.  The measured gap and gradient maximum
+solved; v2 is v1's mirror image (every `build_mesh` mesh has a mirror),
+and v3 is the tied solve itself when that ran under odd fixed data (its
+tied constant is then pinned at 0, v3's value on both particles), else
+a prescribed solve.  The measured gap and gradient maximum
 are then fit to power laws in delta and compared against the predictions
 
     gap ~ (R0/C_o)^(1/(p-1)) delta^(gamma/(p-1)),
@@ -291,10 +291,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """One record per ladder delta, floating + tied solves throughout.
 
     At p = 2 each record also carries the Q functional (`q_report`) of
-    v1, v2, v3: v1 is solved, v2 is `mirrored(v1)` when the mesh has a
-    mirror, and v3 is the tied solution when its parity under y -> -y is
-    -1 (odd data fix the tied constant at 0, so the two problems have the
-    same fixed values and unknowns); otherwise v2 and v3 are solved too.
+    v1, v2, v3: v1 is solved, v2 is `mirrored(v1)`, and v3 is the tied
+    solution when its parity under y -> -y is -1 (odd data fix the tied
+    constant at 0, so the two problems have the same fixed values and
+    unknowns); otherwise v3 is solved too.
 
     A failing delta leaves its exception, as "Type: message", in its
     record's `error` and the ladder goes on; no failure raises, not even
@@ -331,7 +331,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
             rec.tied_reports = trep
             if config.p == 2.0:
                 v1 = solve_linear_aux(mesh, "v1")
-                v2 = mirrored(v1) if mesh.mirror is not None else solve_linear_aux(mesh, "v2")
+                v2 = mirrored(v1)
                 v3 = tsol if tsol.parity[0] == -1 else solve_linear_aux(mesh, "v3")
                 rec.q_report = q_functional(v1, v2, v3)
         except Exception as exc:  # noqa: BLE001 - per-point fault isolation
@@ -428,7 +428,6 @@ class TheoremVerdict:
 
     deltas: tuple[float, ...]
     ratios: tuple[float, ...]
-    band: tuple[float, float]
     in_band: tuple[bool, ...]
     deviations_decreasing: bool
     passed: bool
@@ -467,7 +466,6 @@ def verify_theorem(
     return TheoremVerdict(
         deltas=tuple(r.delta for r in ok),
         ratios=ratios,
-        band=RATIO_BAND,
         in_band=in_band,
         deviations_decreasing=decreasing,
         passed=passed,

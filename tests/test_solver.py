@@ -342,16 +342,19 @@ class TestSolutionSerialization:
         assert f"T2 {floating_p2.T2!r}" in text
 
 
+def _saved_and_loaded(mesh, directory):
+    save_mesh_text(mesh, directory / "mesh.txt")
+    loaded, _ = load_mesh_text(directory / "mesh.txt")
+    assert loaded.domain is None
+    return loaded
+
+
 class TestDomainlessMesh:
     """A mesh read back from text carries no domain, hence no default datum."""
 
     @pytest.fixture(scope="class")
     def loaded(self, two_disk, tmp_path_factory):
-        path = tmp_path_factory.mktemp("mesh") / "mesh.txt"
-        save_mesh_text(two_disk, path)
-        mesh, _ = load_mesh_text(path)
-        assert mesh.domain is None
-        return mesh
+        return _saved_and_loaded(two_disk, tmp_path_factory.mktemp("mesh"))
 
     @pytest.mark.parametrize("solve", [
         solve_floating,
@@ -377,6 +380,45 @@ class TestDomainlessMesh:
         assert got.T1 == pytest.approx(want.T1, abs=1e-12)
         assert np.max(np.abs(got.u - want.u)) <= 1e-12
         assert got.newton_iters == want.newton_iters
+
+
+class TestRoundTrip:
+    """eps is read off the nodes, so a saved and loaded mesh solves bit for
+    bit like the built one, at any R and R_out (R_out = 4R is no special case)."""
+
+    @pytest.mark.parametrize("solve", [solve_floating, solve_tied])
+    def test_R2_Rout8_p4(self, solve, tmp_path):
+        domain = DomainSpec(pair=ParticlePair(R=2.0, delta=0.04), R_out=8.0)
+        mesh = build_mesh(domain)
+        loaded = _saved_and_loaded(mesh, tmp_path)
+        want = solve(mesh, p=4.0)
+        got = solve(loaded, p=4.0, datum=domain.boundary_datum)
+        assert np.array_equal(got.u, want.u)
+        for name in ("T1", "T2", "eps", "energy", "newton_iters"):
+            assert getattr(got, name) == getattr(want, name), name
+
+    @given(R=st.floats(0.5, 2.0), delta_over_R=st.floats(0.005, 0.05),
+           R_out_over_R=st.floats(2.5, 5.0))
+    @settings(max_examples=12, deadline=None)
+    def test_any_geometry_p3(self, R, delta_over_R, R_out_over_R, tmp_path_factory):
+        domain = DomainSpec(pair=ParticlePair(R=R, delta=delta_over_R * R),
+                            R_out=R_out_over_R * R)
+        mesh = build_mesh(domain, MeshParams(h_far=0.5 * R))
+        loaded = _saved_and_loaded(mesh, tmp_path_factory.mktemp("mesh"))
+        want = solve_floating(mesh, p=3.0)
+        got = solve_floating(loaded, p=3.0, datum=domain.boundary_datum)
+        assert np.array_equal(got.u, want.u)
+        assert (got.eps, got.energy, got.trace) == (want.eps, want.energy, want.trace)
+
+    def test_eps_from_span_and_width(self, two_disk, tmp_path):
+        annulus = build_annulus_mesh(AnnulusSpec(1.0, 2.0), 0.2)
+        loaded = _saved_and_loaded(two_disk, tmp_path)
+        cases = [(two_disk, solve_floating(two_disk, p=2.0), 8.0, 8.0),  # u = y on r = 4
+                 (annulus, solve_prescribed(annulus, T1=0.0, datum=lambda x, y: 1.0), 1.0, 4.0),
+                 (loaded, solve_tied(loaded, datum=lambda x, y: 3.0 * y), 24.0, 8.0)]
+        for mesh, sol, span, width in cases:
+            assert np.ptp(mesh.nodes[:, 0]) == width
+            assert sol.eps == solver.EPS_SCALE * span / width
 
 
 class TestNewtonTrace:
@@ -529,7 +571,25 @@ class TestNewtonRaises:
         residual, tol = (float(x) for x in re.search(r"residual (\S+) vs tol (\S+)\)",
                                                      str(info.value)).groups())
         assert residual > tol
-        assert len(info.value.trace) == 2  # the start and the iterate of the one step
+        # each stage's start and the iterate of its one step: p = 2 converged
+        assert [entry["p"] for entry in info.value.trace] == [2.0, 2.0, 3.0, 3.0]
+
+    def test_failed_solve_keeps_every_stage(self, narrow_gap, monkeypatch):
+        """The error's trace is the solve's trace so far, not the failing
+        stage's alone, and each entry names its stage's p last."""
+        full = solve_tied(narrow_gap, p=5.0).trace
+        monkeypatch.setattr(solver, "MAX_ITER", 3)
+        with pytest.raises(SolverError, match=r"did not converge in 3 iterations \(p=5\.0") as info:
+            solve_tied(narrow_gap, p=5.0)
+        trace = info.value.trace
+        # the same iterates; the failing one takes no step
+        assert trace[:-1] == full[:len(trace) - 1]
+        assert trace[-1] == {**full[len(trace) - 1], "t": 0.0, "cg": 0}
+        assert [entry["p"] for entry in trace[-4:]] == [5.0] * 4
+        assert {entry["p"] for entry in trace} == {2.0, 3.0, 4.0, 5.0}
+        keys = ["iter", "residual", "energy", "tol", "t", "lam", "cg", "refactor", "dropped",
+                "fallback", "p"]
+        assert all(list(entry) == keys for entry in trace + full)
 
     def test_failed_line_search(self, coarse, monkeypatch):
         monkeypatch.setattr(solver, "_line_search", lambda *args, **kwargs: None)
@@ -616,8 +676,8 @@ class TestInexactNewton:
         outer = two_disk.domain.datum_values(two_disk.nodes[two_disk.nodes_with_tag(TAG_OUTER)])
         con = solver._build_constraints(two_disk, "floating", outer)
         eps = floating_p2.eps
-        factor = [None]
-        z, trace = solver._newton(con, 2.0, eps, np.zeros(con.n_dof), factor)
+        factor, trace = [None], []
+        z = solver._newton(con, 2.0, eps, np.zeros(con.n_dof), factor, trace)
         assert trace[0]["refactor"] is True and factor[0] is not None
         return con, eps, z, factor[0]
 

@@ -632,7 +632,7 @@ class TestPersistence:
         assert set(report["fits"]["gap"]) == fit_keys
         assert set(report["fits"]["gradMax"]) == fit_keys
         assert set(report["verdicts"]["theorem_ratio"]) == {
-            "deltas", "ratios", "band", "in_band", "deviations_decreasing", "passed"}
+            "deltas", "ratios", "in_band", "deviations_decreasing", "passed"}
         assert set(report["prediction"]) == {
             "p", "d", "R", "R0", "C_o", "gamma", "gap_exponent", "grad_exponent",
             "gap_coefficient"}
