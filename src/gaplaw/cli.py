@@ -11,20 +11,20 @@ Subcommands:
     sweep --config FILE --out DIR
         full ladder run of >= 3 delta: sweep.csv, fluxes.csv, report.json, plots.gp;
         when the analysis fails, all but plots.gp, with no fits or verdicts
-    fit --records FILE [--p P]
-        power-law fits of a previous sweep.csv
     report --records FILE --p P --out DIR
-        regenerate report.json and plots.gp from a sweep.csv
+        regenerate report.json and plots.gp from a sweep.csv and print the
+        summary `sweep` prints
 
 Exit codes: 0 when all verdicts pass (or none apply), 2 when a verdict
 fails, 1 on execution errors.
 
 `analyze` is the one analysis path: R0 extrapolation, C_o, the
-prediction, the fits and the verdicts.  `sweep`, `report` and `fit --p`
-all go through it.  It lives here, not in `gaplaw.sweep`, and calls
-`r0_from_records`, `fit_power_law`, `verify_theorem`,
-`asymptotics.c_o_quadrature` and `asymptotics.predict` as names of this
-module, so that a caller can time each of them by rebinding that name.
+prediction, the fits and the verdicts.  `sweep` and `report` both go
+through it and print its numbers with `_summarize`.  It lives here, not
+in `gaplaw.sweep`, and calls `r0_from_records`, `fit_power_law`,
+`verify_theorem`, `asymptotics.c_o_quadrature` and `asymptotics.predict`
+as names of this module, so that a caller can time each of them by
+rebinding that name.
 """
 
 from __future__ import annotations
@@ -142,11 +142,17 @@ def analyze(records, p: float, R: float = 1.0):
     return r0, pred, fits, verdicts
 
 
-def _verdicts_pass(verdicts) -> bool:
-    ok = True
-    for v in verdicts.values():
-        ok &= bool(v.passed if hasattr(v, "passed") else v)
-    return ok
+def _summarize(r0, pred, fits, verdicts) -> int:
+    """Print R0, C_o, gamma, the ratios, both slopes with their predictions
+    and the verdict; return the exit code of the verdict."""
+    tv = verdicts["theorem_ratio"]
+    print(f"R0 = {r0.R0!r}, C_o = {pred.C_o!r}, gamma = {pred.gamma!r}")
+    print(f"ratios: {[round(x, 4) for x in tv.ratios]}")
+    print(f"gap slope {fits['gap'].slope:.4f} (predicted {fits['gap'].predicted_slope})")
+    print(f"gradmax slope {fits['gradMax'].slope:.4f} (predicted {fits['gradMax'].predicted_slope})")
+    passed = all(v.passed if hasattr(v, "passed") else v for v in verdicts.values())
+    print("verdict:", "PASS" if passed else "FAIL")
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 def _cmd_sweep(args) -> int:
@@ -164,37 +170,14 @@ def _cmd_sweep(args) -> int:
         emit_report(records, {}, {}, args.out, config=cfg)
         raise
     emit_report(records, fits, verdicts, args.out, config=cfg, r0=r0, prediction=pred)
-    tv = verdicts["theorem_ratio"]
-    print(f"R0 = {r0.R0!r}, C_o = {pred.C_o!r}, gamma = {pred.gamma!r}")
-    print(f"ratios: {[round(x, 4) for x in tv.ratios]}")
-    print(f"gap slope {fits['gap'].slope:.4f} (predicted {fits['gap'].predicted_slope})")
-    print(f"gradmax slope {fits['gradMax'].slope:.4f} (predicted {fits['gradMax'].predicted_slope})")
-    passed = _verdicts_pass(verdicts)
-    print("verdict:", "PASS" if passed else "FAIL")
-    return EXIT_PASS if passed else EXIT_FAIL
-
-
-def _cmd_fit(args) -> int:
-    records = records_from_csv(Path(args.records).read_text())
-    if args.p is None:
-        fits = {q: fit_power_law(records, q) for q in QUANTITIES}
-    else:
-        fits = analyze(records, args.p, args.R)[2]
-    for q, fit in fits.items():
-        line = f"{q}: slope {fit.slope!r} prefactor {fit.prefactor!r} residual {fit.residual!r}"
-        if fit.predicted_slope is not None:
-            line += f" (predicted slope {fit.predicted_slope!r})"
-        print(line)
-    return EXIT_PASS
+    return _summarize(r0, pred, fits, verdicts)
 
 
 def _cmd_report(args) -> int:
     records = records_from_csv(Path(args.records).read_text())
     r0, pred, fits, verdicts = analyze(records, args.p, args.R)
     emit_report(records, fits, verdicts, args.out, config=None, r0=r0, prediction=pred)
-    passed = _verdicts_pass(verdicts)
-    print("verdict:", "PASS" if passed else "FAIL")
-    return EXIT_PASS if passed else EXIT_FAIL
+    return _summarize(r0, pred, fits, verdicts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,12 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--config", required=True)
     w.add_argument("--out", required=True)
     w.set_defaults(func=_cmd_sweep)
-
-    f = sub.add_parser("fit", help="power-law fits from a sweep.csv")
-    f.add_argument("--records", required=True)
-    f.add_argument("--p", type=float, default=None)
-    f.add_argument("--R", type=float, default=1.0)
-    f.set_defaults(func=_cmd_fit)
 
     r = sub.add_parser("report", help="regenerate report from a sweep.csv")
     r.add_argument("--records", required=True)

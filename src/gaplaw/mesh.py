@@ -26,12 +26,13 @@ coordinate.  All points are numbered in order of first appearance under
 coordinates, the strip's right column shared by both parts and the sides
 on the axes, become one node, whose tag is the first boundary tag seen
 for it.  Boundary edges are found by one sort of the integer keys
-a * n + b of their sorted ends, formed straight from the vertex columns;
-the P1 gradients are written into one preallocated array and the
-quality's side lengths come from the coordinate columns, so none of the
-three builds a stacked copy of its inputs.  Only the marching along the
-boundary curves and the walk around each boundary loop in `_validate` go
-node by node in Python.
+a * n + b of their sorted ends, formed straight from the vertex columns.
+The areas, P1 gradients and centroids read one (m, 3, 2) gather of the
+vertex coordinates (`Mesh._build_geometry`); the gradients are written
+into one preallocated array, and the quality's side lengths come from
+the coordinate columns.  Only the marching along the boundary curves and
+the walk around each boundary loop in `_validate` go node by node in
+Python.
 
 So the whole mesh is symmetric under y -> -y and under x -> -x as a set
 of nodes and elements, and its triangles are the four images of the
@@ -727,7 +728,8 @@ def load_mesh_text(path) -> tuple[Mesh, np.ndarray | None]:
     non-finite coordinate or value, an index that differs from the
     record's position among the records of its kind (`node i`, `tri i`
     and `value i` count from 0 in file order) or a vertex index outside
-    the `counts` header's node range raises MeshError naming its line; so
+    the `counts` header's node range raises MeshError naming its line, as
+    does a second `counts` header or a values flag other than 0 or 1; so
     do node, triangle or value records that do not match the `counts`
     header in number, and so does a header that counts no triangles.
     Other records (the `sizes` of older files among them) are skipped.
@@ -751,7 +753,11 @@ def load_mesh_text(path) -> tuple[Mesh, np.ndarray | None]:
                 if parts[0] in records and int(parts[1]) != len(records[parts[0]]):
                     raise ValueError(f"index {parts[1]}, expected {len(records[parts[0]])}")
                 if parts[0] == "counts":
+                    if counts is not None:
+                        raise ValueError("a second counts header")
                     counts = [int(v) for v in parts[1:]]
+                    if counts[2] not in (0, 1):
+                        raise ValueError(f"values flag {counts[2]}, expected 0 or 1")
                 elif parts[0] == "node":
                     if parts[4] not in name_to_tag:
                         raise ValueError(f"unknown tag {parts[4]!r}")

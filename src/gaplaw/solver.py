@@ -267,9 +267,9 @@ def _grad_full(mesh: Mesh, u: np.ndarray, p: float, eps: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ElementSet:
-    """The element arrays the Newton sums run over under a mirror
-    reduction: the elements of the kept quarter or half of the mesh, areas
-    scaled by the orbit size."""
+    """The element arrays the Newton sums run over: the elements of the
+    kept quarter, half or whole of the mesh, areas scaled by the orbit
+    size."""
 
     triangles: np.ndarray
     grads: np.ndarray
@@ -304,10 +304,10 @@ class _Constraints:
     mirrors, (y -> -y, x -> -x), each -1, +1 or None when that mirror is
     not used (see `_build_constraints`).  `elements` is what the energy,
     the element weights, the gradient, the Hessian and the stop scales sum
-    over: the mesh itself when no mirror is used, else the elements with
-    no vertex in a dropped half-plane, areas scaled by the orbit size 2^k
-    of the k mirrors used.  The field has the data's parities, so each of
-    them adds to every sum what its images would.  No sum reads a node in a
+    over: the elements with no vertex in a dropped half-plane, areas
+    scaled by the orbit size 2^k of the k mirrors used (all of them, at
+    2^0 = 1, when no mirror is used).  The field has the data's parities,
+    so each of them adds to every sum what its images would.  No sum reads a node in a
     dropped half-plane; `expand` rebuilds the ones the reduction took out
     of the unknowns from their images, one mirror after the other
     (`reflections`: the nodes, their images and the parity, in the order
@@ -448,7 +448,7 @@ def _build_constraints(mesh: Mesh, kind: str, outer_vals: np.ndarray,
             raise SolverError("tied solve needs both particles")
         dof[p1] = dof[p2] = n_dof
         n_dof += 1
-    elif kind == "prescribed":
+    else:  # prescribed
         T1, T2 = pinned
         if len(p1):
             u_fix[p1] = T1
@@ -456,8 +456,6 @@ def _build_constraints(mesh: Mesh, kind: str, outer_vals: np.ndarray,
             if T2 is None:
                 raise SolverError("prescribed solve with particle 2 needs T2")
             u_fix[p2] = T2
-    else:
-        raise SolverError(f"unknown problem kind {kind!r}")
 
     parity, reflections = [], []
     kept = np.ones(mesh.n_triangles, dtype=bool)
@@ -478,12 +476,10 @@ def _build_constraints(mesh: Mesh, kind: str, outer_vals: np.ndarray,
         reflections.append((reflected, mirror[reflected], character))
         dof[dropped] = -1
         kept = half
-    elements = mesh
-    if reflections:
-        # element index fastest, so that each column the kernels read is contiguous
-        elements = _ElementSet(triangles=np.asfortranarray(mesh.triangles[kept]),
-                               grads=np.asfortranarray(mesh.grads[kept]),
-                               areas=2.0 ** len(reflections) * mesh.areas[kept])
+    # element index fastest, so that each column the kernels read is contiguous
+    elements = _ElementSet(triangles=np.asfortranarray(mesh.triangles[kept]),
+                           grads=np.asfortranarray(mesh.grads[kept]),
+                           areas=2.0 ** len(reflections) * mesh.areas[kept])
     free = dof >= 0
     used = np.zeros(n_dof, dtype=bool)
     used[dof[free]] = True

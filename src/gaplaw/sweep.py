@@ -101,6 +101,7 @@ RATIO_BAND = (0.85, 1.15)  # criterion 6: the two smallest-delta ratios lie insi
 DEVIATION_SLACK = 0.02  # allowed growth of |ratio - 1| from one delta to the next
 BARRIER_COVERAGE = 0.95  # criterion 7: share of neck samples inside the sandwich
 CLEARANCE = 1.0  # least distance from the particles to the outer circle at every delta
+DELTA_RATIO = 0.5  # each delta of the ladder is half the one before
 
 
 def _datum_table_factory(entries):
@@ -133,7 +134,7 @@ def _datum_table_factory(entries):
 class SweepConfig:
     """Field-for-field mirror of the sweep JSON config: the experiment only.
 
-    The delta ladder is geometric: delta_start * delta_ratio^k for
+    The delta ladder halves: delta_start * DELTA_RATIO^k for
     k = 0..delta_count-1.  `h_far` and `neck_layers`, the element layers
     across the gap at x = 0, are the MeshParams; the mesher draws no random
     numbers, so there is no mesh seed.  The neck window half-width is
@@ -162,7 +163,6 @@ class SweepConfig:
     p: float = 2.0
     datum: object = "linear-y"
     delta_start: float = 0.04
-    delta_ratio: float = 0.5
     delta_count: int = 5
     h_far: float = 0.3
     neck_layers: int = 4
@@ -175,15 +175,13 @@ class SweepConfig:
             raise ValueError(f"p must be finite and >= 2, got {self.p}")
         if not self.delta_start > 0.0:
             raise ValueError(f"delta_start must be positive, got {self.delta_start}")
-        if not 0.0 < self.delta_ratio < 1.0:
-            raise ValueError("delta ladder must be strictly decreasing")
         if not (isinstance(self.delta_count, numbers.Integral)
                 and not isinstance(self.delta_count, bool) and self.delta_count >= 1):
             raise ValueError(f"delta_count must be an integer >= 1, got {self.delta_count!r}")
-        smallest = self.delta_start * self.delta_ratio ** (self.delta_count - 1)
+        smallest = self.delta_start * DELTA_RATIO ** (self.delta_count - 1)
         if not smallest >= sys.float_info.min:
             raise ValueError(
-                f"delta_ratio={self.delta_ratio} and delta_count={self.delta_count} take the "
+                f"delta_start={self.delta_start} and delta_count={self.delta_count} take the "
                 f"smallest delta to {smallest!r}, below the smallest normal float"
             )
         try:
@@ -200,7 +198,7 @@ class SweepConfig:
     @property
     def deltas(self) -> tuple[float, ...]:
         return tuple(
-            self.delta_start * self.delta_ratio**k for k in range(self.delta_count)
+            self.delta_start * DELTA_RATIO**k for k in range(self.delta_count)
         )
 
     @property
@@ -355,16 +353,17 @@ def _succeeded(records: list[SweepRecord]) -> list[SweepRecord]:
 @dataclass(frozen=True)
 class FitResult:
     """Least-squares power law y = prefactor * delta^slope in log-log, and
-    its deviations from the predicted slope and prefactor, if any."""
+    its deviations from the predicted slope and prefactor (the relative
+    prefactor deviation is None when the predicted prefactor is 0)."""
 
     quantity: str
     slope: float
     prefactor: float
     residual: float
     n_points: int
-    predicted_slope: float | None = None
-    predicted_prefactor: float | None = None
-    slope_deviation: float | None = None
+    predicted_slope: float
+    predicted_prefactor: float
+    slope_deviation: float
     prefactor_deviation_rel: float | None = None
 
 
@@ -376,14 +375,15 @@ _QUANTITY_GETTERS = {
 
 def fit_power_law(
     records: list[SweepRecord],
-    quantity: str = "gap",
-    prediction: AsymptoticPrediction | None = None,
+    quantity: str,
+    prediction: AsymptoticPrediction,
 ) -> FitResult:
-    """Fit y = A delta^s through the records for the chosen quantity.
+    """Fit y = A delta^s through the records for the chosen quantity and
+    compare it with the prediction.
 
     Needs >= MIN_LADDER_POINTS records with positive values; raises listing the offending
-    deltas otherwise.  With a prediction attached, the expected slope is
-    gamma/(p-1) for the gap and gamma/(p-1) - 1 for the gradient maximum.
+    deltas otherwise.  The expected slope is gamma/(p-1) for the gap and
+    gamma/(p-1) - 1 for the gradient maximum.
     """
     if quantity not in _QUANTITY_GETTERS:
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -399,10 +399,8 @@ def fit_power_law(
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.max(np.abs(y - (slope * x + intercept))))
     slope, prefactor = float(slope), float(np.exp(intercept))
-    pred_s = pred_a = None
-    if prediction is not None:
-        pred_s = prediction.gap_exponent if quantity == "gap" else prediction.grad_exponent
-        pred_a = prediction.gap_coefficient
+    pred_s = prediction.gap_exponent if quantity == "gap" else prediction.grad_exponent
+    pred_a = prediction.gap_coefficient
     return FitResult(
         quantity=quantity,
         slope=slope,
@@ -411,7 +409,7 @@ def fit_power_law(
         n_points=len(ok),
         predicted_slope=pred_s,
         predicted_prefactor=pred_a,
-        slope_deviation=None if pred_s is None else slope - pred_s,
+        slope_deviation=slope - pred_s,
         prefactor_deviation_rel=prefactor / pred_a - 1.0 if pred_a else None,
     )
 
@@ -639,8 +637,6 @@ def emit_report(
     gm_fit = fits.get("gradMax")
     if gap_fit and gm_fit:
         def pred_line(fit):
-            if fit.predicted_slope is None or fit.predicted_prefactor is None:
-                return ""
             return (
                 f", \\\n     {fit.predicted_prefactor!r} * x**{fit.predicted_slope!r} "
                 f"with lines dt 2 title 'predicted slope {fit.predicted_slope!r}'"

@@ -15,8 +15,7 @@ from gaplaw.sweep import CSV_COLUMNS, SweepConfig, records_to_csv, run_sweep
 
 @pytest.fixture()
 def tiny_config(tmp_path):
-    cfg = SweepConfig(p=2.0, delta_start=0.04, delta_ratio=0.5, delta_count=3,
-                      h_far=0.45)
+    cfg = SweepConfig(p=2.0, delta_start=0.04, delta_count=3, h_far=0.45)
     path = tmp_path / "config.json"
     path.write_text(cfg.to_json())
     return path
@@ -215,20 +214,19 @@ class TestSolveCommand:
 
 @pytest.fixture(scope="module")
 def tiny_csv(tmp_path_factory):
-    cfg = SweepConfig(p=2.0, delta_start=0.04, delta_ratio=0.5, delta_count=3, h_far=0.45)
+    cfg = SweepConfig(p=2.0, delta_start=0.04, delta_count=3, h_far=0.45)
     path = tmp_path_factory.mktemp("tiny-sweep") / "sweep.csv"
     path.write_text(records_to_csv(run_sweep(cfg)))
     return path
 
 
 class TestFitAndReport:
-    @pytest.mark.parametrize("command", ["report", "fit"])
+    @pytest.mark.parametrize("command", ["report"])
     @pytest.mark.parametrize("flag,value", [("--p", "nan"), ("--p", "inf"), ("--R", "nan")])
     def test_non_finite_p_or_R_named(self, tiny_csv, tmp_path, capsys, command, flag, value):
         options = {"--p": "2", "--R": "1", flag: value}
-        argv = [command, "--records", str(tiny_csv), *sum(options.items(), ())]
-        if command == "report":
-            argv += ["--out", str(tmp_path / "out")]
+        argv = [command, "--records", str(tiny_csv), *sum(options.items(), ()),
+                "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert f"{flag[2:]}={value}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
@@ -244,40 +242,29 @@ class TestFitAndReport:
         assert "line 2, column r_delta: 'nan' is not finite" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
-    def test_fit_from_csv(self, tiny_config, tmp_path, capsys):
-        out = tmp_path / "out"
-        main(["sweep", "--config", str(tiny_config), "--out", str(out)])
-        capsys.readouterr()
-        rc = main(["fit", "--records", str(out / "sweep.csv"), "--p", "2"])
-        assert rc == 0
-        stdout = capsys.readouterr().out
-        assert "gap: slope" in stdout
-        assert "predicted slope" in stdout
-
-    def test_fit_without_p(self, tiny_csv, capsys):
-        assert main(["fit", "--records", str(tiny_csv)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.partition(":")[0] for line in lines] == ["gap", "gradMax"]
-        assert all(": slope " in line and "(predicted slope" not in line for line in lines)
-
     def test_report_regenerates(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "out"
         main(["sweep", "--config", str(tiny_config), "--out", str(out)])
         report1 = json.loads((out / "report.json").read_text())
+        # the summary that follows the sweep's per-delta status lines
+        summary = capsys.readouterr().out.splitlines()[-5:]
+        assert summary[0].startswith("R0 = ") and summary[-1] == "verdict: PASS"
         csv = str(out / "sweep.csv")
         out2 = tmp_path / "out2"
         rc = main(["report", "--records", csv, "--p", "2", "--out", str(out2)])
         assert rc == 0
+        assert capsys.readouterr().out.splitlines() == summary
         report2 = json.loads((out2 / "report.json").read_text())
         for block in ("fits", "verdicts", "r0", "prediction"):
             assert report2[block] == report1[block], block
-        capsys.readouterr()
-        assert main(["fit", "--records", csv, "--p", "2"]) == 0
-        printed = capsys.readouterr().out
-        for q in ("gap", "gradMax"):
+        for q, label in (("gap", "gap"), ("gradMax", "gradmax")):
             fit = report1["fits"][q]
-            assert f"{q}: slope {fit['slope']!r} prefactor {fit['prefactor']!r}" in printed
-            assert f"(predicted slope {fit['predicted_slope']!r})" in printed
+            assert (f"{label} slope {fit['slope']:.4f} (predicted {fit['predicted_slope']})"
+                    in summary)
+        # `fit` folded into `report`: argparse refuses the subcommand
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fit", "--records", csv, "--p", "2"])
+        assert exit_info.value.code == 2
         # another radius changes C_o, so verdicts may fail, but it is no error
         rc = main(["report", "--records", csv, "--p", "2", "--R", "2",
                    "--out", str(tmp_path / "out3")])

@@ -223,8 +223,7 @@ class TestEstimateR0:
 
         values = []
         for h in (0.45, 0.3):
-            cfg = SweepConfig(p=2.0, delta_start=0.08, delta_ratio=0.5,
-                              delta_count=4, h_far=h)
+            cfg = SweepConfig(p=2.0, delta_start=0.08, delta_count=4, h_far=h)
             values.append(r0_from_records(run_sweep(cfg)).R0)
         assert values[1] == pytest.approx(values[0], rel=0.02)
 

@@ -916,6 +916,25 @@ class TestLoadValidation:
         with pytest.raises(MeshError, match="element quality .* below floor"):
             load_mesh_text(path)
 
+    def test_second_counts_header(self, tmp_path):
+        """A later header once silently replaced the first."""
+        path = self.triangle_file(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1] + ["counts 99 99 0\n"] + lines[1:]))
+        with pytest.raises(MeshError, match=r"line 3: malformed counts record "
+                                            r"\(a second counts header\)"):
+            load_mesh_text(path)
+
+    @pytest.mark.parametrize("flag", [2, -1])
+    def test_values_flag_not_0_or_1(self, tmp_path, flag):
+        """A flag of 2 was once read as "has values"."""
+        path = self.triangle_file(tmp_path)
+        text = path.read_text().replace("counts 3 1 0", f"counts 3 1 {flag}")
+        path.write_text(text + "".join(f"value {i} 0.0\n" for i in range(3)))
+        with pytest.raises(MeshError, match=f"line 2: malformed counts record "
+                                            fr"\(values flag {flag}, expected 0 or 1\)"):
+            load_mesh_text(path)
+
     def test_older_file_with_sizes_record_loads(self, tmp_path):
         path = self.triangle_file(tmp_path)
         lines = path.read_text().splitlines(keepends=True)

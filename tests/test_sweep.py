@@ -28,7 +28,7 @@ from gaplaw.sweep import (
     verify_theorem,
 )
 
-TINY = dict(delta_start=0.04, delta_ratio=0.5, delta_count=3, h_far=0.45)
+TINY = dict(delta_start=0.04, delta_count=3, h_far=0.45)
 
 
 @pytest.fixture(scope="module")
@@ -57,12 +57,13 @@ class TestSweepConfig:
         assert again == cfg
 
     def test_ladder(self):
-        cfg = SweepConfig(delta_start=0.04, delta_ratio=0.5, delta_count=3)
+        cfg = SweepConfig(delta_start=0.04, delta_count=3)
         assert cfg.deltas == (0.04, 0.02, 0.01)
 
     def test_ladder_validation(self):
-        with pytest.raises(ValueError):
-            SweepConfig(delta_ratio=1.5)
+        # the ladder halves (DELTA_RATIO); its ratio is no config key
+        with pytest.raises(ValueError, match="delta_ratio"):
+            SweepConfig.from_dict({"delta_ratio": 0.5})
         with pytest.raises(ValueError):
             SweepConfig(neck_layers=3)
 
@@ -129,7 +130,8 @@ class TestSweepConfig:
         assert table(1.0, 0.0) == pytest.approx(reference(1.0, 0.0), abs=1e-15)
 
 
-FORMER_KEYS = {"clearance", "eps_scale", "h_neck_fraction", "max_iter", "newton_tol", "p_step"}
+FORMER_KEYS = {"clearance", "delta_ratio", "eps_scale", "h_neck_fraction", "max_iter",
+               "newton_tol", "p_step"}
 
 
 class TestSweepConfigValidation:
@@ -202,11 +204,11 @@ class TestSweepConfigValidation:
                        "datum table entry 1", id=f"table-{column}-{bad}")
           for bad in ("nan", "inf", "-inf")
           for column, entry in (("angle", [float(bad), 1.0]), ("value", [3.0, float(bad)]))),
-        # an underflowing ladder: (0.04, 4e-202, 0.0) and 2^-1023, a subnormal
-        pytest.param({"delta_ratio": 1e-200, "delta_count": 3}, "delta_ratio=.* delta_count=3",
+        # an underflowing ladder: (5e-324, 0.0, 0.0) and 2^-1023, a subnormal
+        pytest.param({"delta_start": 5e-324, "delta_count": 3}, "delta_start=.* delta_count=3",
                      id="ladder-underflow"),
         pytest.param({"delta_start": 2.0**-5, "delta_count": 1019},
-                     "delta_ratio=.* delta_count=1019", id="ladder-subnormal"),
+                     "delta_start=.* delta_count=1019", id="ladder-subnormal"),
         # a wrong-typed value is named before any comparison fails on it;
         # JSON's true is a bool, no length
         pytest.param({"p": "3"}, r"^p\b", id="p-str"),
@@ -216,7 +218,7 @@ class TestSweepConfigValidation:
         pytest.param({"R_out": True}, "R_out", id="R_out-bool"),
         pytest.param({"delta_start": None}, "delta_start", id="delta_start-none"),
         pytest.param({"delta_start": True}, "delta_start", id="delta_start-bool"),
-        pytest.param({"delta_ratio": None}, "delta_ratio", id="delta_ratio-none"),
+        pytest.param({"delta_ratio": None}, "delta_ratio", id="delta_ratio-none"),  # former key
         pytest.param({"h_far": True}, "h_far", id="h_far-bool"),
         pytest.param({"h_neck_fraction": "0.25"}, "h_neck_fraction", id="h_neck_fraction-str"),
         # a table entry that is no [theta, value] pair of numbers
@@ -430,8 +432,7 @@ class TestRunSweep:
         pred = asymptotics.predict(2.0, 2, 1.0, 1.0, C_o=asymptotics.c_o_table(2, 2, 1.0))
         devs = {}
         for h in (0.6, 0.3):
-            recs = run_sweep(SweepConfig(p=2.0, delta_start=0.04, delta_ratio=0.5,
-                                         delta_count=3, h_far=h))
+            recs = run_sweep(SweepConfig(p=2.0, delta_start=0.04, delta_count=3, h_far=h))
             devs[h] = {
                 q: abs(fit_power_law(recs, q, pred).slope_deviation)
                 for q in ("gap", "gradMax")
@@ -440,23 +441,27 @@ class TestRunSweep:
             assert devs[0.3][q] <= devs[0.6][q] + 0.02
 
 
+PRED_P3 = asymptotics.predict(3.0, 2, 1.0, math.pi / 2, C_o=math.pi / 2)  # gap slope 0.75
+
+
 class TestFitPowerLaw:
     def test_exact_recovery(self):
         recs = synthetic_records(A=3.0, s=0.5)
-        fit = fit_power_law(recs, "gap")
+        fit = fit_power_law(recs, "gap", PRED_P3)
         assert fit.slope == pytest.approx(0.5, abs=1e-12)
         assert fit.prefactor == pytest.approx(3.0, rel=1e-12)
         assert fit.residual <= 1e-12
 
     def test_gradmax_slope(self):
         recs = synthetic_records(A=2.0, s=0.75)
-        fit = fit_power_law(recs, "gradMax")
+        fit = fit_power_law(recs, "gradMax", PRED_P3)
         assert fit.slope == pytest.approx(-0.25, abs=1e-12)
+        assert fit.predicted_slope == pytest.approx(-0.25)
+        assert fit.slope_deviation == pytest.approx(0.0, abs=1e-12)
 
     def test_prediction_attachment(self):
         recs = synthetic_records(A=1.0, s=0.75)
-        pred = asymptotics.predict(3.0, 2, 1.0, math.pi / 2, C_o=math.pi / 2)
-        fit = fit_power_law(recs, "gap", pred)
+        fit = fit_power_law(recs, "gap", PRED_P3)
         assert fit.predicted_slope == pytest.approx(0.75)
         assert fit.slope_deviation == pytest.approx(0.0, abs=1e-12)
 
@@ -464,13 +469,13 @@ class TestFitPowerLaw:
         recs = synthetic_records(A=1.0, s=0.5)
         recs[1].gap = 0.0
         with pytest.raises(ValueError) as err:
-            fit_power_law(recs, "gap")
+            fit_power_law(recs, "gap", PRED_P3)
         assert "0.02" in str(err.value)
 
     def test_too_few_points(self):
         recs = synthetic_records(A=1.0, s=0.5, deltas=(0.04, 0.02))
         with pytest.raises(ValueError):
-            fit_power_law(recs, "gap")
+            fit_power_law(recs, "gap", PRED_P3)
 
 
 class TestVerifyTheorem:
@@ -654,7 +659,6 @@ class TestPersistence:
         assert "sweep.csv" in gp and "logscale" in gp
         # the script draws the fitted and the predicted slope
         for fit in fits.values():
-            assert fit.predicted_slope is not None
             assert f"{fit.prefactor!r} * x**{fit.slope!r}" in gp
             assert (f"{fit.predicted_prefactor!r} * x**{fit.predicted_slope!r} "
                     f"with lines dt 2 title 'predicted slope {fit.predicted_slope!r}'") in gp
@@ -667,11 +671,12 @@ class TestPersistence:
         assert len(flux_lines) == 1 + 10 * len(tiny_records)
 
     def test_report_json_round_trips_fits_exactly(self, tiny_records, tmp_path):
-        fits = {"gap": fit_power_law(tiny_records, "gap")}
+        r0 = r0_from_records(tiny_records)
+        pred = asymptotics.predict(2.0, 2, 1.0, r0.R0, C_o=asymptotics.c_o_table(2, 2, 1.0))
+        fits = {"gap": fit_power_law(tiny_records, "gap", pred)}
         emit_report(tiny_records, fits, {}, tmp_path)
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["fits"]["gap"]["slope"] == fits["gap"].slope
-        assert report["fits"]["gap"]["prefactor"] == fits["gap"].prefactor
+        assert report["fits"]["gap"] == dataclasses.asdict(fits["gap"])
 
     def test_empty_records(self, tmp_path):
         emit_report([], {}, {}, tmp_path)
