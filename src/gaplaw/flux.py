@@ -37,7 +37,7 @@ import numpy as np
 
 from .geometry import NeckSpec
 from .mesh import TAG_OUTER, TAG_P1, TAG_P2, Mesh
-from .solver import DiscreteSolution, _grad_full, element_gradients
+from .solver import DiscreteSolution, _element_weights, _gradient_columns
 
 __all__ = [
     "FluxReport",
@@ -71,8 +71,13 @@ class ExtrapolationUnreliableError(RuntimeError):
 
 def _node_flux_weights(solution: DiscreteSolution) -> np.ndarray:
     """Per-node flux in the raw all-outward convention (out of the domain
-    everywhere, i.e. into the particles on particle curves)."""
-    return _grad_full(solution.mesh, solution.u, solution.p, solution.eps) / solution.p
+    everywhere, i.e. into the particles on particle curves): the energy
+    gradient with respect to every nodal value, over p."""
+    mesh = solution.mesh
+    bg, w1, _ = _element_weights(mesh, solution.u, solution.p, solution.eps)
+    # element-major, as triangles.ravel() is: each node sums in element order
+    grad = np.bincount(mesh.triangles.ravel(), (w1 * bg).T.ravel(), mesh.n_nodes)
+    return grad / solution.p
 
 
 def _neck_side(neck: NeckSpec, pts: np.ndarray) -> np.ndarray:
@@ -316,7 +321,7 @@ def sample_neck_flux(solution: DiscreteSolution, neck: NeckSpec):
     owners, mid, normals = _neck_edges(mesh, neck)
     if len(owners) == 0:
         raise FluxError("no boundary edges inside the neck window")
-    g_elem = element_gradients(mesh, solution.u)[owners]
-    measured = np.einsum("ei,ei->e", g_elem, normals)
+    gx, gy = _gradient_columns(mesh, solution.u)
+    measured = gx[owners] * normals[:, 0] + gy[owners] * normals[:, 1]
     order = np.argsort(mid[:, 0])
     return mid[order, 0], measured[order]

@@ -31,7 +31,6 @@ __all__ = [
     "ParticlePair",
     "NeckSpec",
     "DomainSpec",
-    "AnnulusSpec",
     "gap_width",
     "upper_barrier_outer_radius",
     "lower_barrier_outer_radius",
@@ -78,12 +77,12 @@ class ParticlePair:
     def lower_arc_y(self, x):
         """y of the particle-1 surface (top of the lower disk) at offset x."""
         r2 = self.R * self.R - np.asarray(x) ** 2
-        return -(self.R + 0.5 * self.delta) + np.sqrt(r2)
+        return self.center1[1] + np.sqrt(r2)
 
     def upper_arc_y(self, x):
         """y of the particle-2 surface (bottom of the upper disk) at offset x."""
         r2 = self.R * self.R - np.asarray(x) ** 2
-        return (self.R + 0.5 * self.delta) - np.sqrt(r2)
+        return self.center2[1] - np.sqrt(r2)
 
 
 def gap_width(x, pair: ParticlePair):
@@ -244,20 +243,3 @@ class DomainSpec:
     def datum_values(self, xy) -> np.ndarray:
         return datum_values(self.boundary_datum, xy)
 
-
-@dataclass(frozen=True)
-class AnnulusSpec:
-    """Annulus r_inner < r < r_outer used for exact-solution solver tests.
-
-    The inner circle plays the role of a single prescribed-potential
-    inclusion, the outer circle carries the applied datum.
-    """
-
-    r_inner: float
-    r_outer: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.r_inner < self.r_outer:
-            raise GeometryError(
-                f"need 0 < r_inner < r_outer, got ({self.r_inner}, {self.r_outer})"
-            )

@@ -1,4 +1,4 @@
-"""Body-fitted graded triangulations for the two-disk and annulus domains.
+"""Body-fitted graded triangulations of the two-disk domain.
 
 The two-disk mesh is built on the quarter x >= 0, y >= 0 and reflected.
 The quarter has two conforming parts:
@@ -42,10 +42,8 @@ loaded as text keeps them), and the solver uses them to solve on a half
 or a quarter of the unknowns under odd or even data.  A mesh whose
 triangles are laid out otherwise gets no mirrors and is solved whole.
 Construction involves no random numbers: fixed inputs give a
-bitwise-identical mesh.
-
-Annulus meshes for the exact-solution tests are plain structured polar
-grids.
+bitwise-identical mesh.  The particle surfaces and centres are read from
+the `ParticlePair` (`upper_arc_y`, `center2`), never re-derived here.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .geometry import AnnulusSpec, DomainSpec, gap_width
+from .geometry import DomainSpec, ParticlePair, gap_width
 
 __all__ = [
     "TAG_INTERIOR",
@@ -68,7 +66,6 @@ __all__ = [
     "Mesh",
     "MeshError",
     "build_mesh",
-    "build_annulus_mesh",
     "save_mesh_text",
     "load_mesh_text",
 ]
@@ -345,22 +342,20 @@ def _march_interval(a: float, b: float, step) -> np.ndarray:
 # -----------------------------------------------------------------------------
 
 
-def _build_strip(domain: DomainSpec, params: MeshParams):
+def _build_strip(pair: ParticlePair, params: MeshParams, xs_half: float):
     """The quarter x >= 0, y >= 0 of the structured strip: nodes,
     triangles and tags.
 
     Node (i, j) sits at column x_i, height fraction j/N across the local
     gap, for the rows j = N/2 (on y = 0) to N (on particle 2).  The
-    columns run from 0 to STRIP_HALFWIDTH * R, spaced STRIP_ASPECT times
+    columns run from 0 to the half-width xs_half, spaced STRIP_ASPECT times
     the local cell height.  Quad (i, j) takes the diagonal that alternates
     with i + j counted from the leftmost column of the whole strip, K - 1
     columns left of x = 0 for K columns here, so the quarter's images
     continue the pattern.
     """
-    pair = domain.pair
     N = params.neck_layers
-    xs = _march_interval(0.0, STRIP_HALFWIDTH * pair.R,
-                         lambda x: STRIP_ASPECT * gap_width(x, pair) / N)
+    xs = _march_interval(0.0, xs_half, lambda x: STRIP_ASPECT * gap_width(x, pair) / N)
     K = len(xs)
     rows = np.arange(N // 2, N + 1)
     y = gap_width(xs, pair)[:, None] * (2 * rows - N) / (2 * N)
@@ -393,20 +388,18 @@ class _UpperRegion:
 
     def __init__(self, domain: DomainSpec, params: MeshParams, xs_half: float, h_ifc: float):
         self.R_out = domain.R_out
-        self.R = domain.pair.R
-        self.cy = domain.pair.R + 0.5 * domain.pair.delta
+        self.pair = domain.pair
         self.xs_half = xs_half
-        self.y_box = float(domain.pair.upper_arc_y(xs_half))
+        self.y_box = float(self.pair.upper_arc_y(xs_half))
         self.h_ifc = h_ifc
         self.h_far = params.h_far
 
     def signed_distance(self, pts: np.ndarray) -> np.ndarray:
         x, y = pts[:, 0], pts[:, 1]
         d_out = np.hypot(x, y) - self.R_out
-        d_p2 = self.R - np.hypot(x, y - self.cy)
-        xc = np.clip(np.abs(x), 0.0, self.R * (1.0 - 1e-12))
-        y_up = self.cy - np.sqrt(self.R * self.R - xc * xc)
-        d_strip = np.minimum(self.xs_half - np.abs(x), y_up - y)
+        d_p2 = self.pair.R - np.hypot(x, y - self.pair.center2[1])
+        xc = np.clip(np.abs(x), 0.0, self.pair.R * (1.0 - 1e-12))
+        d_strip = np.minimum(self.xs_half - np.abs(x), self.pair.upper_arc_y(xc) - y)
         return np.maximum.reduce([d_out, d_p2, d_strip, -x, -y])
 
     def size_at(self, dist):
@@ -487,11 +480,9 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
             "touching geometry (delta = 0) is not meshable; approximate the "
             "limit with a ladder of small positive delta"
         )
-    R = pair.R
     N = params.neck_layers
-
-    strip_pts, strip_tris, strip_tags = _build_strip(domain, params)
-    xs_half = STRIP_HALFWIDTH * R
+    xs_half = STRIP_HALFWIDTH * pair.R
+    strip_pts, strip_tris, strip_tags = _build_strip(pair, params, xs_half)
     h_ifc = gap_width(xs_half, pair) / N
     region = _UpperRegion(domain, params, xs_half, h_ifc)
 
@@ -502,10 +493,10 @@ def build_mesh(domain: DomainSpec, params: MeshParams | None = None) -> Mesh:
     right = strip_pts[-(N // 2 + 1):]  # the strip's right column, from y = 0 up
     corner = right[-1]  # (+xs_half, on particle 2)
 
-    cy = R + 0.5 * pair.delta
-    top = np.array([0.0, cy + R])  # where particle 2 meets the axis x = 0
-    phi = math.atan2(corner[1] - cy, corner[0])
-    arc2 = _arc_points((0.0, cy), R, phi, 0.5 * math.pi, hsize, corner, top)
+    center2 = pair.center2
+    top = np.array([0.0, center2[1] + pair.R])  # where particle 2 meets the axis x = 0
+    phi = math.atan2(corner[1] - center2[1], corner[0])
+    arc2 = _arc_points(center2, pair.R, phi, 0.5 * math.pi, hsize, corner, top)
 
     outer_right = np.array([domain.R_out, 0.0])
     outer_top = np.array([0.0, domain.R_out])
@@ -659,43 +650,6 @@ def _order_loop(edges: np.ndarray) -> np.ndarray:
     if cur != start or len(loop) != len(edges):
         raise MeshError("boundary loop does not close consistently")
     return np.asarray(loop)
-
-
-# -----------------------------------------------------------------------------
-# annulus
-# -----------------------------------------------------------------------------
-
-
-def build_annulus_mesh(annulus: AnnulusSpec, h: float) -> Mesh:
-    """Structured polar triangulation of an annulus.
-
-    The inner circle is tagged as particle 1 (the single inclusion), the
-    outer circle as the outer boundary.  Node counts scale as 1/h in both
-    directions, so halving h refines uniformly.
-    """
-    if h <= 0:
-        raise MeshError("mesh size must be positive")
-    r1, r2 = annulus.r_inner, annulus.r_outer
-    n_r = max(2, int(math.ceil((r2 - r1) / h)))
-    r_mid = 0.5 * (r1 + r2)
-    n_t = max(8, int(math.ceil(2.0 * math.pi * r_mid / h)))
-    radii = np.linspace(r1, r2, n_r + 1)
-    theta = 2.0 * math.pi * np.arange(n_t) / n_t
-
-    nodes = np.column_stack([
-        (radii[:, None] * np.cos(theta)).ravel(), (radii[:, None] * np.sin(theta)).ravel()
-    ])
-    tags = np.zeros((n_r + 1) * n_t, dtype=np.int8)
-    tags[:n_t] = TAG_P1
-    tags[n_r * n_t :] = TAG_OUTER
-
-    k = np.arange(n_r)[:, None]
-    j = np.arange(n_t)[None, :]
-    jn = (j + 1) % n_t
-    a, b = k * n_t + j, k * n_t + jn
-    c, d = b + n_t, a + n_t
-    tris = np.stack([np.stack([a, b, c], -1), np.stack([a, c, d], -1)], -2).reshape(-1, 3)
-    return Mesh(nodes=nodes, triangles=tris, node_tags=tags, domain=annulus)
 
 
 # -----------------------------------------------------------------------------

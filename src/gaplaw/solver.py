@@ -101,7 +101,6 @@ __all__ = [
     "solve_linear_aux",
     "mirrored",
     "grad_max",
-    "element_gradients",
     "save_solution_text",
 ]
 
@@ -211,11 +210,6 @@ def _gradient_columns(mesh: Mesh, u: np.ndarray):
     return tuple(B[:, i, 0] * u0 + B[:, i, 1] * u1 + B[:, i, 2] * u2 for i in range(2))
 
 
-def element_gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """(m, 2) array of the constant P1 gradient on each element."""
-    return np.stack(_gradient_columns(mesh, u), axis=1)
-
-
 def energy(mesh: Mesh, u: np.ndarray, p: float, eps: float = 0.0) -> float:
     """Regularized p-Dirichlet energy of a nodal field.
 
@@ -230,13 +224,12 @@ def energy(mesh: Mesh, u: np.ndarray, p: float, eps: float = 0.0) -> float:
 
 
 def _element_weights(mesh: Mesh, u: np.ndarray, p: float, eps: float):
-    """Per-element B^T grad u (m, 3) and the two Hessian weights.
+    """Per-element B^T grad u, a (3, m) array with one contiguous row per
+    local node, and the two Hessian weights.
 
     The element Hessian is w1 * B^T B + w2 * (B^T g)(B^T g)^T and the
     element gradient is w1 * B^T g, with s = eps^2 + |g|^2,
     w1 = area p s^(p/2-1) and w2 = area p (p-2) s^(p/2-2) = (p-2) w1 / s.
-    B^T g is returned as the transpose of a (3, m) array, so that each of
-    its columns is contiguous.
     """
     gx, gy = _gradient_columns(mesh, u)
     s = eps * eps + (gx * gx + gy * gy)
@@ -248,16 +241,7 @@ def _element_weights(mesh: Mesh, u: np.ndarray, p: float, eps: float):
     bg = np.empty((3, len(s)))
     for k in range(3):
         np.add(B[:, 0, k] * gx, B[:, 1, k] * gy, out=bg[k])
-    return bg.T, w1, w2
-
-
-def _grad_full(mesh: Mesh, u: np.ndarray, p: float, eps: float) -> np.ndarray:
-    """Energy gradient with respect to every nodal value."""
-    bg, w1, _ = _element_weights(mesh, u, p, eps)
-    # bg is column-major, and so is contrib: ravel copies it row by row, so
-    # each node sums its terms in element order, as np.add.at does
-    contrib = w1[:, None] * bg
-    return np.bincount(mesh.triangles.ravel(), contrib.ravel(), mesh.n_nodes)
+    return bg, w1, w2
 
 
 # -----------------------------------------------------------------------------
@@ -368,7 +352,7 @@ class _Constraints:
         """Reduced gradient of the energy at the nodal field u, from its
         `_element_weights(self.elements, u, p, eps)`."""
         bg, w1, _ = weights
-        return self._scatter(w1 * bg.T)
+        return self._scatter(w1 * bg)
 
     def stop_scales(self, u: np.ndarray, weights) -> tuple[float, float]:
         """(S, rho) of the stop test at the nodal field u, from its
@@ -380,7 +364,7 @@ class _Constraints:
         unknown, and under a mirror reduction the scaled areas count a
         node's images too, as its gradient entry does."""
         bg, w1, _ = weights  # w1 > 0
-        flux = np.abs(bg.T)
+        flux = np.abs(bg)
         flux *= w1
         abs_b = self._abs_b
         au = [np.abs(u[self.elements.triangles[:, k]]) for k in range(3)]
@@ -396,7 +380,6 @@ class _Constraints:
         CSC), from its element weights as for `grad`: entry (k, l) of an
         element is w1 S_kl + w2 b_k b_l, with S = B^T B and b = B^T g."""
         bg, w1, w2 = weights
-        bg = bg.T
         st = self._stiffness
         h = np.empty((6, len(w1)))
         for j, (k, l) in enumerate(zip(_K6, _L6)):
@@ -600,9 +583,12 @@ def _line_search(con: _Constraints, p, eps, z, E, g, dz, fresh):
     return None
 
 
-def _newton(con: _Constraints, p, eps, z0, factor: list, trace: list, stage_rtol=0.0):
+def _newton(con: _Constraints, p, eps, span, z0, factor: list, trace: list, stage_rtol=0.0):
     """Damped Newton from z0 at one exponent; returns z, and appends an
     entry per iteration to `trace`, the solve's trace over all p-stages.
+    Fixed values too large for this p overflow the energy or the norm of
+    its gradient: an energy at z0 or a gradient norm that is not finite
+    raises SolverError naming p and `span`, the fixed values' range.
 
     The stop test is max|g| <= tol with tol = max(stage_rtol * r0,
     NEWTON_TOL * S, 64 eps_mach * rho), where r0 is max|g| at z0 and
@@ -646,7 +632,11 @@ def _newton(con: _Constraints, p, eps, z0, factor: list, trace: list, stage_rtol
     elements = con.elements
     z = z0.copy()
     u = con.expand(z)
-    E = energy(elements, u, p, eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = energy(elements, u, p, eps)
+    if not math.isfinite(E):
+        raise SolverError(f"the energy overflows at the start of the p={p} stage "
+                          f"(the fixed values span {span:.6g})", trace)
     w = _element_weights(elements, u, p, eps)
     g = con.grad(w)
     g2_prev = None
@@ -668,7 +658,11 @@ def _newton(con: _Constraints, p, eps, z0, factor: list, trace: list, stage_rtol
                 trace,
             )
         H = con.hess(w)
-        g2 = float(np.linalg.norm(g))
+        with np.errstate(over="ignore"):
+            g2 = float(np.linalg.norm(g))
+        if not math.isfinite(g2):
+            raise SolverError(f"the gradient norm overflows at iter {it} (p={p}, the fixed "
+                              f"values span {span:.6g})", trace)
         eta = ETA_MAX
         if g2_prev is not None:
             eta = min(ETA_MAX, max(ETA_MIN, 0.9 * (g2 / g2_prev) ** 2, 0.5 * tol / g2))
@@ -719,9 +713,12 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, pinned=None) -> DiscreteSolut
         bad.append("the datum on the outer boundary")
     if bad:
         raise SolverError(f"fixed values must be finite: {', '.join(bad)}")
-    con = _build_constraints(mesh, kind, outer_vals, pinned)
     vals = np.concatenate([outer_vals, list(fixed.values())])
-    span = float(np.max(vals) - np.min(vals)) if len(vals) else 0.0
+    # as Python floats, so an overflow gives inf without a RuntimeWarning
+    span = float(np.max(vals)) - float(np.min(vals)) if len(vals) else 0.0
+    if not math.isfinite(span):
+        raise SolverError(f"the span of the fixed values overflows (p={p}, span {span})")
+    con = _build_constraints(mesh, kind, outer_vals, pinned)
     eps = EPS_SCALE * span / float(np.ptp(mesh.nodes[:, 0]))
 
     z = np.zeros(con.n_dof)
@@ -730,7 +727,7 @@ def _solve(mesh: Mesh, kind: str, datum, p: float, pinned=None) -> DiscreteSolut
     ladder = _p_ladder(p)
     for pk in ladder:
         rtol = 0.0 if pk == ladder[-1] else STAGE_RTOL
-        z = _newton(con, pk, eps, z, factor, trace, rtol)
+        z = _newton(con, pk, eps, span, z, factor, trace, rtol)
     u = con.expand(z)
     sol = DiscreteSolution(
         mesh=mesh,
@@ -854,8 +851,7 @@ def grad_max(solution: DiscreteSolution, region: str = "all",
     if region != "all" and neck is None:
         raise ValueError(f"region {region!r} needs the neck window: pass neck=")
     mesh = solution.mesh
-    g = element_gradients(mesh, solution.u)
-    mag = np.hypot(g[:, 0], g[:, 1])
+    mag = np.hypot(*_gradient_columns(mesh, solution.u))
     if region == "all":
         mask = np.ones(len(mag), dtype=bool)
     else:

@@ -615,22 +615,18 @@ def emit_report(
         )
 
     report = {
-        "config": config.to_dict() if config else None,
-        "fits": {k: dataclasses.asdict(f) for k, f in fits.items()},
-        "verdicts": {
-            k: dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v
-            for k, v in verdicts.items()
-        },
-        "r0": None if r0 is None else dataclasses.asdict(r0),
-        "prediction": None if prediction is None else dataclasses.asdict(prediction),
+        "config": config,
+        "fits": fits,
+        "verdicts": verdicts,
+        "r0": r0,
+        "prediction": prediction,
         "errors": {repr(r.delta): r.error for r in records if r.error is not None},
     }
-    q_reports = {repr(r.delta): dataclasses.asdict(r.q_report)
-                 for r in records if r.q_report is not None}
+    q_reports = {repr(r.delta): r.q_report for r in records if r.q_report is not None}
     if q_reports:
         report["q_functional"] = q_reports
     (outdir / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n"
+        json.dumps(report, default=dataclasses.asdict, sort_keys=True, indent=2) + "\n"
     )
 
     gap_fit = fits.get("gap")

@@ -1,4 +1,5 @@
-"""Radial p-harmonic profiles and the scalar lower barrier: test oracles.
+"""Radial p-harmonic profiles, the annulus mesh they are exact on, and the
+scalar lower barrier: test oracles.
 
 A radial profile
 
@@ -10,6 +11,10 @@ amplitude a and offset b.  Fitted through two radii it is the exact
 solution of the prescribed problem on an annulus (criterion 4), and the
 comparison function behind the neck flux sandwich of
 `gaplaw.geometry.barrier_flux_bound`.
+
+`AnnulusSpec` and `build_annulus_mesh` give that annulus as a structured
+polar mesh, the inner circle tagged as particle 1 (the single inclusion)
+and the outer circle as the outer boundary.
 
 `lower_barrier_radii` evaluates the lower-barrier formula of
 `gaplaw.geometry.lower_barrier_outer_radius` again, one offset at a time
@@ -23,7 +28,10 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from gaplaw.geometry import GeometryError, ParticlePair
+from gaplaw.mesh import TAG_OUTER, TAG_P1, Mesh, MeshError
 
 Branch = Literal["power", "log"]
 
@@ -105,6 +113,56 @@ def fit_two_point(
     a = (v2 - v1) / (f2 - f1)
     b = v1 - a * f1
     return RadialProfile(a=a, b=b, p=p, d=d)
+
+
+@dataclass(frozen=True)
+class AnnulusSpec:
+    """Annulus r_inner < r < r_outer used for exact-solution solver tests.
+
+    The inner circle plays the role of a single prescribed-potential
+    inclusion, the outer circle carries the applied datum.
+    """
+
+    r_inner: float
+    r_outer: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.r_inner < self.r_outer:
+            raise GeometryError(
+                f"need 0 < r_inner < r_outer, got ({self.r_inner}, {self.r_outer})"
+            )
+
+
+def build_annulus_mesh(annulus: AnnulusSpec, h: float) -> Mesh:
+    """Structured polar triangulation of an annulus.
+
+    The inner circle is tagged as particle 1 (the single inclusion), the
+    outer circle as the outer boundary.  Node counts scale as 1/h in both
+    directions, so halving h refines uniformly.
+    """
+    if h <= 0:
+        raise MeshError("mesh size must be positive")
+    r1, r2 = annulus.r_inner, annulus.r_outer
+    n_r = max(2, int(math.ceil((r2 - r1) / h)))
+    r_mid = 0.5 * (r1 + r2)
+    n_t = max(8, int(math.ceil(2.0 * math.pi * r_mid / h)))
+    radii = np.linspace(r1, r2, n_r + 1)
+    theta = 2.0 * math.pi * np.arange(n_t) / n_t
+
+    nodes = np.column_stack([
+        (radii[:, None] * np.cos(theta)).ravel(), (radii[:, None] * np.sin(theta)).ravel()
+    ])
+    tags = np.zeros((n_r + 1) * n_t, dtype=np.int8)
+    tags[:n_t] = TAG_P1
+    tags[n_r * n_t :] = TAG_OUTER
+
+    k = np.arange(n_r)[:, None]
+    j = np.arange(n_t)[None, :]
+    jn = (j + 1) % n_t
+    a, b = k * n_t + j, k * n_t + jn
+    c, d = b + n_t, a + n_t
+    tris = np.stack([np.stack([a, b, c], -1), np.stack([a, c, d], -1)], -2).reshape(-1, 3)
+    return Mesh(nodes=nodes, triangles=tris, node_tags=tags, domain=annulus)
 
 
 class BarrierValidityError(GeometryError):

@@ -14,15 +14,15 @@ from gaplaw.flux import (
     r_delta,
     sample_neck_flux,
 )
-from gaplaw.geometry import AnnulusSpec, DomainSpec, NeckSpec, ParticlePair
-from gaplaw.mesh import MeshParams, build_annulus_mesh, build_mesh
+from gaplaw.geometry import DomainSpec, NeckSpec, ParticlePair
+from gaplaw.mesh import MeshParams, build_mesh
 from gaplaw.solver import (
     solve_floating,
     solve_linear_aux,
     solve_prescribed,
     solve_tied,
 )
-from radial import fit_two_point, radial_gradient
+from radial import AnnulusSpec, build_annulus_mesh, fit_two_point, radial_gradient
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaplaw.geometry import (
-    AnnulusSpec,
     DomainSpec,
     GeometryError,
     NeckSpec,
@@ -269,7 +268,3 @@ class TestDomainSpec:
         const = DomainSpec(pair=PAIR, R_out=4.0, boundary_datum=lambda x, y: 2.5)
         assert const.datum_values(pts).tolist() == [2.5, 2.5, 2.5]
         assert dom.datum_values(np.empty((0, 2))).shape == (0,)
-
-    def test_annulus_validation(self):
-        with pytest.raises(GeometryError):
-            AnnulusSpec(2.0, 1.0)

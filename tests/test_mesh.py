@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import gaplaw.mesh as mesh_module
 import gaplaw.solver as solver
-from gaplaw.geometry import AnnulusSpec, DomainSpec, ParticlePair, datum_values
+from gaplaw.geometry import DomainSpec, GeometryError, ParticlePair, datum_values
 from gaplaw.mesh import (
     TAG_INTERIOR,
     TAG_OUTER,
@@ -22,13 +22,13 @@ from gaplaw.mesh import (
     Mesh,
     MeshParams,
     _validate,
-    build_annulus_mesh,
     build_mesh,
     _order_loop,
     load_mesh_text,
     save_mesh_text,
 )
 from gaplaw.sweep import SweepConfig
+from radial import AnnulusSpec, build_annulus_mesh
 
 
 def two_disk_domain(delta=0.02, R=1.0, R_out=4.0):
@@ -818,6 +818,10 @@ class TestAnnulusMesh:
     def test_area_covered(self):
         mesh = build_annulus_mesh(AnnulusSpec(1.0, 2.0), 0.02)
         assert float(np.sum(mesh.areas)) == pytest.approx(3 * np.pi, rel=1e-3)
+
+    def test_annulus_validation(self):
+        with pytest.raises(GeometryError):
+            AnnulusSpec(2.0, 1.0)
 
 
 class TestSerialization:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaplaw.flux import flux_report, r_delta
-from gaplaw.geometry import AnnulusSpec, DomainSpec, NeckSpec, ParticlePair, datum_values
+from gaplaw.geometry import DomainSpec, NeckSpec, ParticlePair, datum_values
 from gaplaw.mesh import (
     TAG_INTERIOR,
     TAG_OUTER,
@@ -17,13 +18,12 @@ from gaplaw.mesh import (
     TAG_P2,
     Mesh,
     MeshParams,
-    build_annulus_mesh,
     build_mesh,
 )
+import gaplaw.flux as flux_module
 import gaplaw.solver as solver
 from gaplaw.solver import (
     SolverError,
-    element_gradients,
     energy,
     grad_max,
     mirrored,
@@ -35,7 +35,7 @@ from gaplaw.solver import (
 )
 from gaplaw.mesh import load_mesh_text, save_mesh_text
 from gaplaw.sweep import SweepConfig
-from radial import fit_two_point, radial_eval
+from radial import AnnulusSpec, build_annulus_mesh, fit_two_point, radial_eval
 from test_mesh import with_oracle_mirrors
 
 
@@ -677,7 +677,7 @@ class TestInexactNewton:
         con = solver._build_constraints(two_disk, "floating", outer)
         eps = floating_p2.eps
         factor, trace = [None], []
-        z = solver._newton(con, 2.0, eps, np.zeros(con.n_dof), factor, trace)
+        z = solver._newton(con, 2.0, eps, float(np.ptp(outer)), np.zeros(con.n_dof), factor, trace)
         assert trace[0]["refactor"] is True and factor[0] is not None
         return con, eps, z, factor[0]
 
@@ -772,17 +772,8 @@ class TestInexactNewton:
     @staticmethod
     def stop_scales(sol):
         """S and rho of the stop test, recomputed from the solution."""
-        mesh = sol.mesh
-        bg, w1, _ = solver._element_weights(mesh, sol.u, sol.p, sol.eps)
-        # both scales sum magnitudes over every node of an unknown
-        P = abs(reduction_oracle(mesh, sol.kind, sol.parity))
-        flux = np.zeros(mesh.n_nodes)
-        np.add.at(flux, mesh.triangles, np.abs(w1[:, None] * bg))
-        b = np.abs(mesh.grads)
-        bound = np.zeros(mesh.n_nodes)
-        np.add.at(bound, mesh.triangles,
-                  w1[:, None] * np.einsum("eik,eil,el->ek", b, b, np.abs(sol.u[mesh.triangles])))
-        return float(np.max(P.T @ flux)), float(np.max(P.T @ bound))
+        P = reduction_oracle(sol.mesh, sol.kind, sol.parity)
+        return stop_scales_oracle(sol.mesh, P, sol.u, sol.p, sol.eps)
 
 
 class TestStopRule:
@@ -890,16 +881,22 @@ class TestContinuationInvariance:
 
 class TestBincountScatter:
     def test_grad_full_matches_add_at(self, floating_p2):
-        mesh, u = floating_p2.mesh, floating_p2.u
-        bg, w1, _ = solver._element_weights(mesh, u, 3.0, 1e-8)
+        sol = dataclasses.replace(floating_p2, p=3.0, eps=1e-8)
+        mesh = sol.mesh
+        bg, w1, _ = solver._element_weights(mesh, sol.u, 3.0, 1e-8)
         want = np.zeros(mesh.n_nodes)
-        np.add.at(want, mesh.triangles, w1[:, None] * bg)
-        assert np.array_equal(solver._grad_full(mesh, u, 3.0, 1e-8), want)
+        np.add.at(want, mesh.triangles, (w1 * bg).T)
+        assert np.array_equal(flux_module._node_flux_weights(sol), want / 3.0)
+
+
+def gradient_oracle(mesh, u):
+    """(m, 2) constant P1 gradient of each element, by one einsum."""
+    return np.einsum("eik,ek->ei", mesh.grads, u[mesh.triangles])
 
 
 def grad_full_oracle(mesh, u, p, eps):
     """Nodal energy gradient, scattered with np.add.at."""
-    g = element_gradients(mesh, u)
+    g = gradient_oracle(mesh, u)
     s = eps * eps + np.einsum("ei,ei->e", g, g)
     w = mesh.areas * p * s ** (0.5 * p - 1.0)
     out = np.zeros(mesh.n_nodes)
@@ -909,7 +906,7 @@ def grad_full_oracle(mesh, u, p, eps):
 
 def hess_full_oracle(mesh, u, p, eps):
     """Nodal energy Hessian, assembled through COO -> CSR."""
-    g = element_gradients(mesh, u)
+    g = gradient_oracle(mesh, u)
     s = eps * eps + np.einsum("ei,ei->e", g, g)
     w1 = mesh.areas * p * s ** (0.5 * p - 1.0)
     s_safe = np.where(s > 0.0, s, 1.0)
@@ -1121,7 +1118,7 @@ class TestReducedAssembly:
 def stop_scales_oracle(mesh, P, u, p, eps):
     """(S, rho) of `_Constraints.stop_scales`: nodal sums over every element
     of the mesh, scattered with np.add.at, gathered into unknowns by |P|."""
-    g = element_gradients(mesh, u)
+    g = gradient_oracle(mesh, u)
     s = eps * eps + np.einsum("ei,ei->e", g, g)
     w1 = mesh.areas * p * s ** (0.5 * p - 1.0)
     abs_b = np.abs(mesh.grads)
@@ -1334,6 +1331,34 @@ class TestFixedValueValidation:
     def test_datum_of_a_floating_solve(self, two_disk):
         with pytest.raises(SolverError, match="outer boundary"):
             solve_floating(two_disk, datum=lambda x, y: math.inf)
+
+
+class TestOverflowingFixedValues:
+    """Fixed values too large for the exponent are refused by name, with
+    the trace of the stages that ran, instead of overflowing in Newton."""
+
+    @pytest.mark.parametrize("T1,T2,p,stages", [
+        (1e160, 0.0, 2.0, []),  # the p = 2 energy overflows at the start
+        (1e308, -1e308, 2.0, []),  # the span of the fixed values overflows
+        (1e60, 0.0, 6.0, [2.0, 3.0, 4.0]),  # p = 2 and 3 converge, p = 4 overflows
+    ])
+    def test_refused_naming_the_overflow(self, two_disk, T1, T2, p, stages):
+        with pytest.raises(SolverError, match=r"overflows.*p=\d.*span") as info:
+            solve_prescribed(two_disk, T1=T1, T2=T2, p=p)
+        trace = info.value.trace
+        assert sorted({entry["p"] for entry in trace}) == stages
+        for stage in stages[:-1]:
+            last = [entry for entry in trace if entry["p"] == stage][-1]
+            assert last["residual"] <= last["tol"]
+
+    def test_large_finite_values_solve(self, two_disk):
+        sol = solve_prescribed(two_disk, T1=1e100, T2=0.0, p=2.0)
+        assert math.isfinite(sol.energy) and np.all(np.isfinite(sol.u))
+        # at p = 2 the minimizer is linear in the fixed values, eps included:
+        # with a zero datum it is 1e100 times v1
+        zero = solve_prescribed(two_disk, T1=1e100, T2=0.0, p=2.0, datum=lambda x, y: 0.0)
+        v1 = solve_linear_aux(two_disk, "v1")
+        assert np.allclose(zero.u / 1e100, v1.u, rtol=1e-10, atol=1e-12)
 
 
 class TestExponentValidation:
